@@ -45,6 +45,7 @@ from .integrators import (
     bisect_root_scalar,
     em_step,
     solve_implicit,
+    solve_implicit_batch,
 )
 from .problems import (
     ConditionAuditReport,
@@ -94,6 +95,7 @@ __all__ = [
     "bisect_root_scalar",
     "em_step",
     "solve_implicit",
+    "solve_implicit_batch",
     "ConditionAuditReport",
     "SdeProblem",
     "audit_conditions",

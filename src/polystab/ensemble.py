@@ -27,7 +27,14 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .integrators import StepContext, DEFAULT_SOLVER_CONFIG, _solve_scalar_batch, em_step, solve_implicit, ImplicitSolveError
+from .integrators import (
+    DEFAULT_SOLVER_CONFIG,
+    StepContext,
+    check_decay_dt,
+    check_implicit_dt,
+    em_step,
+    solve_implicit_batch,
+)
 from .problems import SdeProblem
 
 __all__ = [
@@ -271,14 +278,16 @@ def _resolve_workers(workers) -> int:
 def _simulate_chunk(problem, config, path_lo, path_hi):
     """Evolve paths [path_lo, path_hi); return per-path checkpoint stats.
 
-    Output arrays have shape (n_checkpoints, chunk). Everything in here is
-    elementwise per path, so results do not depend on chunk boundaries.
+    Returns (sq, frozen, failed_last, capped): squared norms, frozen masks
+    (blown up or solver-failed) and capped norms of shape (n_checkpoints,
+    chunk), plus the solver-failed flags at the last checkpoint. Everything
+    in here is elementwise per path, so results do not depend on chunk
+    boundaries.
     """
     dt = config.dt
     cap2 = config.blow_up_cap**2
     ckpts = config.checkpoints
     m = path_hi - path_lo
-    n = problem.dimension
     x0 = np.asarray(config.initial_value, dtype=float)
     x = np.tile(x0, (m, 1))
     blown = np.zeros(m, dtype=bool)
@@ -286,19 +295,20 @@ def _simulate_chunk(problem, config, path_lo, path_hi):
 
     n_ck = len(ckpts)
     sq = np.empty((n_ck, m))
-    blown_out = np.zeros((n_ck, m), dtype=bool)
-    failed_out = np.zeros((n_ck, m), dtype=bool)
+    frozen_out = np.zeros((n_ck, m), dtype=bool)
+    failed_last = None
     capped = np.empty((n_ck, m))
 
     pos = 0
 
     def record(at):
-        nonlocal pos
+        nonlocal pos, failed_last
         norm2 = np.einsum("ij,ij->i", x, x)
         norm = np.sqrt(norm2)
         sq[at] = norm2
-        blown_out[at] = blown
-        failed_out[at] = failed
+        frozen_out[at] = blown | failed
+        if at == n_ck - 1:
+            failed_last = failed.copy()
         capped[at] = np.minimum(norm, config.blow_up_cap)
 
     if ckpts[0] == 0:
@@ -317,32 +327,23 @@ def _simulate_chunk(problem, config, path_lo, path_hi):
         for k in range(b0, b1):
             db = normals[:, k - b0, None] * sqrt_dt
             frozen = blown | failed
-            active = ~frozen
             with np.errstate(all="ignore"):
                 if config.scheme == "em":
                     new = em_step(problem, x, StepContext(k=k, dt=dt, db=db), validate=False)
                 else:
                     g = np.asarray(problem.diffusion(x, k * dt), dtype=float)
                     bvec = x + g * db
-                    new = x.copy()
-                    if np.any(active):
-                        if n == 1:
-                            sol, ok = _solve_scalar_batch(
-                                problem.drift, (k + 1) * dt, bvec[active], dt,
-                                DEFAULT_SOLVER_CONFIG,
-                            )
-                            idx = np.flatnonzero(active)
-                            new[idx[ok.ravel()]] = sol[ok.ravel()]
-                            failed[idx[~ok.ravel()]] = True
-                        else:
-                            for i in np.flatnonzero(active):
-                                try:
-                                    new[i] = solve_implicit(
-                                        problem, (k + 1) * dt, bvec[i], dt,
-                                        DEFAULT_SOLVER_CONFIG,
-                                    )
-                                except ImplicitSolveError:
-                                    failed[i] = True
+                    # a non-finite noise term blows the path up (via the norm
+                    # check below); it is not a solver failure
+                    finite = np.isfinite(bvec).all(axis=1)
+                    new = np.where(finite[:, None], x, bvec)
+                    idx = np.flatnonzero(~frozen & finite)
+                    if idx.size:
+                        sol, ok = solve_implicit_batch(
+                            problem, (k + 1) * dt, bvec[idx], dt, DEFAULT_SOLVER_CONFIG
+                        )
+                        new[idx[ok]] = sol[ok]
+                        failed[idx[~ok]] = True
             x = np.where(frozen[:, None], x, np.asarray(new, dtype=float))
             norm2 = np.einsum("ij,ij->i", x, x)
             over = ~frozen & (~np.isfinite(norm2) | (norm2 > cap2))
@@ -350,7 +351,7 @@ def _simulate_chunk(problem, config, path_lo, path_hi):
             while pos < n_ck and ckpts[pos] == k + 1:
                 record(pos)
                 pos += 1
-    return sq, blown_out, failed_out, capped
+    return sq, frozen_out, failed_last, capped
 
 
 def simulate_ensemble(
@@ -373,24 +374,16 @@ def simulate_ensemble(
             f"({problem.dimension},)"
         )
     if config.scheme == "bem":
-        if problem.kbar != 0.0 and config.dt >= 1.0 / abs(problem.kbar):
-            raise ValueError(
-                f"bem requires dt < 1/|Kbar| = {1.0 / abs(problem.kbar)}, got dt={config.dt}"
-            )
-        if config.dt >= 1.0 / problem.k1:
-            warnings.warn(
-                f"dt={config.dt} is not below 1/K1 = {1.0 / problem.k1}; the "
-                f"polynomial decay guarantee does not cover this run",
-                stacklevel=2,
-            )
+        check_implicit_dt(problem, config.dt)
+        check_decay_dt(problem, config.dt)
     workers = _resolve_workers(workers)
 
     n_paths = config.num_paths
     bounds = [(lo, min(lo + _CHUNK_PATHS, n_paths)) for lo in range(0, n_paths, _CHUNK_PATHS)]
     n_ck = len(config.checkpoints)
     sq = np.empty((n_ck, n_paths))
-    blown = np.empty((n_ck, n_paths), dtype=bool)
-    failed = np.empty((n_ck, n_paths), dtype=bool)
+    gone = np.empty((n_ck, n_paths), dtype=bool)  # frozen, reported via blown_up
+    failed = np.empty(n_paths, dtype=bool)
     capped = np.empty((n_ck, n_paths))
 
     def run(bound):
@@ -405,13 +398,13 @@ def simulate_ensemble(
             results = list(pool.map(run, bounds))
         finally:
             pool.shutdown(wait=True)
-    for lo, hi, (c_sq, c_blown, c_failed, c_capped) in results:
+    for lo, hi, (c_sq, c_gone, c_failed, c_capped) in results:
         sq[:, lo:hi] = c_sq
-        blown[:, lo:hi] = c_blown
-        failed[:, lo:hi] = c_failed
+        gone[:, lo:hi] = c_gone
+        failed[lo:hi] = c_failed
         capped[:, lo:hi] = c_capped
 
-    n_failed = int(np.sum(failed[-1]))
+    n_failed = int(np.sum(failed))
     if n_failed > 0:
         frac = n_failed / n_paths
         if frac > 0.01:
@@ -425,7 +418,6 @@ def simulate_ensemble(
             stacklevel=2,
         )
 
-    gone = blown | failed  # frozen-and-excluded, reported via blown_up
     mean_sq = np.empty(n_ck)
     std_err = np.empty(n_ck)
     surviving = np.empty(n_ck, dtype=int)
@@ -436,7 +428,7 @@ def simulate_ensemble(
         n_surv = n_paths - int(np.sum(mask))
         surviving[i] = n_surv
         blown_up[i] = n_paths - n_surv
-        capped_mean[i] = float(np.sum(np.minimum(capped[i], config.blow_up_cap))) / n_paths
+        capped_mean[i] = float(np.sum(capped[i])) / n_paths
         if n_surv == 0:
             mean_sq[i] = np.nan
             std_err[i] = np.nan

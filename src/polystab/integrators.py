@@ -7,9 +7,13 @@ The implicit step needs the root of x = f(x,t) dt + b. Under the one-sided
 Lipschitz condition with dt < 1/|Kbar| the map F(x) = x - f(x,t) dt is
 strictly monotone, so the root exists and is unique; the solver is damped
 Newton with a finite-difference Jacobian, falling back to bisection (scalar)
-or damped fixed-point iteration. The explicit step applies the formula
-verbatim with no safeguard: reproducing the blow-up of explicit stepping on
-superlinear drifts requires the unmodified map.
+or damped fixed-point iteration. solve_implicit_batch solves a whole (m, n)
+block of lanes at once in every dimension: elementwise Newton for n = 1, and
+for n > 1 one stacked Newton whose Jacobian columns, linear solves and
+backtracking are batched over the lanes. Converged lanes freeze, so a lane's
+iterates never depend on the other lanes in its block. The explicit step
+applies the formula verbatim with no safeguard: reproducing the blow-up of
+explicit stepping on superlinear drifts requires the unmodified map.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ __all__ = [
     "em_step",
     "bem_step",
     "solve_implicit",
+    "solve_implicit_batch",
+    "check_implicit_dt",
+    "check_decay_dt",
     "bisect_root_scalar",
 ]
 
@@ -117,12 +124,33 @@ def em_step(problem: SdeProblem, y, ctx: StepContext, validate: bool = True):
     return float(out) if np.ndim(y) == 0 else out
 
 
-def _check_solver_dt(problem: SdeProblem, dt: float):
+def check_implicit_dt(problem: SdeProblem, dt: float) -> None:
+    """Raise ValueError unless dt < 1/|Kbar|, where the implicit root is unique.
+
+    Call once per run or per public solve, never per path or per step.
+    """
     if problem.kbar != 0.0 and dt >= 1.0 / abs(problem.kbar):
         raise ValueError(
             f"dt={dt} violates the implicit-solve precondition dt < 1/|Kbar| = "
             f"{1.0 / abs(problem.kbar)} for problem '{problem.label}'"
         )
+
+
+def check_decay_dt(problem: SdeProblem, dt: float, strict: bool = False) -> None:
+    """Warn (or, under strict, raise ValueError) when dt >= 1/K1.
+
+    Such a step keeps the implicit equation well posed but leaves the range
+    the polynomial decay guarantee covers. The warning points at the caller
+    of the function that calls this one. Call once per run or per public step.
+    """
+    if dt >= 1.0 / problem.k1:
+        msg = (
+            f"dt={dt} is not below 1/K1 = {1.0 / problem.k1}; the polynomial "
+            f"decay guarantee does not cover this step size"
+        )
+        if strict:
+            raise ValueError(msg)
+        warnings.warn(msg, stacklevel=3)
 
 
 def bisect_root_scalar(
@@ -258,6 +286,116 @@ def _damped_iteration(drift, t, b, dt, cfg, x0, mask, out, budget: int = 200):
     return out, np.abs(residual(out)) <= cfg.residual_tolerance
 
 
+def _solve_vector_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
+    """Damped Newton for x - drift(x,t)*dt - b = 0 on an (m, n) block of lanes.
+
+    Per lane: x0 = b; central-difference Jacobian column j with step
+    h = max(1e-7, 1e-7|x_j|); Newton step from np.linalg.solve, or the
+    residual itself where the Jacobian is singular; up to 30 trials, halving
+    the step after each, until the residual is finite and its max-norm does
+    not grow (if none qualifies, the last trial is taken). A lane stops once
+    max|r| <= tolerance, the last iteration included; only active lanes are
+    evaluated, so each lane's iterates depend only on its own values.
+    Returns (x, ok): the root for converged lanes and the best iterate for
+    the others, plus the (m,) convergence mask.
+    """
+    n = b.shape[1]
+    tol = cfg.residual_tolerance
+
+    def residual(xv, bv):
+        return xv - dt * np.asarray(drift(xv, t), dtype=float) - bv
+
+    x = b.copy()
+    r = residual(x, b)
+    rmax = np.abs(r).max(axis=1)
+    ok = rmax <= tol
+    # the working set: active lanes only, compacted whenever some converge
+    lanes = np.flatnonzero(~ok)
+    xi, ri, bi, rn = x[lanes], r[lanes], b[lanes], rmax[lanes]
+    best_x, best_r = xi.copy(), rn.copy()
+    for _ in range(cfg.max_iterations):
+        if lanes.size == 0:
+            break
+        h = np.maximum(1e-7, 1e-7 * np.abs(xi))
+        jac = np.empty((lanes.size, n, n))
+        for j in range(n):
+            e = np.zeros_like(xi)
+            e[:, j] = h[:, j]
+            jac[:, :, j] = (residual(xi + e, bi) - residual(xi - e, bi)) / (2.0 * h[:, j, None])
+        try:
+            step = np.linalg.solve(jac, ri[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            step = np.empty_like(ri)
+            for i in range(lanes.size):  # rare: isolate the singular lanes
+                try:
+                    step[i] = np.linalg.solve(jac[i], ri[i])
+                except np.linalg.LinAlgError:
+                    step[i] = ri[i]
+        xa = xi - step
+        ra = residual(xa, bi)
+        worse = ~(np.isfinite(ra).all(axis=1) & (np.abs(ra).max(axis=1) <= rn))
+        for _ in range(29):
+            if not worse.any():
+                break
+            sel = np.flatnonzero(worse)
+            step[sel] = 0.5 * step[sel]
+            xa[sel] = xi[sel] - step[sel]
+            ra[sel] = residual(xa[sel], bi[sel])
+            worse[sel] = ~(np.isfinite(ra[sel]).all(axis=1)
+                           & (np.abs(ra[sel]).max(axis=1) <= rn[sel]))
+        xi, ri = xa, ra
+        rn = np.abs(ri).max(axis=1)
+        better = rn < best_r
+        best_x[better], best_r[better] = xi[better], rn[better]
+        done = rn <= tol
+        if done.any():
+            x[lanes[done]] = xi[done]
+            ok[lanes[done]] = True
+            keep = ~done
+            lanes, xi, ri, bi, rn = lanes[keep], xi[keep], ri[keep], bi[keep], rn[keep]
+            best_x, best_r = best_x[keep], best_r[keep]
+    x[lanes] = best_x
+    return x, ok
+
+
+def solve_implicit_batch(
+    problem: SdeProblem,
+    t: float,
+    b,
+    dt: float,
+    cfg: ImplicitSolverConfig = DEFAULT_SOLVER_CONFIG,
+):
+    """Solve x = f(x,t)*dt + b lane by lane for an (m, n) block b.
+
+    The batched kernel behind solve_implicit and the BEM ensemble. n = 1
+    runs the elementwise scalar Newton with its configured fallback; n > 1
+    runs the stacked Newton, then damped iteration on the lanes it left
+    unsolved if cfg.fallback is "damped-iteration" (bisection is scalar
+    only). Returns (x, ok) with ok of shape (m,). Each lane's result is what
+    solving it alone gives, for a drift that computes each row on its own.
+    Only the shape is validated here: b must be finite and the caller
+    checks dt once with check_implicit_dt.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 2 or b.shape[1] != problem.dimension:
+        raise ValueError(
+            f"b must have shape (m, {problem.dimension}), got {b.shape}"
+        )
+    if problem.dimension == 1:
+        x, ok = _solve_scalar_batch(problem.drift, t, b, dt, cfg)
+        return x, ok[:, 0]
+    x, ok = _solve_vector_batch(problem.drift, t, b, dt, cfg)
+    if cfg.fallback == "damped-iteration" and not ok.all():
+        fail = np.flatnonzero(~ok)
+        xf, okf = _damped_iteration(
+            problem.drift, t, b[fail], dt, cfg, x0=x[fail],
+            mask=np.ones((fail.size, b.shape[1]), dtype=bool), out=x[fail],
+        )
+        x[fail] = xf
+        ok[fail] = np.all(okf, axis=1)
+    return x, ok
+
+
 def solve_implicit(
     problem: SdeProblem,
     t: float,
@@ -269,78 +407,36 @@ def solve_implicit(
 
     Newton from the initial guess x0 = b (the drift term is O(dt), so b is
     within O(dt) of the root), with backtracking and the configured fallback.
-    Requires dt < 1/|Kbar|. Raises ImplicitSolveError with the best residual
-    if the budget is exhausted.
+    For n = 1, b may hold any number of values, each solved on its own; for
+    n > 1, b is one vector of shape (n,). Requires dt < 1/|Kbar|. Raises
+    ImplicitSolveError with the best residual if the budget is exhausted.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be a positive real, got {dt}")
-    _check_solver_dt(problem, dt)
+    check_implicit_dt(problem, dt)
     b_arr = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b_arr)):
         raise ValueError("b must be finite")
-
-    if problem.dimension == 1:
-        x, ok = _solve_scalar_batch(problem.drift, t, b_arr, dt, cfg)
-        if not np.all(ok):
-            r = x - dt * np.asarray(problem.drift(x, t), dtype=float) - b_arr
-            worst = float(np.max(np.abs(r)))
-            raise ImplicitSolveError(
-                f"implicit solve did not reach tolerance {cfg.residual_tolerance} "
-                f"(best residual {worst:.3e})",
-                best_residual=worst,
-                state=x,
-            )
-        return float(x) if np.ndim(b) == 0 else x
-
-    x = b_arr.astype(float).copy()
     n = problem.dimension
-    if x.shape != (n,):
+    if n == 1:
+        lanes = b_arr.reshape(-1, 1)
+    elif b_arr.shape == (n,):
+        lanes = b_arr[None, :]
+    else:
         raise ValueError(f"b must have shape ({n},) for a {n}-dimensional problem")
 
-    def residual(v):
-        return v - dt * np.asarray(problem.drift(v, t), dtype=float) - b_arr
-
-    r = residual(x)
-    best_x, best_r = x, float(np.max(np.abs(r)))
-    for _ in range(cfg.max_iterations):
-        if np.max(np.abs(r)) <= cfg.residual_tolerance:
-            return x
-        jac = np.empty((n, n))
-        for j in range(n):
-            h = max(1e-7, 1e-7 * abs(x[j]))
-            e = np.zeros(n)
-            e[j] = h
-            jac[:, j] = (residual(x + e) - residual(x - e)) / (2.0 * h)
-        try:
-            step = np.linalg.solve(jac, r)
-        except np.linalg.LinAlgError:
-            step = r
-        for _ in range(30):
-            xa = x - step
-            ra = residual(xa)
-            if np.all(np.isfinite(ra)) and np.max(np.abs(ra)) <= np.max(np.abs(r)):
-                break
-            step = 0.5 * step
-        x, r = xa, ra
-        rmax = float(np.max(np.abs(r)))
-        if rmax < best_r:
-            best_x, best_r = x, rmax
-
-    if cfg.fallback == "damped-iteration":
-        x, ok = _damped_iteration(
-            problem.drift, t, b_arr, dt, cfg, x0=best_x,
-            mask=np.ones_like(b_arr, dtype=bool), out=best_x.copy(),
+    x, ok = solve_implicit_batch(problem, t, lanes, dt, cfg)
+    x = x.reshape(b_arr.shape)
+    if not ok.all():
+        r = x - dt * np.asarray(problem.drift(x, t), dtype=float) - b_arr
+        worst = float(np.max(np.abs(r)))
+        raise ImplicitSolveError(
+            f"implicit solve did not reach tolerance {cfg.residual_tolerance} "
+            f"(best residual {worst:.3e})",
+            best_residual=worst,
+            state=x,
         )
-        if np.all(ok):
-            return x
-        best_r = float(np.max(np.abs(residual(x))))
-        best_x = x
-    raise ImplicitSolveError(
-        f"implicit solve did not reach tolerance {cfg.residual_tolerance} "
-        f"(best residual {best_r:.3e})",
-        best_residual=best_r,
-        state=best_x,
-    )
+    return float(x) if np.ndim(b) == 0 else x
 
 
 def bem_step(
@@ -356,14 +452,7 @@ def bem_step(
     polynomial decay guarantee but not well-posedness, so it is a warning by
     default and an error under strict_dt.
     """
-    if ctx.dt >= 1.0 / problem.k1:
-        msg = (
-            f"dt={ctx.dt} is not below 1/K1 = {1.0 / problem.k1}; the polynomial "
-            f"decay guarantee does not cover this step size"
-        )
-        if strict_dt:
-            raise ValueError(msg)
-        warnings.warn(msg, stacklevel=2)
+    check_decay_dt(problem, ctx.dt, strict=strict_dt)
     z_arr = np.asarray(z, dtype=float)
     g = np.asarray(problem.diffusion(z_arr, ctx.t), dtype=float)
     b = z_arr + g * ctx.db

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -263,6 +264,24 @@ class TestSimulateEnsemble:
         with pytest.raises(RuntimeError, match="failed the implicit solve"):
             simulate_ensemble(p, cfg)
 
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_bem_nonfinite_noise_blows_up(self, dimension):
+        # diffusion turns infinite once |x| > 1.5: the path blows up, in every
+        # dimension, and is not a solver failure
+        p = SdeProblem(
+            dimension=dimension,
+            drift=lambda x, t: -np.asarray(x, dtype=float) / (1.0 + t),
+            diffusion=lambda x, t: np.where(np.abs(np.asarray(x, dtype=float)) > 1.5,
+                                            np.inf, 1.0),
+            k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=True, label="inf-noise",
+        )
+        cfg = SimConfig(dt=0.1, num_steps=50, num_paths=20, seed=3, scheme="bem",
+                        initial_value=(1.0,) * dimension)
+        series = simulate_ensemble(p, cfg)
+        assert series.failed_paths == 0
+        assert series.blown_up[-1] == 13
+        assert np.all(np.diff(series.blown_up) >= 0)
+
 
 class TestSerialization:
     @pytest.fixture()
@@ -314,3 +333,39 @@ class TestSerialization:
         path.write_text(CSV_HEADER + "\n0,0.0,1.0,0.0,4,0\nx,0.1,1.0,0.0,4,0\n")
         with pytest.raises(ValueError, match="line 3"):
             MomentSeries.from_csv(path)
+
+
+def cubic_rotation_2d():
+    """dx = (-(1+|x|^2) x + 0.5 R x)/(1+t) dt + 2 sin(x)/(1+t) dB in R^2.
+
+    R is the quarter turn, so the drift is minus a convex gradient plus a skew
+    part: one-sided Lipschitz with Kbar = 0, and every Newton solve iterates.
+    Written elementwise (no matmul), so a path's values never depend on how
+    many paths share the drift call.
+    """
+    def drift(x, t):
+        x = np.asarray(x, dtype=float)
+        skew = np.stack([-x[..., 1], x[..., 0]], axis=-1)
+        return (-(1.0 + np.sum(x * x, axis=-1, keepdims=True)) * x + 0.5 * skew) / (1.0 + t)
+
+    def diffusion(x, t):
+        return 2.0 * np.sin(np.asarray(x, dtype=float)) / (1.0 + t)
+
+    return SdeProblem(
+        dimension=2, drift=drift, diffusion=diffusion,
+        k1=1.0, c=2.0, kbar=0.0, satisfies_linear_growth=False, label="cubic-rot2d",
+    )
+
+
+class TestBem2DBytes:
+    # SHA-256 of the CSV below, recorded with the per-path n-d solver before
+    # the solve was batched over paths; the batched solver must reproduce it.
+    CSV_SHA256 = "d83b48768a68c4b954bce501f3acdcb1685035617c1103636c4f4b8f21a802ce"
+
+    def test_csv_bytes_pinned(self):
+        cfg = SimConfig(dt=0.25, num_steps=30, num_paths=300, seed=17, scheme="bem",
+                        initial_value=(1.5, -1.0), checkpoints=tuple(range(31)))
+        series = simulate_ensemble(cubic_rotation_2d(), cfg)
+        assert series.failed_paths == 0
+        text = series.to_csv_text()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CSV_SHA256

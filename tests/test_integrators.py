@@ -14,6 +14,7 @@ from polystab.integrators import (
     bisect_root_scalar,
     em_step,
     solve_implicit,
+    solve_implicit_batch,
 )
 from polystab.problems import (
     SdeProblem,
@@ -237,6 +238,136 @@ class Test2D:
         b = z + p.diffusion(z, 0.4) * 0.3
         resid = out - 0.2 * p.drift(out, 0.6) - b
         assert np.max(np.abs(resid)) <= 1e-12
+
+    def test_converged_on_last_iteration(self):
+        # the second Newton step lands on the root; the budget is then spent
+        p = self.problem()
+        b = np.array([1.0, -2.0])
+        x = solve_implicit(p, 1.0, b, 0.2, ImplicitSolverConfig(max_iterations=2))
+        resid = x - 0.2 * p.drift(x, 1.0) - b
+        assert np.max(np.abs(resid)) <= 1e-12
+
+
+def reference_vector_newton(drift, t, b, dt, cfg):
+    """One lane of the n-d damped Newton, written as a plain loop.
+
+    The per-vector loop the batched kernel replaced, plus the final
+    convergence test. Returns (x, ok): the root, or the best iterate, and
+    whether tolerance was met; also the number of backtracks taken.
+    """
+    def residual(v):
+        return v - dt * np.asarray(drift(v, t), dtype=float) - b
+
+    n = b.size
+    x = b.copy()
+    r = residual(x)
+    best_x, best_r = x, float(np.max(np.abs(r)))
+    backtracks = 0
+    for _ in range(cfg.max_iterations):
+        if np.max(np.abs(r)) <= cfg.residual_tolerance:
+            return x, True, backtracks
+        jac = np.empty((n, n))
+        for j in range(n):
+            h = max(1e-7, 1e-7 * abs(x[j]))
+            e = np.zeros(n)
+            e[j] = h
+            jac[:, j] = (residual(x + e) - residual(x - e)) / (2.0 * h)
+        try:
+            step = np.linalg.solve(jac, r)
+        except np.linalg.LinAlgError:
+            step = r
+        for _ in range(30):
+            xa = x - step
+            ra = residual(xa)
+            if np.all(np.isfinite(ra)) and np.max(np.abs(ra)) <= np.max(np.abs(r)):
+                break
+            step = 0.5 * step
+            backtracks += 1
+        x, r = xa, ra
+        rmax = float(np.max(np.abs(r)))
+        if rmax < best_r:
+            best_x, best_r = x, rmax
+    if np.max(np.abs(r)) <= cfg.residual_tolerance:
+        return x, True, backtracks
+    return best_x, False, backtracks
+
+
+class TestBatchedSolve:
+    """solve_implicit_batch against lone lanes and the plain-loop reference."""
+
+    DT = 0.5
+
+    @staticmethod
+    def problem():
+        # steep arctan wells make Newton from x0 = b overshoot and backtrack;
+        # beyond |x| = 50 the residual x - 0.5 (2x) - b is constant, so the
+        # Jacobian is singular there and such a lane exhausts its budget
+        def drift(x, t):
+            x = np.asarray(x, dtype=float)
+            skew = np.stack([-x[..., 1], x[..., 0]], axis=-1)
+            inner = -20.0 * np.arctan(5.0 * x) + 0.5 * skew / (1.0 + t)
+            return np.where(np.abs(x) >= 50.0, 2.0 * x, inner)
+
+        return SdeProblem(
+            dimension=2, drift=drift, diffusion=lambda x, t: np.zeros_like(x),
+            k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=False, label="wells2d",
+        )
+
+    @staticmethod
+    def lanes():
+        rng = np.random.default_rng(5)
+        fixed = np.array([[0.0, 0.0], [3.0, -2.0], [-4.0, 0.1], [100.0, 100.0]])
+        return np.concatenate([fixed, rng.uniform(-8.0, 8.0, size=(12, 2))])
+
+    @pytest.mark.parametrize("cfg", [
+        ImplicitSolverConfig(),
+        ImplicitSolverConfig(max_iterations=3),
+        ImplicitSolverConfig(max_iterations=3, fallback="damped-iteration"),
+    ])
+    def test_block_equals_lone_lanes(self, cfg):
+        p, b = self.problem(), self.lanes()
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
+        assert x.shape == b.shape and ok.shape == (len(b),)
+        assert not ok[3]  # the singular lane never converges
+        for i in range(len(b)):
+            xi, oki = solve_implicit_batch(p, 1.0, b[i:i + 1], self.DT, cfg)
+            assert np.array_equal(x[i], xi[0]) and ok[i] == oki[0], i
+
+    @pytest.mark.parametrize("max_iterations", [100, 3])
+    def test_matches_plain_loop(self, max_iterations):
+        cfg = ImplicitSolverConfig(max_iterations=max_iterations)
+        p, b = self.problem(), self.lanes()
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
+        backtracked = 0
+        for i in range(len(b)):
+            ref_x, ref_ok, backtracks = reference_vector_newton(p.drift, 1.0, b[i], self.DT, cfg)
+            assert np.array_equal(x[i], ref_x) and ok[i] == ref_ok, i
+            backtracked += backtracks > 0
+        assert backtracked >= 2
+        if max_iterations == 3:
+            assert 0 < np.sum(ok) < len(b) - 1  # some lanes run out of budget
+
+    def test_converged_lanes_meet_tolerance(self):
+        p, b = self.problem(), self.lanes()
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT)
+        resid = x - self.DT * p.drift(x, 1.0) - b
+        assert np.all(np.max(np.abs(resid[ok]), axis=1) <= 1e-12)
+        assert np.sum(ok) == len(b) - 1
+
+    def test_adapter_reports_best_residual(self):
+        p = self.problem()
+        with pytest.raises(ImplicitSolveError) as err:
+            solve_implicit(p, 1.0, np.array([100.0, 100.0]), self.DT)
+        assert err.value.best_residual == 100.0
+        assert err.value.state.shape == (2,)
+
+    def test_scalar_lanes_match_solve_implicit(self):
+        p = bem_example()
+        b = np.linspace(-30.0, 30.0, 41)
+        x, ok = solve_implicit_batch(p, 0.6, b[:, None], 0.3)
+        assert np.all(ok) and x.shape == (41, 1)
+        for i, bi in enumerate(b):
+            assert x[i, 0] == solve_implicit(p, 0.6, bi, 0.3)
 
 
 class TestBemStep:
