@@ -161,6 +161,9 @@ def _cmd_simulate(args) -> int:
 
     try:
         series = ensemble.simulate_ensemble(problem, config)
+    except ensemble.WorkerCountError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -313,6 +316,9 @@ def _cmd_counterexample(args) -> int:
         return EXIT_USAGE
     try:
         series = ensemble.simulate_ensemble(problem, config)
+    except ensemble.WorkerCountError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -8,6 +8,12 @@ count, or how paths are chunked, and the checkpoint reduction is a fixed-order
 pairwise sum over path-id-ordered arrays — two runs of the same SimConfig are
 byte-identical at any worker count.
 
+Paths run in fixed chunks of 1024. A chunk draws its normals in step blocks of
+at most 2**20 values into one buffer, from one Philox that is re-keyed for
+each path of the chunk. Chunk and step-block sizes are module constants and
+never depend on the worker count; workers only decide which thread runs a
+chunk.
+
 Paths whose state norm exceeds blow_up_cap are frozen and counted as blown up
 from that checkpoint on; capped means plus blow-up fractions are how divergence
 stays visible instead of being truncated away.
@@ -45,14 +51,15 @@ __all__ = [
     "brownian_increment",
     "simulate_ensemble",
     "CSV_HEADER",
+    "WorkerCountError",
 ]
 
 SCHEMES = ("em", "bem")
 CSV_HEADER = "k,t,mean_square,std_error,surviving,blown_up"
 
 _MASK64 = (1 << 64) - 1
-_CHUNK_PATHS = 256  # fixed: chunking must not depend on worker count
-_STEP_BLOCK = 4096
+_CHUNK_PATHS = 1024  # fixed: chunking must not depend on worker count
+_BLOCK_NORMALS = 2**20  # normals per step block of a chunk: steps = this // paths
 
 
 def geometric_checkpoints(num_steps: int, count: int = 50) -> tuple[int, ...]:
@@ -152,17 +159,31 @@ def _philox_key(seed: int, path_id: int) -> np.ndarray:
     return np.array([seed & _MASK64, path_id & _MASK64], dtype=np.uint64)
 
 
-def _standard_normal_block(seed: int, path_id: int, step0: int, count: int) -> np.ndarray:
-    """count standard normals for (seed, path_id, steps step0..step0+count-1).
+def _fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int) -> None:
+    """Fill out[j, i] with the standard normal for (seed, path_lo + j, step0 + i).
 
     One Philox block per step (counter = step index), word 0 of the block
-    mapped through the inverse normal CDF. Value at a given step never depends
-    on which block of steps it was generated in.
+    mapped through the inverse normal CDF. One generator serves every row: its
+    key, counter and buffer position are reset through its state for each
+    path. A value never depends on the rows or steps it was generated with.
     """
-    bg = Philox(key=_philox_key(seed, path_id), counter=int(step0))
-    raw = bg.random_raw(4 * count)[0::4]
-    u = (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
-    return ndtri(u)
+    count = out.shape[1]
+    bg = Philox(key=_philox_key(seed, path_lo), counter=int(step0))
+    state = bg.state if len(out) > 1 else None  # counter = step0, buffer empty
+    for j, row in enumerate(out):
+        if j:  # row 0 uses the generator as built
+            state["state"]["key"][1] = (path_lo + j) & _MASK64
+            bg.state = state
+        np.multiply(bg.random_raw(4 * count)[0::4] >> np.uint64(11), 2.0**-53, out=row)
+        row += 2.0**-54
+        ndtri(row, out=row)
+
+
+def _standard_normal_block(seed: int, path_id: int, step0: int, count: int) -> np.ndarray:
+    """count standard normals for (seed, path_id, steps step0..step0+count-1)."""
+    out = np.empty((1, count))
+    _fill_standard_normals(out, seed, path_id, step0)
+    return out[0]
 
 
 def brownian_increment(seed: int, path_id: int, step: int, dt: float) -> float:
@@ -265,14 +286,25 @@ class MomentSeries:
         )
 
 
+class WorkerCountError(ValueError):
+    """The worker count (argument or POLYSTAB_THREADS) is not a positive integer."""
+
+
 def _resolve_workers(workers) -> int:
+    source = "worker count"
     if workers is None:
         env = os.environ.get("POLYSTAB_THREADS", "").strip()
-        workers = int(env) if env else 1
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return workers
+        if not env:
+            return 1
+        workers, source = env, "POLYSTAB_THREADS"
+    error = WorkerCountError(f"{source} must be an integer >= 1, got {workers!r}")
+    try:
+        n = int(workers)
+    except (TypeError, ValueError):
+        raise error from None
+    if n < 1:
+        raise error
+    return n
 
 
 def _simulate_chunk(problem, config, path_lo, path_hi):
@@ -285,7 +317,11 @@ def _simulate_chunk(problem, config, path_lo, path_hi):
     boundaries.
     """
     dt = config.dt
-    cap2 = config.blow_up_cap**2
+    try:
+        cap2 = config.blow_up_cap**2
+    except OverflowError:
+        # every finite norm2 is below the cap; a non-finite one blows the path up
+        cap2 = math.inf
     ckpts = config.checkpoints
     m = path_hi - path_lo
     x0 = np.asarray(config.initial_value, dtype=float)
@@ -316,14 +352,14 @@ def _simulate_chunk(problem, config, path_lo, path_hi):
         pos = 1
 
     sqrt_dt = math.sqrt(dt)
-    for b0 in range(0, config.num_steps, _STEP_BLOCK):
-        b1 = min(b0 + _STEP_BLOCK, config.num_steps)
+    step_block = _BLOCK_NORMALS // m
+    buffer = np.empty((m, min(step_block, config.num_steps)))
+    for b0 in range(0, config.num_steps, step_block):
+        b1 = min(b0 + step_block, config.num_steps)
         if pos >= n_ck:
             break  # all checkpoints recorded
-        count = b1 - b0
-        normals = np.empty((m, count))
-        for j in range(m):
-            normals[j] = _standard_normal_block(config.seed, path_lo + j, b0, count)
+        normals = buffer[:, : b1 - b0]
+        _fill_standard_normals(normals, config.seed, path_lo, b0)
         for k in range(b0, b1):
             db = normals[:, k - b0, None] * sqrt_dt
             frozen = blown | failed

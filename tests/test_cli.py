@@ -58,6 +58,22 @@ class TestSimulate:
         ])
         assert code == 2
 
+    SMALL_RUN = ["simulate", "--problem", "linear", "--scheme", "em", "--dt", "0.1",
+                 "--steps", "10", "--paths", "10", "--seed", "1"]
+
+    def test_cap_whose_square_overflows(self, tmp_path):
+        code = run(self.SMALL_RUN + ["--out-dir", str(tmp_path), "--blow-up-cap", "1e200"])
+        assert code == 0
+        assert (tmp_path / "linear_em_seed1.csv").exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_threads_env_is_usage_error(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("POLYSTAB_THREADS", value)
+        assert run(self.SMALL_RUN + ["--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "POLYSTAB_THREADS" in err
+        assert "numerical failure" not in err
+
     def test_envelope_file(self, tmp_path):
         code = run([
             "simulate", "--problem", "linear", "--scheme", "em", "--dt", "0.1",

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from polystab import ensemble
 from polystab.ensemble import (
     CSV_HEADER,
     MomentSeries,
     SimConfig,
+    WorkerCountError,
+    _fill_standard_normals,
     _resolve_workers,
     _simulate_chunk,
     _standard_normal_block,
@@ -151,6 +154,74 @@ class TestBrownianIncrement:
         np.testing.assert_allclose(block, singles, rtol=0, atol=0)
 
 
+class TestNoiseStreamPinned:
+    # SHA-256 of the float64 bytes, recorded with the per-path Philox
+    # construction that the v1 stream was defined by.
+    CASES = [
+        ((42, 0, 0, 64), "69fe9e204e95579b3a648b9d44bedf526c07b5e9aba20c08c132141268da5248"),
+        ((-12345, 7, 1000, 17), "817765adaba322d2dba715133d1853b0b08b6114a59be247c64885ae211d5f09"),
+        ((3, 2**32 + 5, 4090, 12), "af6c28ef3b5a0b42175a3abaeb59f8778545e6000871ab63be62d23abb4a6b04"),
+        ((2**64 + 9, 2**40, 7, 33), "bd5cdd26581f549ab20a14f6f85818e7afe74b2c89a97e58d7495f7f08a28c63"),
+        ((0, 1023, 123456789, 5), "9528b6b8ccd21bcb017a0b46b9b2377a815be0423630ee19f50a010556d76fc4"),
+    ]
+    # paths 1020..1027, steps 4090..4109 of seed 2024, rows in path order
+    BLOCK_SHA256 = "4b66ad8bb65637cc0095c6d091b858870386e38b9fb20615d0320762f341b63b"
+
+    @staticmethod
+    def sha256(a):
+        return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("args,digest", CASES,
+                             ids=["_".join(map(str, args)) for args, _ in CASES])
+    def test_stream_bytes_pinned(self, args, digest):
+        assert self.sha256(_standard_normal_block(*args)) == digest
+
+    def test_block_bytes_pinned(self):
+        out = np.empty((8, 20))
+        _fill_standard_normals(out, 2024, 1020, 4090)
+        assert self.sha256(out) == self.BLOCK_SHA256
+
+    def test_rows_match_per_path_calls_across_step_blocks(self):
+        seed, path_lo, m = 9, 2**32 - 2, 5
+        steps = ensemble._BLOCK_NORMALS // ensemble._CHUNK_PATHS
+        buffer = np.full((m, steps + 3), np.nan)
+        first = buffer[:, :steps]
+        _fill_standard_normals(first, seed, path_lo, 0)
+        first = first.copy()
+        second = buffer[:, :7]  # a short last block written into the same buffer
+        _fill_standard_normals(second, seed, path_lo, steps)
+        assert np.isnan(buffer[:, steps:]).all()
+        for j in range(m):
+            whole = _standard_normal_block(seed, path_lo + j, 0, steps + 7)
+            assert np.array_equal(first[j], whole[:steps])
+            assert np.array_equal(second[j], whole[steps:])
+
+
+class TestChunkBoundaries:
+    # CSV SHA-256 recorded with 256-path chunks and 4096-step blocks
+    CSV_SHA256 = "a6342ca44c9d7246039fac2155d51819be895307a22048c908e801f7876b0b76"
+    CONFIG = SimConfig(dt=0.1, num_steps=1100, num_paths=2100, seed=5, scheme="em",
+                       initial_value=(1.0,))
+
+    def csv_text(self, workers):
+        return simulate_ensemble(linear_example(), self.CONFIG, workers=workers).to_csv_text()
+
+    def test_config_crosses_chunks_and_step_blocks(self):
+        assert self.CONFIG.num_paths > 2 * ensemble._CHUNK_PATHS
+        assert self.CONFIG.num_steps > ensemble._BLOCK_NORMALS // ensemble._CHUNK_PATHS
+
+    def test_csv_bytes_at_one_and_three_workers(self):
+        text = self.csv_text(1)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CSV_SHA256
+        assert self.csv_text(3) == text
+
+    def test_csv_bytes_with_small_chunks_and_blocks(self, monkeypatch):
+        monkeypatch.setattr(ensemble, "_CHUNK_PATHS", 300)
+        monkeypatch.setattr(ensemble, "_BLOCK_NORMALS", 300 * 97)
+        text = self.csv_text(3)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CSV_SHA256
+
+
 class TestSimulateEnsemble:
     def test_static_problem_exact_moments(self):
         cfg = SimConfig(dt=0.1, num_steps=50, num_paths=32, seed=3, scheme="em",
@@ -190,6 +261,27 @@ class TestSimulateEnsemble:
         assert _resolve_workers(None) == 1
         with pytest.raises(ValueError):
             _resolve_workers(0)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_workers_env(self, monkeypatch, value):
+        monkeypatch.setenv("POLYSTAB_THREADS", value)
+        with pytest.raises(WorkerCountError, match="POLYSTAB_THREADS"):
+            _resolve_workers(None)
+
+    def test_cap_whose_square_overflows(self):
+        # 1e200**2 overflows a float; the run must match a cap nothing reaches
+        kwargs = dict(dt=0.1, num_steps=100, num_paths=50, seed=4, scheme="em",
+                      initial_value=(1.0,))
+        huge = simulate_ensemble(linear_example(), SimConfig(blow_up_cap=1e200, **kwargs))
+        default = simulate_ensemble(linear_example(), SimConfig(**kwargs))
+        assert huge.to_csv_text() == default.to_csv_text()
+
+    def test_cap_whose_square_overflows_still_blows_up(self):
+        cfg = SimConfig(dt=0.1, num_steps=200, num_paths=20, seed=1, scheme="em",
+                        initial_value=(5.0,), blow_up_cap=1e300)
+        _, frozen, failed, capped = _simulate_chunk(cubic_counterexample(), cfg, 0, 20)
+        assert frozen[-1].all() and not failed.any()
+        np.testing.assert_array_equal(capped[-1], 1e300)
 
     def test_path_ranges_statistically_indistinguishable(self):
         cfg = SimConfig(dt=0.1, num_steps=400, num_paths=2000, seed=77, scheme="em",
