@@ -44,6 +44,7 @@ from .integrators import (
     bem_step,
     bisect_root_scalar,
     em_step,
+    em_step_batch,
     solve_implicit,
     solve_implicit_batch,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "bem_step",
     "bisect_root_scalar",
     "em_step",
+    "em_step_batch",
     "solve_implicit",
     "solve_implicit_batch",
     "ConditionAuditReport",

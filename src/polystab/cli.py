@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--x0", type=float, default=None, help="initial value (problem default if omitted)")
     sim.add_argument("--k1", type=float, default=None, help="override the problem's claimed K1")
     sim.add_argument("--c", type=float, default=None, help="override the problem's claimed C")
-    sim.add_argument("--checkpoints", type=int, default=None, help="number of geometric checkpoints (~50 default)")
+    sim.add_argument("--checkpoints", type=int, default=None, help="number of geometric checkpoints, >= 2 (~50 default)")
     sim.add_argument("--blow-up-cap", dest="blow_up_cap", type=float, default=None)
     sim.add_argument("--out-dir", dest="out_dir", type=str, default=None)
     sim.add_argument("--prefix", type=str, default=None, help="output file prefix (default: problem_scheme_seed)")

@@ -9,10 +9,13 @@ pairwise sum over path-id-ordered arrays — two runs of the same SimConfig are
 byte-identical at any worker count.
 
 Paths run in fixed chunks of 1024. A chunk draws its normals in step blocks of
-at most 2**20 values into one buffer, from one Philox that is re-keyed for
-each path of the chunk. Chunk and step-block sizes are module constants and
-never depend on the worker count; workers only decide which thread runs a
-chunk.
+at most 2**20 values into one step-major buffer (one contiguous row of path
+normals per step), from one Philox that is re-keyed for each path of the
+chunk. The raw words of a group of paths are gathered into a fixed-size
+scratch and mapped to normals by one transform per group. Each step then
+advances the whole chunk with the batched EM kernel or one batched implicit
+solve. Chunk, step-block and scratch sizes are module constants and never
+depend on the worker count; workers only decide which thread runs a chunk.
 
 Paths whose state norm exceeds blow_up_cap are frozen and counted as blown up
 from that checkpoint on; capped means plus blow-up fractions are how divergence
@@ -24,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -31,14 +35,14 @@ from pathlib import Path
 
 import numpy as np
 from numpy.random import Philox
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
 from .integrators import (
     DEFAULT_SOLVER_CONFIG,
-    StepContext,
     check_decay_dt,
     check_implicit_dt,
-    em_step,
+    em_step_batch,
     solve_implicit_batch,
 )
 from .problems import SdeProblem
@@ -60,12 +64,21 @@ CSV_HEADER = "k,t,mean_square,std_error,surviving,blown_up"
 _MASK64 = (1 << 64) - 1
 _CHUNK_PATHS = 1024  # fixed: chunking must not depend on worker count
 _BLOCK_NORMALS = 2**20  # normals per step block of a chunk: steps = this // paths
+_SCRATCH_WORDS = 2**14  # raw words per grouped normal transform: rows = this // steps
 
 
 def geometric_checkpoints(num_steps: int, count: int = 50) -> tuple[int, ...]:
-    """~count checkpoint step indices, geometrically spaced, always 0 and num_steps."""
+    """~count checkpoint step indices, geometrically spaced, always 0 and num_steps.
+
+    Every step is a checkpoint when num_steps <= count; count = 2 gives just
+    (0, num_steps).
+    """
     if num_steps < 1:
         raise ValueError(f"num_steps must be >= 1, got {num_steps}")
+    if count < 2:
+        raise ValueError(f"checkpoint count must be an integer >= 2, got {count}")
+    if count == 2:
+        return (0, num_steps)
     if num_steps <= count:
         return tuple(range(num_steps + 1))
     ks = np.unique(np.round(np.geomspace(1.0, num_steps, count - 1)).astype(int))
@@ -155,8 +168,21 @@ class SimConfig:
         return cls(**kwargs)
 
 
-def _philox_key(seed: int, path_id: int) -> np.ndarray:
-    return np.array([seed & _MASK64, path_id & _MASK64], dtype=np.uint64)
+class _PhiloxKey(ISeedSequence):
+    """The Philox key (seed, path_id), handed to Philox as its seed sequence.
+
+    Philox(key=...) first draws OS entropy for a seed sequence that it then
+    discards, which costs more than the rest of its construction.
+    """
+
+    def __init__(self, seed: int, path_id: int):
+        self.words = np.array([seed & _MASK64, path_id & _MASK64], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"expected a request for the 2-word uint64 Philox key, "
+                             f"got {n_words} words of {np.dtype(dtype)}")
+        return self.words
 
 
 def _fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int) -> None:
@@ -165,18 +191,35 @@ def _fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int)
     One Philox block per step (counter = step index), word 0 of the block
     mapped through the inverse normal CDF. One generator serves every row: its
     key, counter and buffer position are reset through its state for each
-    path. A value never depends on the rows or steps it was generated with.
+    path. Word 0 of each row goes into a scratch of about _SCRATCH_WORDS
+    words, and each group of rows is transformed at once. out may be any
+    view, such as the transpose of a step-major buffer. A value never depends
+    on the rows or steps it was generated with.
     """
-    count = out.shape[1]
-    bg = Philox(key=_philox_key(seed, path_lo), counter=int(step0))
-    state = bg.state if len(out) > 1 else None  # counter = step0, buffer empty
-    for j, row in enumerate(out):
-        if j:  # row 0 uses the generator as built
-            state["state"]["key"][1] = (path_lo + j) & _MASK64
-            bg.state = state
-        np.multiply(bg.random_raw(4 * count)[0::4] >> np.uint64(11), 2.0**-53, out=row)
-        row += 2.0**-54
-        ndtri(row, out=row)
+    m, count = out.shape
+    bg = Philox(_PhiloxKey(seed, path_lo), counter=int(step0))
+    if m > 1:
+        state = bg.state  # counter = step0, buffer empty
+        # as Python ints, which the state setter reads ~2x faster than arrays
+        inner = state["state"]
+        inner["counter"], inner["key"] = inner["counter"].tolist(), inner["key"].tolist()
+        state["buffer"] = state["buffer"].tolist()
+    group = max(1, _SCRATCH_WORDS // count)
+    # its own scratch, not a uint64 view of out: numpy copies an aliased input
+    words = np.empty((min(group, m), count), dtype=np.uint64)
+    for g0 in range(0, m, group):
+        g1 = min(g0 + group, m)
+        raw = words[: g1 - g0]
+        for j in range(g0, g1):
+            if j:  # row 0 uses the generator as built
+                inner["key"][1] = (path_lo + j) & _MASK64
+                bg.state = state
+            raw[j - g0] = bg.random_raw(4 * count)[0::4]
+        raw >>= np.uint64(11)
+        block = out[g0:g1]
+        np.multiply(raw, 2.0**-53, out=block)
+        block += 2.0**-54
+        ndtri(block, out=block)
 
 
 def _standard_normal_block(seed: int, path_id: int, step0: int, count: int) -> np.ndarray:
@@ -307,6 +350,7 @@ def _resolve_workers(workers) -> int:
     return n
 
 
+@np.errstate(all="ignore")  # overflow and NaN in a step are what the norm check is for
 def _simulate_chunk(problem, config, path_lo, path_hi):
     """Evolve paths [path_lo, path_hi); return per-path checkpoint stats.
 
@@ -317,17 +361,19 @@ def _simulate_chunk(problem, config, path_lo, path_hi):
     boundaries.
     """
     dt = config.dt
+    cap = config.blow_up_cap
     try:
-        cap2 = config.blow_up_cap**2
+        limit = cap**2
     except OverflowError:
         # every finite norm2 is below the cap; a non-finite one blows the path up
-        cap2 = math.inf
+        limit = sys.float_info.max
     ckpts = config.checkpoints
     m = path_hi - path_lo
     x0 = np.asarray(config.initial_value, dtype=float)
     x = np.tile(x0, (m, 1))
     blown = np.zeros(m, dtype=bool)
     failed = np.zeros(m, dtype=bool)
+    any_frozen = False
 
     n_ck = len(ckpts)
     sq = np.empty((n_ck, m))
@@ -335,57 +381,61 @@ def _simulate_chunk(problem, config, path_lo, path_hi):
     failed_last = None
     capped = np.empty((n_ck, m))
 
-    pos = 0
-
-    def record(at):
-        nonlocal pos, failed_last
-        norm2 = np.einsum("ij,ij->i", x, x)
-        norm = np.sqrt(norm2)
+    def record(at, norm2):
+        nonlocal failed_last
         sq[at] = norm2
         frozen_out[at] = blown | failed
         if at == n_ck - 1:
             failed_last = failed.copy()
-        capped[at] = np.minimum(norm, config.blow_up_cap)
+        capped[at] = np.minimum(np.sqrt(norm2), cap)
 
+    pos = 0
     if ckpts[0] == 0:
-        record(0)
+        record(0, np.einsum("ij,ij->i", x, x))
         pos = 1
 
     sqrt_dt = math.sqrt(dt)
     step_block = _BLOCK_NORMALS // m
-    buffer = np.empty((m, min(step_block, config.num_steps)))
+    # step-major, so each step reads one contiguous row; filled through its transpose
+    buffer = np.empty((min(step_block, config.num_steps), m))
     for b0 in range(0, config.num_steps, step_block):
         b1 = min(b0 + step_block, config.num_steps)
         if pos >= n_ck:
             break  # all checkpoints recorded
-        normals = buffer[:, : b1 - b0]
-        _fill_standard_normals(normals, config.seed, path_lo, b0)
-        for k in range(b0, b1):
-            db = normals[:, k - b0, None] * sqrt_dt
-            frozen = blown | failed
-            with np.errstate(all="ignore"):
-                if config.scheme == "em":
-                    new = em_step(problem, x, StepContext(k=k, dt=dt, db=db), validate=False)
-                else:
-                    g = np.asarray(problem.diffusion(x, k * dt), dtype=float)
-                    bvec = x + g * db
-                    # a non-finite noise term blows the path up (via the norm
-                    # check below); it is not a solver failure
-                    finite = np.isfinite(bvec).all(axis=1)
-                    new = np.where(finite[:, None], x, bvec)
-                    idx = np.flatnonzero(~frozen & finite)
-                    if idx.size:
-                        sol, ok = solve_implicit_batch(
-                            problem, (k + 1) * dt, bvec[idx], dt, DEFAULT_SOLVER_CONFIG
-                        )
-                        new[idx[ok]] = sol[ok]
+        normals = buffer[: b1 - b0]
+        _fill_standard_normals(normals.T, config.seed, path_lo, b0)
+        for k, z in enumerate(normals, b0):
+            db = z[:, None] * sqrt_dt
+            if config.scheme == "em":
+                new = em_step_batch(problem, x, k * dt, dt, db)
+            else:
+                frozen = blown | failed
+                g = np.asarray(problem.diffusion(x, k * dt), dtype=float)
+                bvec = x + g * db
+                # a non-finite noise term blows the path up (via the norm
+                # check below); it is not a solver failure
+                finite = np.isfinite(bvec).all(axis=1)
+                new = np.where(finite[:, None], x, bvec)
+                idx = np.flatnonzero(~frozen & finite)
+                if idx.size:
+                    sol, ok = solve_implicit_batch(
+                        problem, (k + 1) * dt, bvec[idx], dt, DEFAULT_SOLVER_CONFIG
+                    )
+                    new[idx[ok]] = sol[ok]
+                    if not ok.all():
                         failed[idx[~ok]] = True
-            x = np.where(frozen[:, None], x, np.asarray(new, dtype=float))
+                        any_frozen = True
+            # a path that fails its solve this step keeps x, so freezing it
+            # now as well changes nothing
+            x = np.where((blown | failed)[:, None], x, new) if any_frozen else new
             norm2 = np.einsum("ij,ij->i", x, x)
-            over = ~frozen & (~np.isfinite(norm2) | (norm2 > cap2))
-            blown |= over
+            # one comparison while nothing is over (a NaN max fails it too); a
+            # frozen path is blown already or kept a state that passed
+            if not norm2.max() <= limit:
+                blown |= ~(norm2 <= limit)
+                any_frozen = True
             while pos < n_ck and ckpts[pos] == k + 1:
-                record(pos)
+                record(pos, norm2)
                 pos += 1
     return sq, frozen_out, failed_last, capped
 
@@ -476,8 +526,14 @@ def simulate_ensemble(
             std_err[i] = 0.0
         else:
             dev = np.where(mask, 0.0, sq[i] - mean)
-            var = float(np.sum(dev * dev)) / (n_surv - 1)
-            std_err[i] = math.sqrt(var / n_surv)
+            with np.errstate(over="ignore"):
+                ss = float(np.sum(dev * dev))
+            scale = 1.0
+            if not math.isfinite(ss) and math.isfinite(mean):
+                # survivors near a large cap: rescale so the squares stay finite
+                scale = float(np.max(np.abs(dev)))
+                ss = float(np.sum((dev / scale) ** 2))
+            std_err[i] = scale * math.sqrt(ss / (n_surv - 1) / n_surv)
 
     ks = np.asarray(config.checkpoints, dtype=int)
     return MomentSeries(

@@ -13,7 +13,10 @@ for n > 1 one stacked Newton whose Jacobian columns, linear solves and
 backtracking are batched over the lanes. Converged lanes freeze, so a lane's
 iterates never depend on the other lanes in its block. The explicit step
 applies the formula verbatim with no safeguard: reproducing the blow-up of
-explicit stepping on superlinear drifts requires the unmodified map.
+explicit stepping on superlinear drifts requires the unmodified map. Its one
+kernel is em_step_batch, which steps an (m, n) block of paths with no
+per-step validation and is what the ensemble calls; em_step is a thin
+adapter over it that takes a StepContext and checks the result.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "ImplicitSolveError",
     "StepError",
     "em_step",
+    "em_step_batch",
     "bem_step",
     "solve_implicit",
     "solve_implicit_batch",
@@ -110,16 +114,28 @@ class ImplicitSolveError(RuntimeError):
         self.state = state
 
 
+def em_step_batch(problem: SdeProblem, x: np.ndarray, t: float, dt: float, db):
+    """Explicit step x + f(x, t) dt + g(x, t) dB for an (m, n) block of paths.
+
+    The formula exactly as written, with no validation: x is a float array,
+    db broadcasts against it (an (m, 1) column for one increment per path),
+    and non-finite results are left for the caller to detect.
+    """
+    f = np.asarray(problem.drift(x, t), dtype=float)
+    g = np.asarray(problem.diffusion(x, t), dtype=float)
+    return x + f * dt + g * db
+
+
 def em_step(problem: SdeProblem, y, ctx: StepContext, validate: bool = True):
-    """Explicit step y + f(y, k dt) dt + g(y, k dt) dB, exactly as written."""
+    """Explicit step y + f(y, k dt) dt + g(y, k dt) dB, exactly as written.
+
+    Validating adapter over em_step_batch for a state of any shape.
+    """
     y_arr = np.asarray(y, dtype=float)
-    t = ctx.t
-    f = np.asarray(problem.drift(y_arr, t), dtype=float)
-    g = np.asarray(problem.diffusion(y_arr, t), dtype=float)
-    out = y_arr + f * ctx.dt + g * ctx.db
+    out = em_step_batch(problem, y_arr, ctx.t, ctx.dt, ctx.db)
     if validate and not np.all(np.isfinite(out)):
         raise StepError(
-            f"non-finite drift/diffusion output at k={ctx.k}, t={t}", state=y_arr
+            f"non-finite drift/diffusion output at k={ctx.k}, t={ctx.t}", state=y_arr
         )
     return float(out) if np.ndim(y) == 0 else out
 

@@ -4,6 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report lines. Tolerances are fixed here, not tuned at runtime.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -289,4 +291,24 @@ def test_criterion_9_reproducibility_across_workers(tmp_path, monkeypatch):
         "9", ok,
         "byte-identical CSV and config JSON for the same spec at 1, 4, and 16 workers",
     )
+    assert ok
+
+
+def test_criterion_9_bytes_pinned(tmp_path, monkeypatch):
+    # SHA-256 of criterion 9's CSV and config JSON, recorded before the EM
+    # step loop and the noise transform were restructured
+    monkeypatch.delenv("POLYSTAB_THREADS", raising=False)
+    code = cli_main([
+        "simulate", "--problem", "linear", "--scheme", "em", "--dt", "0.1",
+        "--steps", "3000", "--paths", "700", "--seed", "99",
+        "--out-dir", str(tmp_path), "--prefix", "run",
+    ])
+    assert code == 0
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("run.csv", "run_config.json")]
+    ok = digests == [
+        "1846f4ec81bc9efcf637650364b63d3673036d4a5667b336fdcaf78fad863398",
+        "8db787337946a15773735d1a1b4354d299912947978883ded85e2ab5cd1b8731",
+    ]
+    report("9", ok, "CSV and config JSON bytes equal their pinned SHA-256")
     assert ok

@@ -74,6 +74,21 @@ class TestSimulate:
         assert err.count("\n") == 1 and "POLYSTAB_THREADS" in err
         assert "numerical failure" not in err
 
+    @pytest.mark.parametrize("count", ["1", "0"])
+    def test_checkpoint_count_below_two_is_usage_error(self, tmp_path, capsys, count):
+        assert run(self.SMALL_RUN + ["--out-dir", str(tmp_path), "--checkpoints", count]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "count must be an integer >= 2" in err
+        assert not (tmp_path / "linear_em_seed1.csv").exists()
+
+    def test_two_checkpoints_are_first_and_last_step(self, tmp_path):
+        argv = ["simulate", "--problem", "linear", "--scheme", "em", "--dt", "0.1",
+                "--steps", "300", "--paths", "10", "--seed", "1", "--checkpoints", "2",
+                "--out-dir", str(tmp_path)]
+        assert run(argv) == 0
+        series = MomentSeries.from_csv(tmp_path / "linear_em_seed1.csv")
+        assert list(series.step_index) == [0, 300]
+
     def test_envelope_file(self, tmp_path):
         code = run([
             "simulate", "--problem", "linear", "--scheme", "em", "--dt", "0.1",

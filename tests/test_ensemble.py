@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,32 @@ def test_geometric_checkpoints_large_run():
     assert cps[0] == 0 and cps[-1] == 100_000
     assert 40 <= len(cps) <= 50
     assert all(b > a for a, b in zip(cps, cps[1:]))
+
+
+def reference_geometric_checkpoints(num_steps, count):
+    """The checkpoint rule for count >= 3, as first written."""
+    if num_steps <= count:
+        return tuple(range(num_steps + 1))
+    ks = np.unique(np.round(np.geomspace(1.0, num_steps, count - 1)).astype(int))
+    return (0, *(int(k) for k in ks))
+
+
+@pytest.mark.parametrize("num_steps", [1, 3, 50, 51, 1100, 20_000, 100_000, 10**7])
+def test_geometric_checkpoints_unchanged_for_three_or_more(num_steps):
+    for count in (3, 4, 7, 50, 60):
+        assert geometric_checkpoints(num_steps, count) == \
+            reference_geometric_checkpoints(num_steps, count)
+
+
+@pytest.mark.parametrize("num_steps", [1, 2, 7, 100_000])
+def test_geometric_checkpoints_count_two(num_steps):
+    assert geometric_checkpoints(num_steps, 2) == (0, num_steps)
+
+
+@pytest.mark.parametrize("count", [1, 0, -1])
+def test_geometric_checkpoints_rejects_count_below_two(count):
+    with pytest.raises(ValueError, match="count"):
+        geometric_checkpoints(100, count)
 
 
 class TestBrownianIncrement:
@@ -222,6 +249,49 @@ class TestChunkBoundaries:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CSV_SHA256
 
 
+def discrete_em_mean_square(dt, x0_sq, ks):
+    """Exact E|Y_k|^2 of EM on linear_example: the scheme's own moment recursion."""
+    out, m = {}, x0_sq
+    for k in range(max(ks) + 1):
+        out[k] = m
+        s = 1.0 + k * dt
+        m = (1.0 - dt / s) ** 2 * m + dt / s**2
+    return np.array([out[k] for k in ks])
+
+
+class TestDiscreteOracle:
+    def test_linear_em_within_four_standard_errors(self):
+        cfg = TestChunkBoundaries.CONFIG
+        series = simulate_ensemble(linear_example(), cfg)
+        exact = discrete_em_mean_square(cfg.dt, cfg.initial_value[0] ** 2, cfg.checkpoints)
+        assert np.all(series.surviving == cfg.num_paths)
+        bad = np.abs(series.mean_square - exact) > 4.0 * series.std_error
+        assert not bad.any(), f"outside 4 se at k = {series.step_index[bad]}"
+
+
+class TestPartialBlowUpBytes:
+    # SHA-256 of the CSV and of the capped_mean_abs bytes, recorded before the
+    # EM step loop skipped its freeze: 403 of 700 paths blow up at steps 5-10,
+    # inside and at the start of 7-step blocks, across four 200-path chunks.
+    CSV_SHA256 = "33543a56cbc7c094571980ab95dacd1d1bbb8b8112eec3b7ecc150ba0daf79ca"
+    CAPPED_SHA256 = "a2b39c735c0fd64520795441b712f09e724ef7df499f906f0c6dbe40af0a1a30"
+    CONFIG = SimConfig(dt=0.1, num_steps=40, num_paths=700, seed=8, scheme="em",
+                       initial_value=(4.2,), checkpoints=tuple(range(41)))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_bytes_pinned(self, monkeypatch, workers):
+        monkeypatch.setattr(ensemble, "_CHUNK_PATHS", 200)
+        monkeypatch.setattr(ensemble, "_BLOCK_NORMALS", 200 * 7)
+        series = simulate_ensemble(cubic_counterexample(), self.CONFIG, workers=workers)
+        assert 0 < series.blown_up[-1] < self.CONFIG.num_paths
+        first = np.flatnonzero(np.diff(series.blown_up)) + 1
+        assert {5, 6, 8, 9} <= set(first.tolist())  # blow-ups inside a block
+        text = series.to_csv_text()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CSV_SHA256
+        capped = np.ascontiguousarray(series.capped_mean_abs, dtype=np.float64)
+        assert hashlib.sha256(capped.tobytes()).hexdigest() == self.CAPPED_SHA256
+
+
 class TestSimulateEnsemble:
     def test_static_problem_exact_moments(self):
         cfg = SimConfig(dt=0.1, num_steps=50, num_paths=32, seed=3, scheme="em",
@@ -282,6 +352,51 @@ class TestSimulateEnsemble:
         _, frozen, failed, capped = _simulate_chunk(cubic_counterexample(), cfg, 0, 20)
         assert frozen[-1].all() and not failed.any()
         np.testing.assert_array_equal(capped[-1], 1e300)
+
+    def test_std_error_near_a_large_cap(self):
+        # survivors near 1e300 square to ~1e600: the plain sum of squared
+        # deviations overflows, the scaled one does not
+        cfg = SimConfig(dt=0.1, num_steps=20, num_paths=100, seed=1, scheme="em",
+                        initial_value=(5.0,), blow_up_cap=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            series = simulate_ensemble(cubic_counterexample(), cfg)
+        sq, frozen, _, _ = _simulate_chunk(cubic_counterexample(), cfg, 0, 100)
+        checked = 0
+        for i in range(len(series)):
+            vals = sq[i][~frozen[i]]
+            if vals.size < 2:
+                continue
+            scale = vals.max()
+            expected = scale * np.std(vals / scale, ddof=1) / math.sqrt(vals.size)
+            assert series.std_error[i] == pytest.approx(expected, rel=1e-12)
+            checked += 1
+        assert checked > 0
+        k6 = list(series.step_index).index(6)
+        assert series.mean_square[k6] > 1e200 and math.isfinite(series.std_error[k6])
+
+    def test_nan_state_blows_up(self):
+        # the drift turns NaN, never inf, once |x| > 1.5: a NaN norm must blow
+        # the path up even when no other path passes the cap in that step
+        p = SdeProblem(
+            dimension=1,
+            drift=lambda x, t: np.where(np.abs(x) > 1.5, np.nan, -np.asarray(x, dtype=float)),
+            diffusion=lambda x, t: np.ones_like(np.asarray(x, dtype=float)),
+            k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=True, label="nan-drift",
+        )
+        cfg = SimConfig(dt=0.1, num_steps=40, num_paths=30, seed=6, scheme="em",
+                        initial_value=(1.0,), checkpoints=tuple(range(41)))
+        series = simulate_ensemble(p, cfg)
+        expected = np.zeros(41, dtype=int)
+        for path in range(30):
+            y = 1.0
+            for k in range(40):
+                y = y - (np.nan if abs(y) > 1.5 else y) * 0.1 + brownian_increment(6, path, k, 0.1)
+                if not math.isfinite(y):
+                    expected[k + 1:] += 1
+                    break
+        assert 0 < expected[-1] < 30
+        np.testing.assert_array_equal(series.blown_up, expected)
 
     def test_path_ranges_statistically_indistinguishable(self):
         cfg = SimConfig(dt=0.1, num_steps=400, num_paths=2000, seed=77, scheme="em",

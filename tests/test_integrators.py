@@ -13,6 +13,7 @@ from polystab.integrators import (
     bem_step,
     bisect_root_scalar,
     em_step,
+    em_step_batch,
     solve_implicit,
     solve_implicit_batch,
 )
@@ -100,6 +101,21 @@ class TestEmStep:
         )
         with pytest.raises(StepError):
             em_step(p, 1.0, StepContext(k=0, dt=0.1, db=0.0))
+
+    def test_batch_kernel_matches_written_formula_per_path(self):
+        # the kernel on a block equals the formula applied to each path alone
+        rng = np.random.default_rng(3)
+        k, dt = 7, 0.1
+        for p in (linear_example(), cubic_counterexample()):
+            x = rng.normal(scale=2.0, size=(64, 1))
+            db = rng.normal(scale=math.sqrt(dt), size=(64, 1))
+            out = em_step_batch(p, x, k * dt, dt, db)
+            t = k * dt
+            for i in range(64):
+                y = x[i, 0]
+                expected = y + float(p.drift(y, t)) * dt + float(p.diffusion(y, t)) * db[i, 0]
+                assert out[i, 0] == expected
+                assert em_step(p, y, StepContext(k=k, dt=dt, db=db[i, 0])) == expected
 
     def test_consistency_small_dt(self):
         # with db = 0, (step(y) - y)/dt equals the drift exactly
