@@ -42,6 +42,7 @@ from .integrators import (
     StepContext,
     StepError,
     bem_step,
+    bem_step_batch,
     bisect_root_scalar,
     em_step,
     em_step_batch,
@@ -93,6 +94,7 @@ __all__ = [
     "StepContext",
     "StepError",
     "bem_step",
+    "bem_step_batch",
     "bisect_root_scalar",
     "em_step",
     "em_step_batch",

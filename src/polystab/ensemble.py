@@ -13,8 +13,10 @@ at most 2**20 values into one step-major buffer (one contiguous row of path
 normals per step), from one Philox that is re-keyed for each path of the
 chunk. The raw words of a group of paths are gathered into a fixed-size
 scratch and mapped to normals by one transform per group. Each step then
-advances the whole chunk with the batched EM kernel or one batched implicit
-solve. Chunk, step-block and scratch sizes are module constants and never
+makes one call of the scheme's batched kernel, em_step_batch or
+bem_step_batch: on the whole chunk while no path of it is frozen, and for BEM
+on the live paths after that. Chunk, step-block and scratch sizes are module
+constants and never
 depend on the worker count; workers only decide which thread runs a chunk.
 
 Paths whose state norm exceeds blow_up_cap are frozen and counted as blown up
@@ -39,11 +41,10 @@ from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
 from .integrators import (
-    DEFAULT_SOLVER_CONFIG,
+    bem_step_batch,
     check_decay_dt,
     check_implicit_dt,
     em_step_batch,
-    solve_implicit_batch,
 )
 from .problems import SdeProblem
 
@@ -408,26 +409,17 @@ def _simulate_chunk(problem, config, path_lo, path_hi):
             db = z[:, None] * sqrt_dt
             if config.scheme == "em":
                 new = em_step_batch(problem, x, k * dt, dt, db)
+                x = np.where((blown | failed)[:, None], x, new) if any_frozen else new
+            elif not any_frozen:
+                x, ok = bem_step_batch(problem, x, k, dt, db)
+                if not ok.all():
+                    failed |= ~ok  # such a path kept its state
+                    any_frozen = True
             else:
-                frozen = blown | failed
-                g = np.asarray(problem.diffusion(x, k * dt), dtype=float)
-                bvec = x + g * db
-                # a non-finite noise term blows the path up (via the norm
-                # check below); it is not a solver failure
-                finite = np.isfinite(bvec).all(axis=1)
-                new = np.where(finite[:, None], x, bvec)
-                idx = np.flatnonzero(~frozen & finite)
-                if idx.size:
-                    sol, ok = solve_implicit_batch(
-                        problem, (k + 1) * dt, bvec[idx], dt, DEFAULT_SOLVER_CONFIG
-                    )
-                    new[idx[ok]] = sol[ok]
-                    if not ok.all():
-                        failed[idx[~ok]] = True
-                        any_frozen = True
-            # a path that fails its solve this step keeps x, so freezing it
-            # now as well changes nothing
-            x = np.where((blown | failed)[:, None], x, new) if any_frozen else new
+                live = np.flatnonzero(~(blown | failed))
+                if live.size:
+                    x[live], ok = bem_step_batch(problem, x[live], k, dt, db[live])
+                    failed[live[~ok]] = True
             norm2 = np.einsum("ij,ij->i", x, x)
             # one comparison while nothing is over (a NaN max fails it too); a
             # frozen path is blown already or kept a state that passed
@@ -511,7 +503,7 @@ def simulate_ensemble(
     capped_mean = np.empty(n_ck)
     for i in range(n_ck):
         mask = gone[i]
-        n_surv = n_paths - int(np.sum(mask))
+        n_surv = n_paths - int(np.count_nonzero(mask))
         surviving[i] = n_surv
         blown_up[i] = n_paths - n_surv
         capped_mean[i] = float(np.sum(capped[i])) / n_paths
@@ -519,13 +511,21 @@ def simulate_ensemble(
             mean_sq[i] = np.nan
             std_err[i] = np.nan
             continue
-        vals = np.where(mask, 0.0, sq[i])
-        mean = float(np.sum(vals)) / n_surv
+        # with no path gone, the masked arrays equal the plain ones: same sums
+        vals = np.where(mask, 0.0, sq[i]) if n_surv < n_paths else sq[i]
+        with np.errstate(over="ignore"):
+            mean = float(np.sum(vals)) / n_surv
+        if not math.isfinite(mean):
+            # survivors' norm2 near the float maximum: sum them scaled
+            scale = float(np.max(vals))
+            mean = scale * (float(np.sum(vals / scale)) / n_surv)
         mean_sq[i] = mean
         if n_surv == 1:
             std_err[i] = 0.0
         else:
-            dev = np.where(mask, 0.0, sq[i] - mean)
+            dev = sq[i] - mean
+            if n_surv < n_paths:
+                dev = np.where(mask, 0.0, dev)
             with np.errstate(over="ignore"):
                 ss = float(np.sum(dev * dev))
             scale = 1.0

@@ -8,15 +8,20 @@ Lipschitz condition with dt < 1/|Kbar| the map F(x) = x - f(x,t) dt is
 strictly monotone, so the root exists and is unique; the solver is damped
 Newton with a finite-difference Jacobian, falling back to bisection (scalar)
 or damped fixed-point iteration. solve_implicit_batch solves a whole (m, n)
-block of lanes at once in every dimension: elementwise Newton for n = 1, and
-for n > 1 one stacked Newton whose Jacobian columns, linear solves and
-backtracking are batched over the lanes. Converged lanes freeze, so a lane's
-iterates never depend on the other lanes in its block. The explicit step
-applies the formula verbatim with no safeguard: reproducing the blow-up of
-explicit stepping on superlinear drifts requires the unmodified map. Its one
-kernel is em_step_batch, which steps an (m, n) block of paths with no
-per-step validation and is what the ensemble calls; em_step is a thin
-adapter over it that takes a StepContext and checks the result.
+block of lanes at once in every dimension: for n = 1 an elementwise Newton
+whose first drift call stacks the residual point b and both difference
+points into one (3m, 1) block, and for n > 1 one stacked Newton whose
+Jacobian columns, linear solves and backtracking are batched over the lanes.
+Converged lanes leave the working set, so a lane's iterates never depend on
+the other lanes in its block. The explicit step applies the formula verbatim
+with no safeguard: reproducing the blow-up of explicit stepping on
+superlinear drifts requires the unmodified map.
+
+Each scheme has one kernel for an (m, n) block of paths, with no per-step
+validation, and the ensemble calls it once per step: em_step_batch, and
+bem_step_batch, which forms the noise term and makes one implicit solve.
+em_step and bem_step are thin adapters over them that take a StepContext and
+validate.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "em_step",
     "em_step_batch",
     "bem_step",
+    "bem_step_batch",
     "solve_implicit",
     "solve_implicit_batch",
     "check_implicit_dt",
@@ -222,59 +228,82 @@ def bisect_root_scalar(
 
 
 def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
-    """Elementwise Newton for x - drift(x,t)*dt - b = 0 on arrays of any shape.
+    """Newton for x - drift(x,t)*dt - b = 0 on an (m, 1) block of lanes.
 
-    Converged lanes freeze, so each lane's iterate sequence depends only on
-    its own values; results are independent of how lanes are batched.
-    Returns (x, converged_mask).
+    Per lane: x0 = b; derivative from central differences with step
+    h = max(1e-7, 1e-7|x|); up to 8 halvings of the step while the new
+    residual is not at most the current one (NaN included). Since x0 = b,
+    the first drift call stacks the residual point and both difference
+    points, drift(concatenate((x, x+h, x-h))); later iterations make one call
+    on concatenate((x+h, x-h)). Only unconverged lanes are carried and only
+    lanes that got worse are re-evaluated, so each lane's iterates depend on
+    its own values alone. Lanes left after cfg.max_iterations go to the
+    configured fallback. Returns (x, ok) with ok of shape (m,).
     """
-    b = np.asarray(b, dtype=float)
+    tol = cfg.residual_tolerance
+    m = b.shape[0]
     x = b.copy()
-
-    def residual(xv):
-        return xv - dt * np.asarray(drift(xv, t), dtype=float) - b
-
-    r = residual(x)
-    active = np.abs(r) > cfg.residual_tolerance
-    for _ in range(cfg.max_iterations):
-        if not np.any(active):
-            break
-        h = np.maximum(1e-7, 1e-7 * np.abs(x))
-        fp = np.asarray(drift(x + h, t), dtype=float)
-        fm = np.asarray(drift(x - h, t), dtype=float)
+    h = np.maximum(1e-7, 1e-7 * np.abs(x))
+    f = np.asarray(drift(np.concatenate((x, x + h, x - h)), t), dtype=float)
+    ri = x - dt * f[:m] - b
+    fp, fm = f[m : 2 * m], f[2 * m :]
+    # the working set; a slice over every lane until the first lane
+    # converges, so nothing is gathered while all lanes are active
+    lanes, xi, bi = slice(None), x, b
+    ai = np.abs(ri[:, 0])
+    keep = ai > tol
+    if not keep.all():
+        if not keep.any():
+            return x, np.ones(m, dtype=bool)
+        lanes = np.flatnonzero(keep)
+        xi, ri, ai, bi, h, fp, fm = (a[lanes] for a in (x, ri, ai, b, h, fp, fm))
+    for it in range(cfg.max_iterations):
+        if it:
+            w = xi.shape[0]
+            h = np.maximum(1e-7, 1e-7 * np.abs(xi))
+            f = np.asarray(drift(np.concatenate((xi + h, xi - h)), t), dtype=float)
+            fp, fm = f[:w], f[w:]
         deriv = 1.0 - dt * (fp - fm) / (2.0 * h)
         deriv = np.where(np.abs(deriv) < 1e-300, 1.0, deriv)
-        step = np.where(active, r / deriv, 0.0)
-        xa = x - step
-        ra = residual(xa)
-        worse = active & ~(np.abs(ra) <= np.abs(r))  # catches NaN too
+        step = ri / deriv
+        xa = xi - step
+        ra = xa - dt * np.asarray(drift(xa, t), dtype=float) - bi
+        aa = np.abs(ra[:, 0])
+        worse = ~(aa <= ai)  # catches NaN too
         for _ in range(8):
-            if not np.any(worse):
+            if not worse.any():
                 break
-            step = np.where(worse, 0.5 * step, step)
-            xa = np.where(worse, x - step, xa)
-            ra = np.where(worse, residual(xa), ra)
-            worse = worse & ~(np.abs(ra) <= np.abs(r))
-        x = np.where(active, xa, x)
-        r = np.where(active, ra, r)
-        active = np.abs(r) > cfg.residual_tolerance
+            sel = np.flatnonzero(worse)
+            step[sel] = 0.5 * step[sel]
+            xs = xi[sel] - step[sel]
+            xa[sel] = xs
+            ra[sel] = xs - dt * np.asarray(drift(xs, t), dtype=float) - bi[sel]
+            aa[sel] = np.abs(ra[sel, 0])
+            worse[sel] = ~(aa[sel] <= ai[sel])
+        xi, ri, ai = xa, ra, aa
+        keep = ai > tol
+        if keep.all():
+            continue
+        # converged lanes leave the working set; their iterates are written back
+        x[lanes] = xi
+        if not keep.any():
+            return x, np.ones(m, dtype=bool)
+        lanes = np.arange(m)[lanes][keep]
+        xi, ri, ai, bi = xi[keep], ri[keep], ai[keep], bi[keep]
 
-    if np.any(active):
-        flat_active = np.argwhere(active)
-        if cfg.fallback == "bisection":
-            for idx in flat_active:
-                key = tuple(idx)
-                try:
-                    x[key] = bisect_root_scalar(
-                        drift, t, float(b[key]), dt, tolerance=cfg.residual_tolerance
-                    )
-                except ImplicitSolveError:
-                    pass
-        else:
-            x, _ = _damped_iteration(drift, t, b, dt, cfg, x0=x, mask=active, out=x)
-        r = residual(x)
-        active = np.abs(r) > cfg.residual_tolerance
-    return x, ~active
+    x[lanes] = xi
+    active = np.zeros(b.shape, dtype=bool)
+    active[lanes] = True
+    if cfg.fallback == "bisection":
+        for i in np.flatnonzero(active):
+            try:
+                x[i, 0] = bisect_root_scalar(drift, t, float(b[i, 0]), dt, tolerance=tol)
+            except ImplicitSolveError:
+                pass
+    else:
+        x, _ = _damped_iteration(drift, t, b, dt, cfg, x0=x, mask=active, out=x)
+    r = x - dt * np.asarray(drift(x, t), dtype=float) - b
+    return x, ~(np.abs(r[:, 0]) > tol)
 
 
 def _damped_iteration(drift, t, b, dt, cfg, x0, mask, out, budget: int = 200):
@@ -398,8 +427,7 @@ def solve_implicit_batch(
             f"b must have shape (m, {problem.dimension}), got {b.shape}"
         )
     if problem.dimension == 1:
-        x, ok = _solve_scalar_batch(problem.drift, t, b, dt, cfg)
-        return x, ok[:, 0]
+        return _solve_scalar_batch(problem.drift, t, b, dt, cfg)
     x, ok = _solve_vector_batch(problem.drift, t, b, dt, cfg)
     if cfg.fallback == "damped-iteration" and not ok.all():
         fail = np.flatnonzero(~ok)
@@ -410,6 +438,16 @@ def solve_implicit_batch(
         x[fail] = xf
         ok[fail] = np.all(okf, axis=1)
     return x, ok
+
+
+def _as_lanes(problem: SdeProblem, a: np.ndarray) -> np.ndarray:
+    """a as an (m, n) block: every value a lane for n = 1, one lane of shape (n,) else."""
+    n = problem.dimension
+    if n == 1:
+        return a.reshape(-1, 1)
+    if a.shape != (n,):
+        raise ValueError(f"b must have shape ({n},) for a {n}-dimensional problem")
+    return a[None, :]
 
 
 def solve_implicit(
@@ -433,15 +471,7 @@ def solve_implicit(
     b_arr = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b_arr)):
         raise ValueError("b must be finite")
-    n = problem.dimension
-    if n == 1:
-        lanes = b_arr.reshape(-1, 1)
-    elif b_arr.shape == (n,):
-        lanes = b_arr[None, :]
-    else:
-        raise ValueError(f"b must have shape ({n},) for a {n}-dimensional problem")
-
-    x, ok = solve_implicit_batch(problem, t, lanes, dt, cfg)
+    x, ok = solve_implicit_batch(problem, t, _as_lanes(problem, b_arr), dt, cfg)
     x = x.reshape(b_arr.shape)
     if not ok.all():
         r = x - dt * np.asarray(problem.drift(x, t), dtype=float) - b_arr
@@ -455,6 +485,37 @@ def solve_implicit(
     return float(x) if np.ndim(b) == 0 else x
 
 
+def bem_step_batch(
+    problem: SdeProblem,
+    x: np.ndarray,
+    k: int,
+    dt: float,
+    db,
+    cfg: ImplicitSolverConfig = DEFAULT_SOLVER_CONFIG,
+):
+    """Semi-implicit step from step k for an (m, n) block of paths.
+
+    Computes b = x + g(x, k dt) dB and solves x' = f(x', (k+1) dt) dt + b
+    with solve_implicit_batch. Returns (x_new, ok) with ok of shape (m,): a
+    lane whose b is not finite gets b back with ok True, so the caller's norm
+    check blows it up; a lane whose solve fails keeps x, with ok False. The
+    step index, not k dt + dt, fixes the solve time, so it is exactly
+    (k+1) dt. No validation: the caller checks dt once with check_implicit_dt.
+    """
+    g = np.asarray(problem.diffusion(x, k * dt), dtype=float)
+    b = x + g * db
+    if np.isfinite(b).all():
+        new, ok = solve_implicit_batch(problem, (k + 1) * dt, b, dt, cfg)
+    else:
+        new, ok = b, np.ones(len(b), dtype=bool)
+        rows = np.flatnonzero(np.isfinite(b).all(axis=1))
+        if rows.size:
+            new[rows], ok[rows] = solve_implicit_batch(problem, (k + 1) * dt, b[rows], dt, cfg)
+    if not ok.all():
+        new[~ok] = x[~ok]
+    return new, ok
+
+
 def bem_step(
     problem: SdeProblem,
     z,
@@ -464,17 +525,23 @@ def bem_step(
 ):
     """Semi-implicit step: drift at the unknown next state, noise at the current one.
 
-    Solves x = z + g(z, k dt) dB + f(x, (k+1) dt) dt. dt >= 1/K1 leaves the
-    polynomial decay guarantee but not well-posedness, so it is a warning by
-    default and an error under strict_dt.
+    Solves x = z + g(z, k dt) dB + f(x, (k+1) dt) dt. Validating adapter over
+    bem_step_batch for a state of any shape (n = 1) or of shape (n,). dt >=
+    1/K1 leaves the polynomial decay guarantee but not well-posedness, so it
+    is a warning by default and an error under strict_dt.
     """
     check_decay_dt(problem, ctx.dt, strict=strict_dt)
+    check_implicit_dt(problem, ctx.dt)
     z_arr = np.asarray(z, dtype=float)
-    g = np.asarray(problem.diffusion(z_arr, ctx.t), dtype=float)
-    b = z_arr + g * ctx.db
-    if not np.all(np.isfinite(b)):
+    zb, db = np.broadcast_arrays(z_arr, np.asarray(ctx.db, dtype=float))
+    lanes = _as_lanes(problem, zb)
+    db = db.reshape(lanes.shape)
+    out, ok = bem_step_batch(problem, lanes, ctx.k, ctx.dt, db, cfg)
+    if not np.all(np.isfinite(out)):
         raise StepError(f"non-finite diffusion output at k={ctx.k}, t={ctx.t}", state=z_arr)
-    out = solve_implicit(problem, (ctx.k + 1) * ctx.dt, b, ctx.dt, cfg)
-    if np.ndim(z) == 0 and np.ndim(out) > 0:
-        return float(out)
-    return out
+    if not ok.all():
+        # the kernel keeps z on a failed lane: solve again to report the best iterate
+        b = lanes + np.asarray(problem.diffusion(lanes, ctx.t), dtype=float) * db
+        solve_implicit(problem, (ctx.k + 1) * ctx.dt, b.reshape(zb.shape), ctx.dt, cfg)
+    out = out.reshape(zb.shape)
+    return float(out) if np.ndim(z) == 0 else out

@@ -54,7 +54,9 @@ class SdeProblem:
 
     drift and diffusion must be pure, accept (state, time) with state of shape
     (dimension,), and broadcast elementwise over leading axes (the ensemble
-    engine feeds them (paths, dimension) blocks). diffusion returns the single
+    engine feeds them (paths, dimension) blocks, and the implicit solver may
+    call drift on a stacked block of rows, such as a residual point and both
+    difference points of every path at once). diffusion returns the single
     noise column. k1, c, kbar are the condition constants the problem claims;
     claims are checked by :func:`audit_conditions`, not trusted.
     """

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,6 +25,7 @@ from polystab.ensemble import (
 from polystab.gamma import GammaProductParams, product_direct, product_via_gamma
 from polystab.problems import (
     SdeProblem,
+    bem_example,
     cubic_counterexample,
     exact_linear_mean_square,
     linear_example,
@@ -269,6 +271,31 @@ class TestDiscreteOracle:
         assert not bad.any(), f"outside 4 se at k = {series.step_index[bad]}"
 
 
+def discrete_bem_mean_square(dt, x0_sq, ks):
+    """Exact E|Z_k|^2 of BEM on linear_example.
+
+    Z_{k+1} (1 + dt/(1+(k+1) dt)) = Z_k + dB_k/(1+k dt), so the second moment
+    follows the affine recursion below.
+    """
+    out, m = {}, x0_sq
+    for k in range(max(ks) + 1):
+        out[k] = m
+        m = (m + dt / (1.0 + k * dt) ** 2) / (1.0 + dt / (1.0 + (k + 1) * dt)) ** 2
+    return np.array([out[k] for k in ks])
+
+
+class TestDiscreteBemOracle:
+    def test_linear_bem_within_four_standard_errors(self):
+        cfg = dataclasses.replace(TestChunkBoundaries.CONFIG, scheme="bem")
+        series = simulate_ensemble(linear_example(), cfg)
+        exact = discrete_bem_mean_square(cfg.dt, cfg.initial_value[0] ** 2, cfg.checkpoints)
+        assert series.failed_paths == 0 and np.all(series.surviving == cfg.num_paths)
+        noisy = series.std_error > 0
+        assert noisy.sum() == len(series) - 1  # all but k = 0
+        bad = noisy & (np.abs(series.mean_square - exact) > 4.0 * series.std_error)
+        assert not bad.any(), f"outside 4 se at k = {series.step_index[bad]}"
+
+
 class TestPartialBlowUpBytes:
     # SHA-256 of the CSV and of the capped_mean_abs bytes, recorded before the
     # EM step loop skipped its freeze: 403 of 700 paths blow up at steps 5-10,
@@ -286,6 +313,50 @@ class TestPartialBlowUpBytes:
         assert 0 < series.blown_up[-1] < self.CONFIG.num_paths
         first = np.flatnonzero(np.diff(series.blown_up)) + 1
         assert {5, 6, 8, 9} <= set(first.tolist())  # blow-ups inside a block
+        text = series.to_csv_text()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CSV_SHA256
+        capped = np.ascontiguousarray(series.capped_mean_abs, dtype=np.float64)
+        assert hashlib.sha256(capped.tobytes()).hexdigest() == self.CAPPED_SHA256
+
+
+def bem_example_with_edges():
+    """bem-example with a noise that turns infinite above |x| = 2 and a drift
+    that jumps by 0.1 at x = -1, where a residual that jumps across zero has
+    no root: a few BEM solves fail and some paths blow up through their noise.
+    """
+    base = bem_example()
+
+    def drift(x, t):
+        x = np.asarray(x, dtype=float)
+        return base.drift(x, t) - np.where(x <= -1.0, -0.1, 0.0)
+
+    def diffusion(x, t):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) > 2.0, np.inf, base.diffusion(x, t))
+
+    return SdeProblem(
+        dimension=1, drift=drift, diffusion=diffusion, k1=3.0, c=5.0, kbar=0.0,
+        satisfies_linear_growth=False, label="bem-example-edges",
+    )
+
+
+class TestBemScalarBytes:
+    # SHA-256 of the CSV and of the capped_mean_abs bytes, recorded with the
+    # full-width scalar Newton and the BEM step written out in the chunk loop:
+    # 66 of 700 paths blow up through an infinite noise term and 2 fail their
+    # solve, across four 200-path chunks and 7-step blocks.
+    CSV_SHA256 = "8b831864f0464d755480033be366792dcc5eb3219f6ced414d16461694645033"
+    CAPPED_SHA256 = "ed9db8b1aae5beef167e1c043fd5d408741b35ecf70285e138cd2b2ec5e7db1d"
+    CONFIG = SimConfig(dt=0.1, num_steps=30, num_paths=700, seed=12, scheme="bem",
+                       initial_value=(1.0,), checkpoints=tuple(range(31)))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_bytes_pinned(self, monkeypatch, workers):
+        monkeypatch.setattr(ensemble, "_CHUNK_PATHS", 200)
+        monkeypatch.setattr(ensemble, "_BLOCK_NORMALS", 200 * 7)
+        with pytest.warns(UserWarning, match="2/700 paths failed the implicit solve"):
+            series = simulate_ensemble(bem_example_with_edges(), self.CONFIG, workers=workers)
+        assert series.failed_paths == 2 and series.blown_up[-1] == 68
         text = series.to_csv_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CSV_SHA256
         capped = np.ascontiguousarray(series.capped_mean_abs, dtype=np.float64)
@@ -374,6 +445,18 @@ class TestSimulateEnsemble:
         assert checked > 0
         k6 = list(series.step_index).index(6)
         assert series.mean_square[k6] > 1e200 and math.isfinite(series.std_error[k6])
+
+    def test_mean_square_near_the_float_maximum(self):
+        # each survivor's norm2 is 1.44e308: the plain sum of two overflows,
+        # the scaled one does not
+        cfg = SimConfig(dt=0.1, num_steps=5, num_paths=2, seed=1, scheme="em",
+                        initial_value=(1.2e154,), blow_up_cap=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            series = simulate_ensemble(constant_problem(0.0), cfg)
+        np.testing.assert_array_equal(series.mean_square, 1.2e154**2)
+        np.testing.assert_array_equal(series.std_error, 0.0)
+        np.testing.assert_array_equal(series.surviving, 2)
 
     def test_nan_state_blows_up(self):
         # the drift turns NaN, never inf, once |x| > 1.5: a NaN norm must blow

@@ -10,7 +10,9 @@ from polystab.integrators import (
     ImplicitSolverConfig,
     StepContext,
     StepError,
+    _damped_iteration,
     bem_step,
+    bem_step_batch,
     bisect_root_scalar,
     em_step,
     em_step_batch,
@@ -386,6 +388,123 @@ class TestBatchedSolve:
             assert x[i, 0] == solve_implicit(p, 0.6, bi, 0.3)
 
 
+def reference_scalar_newton(drift, t, b, dt, cfg):
+    """The scalar batched Newton as first written, on full-width lanes.
+
+    Every lane is evaluated on every pass and np.where keeps the converged
+    ones fixed. Returns (x, ok) like the production solver, plus per-lane
+    Newton updates taken and whether the lane ever backtracked.
+    """
+    b = np.asarray(b, dtype=float)
+    x = b.copy()
+    iterations = np.zeros(b.shape, dtype=int)
+    backtracked = np.zeros(b.shape, dtype=bool)
+
+    def residual(xv):
+        return xv - dt * np.asarray(drift(xv, t), dtype=float) - b
+
+    r = residual(x)
+    active = np.abs(r) > cfg.residual_tolerance
+    for _ in range(cfg.max_iterations):
+        if not np.any(active):
+            break
+        iterations += active
+        h = np.maximum(1e-7, 1e-7 * np.abs(x))
+        fp = np.asarray(drift(x + h, t), dtype=float)
+        fm = np.asarray(drift(x - h, t), dtype=float)
+        deriv = 1.0 - dt * (fp - fm) / (2.0 * h)
+        deriv = np.where(np.abs(deriv) < 1e-300, 1.0, deriv)
+        step = np.where(active, r / deriv, 0.0)
+        xa = x - step
+        ra = residual(xa)
+        worse = active & ~(np.abs(ra) <= np.abs(r))
+        backtracked |= worse
+        for _ in range(8):
+            if not np.any(worse):
+                break
+            step = np.where(worse, 0.5 * step, step)
+            xa = np.where(worse, x - step, xa)
+            ra = np.where(worse, residual(xa), ra)
+            worse = worse & ~(np.abs(ra) <= np.abs(r))
+        x = np.where(active, xa, x)
+        r = np.where(active, ra, r)
+        active = np.abs(r) > cfg.residual_tolerance
+
+    if np.any(active):
+        flat_active = np.argwhere(active)
+        if cfg.fallback == "bisection":
+            for idx in flat_active:
+                key = tuple(idx)
+                try:
+                    x[key] = bisect_root_scalar(
+                        drift, t, float(b[key]), dt, tolerance=cfg.residual_tolerance
+                    )
+                except ImplicitSolveError:
+                    pass
+        else:
+            x, _ = _damped_iteration(drift, t, b, dt, cfg, x0=x, mask=active, out=x)
+        r = residual(x)
+        active = np.abs(r) > cfg.residual_tolerance
+    return x, ~active, iterations, backtracked
+
+
+class TestScalarSolveReference:
+    """solve_implicit_batch for n = 1 against the full-width reference, bit for bit."""
+
+    DT = 0.5
+
+    @staticmethod
+    def problem():
+        # a steep arctan well makes Newton from x0 = b overshoot and backtrack;
+        # beyond |x| = 50 the residual x - 0.5 (2x) - b = -b has no root, so
+        # such a lane exhausts its budget and every fallback
+        def drift(x, t):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.abs(x) >= 50.0, 2.0 * x, -20.0 * np.arctan(5.0 * x) / (1.0 + t))
+
+        return SdeProblem(
+            dimension=1, drift=drift, diffusion=lambda x, t: np.zeros_like(x),
+            k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=False, label="well1d",
+        )
+
+    @staticmethod
+    def lanes():
+        rng = np.random.default_rng(12)
+        fixed = [0.0, 100.0, 3.0, -0.4, 0.05, 25.0]
+        return np.concatenate([fixed, rng.uniform(-10.0, 10.0, size=26)])[:, None]
+
+    @pytest.mark.parametrize("cfg", [
+        ImplicitSolverConfig(),
+        ImplicitSolverConfig(max_iterations=2),
+        ImplicitSolverConfig(max_iterations=2, fallback="damped-iteration"),
+    ], ids=["newton", "bisection", "damped-iteration"])
+    def test_matches_reference(self, cfg):
+        p, b = self.problem(), self.lanes()
+        ref_x, ref_ok, iterations, backtracked = reference_scalar_newton(
+            p.drift, 1.0, b, self.DT, cfg)
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
+        assert np.array_equal(x, ref_x) and np.array_equal(ok, ref_ok[:, 0])
+        assert ref_ok[0, 0] and iterations[0, 0] == 0  # converges at b
+        assert not ref_ok[1, 0]  # no root: fails after every fallback
+        assert backtracked.sum() >= 3
+        if cfg.max_iterations == 2:
+            # lanes that run out of Newton updates and are rescued by the fallback
+            rescued = ref_ok[:, 0] & (iterations[:, 0] == 2) & (
+                np.abs(ref_x - self.DT * p.drift(ref_x, 1.0) - b)[:, 0] <= 1e-12)
+            assert rescued.sum() >= 3
+        else:
+            assert (iterations >= 3).sum() >= 3 and ref_ok.sum() == len(b) - 1
+
+    def test_bem_example_matches_reference(self):
+        # the ensemble's problem at its step size, over the range its lanes cover
+        p, cfg = bem_example(), ImplicitSolverConfig()
+        b = np.linspace(-40.0, 40.0, 161)[:, None]
+        for t in (0.3, 3.0, 300.0):
+            ref_x, ref_ok, _, _ = reference_scalar_newton(p.drift, t, b, 0.3, cfg)
+            x, ok = solve_implicit_batch(p, t, b, 0.3, cfg)
+            assert np.array_equal(x, ref_x) and np.array_equal(ok, ref_ok[:, 0])
+
+
 class TestBemStep:
     def test_identity_when_no_dynamics(self):
         p = SdeProblem(
@@ -419,6 +538,45 @@ class TestBemStep:
             bem_step(steep, 1.0, ctx)
         with pytest.raises(ValueError, match="1/K1"):
             bem_step(steep, 1.0, ctx, strict_dt=True)
+
+    def test_batch_kernel_matches_solve_per_path(self):
+        # (k+1) dt, not k dt + dt, is the solve time: here the drift differs
+        p, k, dt = bem_example(), 6, 0.3
+        assert (1.0 + (k * dt + dt)) ** 2 != (1.0 + (k + 1) * dt) ** 2
+        rng = np.random.default_rng(4)
+        x = rng.normal(scale=3.0, size=(64, 1))
+        db = rng.normal(scale=math.sqrt(dt), size=(64, 1))
+        out, ok = bem_step_batch(p, x, k, dt, db)
+        assert ok.all()
+        for i in range(64):
+            z = x[i, 0]
+            b = z + float(p.diffusion(z, k * dt)) * db[i, 0]
+            assert out[i, 0] == solve_implicit(p, (k + 1) * dt, b, dt)
+            assert out[i, 0] == bem_step(p, z, StepContext(k=k, dt=dt, db=db[i, 0]))
+
+    def test_batch_kernel_nonfinite_noise_and_failed_solve(self):
+        # residual x - 0.5 x^2 - b has no root for b > 0.5; noise is infinite
+        # above |x| = 5
+        p = SdeProblem(
+            dimension=1,
+            drift=lambda x, t: np.asarray(x, dtype=float) ** 2,
+            diffusion=lambda x, t: np.where(np.abs(x) > 5.0, np.inf, 0.0),
+            k1=1.0, c=1.0, kbar=-1.0, satisfies_linear_growth=False, label="no-root",
+        )
+        x = np.array([[0.1], [6.0], [2.0]])
+        out, ok = bem_step_batch(p, x, 0, 0.5, np.ones((3, 1)))
+        assert ok.tolist() == [True, True, False]
+        assert out[0, 0] == solve_implicit(p, 0.5, 0.1, 0.5)
+        assert out[1, 0] == np.inf and out[2, 0] == 2.0
+        with pytest.raises(StepError, match="non-finite diffusion output at k=0"):
+            bem_step(p, 6.0, StepContext(k=0, dt=0.5, db=1.0))
+        with pytest.raises(ImplicitSolveError) as err:
+            bem_step(p, 2.0, StepContext(k=0, dt=0.5, db=1.0))
+        with pytest.raises(ImplicitSolveError) as direct:
+            solve_implicit(p, 0.5, 2.0, 0.5)
+        assert str(err.value) == str(direct.value)
+        assert err.value.best_residual == direct.value.best_residual
+        assert np.array_equal(err.value.state, direct.value.state)
 
     def test_no_warning_inside_guaranteed_range(self):
         with warnings.catch_warnings():
