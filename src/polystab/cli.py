@@ -159,6 +159,13 @@ def _cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    out_dir = Path(spec.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out-dir: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
     try:
         series = ensemble.simulate_ensemble(problem, config)
     except ensemble.WorkerCountError as exc:
@@ -168,13 +175,15 @@ def _cmd_simulate(args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    out_dir = Path(spec.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     prefix = spec.prefix or f"{spec.problem}_{spec.scheme}_seed{spec.seed}"
     csv_path = out_dir / f"{prefix}.csv"
     json_path = out_dir / f"{prefix}_config.json"
-    series.write_csv(csv_path)
-    series.write_config_json(json_path)
+    try:
+        series.write_csv(csv_path)
+        series.write_config_json(json_path)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     wrote = [str(csv_path), str(json_path)]
 
     if spec.envelope:
@@ -197,6 +206,9 @@ def _cmd_simulate(args) -> int:
             wrote.append(str(env_path))
         except ValueError as exc:
             print(f"warning: envelope not written: {exc}", file=sys.stderr)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
     final = len(series) - 1
     print(f"wrote: {', '.join(wrote)}")

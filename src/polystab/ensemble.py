@@ -501,39 +501,43 @@ def simulate_ensemble(
     surviving = np.empty(n_ck, dtype=int)
     blown_up = np.empty(n_ck, dtype=int)
     capped_mean = np.empty(n_ck)
-    for i in range(n_ck):
-        mask = gone[i]
-        n_surv = n_paths - int(np.count_nonzero(mask))
-        surviving[i] = n_surv
-        blown_up[i] = n_paths - n_surv
-        capped_mean[i] = float(np.sum(capped[i])) / n_paths
-        if n_surv == 0:
-            mean_sq[i] = np.nan
-            std_err[i] = np.nan
-            continue
-        # with no path gone, the masked arrays equal the plain ones: same sums
-        vals = np.where(mask, 0.0, sq[i]) if n_surv < n_paths else sq[i]
-        with np.errstate(over="ignore"):
+    # a sum may overflow near the float maximum; each is then taken again scaled
+    with np.errstate(over="ignore"):
+        for i in range(n_ck):
+            mask = gone[i]
+            n_surv = n_paths - int(np.count_nonzero(mask))
+            surviving[i] = n_surv
+            blown_up[i] = n_paths - n_surv
+            capped_mean[i] = float(np.sum(capped[i])) / n_paths
+            if not math.isfinite(capped_mean[i]):
+                # blown-up paths at a cap near the float maximum
+                scale = float(np.max(capped[i]))
+                capped_mean[i] = scale * (float(np.sum(capped[i] / scale)) / n_paths)
+            if n_surv == 0:
+                mean_sq[i] = np.nan
+                std_err[i] = np.nan
+                continue
+            # with no path gone, the masked arrays equal the plain ones: same sums
+            vals = np.where(mask, 0.0, sq[i]) if n_surv < n_paths else sq[i]
             mean = float(np.sum(vals)) / n_surv
-        if not math.isfinite(mean):
-            # survivors' norm2 near the float maximum: sum them scaled
-            scale = float(np.max(vals))
-            mean = scale * (float(np.sum(vals / scale)) / n_surv)
-        mean_sq[i] = mean
-        if n_surv == 1:
-            std_err[i] = 0.0
-        else:
-            dev = sq[i] - mean
-            if n_surv < n_paths:
-                dev = np.where(mask, 0.0, dev)
-            with np.errstate(over="ignore"):
+            if not math.isfinite(mean):
+                # survivors' norm2 near the float maximum
+                scale = float(np.max(vals))
+                mean = scale * (float(np.sum(vals / scale)) / n_surv)
+            mean_sq[i] = mean
+            if n_surv == 1:
+                std_err[i] = 0.0
+            else:
+                dev = sq[i] - mean
+                if n_surv < n_paths:
+                    dev = np.where(mask, 0.0, dev)
                 ss = float(np.sum(dev * dev))
-            scale = 1.0
-            if not math.isfinite(ss) and math.isfinite(mean):
-                # survivors near a large cap: rescale so the squares stay finite
-                scale = float(np.max(np.abs(dev)))
-                ss = float(np.sum((dev / scale) ** 2))
-            std_err[i] = scale * math.sqrt(ss / (n_surv - 1) / n_surv)
+                scale = 1.0
+                if not math.isfinite(ss) and math.isfinite(mean):
+                    # survivors near a large cap: rescale so the squares stay finite
+                    scale = float(np.max(np.abs(dev)))
+                    ss = float(np.sum((dev / scale) ** 2))
+                std_err[i] = scale * math.sqrt(ss / (n_surv - 1) / n_surv)
 
     ks = np.asarray(config.checkpoints, dtype=int)
     return MomentSeries(

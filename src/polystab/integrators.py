@@ -10,12 +10,15 @@ Newton with a finite-difference Jacobian, falling back to bisection (scalar)
 or damped fixed-point iteration. solve_implicit_batch solves a whole (m, n)
 block of lanes at once in every dimension: for n = 1 an elementwise Newton
 whose first drift call stacks the residual point b and both difference
-points into one (3m, 1) block, and for n > 1 one stacked Newton whose
-Jacobian columns, linear solves and backtracking are batched over the lanes.
-Converged lanes leave the working set, so a lane's iterates never depend on
-the other lanes in its block. The explicit step applies the formula verbatim
-with no safeguard: reproducing the blow-up of explicit stepping on
-superlinear drifts requires the unmodified map.
+points into one (3m, 1) block, and for n > 1 a damped Newton that makes one
+drift call per iteration on a ((2n+1)w, n) block: the trial point of each of
+the w active lanes and its 2n difference points, so the residual and the
+next Jacobian come together (the first call, at x0 = b, gives the residual
+at b and the first Jacobian). Linear solves and backtracking are batched
+over the lanes. Converged lanes leave the working set, so a lane's iterates
+never depend on the other lanes in its block. The explicit step applies the
+formula verbatim with no safeguard: reproducing the blow-up of explicit
+stepping on superlinear drifts requires the unmodified map.
 
 Each scheme has one kernel for an (m, n) block of paths, with no per-step
 validation, and the ensemble calls it once per step: em_step_batch, and
@@ -237,31 +240,32 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     points, drift(concatenate((x, x+h, x-h))); later iterations make one call
     on concatenate((x+h, x-h)). Only unconverged lanes are carried and only
     lanes that got worse are re-evaluated, so each lane's iterates depend on
-    its own values alone. Lanes left after cfg.max_iterations go to the
+    its own values alone. A lane converges once |r| <= tolerance, so a NaN
+    residual never does. Lanes left after cfg.max_iterations go to the
     configured fallback. Returns (x, ok) with ok of shape (m,).
     """
     tol = cfg.residual_tolerance
     m = b.shape[0]
     x = b.copy()
     h = np.maximum(1e-7, 1e-7 * np.abs(x))
-    f = np.asarray(drift(np.concatenate((x, x + h, x - h)), t), dtype=float)
+    f = _drift_on_rows(drift, np.concatenate((x, x + h, x - h)), t)
     ri = x - dt * f[:m] - b
     fp, fm = f[m : 2 * m], f[2 * m :]
     # the working set; a slice over every lane until the first lane
     # converges, so nothing is gathered while all lanes are active
     lanes, xi, bi = slice(None), x, b
     ai = np.abs(ri[:, 0])
-    keep = ai > tol
-    if not keep.all():
-        if not keep.any():
+    done = ai <= tol  # a NaN residual is not converged
+    if done.any():
+        if done.all():
             return x, np.ones(m, dtype=bool)
-        lanes = np.flatnonzero(keep)
+        lanes = np.flatnonzero(~done)
         xi, ri, ai, bi, h, fp, fm = (a[lanes] for a in (x, ri, ai, b, h, fp, fm))
     for it in range(cfg.max_iterations):
         if it:
             w = xi.shape[0]
             h = np.maximum(1e-7, 1e-7 * np.abs(xi))
-            f = np.asarray(drift(np.concatenate((xi + h, xi - h)), t), dtype=float)
+            f = _drift_on_rows(drift, np.concatenate((xi + h, xi - h)), t)
             fp, fm = f[:w], f[w:]
         deriv = 1.0 - dt * (fp - fm) / (2.0 * h)
         deriv = np.where(np.abs(deriv) < 1e-300, 1.0, deriv)
@@ -281,13 +285,14 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
             aa[sel] = np.abs(ra[sel, 0])
             worse[sel] = ~(aa[sel] <= ai[sel])
         xi, ri, ai = xa, ra, aa
-        keep = ai > tol
-        if keep.all():
+        done = ai <= tol
+        if not done.any():
             continue
         # converged lanes leave the working set; their iterates are written back
         x[lanes] = xi
-        if not keep.any():
+        if done.all():
             return x, np.ones(m, dtype=bool)
+        keep = ~done
         lanes = np.arange(m)[lanes][keep]
         xi, ri, ai, bi = xi[keep], ri[keep], ai[keep], bi[keep]
 
@@ -303,7 +308,7 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     else:
         x, _ = _damped_iteration(drift, t, b, dt, cfg, x0=x, mask=active, out=x)
     r = x - dt * np.asarray(drift(x, t), dtype=float) - b
-    return x, ~(np.abs(r[:, 0]) > tol)
+    return x, np.abs(r[:, 0]) <= tol
 
 
 def _damped_iteration(drift, t, b, dt, cfg, x0, mask, out, budget: int = 200):
@@ -331,6 +336,46 @@ def _damped_iteration(drift, t, b, dt, cfg, x0, mask, out, budget: int = 200):
     return out, np.abs(residual(out)) <= cfg.residual_tolerance
 
 
+def _drift_on_rows(drift, rows, t):
+    """drift(rows, t) as a float array of the shape of rows.
+
+    A drift may return anything that broadcasts against its input, such as
+    one constant; stacked calls slice and reshape the result, so they take
+    it at the input's shape.
+    """
+    f = np.asarray(drift(rows, t), dtype=float)
+    return f if f.shape == rows.shape else np.broadcast_to(f, rows.shape)
+
+
+def _max_abs(r):
+    """max_j |r_j| for each lane of an (m, n) block, n >= 2.
+
+    Elementwise np.maximum over the columns, which is cheaper than a reduction
+    over the short n axis; a NaN propagates exactly as in .max(axis=1).
+    """
+    a = np.abs(r)
+    out = np.maximum(a[:, 0], a[:, 1])
+    for j in range(2, r.shape[1]):
+        out = np.maximum(out, a[:, j])
+    return out
+
+
+def _stacked_residuals(drift, t, x, b, dt, signs):
+    """Residuals at x and at every x +- h_j e_j, from one drift call.
+
+    Returns (R, h) with h = max(1e-7, 1e-7|x|) and R of shape (2n+1, w, n):
+    R[0] at x, R[1 + j] at x + h_j e_j, R[1 + n + j] at x - h_j e_j. The
+    points are x + signs * h, where signs, of shape (2n+1, 1, n), is -0.0
+    for x itself, then e_j, then -e_j with -0.0 off column j: x + (-0.0) is
+    x and x + (-h) is x - h, so each point is bit for bit the one formed on
+    its own, x + 0.0 and x - 0.0 in the columns off j included.
+    """
+    h = np.maximum(1e-7, 1e-7 * np.abs(x))
+    pts = x + signs * h
+    f = _drift_on_rows(drift, pts.reshape(-1, x.shape[1]), t)
+    return pts - dt * f.reshape(pts.shape) - b, h
+
+
 def _solve_vector_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     """Damped Newton for x - drift(x,t)*dt - b = 0 on an (m, n) block of lanes.
 
@@ -339,34 +384,38 @@ def _solve_vector_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     residual itself where the Jacobian is singular; up to 30 trials, halving
     the step after each, until the residual is finite and its max-norm does
     not grow (if none qualifies, the last trial is taken). A lane stops once
-    max|r| <= tolerance, the last iteration included; only active lanes are
-    evaluated, so each lane's iterates depend only on its own values.
-    Returns (x, ok): the root for converged lanes and the best iterate for
-    the others, plus the (m,) convergence mask.
+    max|r| <= tolerance, the last iteration included.
+
+    Each iteration makes one drift call, on (2n+1) rows per lane: the trial
+    point and its 2n difference points, so the next Jacobian is ready when
+    the trial is taken. Since x0 = b, the first call covers the residual at b
+    and the first Jacobian. Lanes that must backtrack get residual-only calls
+    for their halved steps and one more stacked call after the last halving.
+    Only unconverged lanes are carried, so each lane's iterates depend only
+    on its own values. Returns (x, ok): the root for converged lanes and the
+    best iterate for the others, plus the (m,) convergence mask.
     """
     n = b.shape[1]
     tol = cfg.residual_tolerance
-
-    def residual(xv, bv):
-        return xv - dt * np.asarray(drift(xv, t), dtype=float) - bv
-
     x = b.copy()
-    r = residual(x, b)
-    rmax = np.abs(r).max(axis=1)
-    ok = rmax <= tol
-    # the working set: active lanes only, compacted whenever some converge
-    lanes = np.flatnonzero(~ok)
-    xi, ri, bi, rn = x[lanes], r[lanes], b[lanes], rmax[lanes]
-    best_x, best_r = xi.copy(), rn.copy()
+    eye = np.eye(n)
+    signs = np.concatenate((np.full((1, n), -0.0), eye, -eye))[:, None, :]
+    R, h = _stacked_residuals(drift, t, b, b, dt, signs)
+    rn = _max_abs(R[0])
+    ok = rn <= tol
+    # the working set: active lanes only, compacted whenever some converge.
+    # Nothing is gathered while every lane is active: xi, bi and best_x are
+    # never written in place, so they may start as x and b themselves.
+    lanes, xi, bi = np.arange(len(b)), x, b
+    if ok.any():
+        if ok.all():
+            return x, ok
+        lanes = np.flatnonzero(~ok)
+        xi, bi, rn, R, h = x[lanes], b[lanes], rn[lanes], R[:, lanes], h[lanes]
+    best_x, best_r = xi, rn
     for _ in range(cfg.max_iterations):
-        if lanes.size == 0:
-            break
-        h = np.maximum(1e-7, 1e-7 * np.abs(xi))
-        jac = np.empty((lanes.size, n, n))
-        for j in range(n):
-            e = np.zeros_like(xi)
-            e[:, j] = h[:, j]
-            jac[:, :, j] = (residual(xi + e, bi) - residual(xi - e, bi)) / (2.0 * h[:, j, None])
+        ri = R[0]
+        jac = ((R[1 : n + 1] - R[n + 1 :]) / (2.0 * h.T[:, :, None])).transpose(1, 2, 0)
         try:
             step = np.linalg.solve(jac, ri[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -377,27 +426,39 @@ def _solve_vector_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
                 except np.linalg.LinAlgError:
                     step[i] = ri[i]
         xa = xi - step
-        ra = residual(xa, bi)
-        worse = ~(np.isfinite(ra).all(axis=1) & (np.abs(ra).max(axis=1) <= rn))
-        for _ in range(29):
-            if not worse.any():
-                break
-            sel = np.flatnonzero(worse)
-            step[sel] = 0.5 * step[sel]
-            xa[sel] = xi[sel] - step[sel]
-            ra[sel] = residual(xa[sel], bi[sel])
-            worse[sel] = ~(np.isfinite(ra[sel]).all(axis=1)
-                           & (np.abs(ra[sel]).max(axis=1) <= rn[sel]))
-        xi, ri = xa, ra
-        rn = np.abs(ri).max(axis=1)
+        R, h = _stacked_residuals(drift, t, xa, bi, dt, signs)
+        ra = R[0]
+        an = _max_abs(ra)
+        worse = ~(np.isfinite(an) & (an <= rn))
+        if worse.any():
+            moved = np.flatnonzero(worse)
+            for _ in range(29):
+                sel = np.flatnonzero(worse)
+                step[sel] = 0.5 * step[sel]
+                xs = xi[sel] - step[sel]
+                xa[sel] = xs
+                ra[sel] = xs - dt * np.asarray(drift(xs, t), dtype=float) - bi[sel]
+                an[sel] = _max_abs(ra[sel])
+                worse[sel] = ~(np.isfinite(an[sel]) & (an[sel] <= rn[sel]))
+                if not worse.any():
+                    break
+            # difference points at the trials taken; their residuals are kept
+            Rm, h[moved] = _stacked_residuals(drift, t, xa[moved], bi[moved], dt, signs)
+            R[1:, moved] = Rm[1:]
+        xi, rn = xa, an
         better = rn < best_r
-        best_x[better], best_r[better] = xi[better], rn[better]
+        if better.all():
+            best_x, best_r = xi, rn
+        elif better.any():
+            best_x, best_r = np.where(better[:, None], xi, best_x), np.where(better, rn, best_r)
         done = rn <= tol
         if done.any():
             x[lanes[done]] = xi[done]
             ok[lanes[done]] = True
+            if done.all():
+                return x, ok
             keep = ~done
-            lanes, xi, ri, bi, rn = lanes[keep], xi[keep], ri[keep], bi[keep], rn[keep]
+            lanes, xi, bi, rn, R, h = lanes[keep], xi[keep], bi[keep], rn[keep], R[:, keep], h[keep]
             best_x, best_r = best_x[keep], best_r[keep]
     x[lanes] = best_x
     return x, ok

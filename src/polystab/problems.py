@@ -267,16 +267,23 @@ def _eval_checked(fn, x, t, what, label):
     return out
 
 
-def _worst(samples):
-    """samples: iterable of (margin, slack, point) -> ConditionCheck pieces."""
-    worst_m, worst_pt, ok, n = -np.inf, None, True, 0
-    for margin, slack, point in samples:
-        n += 1
-        if margin > slack:
-            ok = False
-        if margin > worst_m:
-            worst_m, worst_pt = margin, point
-    return worst_m, worst_pt, ok, n
+def _check(name, margins, slacks, point) -> ConditionCheck:
+    """ConditionCheck over the samples in order: per-sample margins and slacks
+    as lists of arrays, and point(i) for the point of the i-th sample.
+
+    The worst sample is the first with the largest margin; a NaN margin is
+    never the worst, and with no margin above -inf there is none.
+    """
+    margins, slacks = np.concatenate(margins), np.concatenate(slacks)
+    worst_m, worst_pt = -np.inf, None
+    candidates = margins > -np.inf
+    if candidates.any():
+        i = int(np.argmax(np.where(candidates, margins, -np.inf)))
+        worst_m, worst_pt = margins[i], point(i)
+    return ConditionCheck(
+        name=name, worst_margin=worst_m, worst_point=worst_pt,
+        samples=margins.size, passed=not (margins > slacks).any(),
+    )
 
 
 def audit_conditions(
@@ -307,7 +314,8 @@ def audit_conditions(
         raise ValueError(f"times must be finite and >= 0, got {times}")
 
     k1, c = problem.k1, problem.c
-    lin_f, one_f, lin_g = [], [], []
+    # per time: margin (LHS - RHS) and slack of every sample, in sample order
+    lin_f, one_f, lin_g = ([], []), ([], []), ([], [])
     for t in times:
         f = np.broadcast_to(
             _eval_checked(problem.drift, states, t, "drift", problem.label), states.shape
@@ -322,21 +330,18 @@ def audit_conditions(
         xf = np.einsum("ij,ij->i", states, f)
 
         rhs = k1 * xn / (1.0 + t)
-        for i in range(len(states)):
-            slack = _MARGIN_RTOL * max(fn[i], rhs[i], 1.0)
-            lin_f.append((fn[i] - rhs[i], slack, (t, _point(states[i]))))
+        lin_f[0].append(fn - rhs)
+        lin_f[1].append(_MARGIN_RTOL * np.maximum(np.maximum(fn, rhs), 1.0))
         rhs = -k1 * xn**2 / (1.0 + t)
-        for i in range(len(states)):
-            slack = _MARGIN_RTOL * max(abs(xf[i]), abs(rhs[i]), 1.0)
-            one_f.append((xf[i] - rhs[i], slack, (t, _point(states[i]))))
+        one_f[0].append(xf - rhs)
+        one_f[1].append(_MARGIN_RTOL * np.maximum(np.maximum(np.abs(xf), np.abs(rhs)), 1.0))
         rhs_g = c * (1.0 + t) ** (-k1)
-        for i in range(len(states)):
-            slack = _MARGIN_RTOL * max(gn[i], rhs_g, 1.0)
-            lin_g.append((gn[i] - rhs_g, slack, (t, _point(states[i]))))
+        lin_g[0].append(gn - rhs_g)
+        lin_g[1].append(_MARGIN_RTOL * np.maximum(np.maximum(gn, rhs_g), 1.0))
 
     rng = np.random.default_rng(seed)
     half_width = float(np.max(np.abs(states))) or 1.0
-    osl = []
+    osl, pairs = ([], []), []
     for t in times:
         xs = rng.uniform(-half_width, half_width, size=(pair_samples, problem.dimension))
         ys = rng.uniform(-half_width, half_width, size=(pair_samples, problem.dimension))
@@ -345,22 +350,25 @@ def audit_conditions(
         d = xs - ys
         lhs = np.einsum("ij,ij->i", d, fx - fy)
         rhs = problem.kbar * np.einsum("ij,ij->i", d, d) / (1.0 + t)
-        for i in range(pair_samples):
-            slack = _MARGIN_RTOL * max(abs(lhs[i]), abs(rhs[i]), 1.0)
-            osl.append((lhs[i] - rhs[i], slack, (t, _point(xs[i]), _point(ys[i]))))
+        osl[0].append(lhs - rhs)
+        osl[1].append(_MARGIN_RTOL * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0))
+        pairs.append((xs, ys))
 
-    def check(name, samples):
-        worst_m, worst_pt, ok, n = _worst(samples)
-        return ConditionCheck(
-            name=name, worst_margin=worst_m, worst_point=worst_pt, samples=n, passed=ok
-        )
+    def state_point(i):
+        k, j = divmod(i, len(states))
+        return (times[k], _point(states[j]))
+
+    def pair_point(i):
+        k, j = divmod(i, pair_samples)
+        xs, ys = pairs[k]
+        return (times[k], _point(xs[j]), _point(ys[j]))
 
     return ConditionAuditReport(
         problem_label=problem.label,
-        linear_growth_f=check("drift linear growth", lin_f),
-        one_sided_f=check("drift one-sided decay", one_f),
-        linear_growth_g=check("noise envelope", lin_g),
-        one_sided_lipschitz=check("one-sided Lipschitz", osl),
+        linear_growth_f=_check("drift linear growth", *lin_f, state_point),
+        one_sided_f=_check("drift one-sided decay", *one_f, state_point),
+        linear_growth_g=_check("noise envelope", *lin_g, state_point),
+        one_sided_lipschitz=_check("one-sided Lipschitz", *osl, pair_point),
     )
 
 

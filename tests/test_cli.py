@@ -66,6 +66,26 @@ class TestSimulate:
         assert code == 0
         assert (tmp_path / "linear_em_seed1.csv").exists()
 
+    def test_out_dir_under_a_regular_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the directory is checked before the simulation runs
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated although the output directory is unusable")
+
+        monkeypatch.setattr("polystab.ensemble.simulate_ensemble", no_simulation)
+        (tmp_path / "file").write_text("x")
+        code = run(self.SMALL_RUN + ["--out-dir", str(tmp_path / "file" / "sub")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("occupied", ["linear_em_seed1.csv", "linear_em_seed1_envelope.csv"])
+    def test_output_file_that_is_a_directory_is_usage_error(self, tmp_path, capsys, occupied):
+        (tmp_path / occupied).mkdir()
+        code = run(self.SMALL_RUN + ["--out-dir", str(tmp_path), "--envelope"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_threads_env_is_usage_error(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("POLYSTAB_THREADS", value)

@@ -458,6 +458,18 @@ class TestSimulateEnsemble:
         np.testing.assert_array_equal(series.std_error, 0.0)
         np.testing.assert_array_equal(series.surviving, 2)
 
+    def test_capped_mean_near_the_float_maximum(self):
+        # both paths blow up and sit at a cap of 1e308: the plain sum of their
+        # capped norms overflows, the scaled one does not
+        cfg = SimConfig(dt=0.1, num_steps=30, num_paths=2, seed=1, scheme="em",
+                        initial_value=(5.0,), blow_up_cap=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            series = simulate_ensemble(cubic_counterexample(), cfg)
+        assert series.blown_up[-1] == 2
+        assert series.capped_mean_abs[-1] == 1e308
+        assert np.all(np.isfinite(series.capped_mean_abs))
+
     def test_nan_state_blows_up(self):
         # the drift turns NaN, never inf, once |x| > 1.5: a NaN norm must blow
         # the path up even when no other path passes the cap in that step

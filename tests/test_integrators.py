@@ -379,6 +379,17 @@ class TestBatchedSolve:
         assert err.value.best_residual == 100.0
         assert err.value.state.shape == (2,)
 
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_drift_that_returns_one_constant(self, dimension):
+        # a drift of -1 everywhere, returned as one float: the root is b - dt
+        p = SdeProblem(
+            dimension=dimension, drift=lambda x, t: -1.0, diffusion=lambda x, t: np.ones_like(x),
+            k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=True, label="constant-drift",
+        )
+        b = np.linspace(-3.0, 3.0, 4 * dimension).reshape(-1, dimension)
+        x, ok = solve_implicit_batch(p, 1.0, b, 0.1)
+        assert ok.all() and np.max(np.abs(x - (b - 0.1))) <= 1e-12
+
     def test_scalar_lanes_match_solve_implicit(self):
         p = bem_example()
         b = np.linspace(-30.0, 30.0, 41)
@@ -386,6 +397,101 @@ class TestBatchedSolve:
         assert np.all(ok) and x.shape == (41, 1)
         for i, bi in enumerate(b):
             assert x[i, 0] == solve_implicit(p, 0.6, bi, 0.3)
+
+
+class TestVectorSolveEdges:
+    """The n-d solver against reference_vector_newton on edge lanes, byte for byte."""
+
+    DT = 0.5
+
+    @staticmethod
+    def problem(seen_inf=None):
+        # the wells of TestBatchedSolve behind a wall: the drift is inf where
+        # 9 < |x_j| < 50, so a first Newton step over it has a non-finite residual
+        wells = TestBatchedSolve.problem().drift
+
+        def drift(x, t):
+            x = np.asarray(x, dtype=float)
+            out = np.where((np.abs(x) > 9.0) & (np.abs(x) < 50.0), np.inf, wells(x, t))
+            if seen_inf is not None and np.isinf(out).any():
+                seen_inf.append(True)
+            return out
+
+        return SdeProblem(
+            dimension=2, drift=drift, diffusion=lambda x, t: np.zeros_like(x),
+            k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=False, label="walled-wells2d",
+        )
+
+    # converged at b (one with signed zeros), signed zeros that need iterations,
+    # lanes whose first step crosses the wall, and the singular lane
+    LANES = np.array([
+        [0.0, 0.0], [-0.0, -0.0], [-0.0, 3.0], [2.5, -0.0], [3.0, -2.0],
+        [-4.0, 0.1], [-1.72152537, -0.1116317], [0.24520898, -3.42717792], [100.0, 100.0],
+    ])
+
+    @pytest.mark.parametrize("cfg", [
+        ImplicitSolverConfig(),
+        ImplicitSolverConfig(max_iterations=1),
+        ImplicitSolverConfig(max_iterations=3),
+    ], ids=["newton", "one-iteration", "three-iterations"])
+    def test_matches_plain_loop_bytes(self, cfg):
+        p, b = self.problem(), self.LANES
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
+        for i in range(len(b)):
+            ref_x, ref_ok, _ = reference_vector_newton(p.drift, 1.0, b[i], self.DT, cfg)
+            assert x[i].tobytes() == ref_x.tobytes() and ok[i] == ref_ok, i
+        assert ok[0] and ok[1] and x[:2].tobytes() == b[:2].tobytes()  # converged at b
+        assert not ok[-1]
+        if cfg.max_iterations == 100:
+            assert np.sum(ok) == len(b) - 1
+        else:
+            assert np.sum(ok) < len(b) - 1  # lanes out of budget return their best iterate
+
+    def test_lane_backtracks_from_a_nonfinite_residual(self):
+        seen_inf = []
+        p, b = self.problem(seen_inf), self.LANES[4:5]
+        ref_x, ref_ok, backtracks = reference_vector_newton(
+            p.drift, 1.0, b[0], self.DT, ImplicitSolverConfig())
+        assert seen_inf and ref_ok and backtracks > 0
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT)
+        assert x[0].tobytes() == ref_x.tobytes() and ok[0]
+
+    def test_drift_that_sees_the_sign_of_zero(self):
+        # each point carries the sign of zero it has when formed on its own:
+        # x itself at the residual point, x + 0.0 and x - 0.0 off column j
+        wells = TestBatchedSolve.problem().drift
+        p = SdeProblem(
+            dimension=2, drift=lambda x, t: wells(x, t) + np.signbit(x),
+            diffusion=lambda x, t: np.zeros_like(x),
+            k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=False, label="signbit-wells2d",
+        )
+        b = np.array([[-0.0, 3.0], [2.5, -0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]])
+        for cfg in (ImplicitSolverConfig(), ImplicitSolverConfig(max_iterations=2)):
+            x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
+            for i in range(len(b)):
+                ref_x, ref_ok, _ = reference_vector_newton(p.drift, 1.0, b[i], self.DT, cfg)
+                assert x[i].tobytes() == ref_x.tobytes() and ok[i] == ref_ok, (cfg, i)
+
+    def test_one_newton_step_takes_two_drift_calls(self):
+        # a linear drift at a small step converges in one Newton step: the
+        # first call covers b and its difference points, the second the trial
+        rows = []
+
+        def drift(x, t):
+            rows.append(len(x))
+            skew = np.stack([-x[..., 1], x[..., 0]], axis=-1)
+            return (-x + 0.5 * skew) / (1.0 + t)
+
+        p = SdeProblem(
+            dimension=2, drift=drift, diffusion=lambda x, t: np.zeros_like(x),
+            k1=1.0, c=1.0, kbar=-1.0, satisfies_linear_growth=True, label="lin2d",
+        )
+        b = np.random.default_rng(4).uniform(-1.0, 1.0, size=(64, 2))
+        x, ok = solve_implicit_batch(p, 1.0, b, 1e-4)
+        assert ok.all() and rows == [5 * 64, 5 * 64]
+        for i in range(len(b)):
+            ref_x, _, _ = reference_vector_newton(p.drift, 1.0, b[i], 1e-4, ImplicitSolverConfig())
+            assert x[i].tobytes() == ref_x.tobytes(), i
 
 
 def reference_scalar_newton(drift, t, b, dt, cfg):
@@ -404,7 +510,7 @@ def reference_scalar_newton(drift, t, b, dt, cfg):
         return xv - dt * np.asarray(drift(xv, t), dtype=float) - b
 
     r = residual(x)
-    active = np.abs(r) > cfg.residual_tolerance
+    active = ~(np.abs(r) <= cfg.residual_tolerance)  # a NaN residual is not converged
     for _ in range(cfg.max_iterations):
         if not np.any(active):
             break
@@ -428,7 +534,7 @@ def reference_scalar_newton(drift, t, b, dt, cfg):
             worse = worse & ~(np.abs(ra) <= np.abs(r))
         x = np.where(active, xa, x)
         r = np.where(active, ra, r)
-        active = np.abs(r) > cfg.residual_tolerance
+        active = ~(np.abs(r) <= cfg.residual_tolerance)
 
     if np.any(active):
         flat_active = np.argwhere(active)
@@ -444,7 +550,7 @@ def reference_scalar_newton(drift, t, b, dt, cfg):
         else:
             x, _ = _damped_iteration(drift, t, b, dt, cfg, x0=x, mask=active, out=x)
         r = residual(x)
-        active = np.abs(r) > cfg.residual_tolerance
+        active = ~(np.abs(r) <= cfg.residual_tolerance)
     return x, ~active, iterations, backtracked
 
 
@@ -494,6 +600,27 @@ class TestScalarSolveReference:
             assert rescued.sum() >= 3
         else:
             assert (iterations >= 3).sum() >= 3 and ref_ok.sum() == len(b) - 1
+
+    @pytest.mark.parametrize("cfg", [
+        ImplicitSolverConfig(),
+        ImplicitSolverConfig(fallback="damped-iteration"),
+    ], ids=["bisection", "damped-iteration"])
+    def test_nan_residual_is_not_converged(self, cfg):
+        # the drift is NaN above x = 10: a lane starting there must fail, not
+        # come back as its own b with ok True
+        well = self.problem().drift
+        p = SdeProblem(
+            dimension=1, drift=lambda x, t: np.where(np.asarray(x) > 10.0, np.nan, well(x, t)),
+            diffusion=lambda x, t: np.zeros_like(x),
+            k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=False, label="nan-well1d",
+        )
+        b = np.array([[2.0], [20.0], [-3.0], [12.0], [9.0]])
+        ref_x, ref_ok, _, _ = reference_scalar_newton(p.drift, 1.0, b, self.DT, cfg)
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
+        assert np.array_equal(x, ref_x, equal_nan=True) and np.array_equal(ok, ref_ok[:, 0])
+        assert ok.tolist() == [True, False, True, False, True]
+        with pytest.raises(ImplicitSolveError):
+            solve_implicit(p, 1.0, 20.0, self.DT, cfg)
 
     def test_bem_example_matches_reference(self):
         # the ensemble's problem at its step size, over the range its lanes cover

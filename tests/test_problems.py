@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from polystab.problems import (
+    DEFAULT_AUDIT_TIMES,
     DEFAULT_INITIAL_VALUES,
+    ConditionAuditReport,
+    ConditionCheck,
     SdeProblem,
     audit_conditions,
     bem_example,
@@ -160,6 +163,133 @@ class TestAudit:
         report = audit_conditions(linear_example())
         assert "not a proof" in report.note
         assert "not a proof" in report.summary()
+
+
+def reference_audit(problem, states=None, times=None, pair_samples=1000, seed=0):
+    """audit_conditions as first written: one (margin, slack, point) tuple per
+    sample, scanned in Python; the first strictly greater margin is the worst.
+
+    Inputs are taken as valid and the drift and diffusion as finite.
+    """
+    def point(vec):
+        return tuple(float(v) for v in np.atleast_1d(vec))
+
+    def worst(samples):
+        worst_m, worst_pt, ok, n = -np.inf, None, True, 0
+        for margin, slack, pt in samples:
+            n += 1
+            if margin > slack:
+                ok = False
+            if margin > worst_m:
+                worst_m, worst_pt = margin, pt
+        return worst_m, worst_pt, ok, n
+
+    rtol = 1e-12
+    if states is None:
+        states = default_state_grid(problem.dimension)
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    times = DEFAULT_AUDIT_TIMES if times is None else tuple(float(t) for t in times)
+    k1, c = problem.k1, problem.c
+    lin_f, one_f, lin_g = [], [], []
+    for t in times:
+        f = np.broadcast_to(np.asarray(problem.drift(states, t), dtype=float), states.shape)
+        g = np.broadcast_to(np.asarray(problem.diffusion(states, t), dtype=float), states.shape)
+        xn = np.linalg.norm(states, axis=1)
+        fn = np.linalg.norm(f, axis=1)
+        gn = np.linalg.norm(g, axis=1)
+        xf = np.einsum("ij,ij->i", states, f)
+        rhs = k1 * xn / (1.0 + t)
+        for i in range(len(states)):
+            slack = rtol * max(fn[i], rhs[i], 1.0)
+            lin_f.append((fn[i] - rhs[i], slack, (t, point(states[i]))))
+        rhs = -k1 * xn**2 / (1.0 + t)
+        for i in range(len(states)):
+            slack = rtol * max(abs(xf[i]), abs(rhs[i]), 1.0)
+            one_f.append((xf[i] - rhs[i], slack, (t, point(states[i]))))
+        rhs_g = c * (1.0 + t) ** (-k1)
+        for i in range(len(states)):
+            slack = rtol * max(gn[i], rhs_g, 1.0)
+            lin_g.append((gn[i] - rhs_g, slack, (t, point(states[i]))))
+    rng = np.random.default_rng(seed)
+    half_width = float(np.max(np.abs(states))) or 1.0
+    osl = []
+    for t in times:
+        xs = rng.uniform(-half_width, half_width, size=(pair_samples, problem.dimension))
+        ys = rng.uniform(-half_width, half_width, size=(pair_samples, problem.dimension))
+        fx = np.asarray(problem.drift(xs, t), dtype=float)
+        fy = np.asarray(problem.drift(ys, t), dtype=float)
+        d = xs - ys
+        lhs = np.einsum("ij,ij->i", d, fx - fy)
+        rhs = problem.kbar * np.einsum("ij,ij->i", d, d) / (1.0 + t)
+        for i in range(pair_samples):
+            slack = rtol * max(abs(lhs[i]), abs(rhs[i]), 1.0)
+            osl.append((lhs[i] - rhs[i], slack, (t, point(xs[i]), point(ys[i]))))
+
+    def check(name, samples):
+        worst_m, worst_pt, ok, n = worst(samples)
+        return ConditionCheck(name=name, worst_margin=worst_m, worst_point=worst_pt,
+                              samples=n, passed=ok)
+
+    return ConditionAuditReport(
+        problem_label=problem.label,
+        linear_growth_f=check("drift linear growth", lin_f),
+        one_sided_f=check("drift one-sided decay", one_f),
+        linear_growth_g=check("noise envelope", lin_g),
+        one_sided_lipschitz=check("one-sided Lipschitz", osl),
+    )
+
+
+def rotation_2d():
+    # minus a convex gradient plus a skew part, with a noise envelope that
+    # fails at t = 0 (|g| = 2 > C = 1)
+    def drift(x, t):
+        x = np.asarray(x, dtype=float)
+        skew = np.stack([-x[..., 1], x[..., 0]], axis=-1)
+        return (-(1.0 + np.sum(x * x, axis=-1, keepdims=True)) * x + 0.5 * skew) / (1.0 + t)
+
+    return SdeProblem(
+        dimension=2, drift=drift, diffusion=lambda x, t: np.full(np.shape(x), 2.0 ** 0.5),
+        k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=False, label="rot2d",
+    )
+
+
+class TestAuditReference:
+    """audit_conditions against the per-sample loop, every field and its type."""
+
+    @pytest.mark.parametrize("problem", [
+        linear_example(), cubic_counterexample(), bem_example(), rotation_2d(),
+    ], ids=lambda p: p.label)
+    def test_matches_reference(self, problem):
+        report = audit_conditions(problem)
+        assert repr(report) == repr(reference_audit(problem))
+        assert report == reference_audit(problem)
+
+    def test_failed_checks_match(self):
+        report = audit_conditions(rotation_2d(), times=(0.0, 3.0), pair_samples=50, seed=4)
+        assert not report.linear_growth_f.passed and not report.linear_growth_g.passed
+        assert repr(report) == repr(
+            reference_audit(rotation_2d(), times=(0.0, 3.0), pair_samples=50, seed=4))
+
+    def test_tie_takes_the_first_sample(self):
+        # the linear drift's one-sided margin is 0 at every state: the worst
+        # point is the first state at the first time
+        states = np.array([[3.0], [-2.0], [0.5]])
+        report = audit_conditions(linear_example(), states=states, times=(1.0, 2.0))
+        assert report.one_sided_f.worst_margin == 0.0
+        assert report.one_sided_f.worst_point == (1.0, (3.0,))
+        assert repr(report) == repr(
+            reference_audit(linear_example(), states=states, times=(1.0, 2.0)))
+
+    def test_nan_margins_are_never_worst(self):
+        # at |x| = 1e200 the norms overflow and the linear-growth margin is
+        # inf - inf = NaN; with only such states nothing is worst
+        for states in ([[1e200], [2.0], [-1e200]], [[1e200], [-1e200]]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = audit_conditions(linear_example(), states=states, times=(0.0, 1.0))
+                reference = reference_audit(linear_example(), states=states, times=(0.0, 1.0))
+            assert repr(report) == repr(reference)
+        assert report.linear_growth_f.worst_margin == -np.inf
+        assert report.linear_growth_f.worst_point is None
 
 
 def test_default_state_grid_shapes():
