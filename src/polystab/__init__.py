@@ -28,7 +28,6 @@ from .ensemble import (
 )
 from .gamma import (
     GammaProductParams,
-    log_gamma,
     log_gamma_ratio,
     product_direct,
     product_via_gamma,
@@ -82,7 +81,6 @@ __all__ = [
     "geometric_checkpoints",
     "simulate_ensemble",
     "GammaProductParams",
-    "log_gamma",
     "log_gamma_ratio",
     "product_direct",
     "product_via_gamma",

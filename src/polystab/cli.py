@@ -144,6 +144,10 @@ def _cmd_simulate(args) -> int:
             | ({"c": spec.c} if spec.c is not None else {})
         )
         x0 = default_x0 if spec.x0 is None else np.atleast_1d(np.asarray(spec.x0, dtype=float))
+        if x0.shape != (problem.dimension,):
+            raise ValueError(
+                f"x0 has shape {x0.shape}, problem '{spec.problem}' needs ({problem.dimension},)"
+            )
         checkpoints = None
         if spec.checkpoints is not None:
             if isinstance(spec.checkpoints, int):
@@ -155,7 +159,7 @@ def _cmd_simulate(args) -> int:
             scheme=spec.scheme, initial_value=tuple(float(v) for v in x0),
             checkpoints=checkpoints, blow_up_cap=spec.blow_up_cap,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # a spec value of the wrong type or shape
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -8,7 +8,7 @@ count, or how paths are chunked, and the checkpoint reduction is a fixed-order
 pairwise sum over path-id-ordered arrays — two runs of the same SimConfig are
 byte-identical at any worker count.
 
-Paths run in fixed chunks of 1024. A chunk draws its normals in step blocks of
+Paths run in fixed chunks of 4096. A chunk draws its normals in step blocks of
 at most 2**20 values into one step-major buffer (one contiguous row of path
 normals per step), from one Philox that is re-keyed for each path of the
 chunk. The raw words of a group of paths are gathered into a fixed-size
@@ -16,8 +16,14 @@ scratch and mapped to normals by one transform per group. Each step then
 makes one call of the scheme's batched kernel, em_step_batch or
 bem_step_batch: on the whole chunk while no path of it is frozen, and for BEM
 on the live paths after that. Chunk, step-block and scratch sizes are module
-constants and never
-depend on the worker count; workers only decide which thread runs a chunk.
+constants and never depend on the worker count; workers only decide which
+thread runs a chunk.
+
+A run keeps one float array, the squared norm of every path at every
+checkpoint; each chunk writes its own columns of it. Per path a chunk also
+returns the first checkpoint at which the path is frozen and whether its
+implicit solve failed. The reduction derives each checkpoint's survivor mask
+and capped norms from these, so no mask or capped array is stored.
 
 Paths whose state norm exceeds blow_up_cap are frozen and counted as blown up
 from that checkpoint on; capped means plus blow-up fractions are how divergence
@@ -63,7 +69,7 @@ SCHEMES = ("em", "bem")
 CSV_HEADER = "k,t,mean_square,std_error,surviving,blown_up"
 
 _MASK64 = (1 << 64) - 1
-_CHUNK_PATHS = 1024  # fixed: chunking must not depend on worker count
+_CHUNK_PATHS = 4096  # fixed: chunking must not depend on worker count
 _BLOCK_NORMALS = 2**20  # normals per step block of a chunk: steps = this // paths
 _SCRATCH_WORDS = 2**14  # raw words per grouped normal transform: rows = this // steps
 
@@ -352,84 +358,78 @@ def _resolve_workers(workers) -> int:
 
 
 @np.errstate(all="ignore")  # overflow and NaN in a step are what the norm check is for
-def _simulate_chunk(problem, config, path_lo, path_hi):
-    """Evolve paths [path_lo, path_hi); return per-path checkpoint stats.
+def _simulate_chunk(problem, config, path_lo, path_hi, out=None):
+    """Evolve paths [path_lo, path_hi); return their squared checkpoint norms.
 
-    Returns (sq, frozen, failed_last, capped): squared norms, frozen masks
-    (blown up or solver-failed) and capped norms of shape (n_checkpoints,
-    chunk), plus the solver-failed flags at the last checkpoint. Everything
-    in here is elementwise per path, so results do not depend on chunk
-    boundaries.
+    Returns (sq, gone_from, failed). sq, of shape (n_checkpoints, chunk),
+    holds each path's squared norm at each checkpoint; it is out when given,
+    such as the chunk's column slice of the caller's array. gone_from is the
+    first checkpoint index at which a path is frozen (blown up or
+    solver-failed), n_checkpoints if never, so it is frozen at checkpoint i
+    exactly when gone_from <= i; failed flags the paths whose implicit solve
+    failed. Everything in here is elementwise per path, so results do not
+    depend on chunk boundaries.
     """
     dt = config.dt
-    cap = config.blow_up_cap
     try:
-        limit = cap**2
+        limit = config.blow_up_cap**2
     except OverflowError:
         # every finite norm2 is below the cap; a non-finite one blows the path up
         limit = sys.float_info.max
     ckpts = config.checkpoints
+    n_ck = len(ckpts)
     m = path_hi - path_lo
+    sq = np.empty((n_ck, m)) if out is None else out
     x0 = np.asarray(config.initial_value, dtype=float)
     x = np.tile(x0, (m, 1))
-    blown = np.zeros(m, dtype=bool)
+    gone_from = np.full(m, n_ck)
     failed = np.zeros(m, dtype=bool)
     any_frozen = False
 
-    n_ck = len(ckpts)
-    sq = np.empty((n_ck, m))
-    frozen_out = np.zeros((n_ck, m), dtype=bool)
-    failed_last = None
-    capped = np.empty((n_ck, m))
-
-    def record(at, norm2):
-        nonlocal failed_last
-        sq[at] = norm2
-        frozen_out[at] = blown | failed
-        if at == n_ck - 1:
-            failed_last = failed.copy()
-        capped[at] = np.minimum(np.sqrt(norm2), cap)
-
     pos = 0
     if ckpts[0] == 0:
-        record(0, np.einsum("ij,ij->i", x, x))
+        sq[0] = np.einsum("ij,ij->i", x, x)
         pos = 1
 
+    # nothing after the last checkpoint is recorded, so every freeze happens
+    # while pos < n_ck and frozen == (gone_from < n_ck)
+    num_steps = ckpts[-1]
     sqrt_dt = math.sqrt(dt)
     step_block = _BLOCK_NORMALS // m
     # step-major, so each step reads one contiguous row; filled through its transpose
-    buffer = np.empty((min(step_block, config.num_steps), m))
-    for b0 in range(0, config.num_steps, step_block):
-        b1 = min(b0 + step_block, config.num_steps)
-        if pos >= n_ck:
-            break  # all checkpoints recorded
+    buffer = np.empty((min(step_block, num_steps), m))
+    for b0 in range(0, num_steps, step_block):
+        b1 = min(b0 + step_block, num_steps)
         normals = buffer[: b1 - b0]
         _fill_standard_normals(normals.T, config.seed, path_lo, b0)
         for k, z in enumerate(normals, b0):
             db = z[:, None] * sqrt_dt
             if config.scheme == "em":
                 new = em_step_batch(problem, x, k * dt, dt, db)
-                x = np.where((blown | failed)[:, None], x, new) if any_frozen else new
+                x = np.where((gone_from < n_ck)[:, None], x, new) if any_frozen else new
             elif not any_frozen:
                 x, ok = bem_step_batch(problem, x, k, dt, db)
                 if not ok.all():
-                    failed |= ~ok  # such a path kept its state
+                    failed = ~ok  # such a path kept its state
+                    gone_from[failed] = pos
                     any_frozen = True
             else:
-                live = np.flatnonzero(~(blown | failed))
+                live = np.flatnonzero(gone_from == n_ck)
                 if live.size:
                     x[live], ok = bem_step_batch(problem, x[live], k, dt, db[live])
-                    failed[live[~ok]] = True
+                    lost = live[~ok]
+                    failed[lost] = True
+                    gone_from[lost] = pos
             norm2 = np.einsum("ij,ij->i", x, x)
             # one comparison while nothing is over (a NaN max fails it too); a
             # frozen path is blown already or kept a state that passed
             if not norm2.max() <= limit:
-                blown |= ~(norm2 <= limit)
+                np.minimum(gone_from, pos, out=gone_from, where=~(norm2 <= limit))
                 any_frozen = True
-            while pos < n_ck and ckpts[pos] == k + 1:
-                record(pos, norm2)
+            if ckpts[pos] == k + 1:
+                sq[pos] = norm2
                 pos += 1
-    return sq, frozen_out, failed_last, capped
+    return sq, gone_from, failed
 
 
 def simulate_ensemble(
@@ -460,27 +460,20 @@ def simulate_ensemble(
     bounds = [(lo, min(lo + _CHUNK_PATHS, n_paths)) for lo in range(0, n_paths, _CHUNK_PATHS)]
     n_ck = len(config.checkpoints)
     sq = np.empty((n_ck, n_paths))
-    gone = np.empty((n_ck, n_paths), dtype=bool)  # frozen, reported via blown_up
+    gone_from = np.empty(n_paths, dtype=int)  # frozen at checkpoint i iff gone_from <= i
     failed = np.empty(n_paths, dtype=bool)
-    capped = np.empty((n_ck, n_paths))
 
     def run(bound):
         lo, hi = bound
-        return lo, hi, _simulate_chunk(problem, config, lo, hi)
+        _, gone_from[lo:hi], failed[lo:hi] = _simulate_chunk(
+            problem, config, lo, hi, out=sq[:, lo:hi])
 
     if workers == 1 or len(bounds) == 1:
-        results = map(run, bounds)
+        for bound in bounds:
+            run(bound)
     else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            results = list(pool.map(run, bounds))
-        finally:
-            pool.shutdown(wait=True)
-    for lo, hi, (c_sq, c_gone, c_failed, c_capped) in results:
-        sq[:, lo:hi] = c_sq
-        gone[:, lo:hi] = c_gone
-        failed[lo:hi] = c_failed
-        capped[:, lo:hi] = c_capped
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, bounds))  # reading each result raises its error
 
     n_failed = int(np.sum(failed))
     if n_failed > 0:
@@ -498,27 +491,29 @@ def simulate_ensemble(
 
     mean_sq = np.empty(n_ck)
     std_err = np.empty(n_ck)
-    surviving = np.empty(n_ck, dtype=int)
-    blown_up = np.empty(n_ck, dtype=int)
     capped_mean = np.empty(n_ck)
+    blown_up = np.cumsum(np.bincount(gone_from, minlength=n_ck + 1)[:n_ck])
+    surviving = n_paths - blown_up
+    cap = config.blow_up_cap
     # a sum may overflow near the float maximum; each is then taken again scaled
     with np.errstate(over="ignore"):
         for i in range(n_ck):
-            mask = gone[i]
-            n_surv = n_paths - int(np.count_nonzero(mask))
-            surviving[i] = n_surv
-            blown_up[i] = n_paths - n_surv
-            capped_mean[i] = float(np.sum(capped[i])) / n_paths
+            row = sq[i]
+            capped = np.sqrt(row)
+            np.minimum(capped, cap, out=capped)
+            capped_mean[i] = float(np.sum(capped)) / n_paths
             if not math.isfinite(capped_mean[i]):
                 # blown-up paths at a cap near the float maximum
-                scale = float(np.max(capped[i]))
-                capped_mean[i] = scale * (float(np.sum(capped[i] / scale)) / n_paths)
+                scale = float(np.max(capped))
+                capped_mean[i] = scale * (float(np.sum(capped / scale)) / n_paths)
+            n_surv = int(surviving[i])
             if n_surv == 0:
                 mean_sq[i] = np.nan
                 std_err[i] = np.nan
                 continue
             # with no path gone, the masked arrays equal the plain ones: same sums
-            vals = np.where(mask, 0.0, sq[i]) if n_surv < n_paths else sq[i]
+            mask = gone_from <= i if n_surv < n_paths else None
+            vals = row if mask is None else np.where(mask, 0.0, row)
             mean = float(np.sum(vals)) / n_surv
             if not math.isfinite(mean):
                 # survivors' norm2 near the float maximum
@@ -528,8 +523,8 @@ def simulate_ensemble(
             if n_surv == 1:
                 std_err[i] = 0.0
             else:
-                dev = sq[i] - mean
-                if n_surv < n_paths:
+                dev = row - mean
+                if mask is not None:
                     dev = np.where(mask, 0.0, dev)
                 ss = float(np.sum(dev * dev))
                 scale = 1.0

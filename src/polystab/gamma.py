@@ -17,11 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "GammaProductParams",
-    "log_gamma",
     "log_gamma_ratio",
     "product_direct",
     "product_via_gamma",
@@ -88,17 +86,6 @@ def _validated_positive(x, name):
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise ValueError(f"{name} must be positive and finite, got {x!r}")
     return arr
-
-
-def log_gamma(x):
-    """ln Gamma(x) for x > 0 (elementwise on arrays).
-
-    Backed by a standard minimax evaluation accurate to a few ulps on the
-    whole positive axis; arguments <= 0 or non-finite raise ValueError.
-    """
-    arr = _validated_positive(x, "x")
-    out = gammaln(arr)
-    return float(out) if np.ndim(x) == 0 else out
 
 
 # Stirling series coefficients B_{2n} / (2n(2n-1)) for the tail

@@ -241,8 +241,11 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     on concatenate((x+h, x-h)). Only unconverged lanes are carried and only
     lanes that got worse are re-evaluated, so each lane's iterates depend on
     its own values alone. A lane converges once |r| <= tolerance, so a NaN
-    residual never does. Lanes left after cfg.max_iterations go to the
-    configured fallback. Returns (x, ok) with ok of shape (m,).
+    residual never does. Such a lane's next iterate is x - NaN, and so is
+    every later one, so it leaves the Newton loop at once with x - r, the
+    NaN the rest of its budget would end on. Lanes with a NaN residual and
+    lanes left after cfg.max_iterations go to the configured fallback.
+    Returns (x, ok) with ok of shape (m,).
     """
     tol = cfg.residual_tolerance
     m = b.shape[0]
@@ -251,17 +254,34 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     f = _drift_on_rows(drift, np.concatenate((x, x + h, x - h)), t)
     ri = x - dt * f[:m] - b
     fp, fm = f[m : 2 * m], f[2 * m :]
-    # the working set; a slice over every lane until the first lane
-    # converges, so nothing is gathered while all lanes are active
+    # the working set; a slice over every lane until the first lane leaves
+    # it, so nothing is gathered while all lanes are active
     lanes, xi, bi = slice(None), x, b
     ai = np.abs(ri[:, 0])
-    done = ai <= tol  # a NaN residual is not converged
-    if done.any():
-        if done.all():
-            return x, np.ones(m, dtype=bool)
-        lanes = np.flatnonzero(~done)
-        xi, ri, ai, bi, h, fp, fm = (a[lanes] for a in (x, ri, ai, b, h, fp, fm))
-    for it in range(cfg.max_iterations):
+    unsolved = []  # index arrays of the lanes for the fallback
+    maybe_nan = True  # r is NaN only at b or where every halving failed
+    for it in range(cfg.max_iterations + 1):
+        left = ai > tol  # False once converged, and for a NaN residual
+        if not left.all():
+            # converged and NaN lanes leave the working set; their iterates
+            # are written back
+            if maybe_nan:
+                nan = np.isnan(ai)
+                if nan.any():
+                    if it < cfg.max_iterations:
+                        xi = np.where(nan[:, None], xi - ri, xi)
+                    unsolved.append(np.arange(m)[lanes][nan])
+            x[lanes] = xi
+            lanes = np.arange(m)[lanes][left]
+            if not lanes.size:
+                break
+            xi, ri, ai, bi = xi[left], ri[left], ai[left], bi[left]
+            if not it:
+                h, fp, fm = h[left], fp[left], fm[left]
+        if it == cfg.max_iterations:
+            x[lanes] = xi
+            unsolved.append(np.arange(m)[lanes])
+            break
         if it:
             w = xi.shape[0]
             h = np.maximum(1e-7, 1e-7 * np.abs(xi))
@@ -274,6 +294,7 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
         ra = xa - dt * np.asarray(drift(xa, t), dtype=float) - bi
         aa = np.abs(ra[:, 0])
         worse = ~(aa <= ai)  # catches NaN too
+        maybe_nan = False
         for _ in range(8):
             if not worse.any():
                 break
@@ -284,29 +305,23 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
             ra[sel] = xs - dt * np.asarray(drift(xs, t), dtype=float) - bi[sel]
             aa[sel] = np.abs(ra[sel, 0])
             worse[sel] = ~(aa[sel] <= ai[sel])
+        else:
+            maybe_nan = True  # lanes may be left worse, as a NaN one always is
         xi, ri, ai = xa, ra, aa
-        done = ai <= tol
-        if not done.any():
-            continue
-        # converged lanes leave the working set; their iterates are written back
-        x[lanes] = xi
-        if done.all():
-            return x, np.ones(m, dtype=bool)
-        keep = ~done
-        lanes = np.arange(m)[lanes][keep]
-        xi, ri, ai, bi = xi[keep], ri[keep], ai[keep], bi[keep]
 
-    x[lanes] = xi
-    active = np.zeros(b.shape, dtype=bool)
-    active[lanes] = True
+    if not unsolved:
+        return x, np.ones(m, dtype=bool)
+    unsolved = np.sort(np.concatenate(unsolved))
     if cfg.fallback == "bisection":
-        for i in np.flatnonzero(active):
+        for i in unsolved:
             try:
                 x[i, 0] = bisect_root_scalar(drift, t, float(b[i, 0]), dt, tolerance=tol)
             except ImplicitSolveError:
                 pass
     else:
-        x, _ = _damped_iteration(drift, t, b, dt, cfg, x0=x, mask=active, out=x)
+        mask = np.zeros(b.shape, dtype=bool)
+        mask[unsolved] = True
+        x, _ = _damped_iteration(drift, t, b, dt, cfg, x0=x, mask=mask, out=x)
     r = x - dt * np.asarray(drift(x, t), dtype=float) - b
     return x, np.abs(r[:, 0]) <= tol
 
@@ -384,7 +399,9 @@ def _solve_vector_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     residual itself where the Jacobian is singular; up to 30 trials, halving
     the step after each, until the residual is finite and its max-norm does
     not grow (if none qualifies, the last trial is taken). A lane stops once
-    max|r| <= tolerance, the last iteration included.
+    max|r| <= tolerance, the last iteration included, and fails at once
+    when its residual is NaN: every later trial then has a NaN component,
+    so its best iterate can no longer change.
 
     Each iteration makes one drift call, on (2n+1) rows per lane: the trial
     point and its 2n difference points, so the next Jacobian is ready when
@@ -403,14 +420,15 @@ def _solve_vector_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     R, h = _stacked_residuals(drift, t, b, b, dt, signs)
     rn = _max_abs(R[0])
     ok = rn <= tol
-    # the working set: active lanes only, compacted whenever some converge.
+    # the working set: active lanes only, compacted whenever some leave.
     # Nothing is gathered while every lane is active: xi, bi and best_x are
     # never written in place, so they may start as x and b themselves.
     lanes, xi, bi = np.arange(len(b)), x, b
-    if ok.any():
-        if ok.all():
+    left = rn > tol  # False for a NaN residual too: such a lane keeps b
+    if not left.all():
+        if not left.any():
             return x, ok
-        lanes = np.flatnonzero(~ok)
+        lanes = np.flatnonzero(left)
         xi, bi, rn, R, h = x[lanes], b[lanes], rn[lanes], R[:, lanes], h[lanes]
     best_x, best_r = xi, rn
     for _ in range(cfg.max_iterations):
@@ -430,6 +448,7 @@ def _solve_vector_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
         ra = R[0]
         an = _max_abs(ra)
         worse = ~(np.isfinite(an) & (an <= rn))
+        hopeless = None
         if worse.any():
             moved = np.flatnonzero(worse)
             for _ in range(29):
@@ -442,6 +461,10 @@ def _solve_vector_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
                 worse[sel] = ~(np.isfinite(an[sel]) & (an[sel] <= rn[sel]))
                 if not worse.any():
                     break
+            else:
+                # a NaN residual stays NaN: every later trial has a NaN
+                # component, so the best iterate of such a lane is final
+                hopeless = np.isnan(an)
             # difference points at the trials taken; their residuals are kept
             Rm, h[moved] = _stacked_residuals(drift, t, xa[moved], bi[moved], dt, signs)
             R[1:, moved] = Rm[1:]
@@ -452,12 +475,15 @@ def _solve_vector_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
         elif better.any():
             best_x, best_r = np.where(better[:, None], xi, best_x), np.where(better, rn, best_r)
         done = rn <= tol
-        if done.any():
+        leave = done if hopeless is None else done | hopeless
+        if leave.any():
             x[lanes[done]] = xi[done]
             ok[lanes[done]] = True
-            if done.all():
+            if hopeless is not None:
+                x[lanes[hopeless]] = best_x[hopeless]
+            if leave.all():
                 return x, ok
-            keep = ~done
+            keep = ~leave
             lanes, xi, bi, rn, R, h = lanes[keep], xi[keep], bi[keep], rn[keep], R[:, keep], h[keep]
             best_x, best_r = best_x[keep], best_r[keep]
     x[lanes] = best_x

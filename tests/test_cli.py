@@ -147,6 +147,22 @@ class TestSimulate:
         assert run(["simulate", "--spec", str(spec_path)]) == 1
         assert "unknown spec keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x0,message", [
+        ([1.0, 2.0], "error: x0 has shape (2,), problem 'linear' needs (1,)"),
+        ([[1.0]], "error: x0 has shape (1, 1), problem 'linear' needs (1,)"),
+        ({"a": 1.0}, "error: "),
+    ], ids=["two-values", "nested", "object"])
+    def test_spec_x0_of_wrong_shape_is_usage_error(self, tmp_path, capsys, x0, message):
+        spec = {
+            "problem": "linear", "scheme": "em", "dt": 0.1, "steps": 10,
+            "paths": 4, "seed": 3, "x0": x0, "out_dir": str(tmp_path),
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert run(["simulate", "--spec", str(spec_path)]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_counterexample_blow_up_fraction_reported(self, tmp_path, capsys):
         code = run([
             "simulate", "--problem", "counterexample", "--scheme", "em", "--dt", "0.1",

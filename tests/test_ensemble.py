@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -236,8 +237,11 @@ class TestChunkBoundaries:
         return simulate_ensemble(linear_example(), self.CONFIG, workers=workers).to_csv_text()
 
     def test_config_crosses_chunks_and_step_blocks(self):
-        assert self.CONFIG.num_paths > 2 * ensemble._CHUNK_PATHS
-        assert self.CONFIG.num_steps > ensemble._BLOCK_NORMALS // ensemble._CHUNK_PATHS
+        # the configs pinned at the real chunk and step-block sizes
+        for cfg in (TestChunkBlowUpBytes.CONFIG, TestChunkBlowUpBytes.BEM_CONFIG):
+            assert cfg.num_paths > ensemble._CHUNK_PATHS
+            assert cfg.num_steps > ensemble._BLOCK_NORMALS // ensemble._CHUNK_PATHS
+        assert TestChunkBlowUpBytes.CONFIG.num_paths > 2 * ensemble._CHUNK_PATHS
 
     def test_csv_bytes_at_one_and_three_workers(self):
         text = self.csv_text(1)
@@ -363,6 +367,77 @@ class TestBemScalarBytes:
         assert hashlib.sha256(capped.tobytes()).hexdigest() == self.CAPPED_SHA256
 
 
+def escape_problem():
+    """dx = -x dt + dB, except that beyond |x| = 2.5 the drift is x^3.
+
+    Paths that wander past 2.5 explode within a few steps, so blow-ups are
+    scattered over the whole run instead of bunched at its start.
+    """
+    def drift(x, t):
+        x = np.asarray(x, dtype=float)
+        return np.where(np.abs(x) > 2.5, x**3, -x)
+
+    return SdeProblem(
+        dimension=1, drift=drift, diffusion=lambda x, t: np.ones_like(np.asarray(x, dtype=float)),
+        k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=False, label="escape",
+    )
+
+
+class TestChunkBlowUpBytes:
+    # SHA-256 of the CSV and of the capped_mean_abs bytes, recorded with
+    # 1024-path chunks, 1024-step blocks and per-chunk frozen and capped
+    # arrays. Both runs use the real chunk and step-block sizes, cross both,
+    # and end their checkpoints before their last step.
+    # EM: 621 blow-ups, recorded from step 7 to step 280, in each of three chunks.
+    CONFIG = SimConfig(dt=0.1, num_steps=300, num_paths=8300, seed=31, scheme="em",
+                       initial_value=(1.0,), checkpoints=geometric_checkpoints(280, 40))
+    CSV_SHA256 = "127e7e6b7053373ed0bcc00374d984dea131dc25a93f69ed44781a03d0a8d39a"
+    CAPPED_SHA256 = "2c1b1dc481b01fdeb4c561d2604df166051760e10d1f7a505febafa8bab4868e"
+    # BEM: 395 paths blow up through an infinite noise term and 18 fail their solve.
+    BEM_CONFIG = SimConfig(dt=0.1, num_steps=260, num_paths=4150, seed=12, scheme="bem",
+                           initial_value=(1.0,), checkpoints=geometric_checkpoints(250))
+    BEM_CSV_SHA256 = "4ffbf36ed3c32a037179c39705ee221945e9388231eaa47f3ce521074576985c"
+    BEM_CAPPED_SHA256 = "8b4f6c3a77a14e874bf14f557f0a90a86de50cb806923a283736e7cce46d111c"
+
+    @staticmethod
+    def digests(series):
+        capped = np.ascontiguousarray(series.capped_mean_abs, dtype=np.float64)
+        return (hashlib.sha256(series.to_csv_text().encode("utf-8")).hexdigest(),
+                hashlib.sha256(capped.tobytes()).hexdigest())
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_em_bytes_pinned(self, workers):
+        series = simulate_ensemble(escape_problem(), self.CONFIG, workers=workers)
+        assert series.blown_up[-1] == 621
+        first = series.step_index[np.flatnonzero(series.blown_up)[0]]
+        assert first < 256 < self.CONFIG.checkpoints[-1] < self.CONFIG.num_steps
+        assert self.digests(series) == (self.CSV_SHA256, self.CAPPED_SHA256)
+
+    def test_bem_bytes_pinned(self):
+        with pytest.warns(UserWarning, match="18/4150 paths failed the implicit solve"):
+            series = simulate_ensemble(bem_example_with_edges(), self.BEM_CONFIG)
+        assert series.failed_paths == 18 and series.blown_up[-1] == 413
+        assert self.digests(series) == (self.BEM_CSV_SHA256, self.BEM_CAPPED_SHA256)
+
+
+def test_every_step_run_keeps_one_checkpoint_array():
+    # the squared norms of every path at every checkpoint are the one array a
+    # run must hold; frozen masks and capped norms are derived from them
+    cfg = SimConfig(dt=0.01, num_steps=100, num_paths=16_000, seed=3, scheme="em",
+                    initial_value=(1.0,), checkpoints=tuple(range(101)))
+    sq_bytes = 101 * 16_000 * 8
+    steps_per_block = ensemble._BLOCK_NORMALS // ensemble._CHUNK_PATHS
+    noise_bytes = min(steps_per_block, 100) * ensemble._CHUNK_PATHS * 8
+    tracemalloc.start()
+    try:
+        series = simulate_ensemble(linear_example(), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(series.surviving == cfg.num_paths)
+    assert peak < 1.5 * sq_bytes + noise_bytes, (peak, sq_bytes, noise_bytes)
+
+
 class TestSimulateEnsemble:
     def test_static_problem_exact_moments(self):
         cfg = SimConfig(dt=0.1, num_steps=50, num_paths=32, seed=3, scheme="em",
@@ -420,7 +495,9 @@ class TestSimulateEnsemble:
     def test_cap_whose_square_overflows_still_blows_up(self):
         cfg = SimConfig(dt=0.1, num_steps=200, num_paths=20, seed=1, scheme="em",
                         initial_value=(5.0,), blow_up_cap=1e300)
-        _, frozen, failed, capped = _simulate_chunk(cubic_counterexample(), cfg, 0, 20)
+        sq, gone_from, failed = _simulate_chunk(cubic_counterexample(), cfg, 0, 20)
+        frozen = gone_from <= np.arange(len(sq))[:, None]
+        capped = np.minimum(np.sqrt(sq), cfg.blow_up_cap)
         assert frozen[-1].all() and not failed.any()
         np.testing.assert_array_equal(capped[-1], 1e300)
 
@@ -432,7 +509,8 @@ class TestSimulateEnsemble:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             series = simulate_ensemble(cubic_counterexample(), cfg)
-        sq, frozen, _, _ = _simulate_chunk(cubic_counterexample(), cfg, 0, 100)
+        sq, gone_from, _ = _simulate_chunk(cubic_counterexample(), cfg, 0, 100)
+        frozen = gone_from <= np.arange(len(sq))[:, None]
         checked = 0
         for i in range(len(series)):
             vals = sq[i][~frozen[i]]

@@ -11,7 +11,6 @@ from polystab.gamma import (
     RATIO_ETA_ABOVE_ONE,
     RATIO_ETA_BELOW_ONE,
     RATIO_X_GRID,
-    log_gamma,
     log_gamma_ratio,
     product_direct,
     product_via_gamma,
@@ -23,50 +22,9 @@ from polystab.gamma import (
 mpmath.mp.dps = 50
 
 # frozen from 50-digit evaluations (see oracle tests below)
-LN_GAMMA_HALF = 0.5723649429247001
 LN_GAMMA_THREE_HALVES = -0.12078223763524522
 # direct multiplication of the ten factors at 50 digits
 PRODUCT_PIN_A0_B9 = 0.223839223839224  # a=0, b=9, alpha=2, beta=0.5, delta=0.1
-
-
-class TestLogGamma:
-    def test_exact_zeros(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-
-    def test_half(self):
-        assert log_gamma(0.5) == pytest.approx(LN_GAMMA_HALF, rel=1e-13)
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-13)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, float("inf"), float("nan")])
-    def test_domain_errors(self, bad):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
-
-    def test_accuracy_against_high_precision(self):
-        # relative 1e-13 where |lnGamma| >= 1; absolute 1e-13 near its zeros
-        xs = np.geomspace(1e-3, 1e6, 120)
-        for x in xs:
-            ref = float(mpmath.loggamma(mpmath.mpf(float(x))))
-            got = log_gamma(float(x))
-            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)), f"x={x}"
-
-    def test_vectorized(self):
-        xs = np.array([0.5, 1.0, 2.0, 10.0])
-        out = log_gamma(xs)
-        assert out.shape == xs.shape
-        assert out[1] == 0.0 and out[2] == 0.0
-
-    def test_recurrence_with_quantization_floor(self):
-        # lnGamma(x+1) - lnGamma(x) = ln x. Subtracting two rounded doubles
-        # cannot beat the ulp of the larger value, so the tolerance carries
-        # that floor explicitly; the strict 1e-12 contract is carried by
-        # log_gamma_ratio below, which is what the package computes with.
-        for x in np.geomspace(0.5, 1e5, 200):
-            x = float(x)
-            got = log_gamma(x + 1.0) - log_gamma(x)
-            floor = 4.0 * np.spacing(abs(log_gamma(x + 1.0)) + 1.0)
-            assert abs(got - math.log(x)) <= max(1e-12 * abs(math.log(x)), floor)
 
 
 class TestLogGammaRatio:

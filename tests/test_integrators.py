@@ -632,6 +632,75 @@ class TestScalarSolveReference:
             assert np.array_equal(x, ref_x) and np.array_equal(ok, ref_ok[:, 0])
 
 
+class TestHopelessLanes:
+    """A lane whose residual is NaN can never converge: its next iterate is x - NaN."""
+
+    DT = 0.5
+    CONFIGS = [ImplicitSolverConfig(), ImplicitSolverConfig(fallback="damped-iteration")]
+
+    @staticmethod
+    def problem(dimension, drift):
+        return SdeProblem(
+            dimension=dimension, drift=drift, diffusion=lambda x, t: np.zeros_like(x),
+            k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=False, label="nan-drift",
+        )
+
+    @staticmethod
+    def reference(drift, b, dt, cfg):
+        if b.shape[1] == 1:
+            x, ok, _, _ = reference_scalar_newton(drift, 1.0, b, dt, cfg)
+            return x, ok[:, 0]
+        lanes = [reference_vector_newton(drift, 1.0, bi, dt, cfg) for bi in b]
+        x, ok = np.array([lane[0] for lane in lanes]), np.array([lane[1] for lane in lanes])
+        if cfg.fallback == "damped-iteration" and not ok.all():
+            # what solve_implicit_batch does with the lanes Newton left
+            fail = ~ok
+            x[fail], okf = _damped_iteration(drift, 1.0, b[fail], dt, cfg, x0=x[fail],
+                                             mask=np.ones(b[fail].shape, dtype=bool),
+                                             out=x[fail])
+            ok[fail] = okf.all(axis=1)
+        return x, ok
+
+    @pytest.mark.parametrize("dimension,fallback,expected_calls", [
+        (1, "bisection", 4), (1, "damped-iteration", 4),
+        (2, "bisection", 1), (2, "damped-iteration", 3),
+    ])
+    def test_nan_everywhere_leaves_after_one_newton_call(self, dimension, fallback, expected_calls):
+        # one drift call for the residual at b, then only what the fallback
+        # makes, where the whole Newton budget used to be spent on it
+        calls = []
+
+        def drift(x, t):
+            calls.append(np.shape(x))
+            return np.full(np.shape(x), np.nan)
+
+        p, cfg = self.problem(dimension, drift), ImplicitSolverConfig(fallback=fallback)
+        b = np.full((1, dimension), 2.0)
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
+        assert len(calls) == expected_calls
+        ref_x, ref_ok = self.reference(drift, b, self.DT, cfg)
+        assert x.tobytes() == ref_x.tobytes() and ok.tolist() == ref_ok.tolist() == [False]
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=["bisection", "damped-iteration"])
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_lane_whose_residual_turns_nan_mid_newton(self, cfg, dimension):
+        # the drift is -20 in every component where x_0 >= 0 and NaN where
+        # x_0 < 0, so a root below x_0 = 0 is out of reach: the lanes from
+        # x_0 = 2 step towards 0 until every halving lands below it. The lane
+        # from x_0 = -1 is NaN at b, and the lane from x_0 = 30 converges.
+        def drift(x, t):
+            x = np.asarray(x, dtype=float)
+            lead = x if dimension == 1 else x[..., :1]  # bisection passes floats
+            return np.where(lead < 0.0, np.nan, np.full(x.shape, -20.0))
+
+        p = self.problem(dimension, drift)
+        b = np.array([[2.0, 1.0], [-1.0, 3.0], [30.0, 40.0], [2.0, -3.0]])[:, :dimension]
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
+        ref_x, ref_ok = self.reference(drift, b, self.DT, cfg)
+        assert ok[2] and not ok[[0, 1, 3]].any()
+        assert x.tobytes() == ref_x.tobytes() and ok.tolist() == ref_ok.tolist()
+
+
 class TestBemStep:
     def test_identity_when_no_dynamics(self):
         p = SdeProblem(
