@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import integer, positive_real
 from .ensemble import MomentSeries
 from .gamma import log_gamma_ratio
 
@@ -129,8 +130,7 @@ def estimate_decay_exponent(
 
 
 def _validate_envelope_args(dt, c, m0):
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be a positive real, got {dt}")
+    positive_real("dt", dt)
     if not (math.isfinite(c) and c >= 0):  # c = 0: pure power decay of m0
         raise ValueError(f"c must be nonnegative, got {c}")
     if not (math.isfinite(m0) and m0 >= 0):
@@ -276,10 +276,10 @@ class LowerBoundSequence:
 
 def counterexample_lower_bound(dt: float, k_max: int) -> LowerBoundSequence:
     """Run the divergence recursion for k = 1..k_max (or until overflow)."""
-    if not (math.isfinite(dt) and 0.0 < dt < 0.5):
+    dt = positive_real("dt", dt)
+    if not dt < 0.5:
         raise ValueError(f"dt must lie in (0, 0.5), got {dt}")
-    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max < 1:
-        raise ValueError(f"k_max must be a positive integer, got {k_max!r}")
+    k_max = integer("k_max", k_max, 1)
     b = 3.0 * math.sqrt((1.0 + dt) / dt)
     values = [b]
     diverged_at = None

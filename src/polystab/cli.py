@@ -24,7 +24,11 @@ EXIT_CONFORMANCE = 3
 
 @dataclasses.dataclass
 class ExperimentSpec:
-    """One reproducible experiment: problem + run parameters + analysis options."""
+    """One experiment: a --spec JSON object overlaid with the flags given.
+
+    Only the output options are checked here; SimConfig and
+    problem_from_config check the rest, where they use them.
+    """
 
     problem: str
     scheme: str
@@ -37,34 +41,39 @@ class ExperimentSpec:
     c: float | None = None
     checkpoints: int | list | None = None
     blow_up_cap: float = 1e12
-    window_fraction: float = 0.5
-    tolerance: float = 0.15
     out_dir: str = "."
     prefix: str | None = None
     envelope: bool = False
 
-    @classmethod
-    def from_json_file(cls, path) -> "ExperimentSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"{path}: experiment spec must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"{path}: unknown spec keys {sorted(unknown)}")
-        missing = {"problem", "scheme", "dt", "steps", "paths", "seed"} - set(data)
-        if missing:
-            raise ValueError(f"{path}: spec is missing required keys {sorted(missing)}")
-        return cls(**data)
+    def __post_init__(self):
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
+        if not (self.prefix is None or isinstance(self.prefix, str)):
+            raise ValueError(f"prefix must be a string, got {self.prefix!r}")
+        if not isinstance(self.envelope, bool):
+            raise ValueError(f"envelope must be true or false, got {self.envelope!r}")
 
-    def merged_with_args(self, args) -> "ExperimentSpec":
-        out = dataclasses.replace(self)
-        for field in dataclasses.fields(self):
-            val = getattr(args, field.name, None)
-            if val is not None and val is not False:
-                out = dataclasses.replace(out, **{field.name: val})
-        return out
+    @classmethod
+    def from_args(cls, args) -> "ExperimentSpec":
+        """The --spec JSON object ({} without one) overlaid with the flags given."""
+        data = {}
+        if args.spec is not None:
+            with open(args.spec, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            if not isinstance(data, dict):
+                raise ValueError(f"{args.spec}: experiment spec must be a JSON object")
+            unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+            if unknown:
+                raise ValueError(f"{args.spec}: unknown spec keys {sorted(unknown)}")
+        for field in dataclasses.fields(cls):
+            val = getattr(args, field.name)
+            if val is not None and val is not False:  # the flag was given
+                data[field.name] = val
+        missing = [f"--{f.name}" for f in dataclasses.fields(cls)
+                   if f.default is dataclasses.MISSING and f.name not in data]
+        if missing:
+            raise ValueError(f"missing required flags (or spec keys): {', '.join(missing)}")
+        return cls(**data)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,70 +123,52 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args) -> int:
-    if args.spec is not None:
-        try:
-            spec = ExperimentSpec.from_json_file(args.spec)
-        except (OSError, ValueError, json.JSONDecodeError, TypeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        spec = spec.merged_with_args(args)
-    else:
-        required = ("problem", "scheme", "dt", "steps", "paths", "seed")
-        missing = [name for name in required if getattr(args, name) is None]
-        if missing:
-            print(f"error: missing required flags: {', '.join('--' + m for m in missing)}", file=sys.stderr)
-            return EXIT_USAGE
-        spec = ExperimentSpec(
-            problem=args.problem, scheme=args.scheme, dt=args.dt, steps=args.steps,
-            paths=args.paths, seed=args.seed, x0=args.x0, k1=args.k1, c=args.c,
-            checkpoints=args.checkpoints,
-            blow_up_cap=args.blow_up_cap if args.blow_up_cap is not None else 1e12,
-            out_dir=args.out_dir if args.out_dir is not None else ".",
-            prefix=args.prefix, envelope=bool(args.envelope),
-        )
-
+def _simulate(problem, config):
+    """(series, EXIT_OK) from simulate_ensemble, or (None, the exit code of its error)."""
     try:
+        return ensemble.simulate_ensemble(problem, config), EXIT_OK
+    except ensemble.WorkerCountError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None, EXIT_USAGE
+    except (RuntimeError, ValueError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return None, EXIT_NUMERICAL
+
+
+def _cmd_simulate(args) -> int:
+    try:
+        spec = ExperimentSpec.from_args(args)
         problem, default_x0 = problems.problem_from_config(
-            {"problem": spec.problem}
-            | ({"k1": spec.k1} if spec.k1 is not None else {})
-            | ({"c": spec.c} if spec.c is not None else {})
+            {"problem": spec.problem, "k1": spec.k1, "c": spec.c}
         )
         x0 = default_x0 if spec.x0 is None else np.atleast_1d(np.asarray(spec.x0, dtype=float))
         if x0.shape != (problem.dimension,):
             raise ValueError(
                 f"x0 has shape {x0.shape}, problem '{spec.problem}' needs ({problem.dimension},)"
             )
-        checkpoints = None
-        if spec.checkpoints is not None:
-            if isinstance(spec.checkpoints, int):
-                checkpoints = ensemble.geometric_checkpoints(spec.steps, spec.checkpoints)
-            else:
-                checkpoints = tuple(int(k) for k in spec.checkpoints)
+        checkpoints = spec.checkpoints
+        if isinstance(checkpoints, int):  # a count
+            checkpoints = ensemble.geometric_checkpoints(spec.steps, checkpoints)
         config = ensemble.SimConfig(
             dt=spec.dt, num_steps=spec.steps, num_paths=spec.paths, seed=spec.seed,
-            scheme=spec.scheme, initial_value=tuple(float(v) for v in x0),
-            checkpoints=checkpoints, blow_up_cap=spec.blow_up_cap,
+            scheme=spec.scheme, initial_value=x0, checkpoints=checkpoints,
+            blow_up_cap=spec.blow_up_cap,
         )
-    except (TypeError, ValueError) as exc:  # a spec value of the wrong type or shape
+    except (OSError, OverflowError, TypeError, ValueError) as exc:
+        # TypeError, OverflowError: a spec value of the wrong type or beyond the float range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     out_dir = Path(spec.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         print(f"error: --out-dir: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    try:
-        series = ensemble.simulate_ensemble(problem, config)
-    except ensemble.WorkerCountError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RuntimeError, ValueError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    series, code = _simulate(problem, config)
+    if series is None:
+        return code
 
     prefix = spec.prefix or f"{spec.problem}_{spec.scheme}_seed{spec.seed}"
     csv_path = out_dir / f"{prefix}.csv"
@@ -185,7 +176,7 @@ def _cmd_simulate(args) -> int:
     try:
         series.write_csv(csv_path)
         series.write_config_json(json_path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the prefix
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     wrote = [str(csv_path), str(json_path)]
@@ -208,7 +199,7 @@ def _cmd_simulate(args) -> int:
                 lines.append(f"{int(k)},{float(series.time[i])!r},{float(env[i])!r}")
             env_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             wrote.append(str(env_path))
-        except ValueError as exc:
+        except (OverflowError, ValueError) as exc:  # the run is outside the envelope's range
             print(f"warning: envelope not written: {exc}", file=sys.stderr)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -325,19 +316,14 @@ def _cmd_counterexample(args) -> int:
     try:
         config = ensemble.SimConfig(
             dt=args.dt, num_steps=args.steps, num_paths=args.paths, seed=args.seed,
-            scheme="em", initial_value=(float(x0),), blow_up_cap=args.cap,
+            scheme="em", initial_value=x0, blow_up_cap=args.cap,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        series = ensemble.simulate_ensemble(problem, config)
-    except ensemble.WorkerCountError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RuntimeError, ValueError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    series, code = _simulate(problem, config)
+    if series is None:
+        return code
     frac = series.blown_up[-1] / config.num_paths
     print(
         f"companion ensemble (explicit scheme, {config.num_paths} paths, x0={x0}): "

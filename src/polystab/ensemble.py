@@ -46,6 +46,7 @@ from numpy.random import Philox
 from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
+from .checks import integer, positive_real
 from .integrators import (
     bem_step_batch,
     check_decay_dt,
@@ -80,10 +81,8 @@ def geometric_checkpoints(num_steps: int, count: int = 50) -> tuple[int, ...]:
     Every step is a checkpoint when num_steps <= count; count = 2 gives just
     (0, num_steps).
     """
-    if num_steps < 1:
-        raise ValueError(f"num_steps must be >= 1, got {num_steps}")
-    if count < 2:
-        raise ValueError(f"checkpoint count must be an integer >= 2, got {count}")
+    num_steps = integer("num_steps", num_steps, 1)
+    count = integer("checkpoint count", count, 2)
     if count == 2:
         return (0, num_steps)
     if num_steps <= count:
@@ -106,18 +105,10 @@ class SimConfig:
     blow_up_cap: float = 1e12
 
     def __post_init__(self):
-        dt = float(self.dt)
-        if not (math.isfinite(dt) and dt > 0):
-            raise ValueError(f"dt must be a positive real, got {self.dt!r}")
-        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "dt", positive_real("dt", self.dt))
         for name in ("num_steps", "num_paths"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+            object.__setattr__(self, name, integer(name, getattr(self, name), 1))
+        object.__setattr__(self, "seed", integer("seed", self.seed))  # used mod 2**64
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         x0 = np.atleast_1d(np.asarray(self.initial_value, dtype=float))
@@ -127,9 +118,7 @@ class SimConfig:
         if self.checkpoints is None:
             object.__setattr__(self, "checkpoints", geometric_checkpoints(self.num_steps))
         else:
-            cps = tuple(int(k) for k in self.checkpoints)
-            if any(isinstance(k, bool) for k in self.checkpoints):
-                raise ValueError("checkpoints must be integers")
+            cps = tuple(integer("checkpoint", k) for k in self.checkpoints)
             if not cps:
                 raise ValueError("checkpoints must be non-empty")
             if any(k < 0 or k > self.num_steps for k in cps):
@@ -137,11 +126,9 @@ class SimConfig:
             if any(b <= a for a, b in zip(cps, cps[1:])):
                 raise ValueError("checkpoints must be strictly increasing")
             object.__setattr__(self, "checkpoints", cps)
-        cap = float(self.blow_up_cap)
-        if not (math.isfinite(cap) and cap > float(np.linalg.norm(x0))):
-            raise ValueError(
-                f"blow_up_cap must be finite and exceed |initial_value|, got {self.blow_up_cap!r}"
-            )
+        cap = positive_real("blow_up_cap", self.blow_up_cap)
+        if not cap > float(np.linalg.norm(x0)):
+            raise ValueError(f"blow_up_cap must exceed |initial_value|, got {cap!r}")
         object.__setattr__(self, "blow_up_cap", cap)
 
     def to_json_dict(self) -> dict:
@@ -237,14 +224,11 @@ def _standard_normal_block(seed: int, path_id: int, step0: int, count: int) -> n
 
 
 def brownian_increment(seed: int, path_id: int, step: int, dt: float) -> float:
-    """The Brownian increment dB for (seed, path_id, step): N(0, dt), reproducible."""
-    if isinstance(path_id, bool) or not isinstance(path_id, (int, np.integer)) or path_id < 0:
-        raise ValueError(f"path_id must be a nonnegative integer, got {path_id!r}")
-    if isinstance(step, bool) or not isinstance(step, (int, np.integer)) or step < 0:
-        raise ValueError(f"step must be a nonnegative integer, got {step!r}")
-    dt = float(dt)
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be a positive real, got {dt}")
+    """The Brownian increment dB for (seed mod 2**64, path_id, step): N(0, dt), reproducible."""
+    seed = integer("seed", seed)
+    path_id = integer("path_id", path_id, 0)
+    step = integer("step", step, 0)
+    dt = positive_real("dt", dt)
     return float(_standard_normal_block(seed, path_id, step, 1)[0]) * math.sqrt(dt)
 
 

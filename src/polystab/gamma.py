@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import integer, positive_real
+
 __all__ = [
     "GammaProductParams",
     "log_gamma_ratio",
@@ -30,14 +32,6 @@ __all__ = [
     "RATIO_ETA_BELOW_ONE",
     "RATIO_ETA_ABOVE_ONE",
 ]
-
-
-def _check_index(name, value):
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -55,13 +49,11 @@ class GammaProductParams:
     delta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _check_index("a", self.a))
-        object.__setattr__(self, "b", _check_index("b", self.b))
-        alpha = float(self.alpha)
+        object.__setattr__(self, "a", integer("a", self.a, 0))
+        object.__setattr__(self, "b", integer("b", self.b, 0))
+        alpha = positive_real("alpha", self.alpha)
         beta = float(self.beta)
         delta = float(self.delta)
-        if not math.isfinite(alpha) or alpha <= 0:
-            raise ValueError(f"alpha must be a positive real, got {alpha}")
         if not math.isfinite(beta) or beta < 0:
             raise ValueError(f"beta must be nonnegative, got {beta}")
         if not math.isfinite(delta) or not 0 < delta < 1.0 / alpha:

@@ -29,12 +29,12 @@ validate.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import integer, positive_real
 from .problems import SdeProblem
 
 __all__ = [
@@ -68,17 +68,10 @@ class StepContext:
     db: float | np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise ValueError(f"k must be an integer step index, got {self.k!r}")
-        if self.k < 0:
-            raise ValueError(f"k must be nonnegative, got {self.k}")
-        dt = float(self.dt)
-        if not math.isfinite(dt) or dt <= 0:
-            raise ValueError(f"dt must be a positive real, got {dt}")
+        object.__setattr__(self, "k", integer("k", self.k, 0))
+        object.__setattr__(self, "dt", positive_real("dt", self.dt))
         if not np.all(np.isfinite(np.asarray(self.db, dtype=float))):
             raise ValueError("db must be finite")
-        object.__setattr__(self, "k", int(self.k))
-        object.__setattr__(self, "dt", dt)
 
     @property
     def t(self) -> float:
@@ -95,10 +88,9 @@ class ImplicitSolverConfig:
     fallback: str = "bisection"
 
     def __post_init__(self):
-        if not (math.isfinite(self.residual_tolerance) and self.residual_tolerance > 0):
-            raise ValueError(f"residual_tolerance must be positive, got {self.residual_tolerance}")
-        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be a positive integer, got {self.max_iterations}")
+        object.__setattr__(self, "residual_tolerance",
+                           positive_real("residual_tolerance", self.residual_tolerance))
+        object.__setattr__(self, "max_iterations", integer("max_iterations", self.max_iterations, 1))
         if self.fallback not in _FALLBACKS:
             raise ValueError(f"fallback must be one of {_FALLBACKS}, got {self.fallback!r}")
 
@@ -552,8 +544,7 @@ def solve_implicit(
     n > 1, b is one vector of shape (n,). Requires dt < 1/|Kbar|. Raises
     ImplicitSolveError with the best residual if the budget is exhausted.
     """
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be a positive real, got {dt}")
+    dt = positive_real("dt", dt)
     check_implicit_dt(problem, dt)
     b_arr = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b_arr)):

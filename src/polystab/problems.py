@@ -23,6 +23,8 @@ from typing import Callable
 
 import numpy as np
 
+from .checks import integer, positive_real
+
 __all__ = [
     "SdeProblem",
     "ConditionCheck",
@@ -71,18 +73,13 @@ class SdeProblem:
     label: str
 
     def __post_init__(self):
-        if not isinstance(self.dimension, (int, np.integer)) or self.dimension < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.dimension}")
+        object.__setattr__(self, "dimension", integer("dimension", self.dimension, 1))
         for name in ("k1", "c"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v) or v <= 0:
-                raise ValueError(f"{name} must be a positive real, got {v}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, positive_real(name, getattr(self, name)))
         kbar = float(self.kbar)
         if not math.isfinite(kbar):
             raise ValueError(f"kbar must be finite, got {kbar}")
         object.__setattr__(self, "kbar", kbar)
-        object.__setattr__(self, "dimension", int(self.dimension))
 
 
 # ---------------------------------------------------------------------------
@@ -419,15 +416,12 @@ DEFAULT_INITIAL_VALUES = {
 def problem_from_label(label: str, k1=None, c=None) -> SdeProblem:
     """Built-in problem by label, optionally overriding the claimed K1 / C."""
     try:
-        problem = PROBLEM_BUILDERS[label]()
-    except KeyError:
+        build = PROBLEM_BUILDERS[label]
+    except (KeyError, TypeError):  # TypeError: an unhashable label
         known = ", ".join(sorted(PROBLEM_BUILDERS))
         raise ValueError(f"unknown problem label {label!r}; known: {known}") from None
-    overrides = {}
-    if k1 is not None:
-        overrides["k1"] = float(k1)
-    if c is not None:
-        overrides["c"] = float(c)
+    problem = build()
+    overrides = {name: v for name, v in (("k1", k1), ("c", c)) if v is not None}
     if overrides:
         problem = dataclasses.replace(problem, **overrides)
     return problem

@@ -1,11 +1,15 @@
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import polystab.analysis
 from polystab.analysis import BoundFamilyResult, ProofBoundReport
-from polystab.cli import main
+from polystab.cli import ExperimentSpec, main
 from polystab.ensemble import CSV_HEADER, MomentSeries
 
 
@@ -163,6 +167,40 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith(message)
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("entry", [
+        {"out_dir": 5},
+        {"out_dir": None},
+        {"prefix": 5},
+        {"prefix": ["run"]},
+        {"envelope": "no"},
+        {"envelope": 1},
+        {"checkpoints": [0.5, 3]},
+        {"checkpoints": 2.5},
+        {"dt": "0.1"},
+        {"steps": True},
+        {"seed": 1.5},
+        {"k1": "2"},
+        {"problem": ["linear"]},
+        {"x0": 10**400},
+        {"out_dir": "a\u0000b"},
+        {"prefix": "a\u0000b"},
+    ], ids=lambda entry: json.dumps(entry)[:32])
+    def test_spec_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, monkeypatch, entry):
+        monkeypatch.chdir(tmp_path)  # a relative out_dir must stay in here
+        spec = {"problem": "linear", "scheme": "em", "dt": 0.1, "steps": 10, "paths": 4,
+                "seed": 3, "out_dir": "out"} | entry
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        assert run(["simulate", "--spec", "spec.json"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["spec.json"]
+
+    def test_envelope_constant_beyond_the_float_range_is_a_warning(self, tmp_path, capsys):
+        assert run(self.SMALL_RUN + ["--out-dir", str(tmp_path), "--c", "1e200", "--envelope"]) == 0
+        assert "warning: envelope not written" in capsys.readouterr().err
+        assert (tmp_path / "linear_em_seed1.csv").exists()
+        assert not (tmp_path / "linear_em_seed1_envelope.csv").exists()
+
     def test_counterexample_blow_up_fraction_reported(self, tmp_path, capsys):
         code = run([
             "simulate", "--problem", "counterexample", "--scheme", "em", "--dt", "0.1",
@@ -293,3 +331,85 @@ class TestCounterexample:
 
     def test_unknown_command_usage(self):
         assert run(["frobnicate"]) == 1
+
+
+# Strings hold no path separator or dot, so no drawn out_dir or prefix leaves
+# the test's directory; NUL is kept, since a path may not contain it.
+TEXT = st.text(st.characters(blacklist_characters="/\\.", blacklist_categories=("Cs",)),
+               max_size=4)
+# Integers stay at or below 8, so no drawn run exceeds 8 paths x 20 steps.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.floats() | TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=2),
+    max_leaves=4,
+)
+GOOD = {
+    "problem": st.sampled_from(["linear", "counterexample", "bem-example"]),
+    "scheme": st.sampled_from(["em", "bem"]),
+    "dt": st.floats(1e-3, 0.6),
+    "steps": st.integers(1, 20),
+    "paths": st.integers(1, 8),
+    "seed": st.integers(-2**70, 2**70),
+    "x0": st.floats(-10, 10) | st.lists(st.floats(-10, 10), min_size=1, max_size=1),
+    "k1": st.floats(0.01, 1e3),
+    "c": st.floats(0.01, 1e200),
+    "checkpoints": st.integers(2, 25) | st.lists(st.integers(-1, 21), max_size=4),
+    "blow_up_cap": st.floats(0.5, 1e308),
+    "out_dir": st.sampled_from(["", "out", "a/b"]),
+    "prefix": st.none() | TEXT,
+    "envelope": st.booleans(),
+}
+SPEC_KEYS = [f.name for f in dataclasses.fields(ExperimentSpec)]
+REQUIRED = ["problem", "scheme", "dt", "steps", "paths", "seed"]
+FLAG_VALUES = {
+    "--problem": GOOD["problem"], "--scheme": GOOD["scheme"], "--dt": GOOD["dt"].map(repr),
+    "--steps": GOOD["steps"].map(str), "--paths": GOOD["paths"].map(str),
+    "--seed": GOOD["seed"].map(str), "--x0": st.floats(-10, 10).map(repr),
+    "--k1": GOOD["k1"].map(repr), "--c": GOOD["c"].map(repr),
+    "--checkpoints": st.integers(-1, 25).map(str), "--blow-up-cap": GOOD["blow_up_cap"].map(repr),
+    "--out-dir": GOOD["out_dir"], "--prefix": st.sampled_from(["run", "x y", "\u00e9"]),
+}
+JUNK_WORDS = st.sampled_from(["", "-1", "2.5", "1e300", "nan", "inf", "abc", "[1]", "--dt"])
+
+
+@st.composite
+def specs(draw):
+    """A valid spec with up to three keys dropped or set to any JSON value."""
+    spec = draw(st.fixed_dictionaries(
+        {key: GOOD[key] for key in REQUIRED},
+        optional={key: GOOD[key] for key in SPEC_KEYS if key not in REQUIRED},
+    ))
+    for key in draw(st.lists(st.sampled_from(SPEC_KEYS + ["extra"]), max_size=3, unique=True)):
+        if draw(st.booleans()):
+            spec.pop(key, None)
+        else:
+            spec[key] = draw(JSON)
+    return spec
+
+
+@st.composite
+def flag_lists(draw):
+    argv = []
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=3, unique=True)):
+        junk = draw(st.integers(0, 9)) == 5  # most flags get a value argparse takes
+        argv += [flag, draw(JUNK_WORDS if junk else FLAG_VALUES[flag])]
+    return argv
+
+
+class TestFuzz:
+    def test_good_values_cover_every_spec_key(self):
+        assert sorted(GOOD) == sorted(SPEC_KEYS)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec=specs() | st.none() | JSON, flags=flag_lists(), envelope=st.booleans())
+    def test_simulate_returns_a_documented_exit_code(self, tmp_path, monkeypatch, spec,
+                                                     flags, envelope):
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", *flags, *(["--envelope"] if envelope else [])]
+        if spec is not None:
+            (tmp_path / "spec.json").write_text(json.dumps(spec))
+            argv += ["--spec", "spec.json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(argv) in (0, 1, 2, 3)

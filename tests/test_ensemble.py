@@ -81,6 +81,11 @@ class TestSimConfig:
             dict(checkpoints=()),
             dict(blow_up_cap=0.5),  # below |x0|
             dict(initial_value=(float("nan"),)),
+            dict(dt=True),
+            dict(checkpoints=(0.5, 3)),
+            dict(checkpoints=(0, np.float64(5))),
+            dict(num_paths=4.0),
+            dict(seed=True),
         ],
     )
     def test_validation(self, kwargs):
@@ -89,6 +94,13 @@ class TestSimConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             SimConfig(**base)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(dt=np.float64(0.1), num_steps=np.int64(10), num_paths=np.int32(4),
+                        seed=np.uint64(2**63), scheme="em", initial_value=(1.0,),
+                        checkpoints=(np.int64(0), 10))
+        assert (cfg.dt, cfg.num_steps, cfg.num_paths, cfg.seed) == (0.1, 10, 4, 2**63)
+        assert all(type(v) is int for v in (cfg.num_steps, cfg.num_paths, cfg.seed, *cfg.checkpoints))
 
     def test_json_round_trip(self):
         cfg = SimConfig(dt=0.2, num_steps=50, num_paths=8, seed=9, scheme="bem",
@@ -134,6 +146,12 @@ def test_geometric_checkpoints_rejects_count_below_two(count):
         geometric_checkpoints(100, count)
 
 
+@pytest.mark.parametrize("num_steps,count", [(10.5, 5), (10, 2.5), (True, 5), (10, True)])
+def test_geometric_checkpoints_rejects_non_integers(num_steps, count):
+    with pytest.raises(ValueError, match="must be an integer"):
+        geometric_checkpoints(num_steps, count)
+
+
 class TestBrownianIncrement:
     def test_deterministic(self):
         a = brownian_increment(42, 7, 1000, 0.1)
@@ -150,6 +168,7 @@ class TestBrownianIncrement:
 
     @pytest.mark.parametrize("kwargs", [
         dict(path_id=-1), dict(step=-1), dict(dt=0.0), dict(path_id=0.5),
+        dict(seed=1.5), dict(seed=True), dict(step=True), dict(dt=True), dict(dt="0.1"),
     ])
     def test_validation(self, kwargs):
         base = dict(seed=1, path_id=0, step=0, dt=0.1)

@@ -66,6 +66,8 @@ class TestStepContext:
             dict(k=0, dt=0.0, db=0.0),
             dict(k=0, dt=-0.1, db=0.0),
             dict(k=0, dt=0.1, db=float("nan")),
+            dict(k=True, dt=0.1, db=0.0),
+            dict(k=0, dt=True, db=0.0),
         ],
     )
     def test_validation(self, kwargs):
@@ -140,11 +142,18 @@ class TestSolverConfig:
             dict(residual_tolerance=0.0),
             dict(max_iterations=0),
             dict(fallback="newton"),
+            dict(max_iterations=True),
+            dict(max_iterations=5.0),
+            dict(residual_tolerance=float("nan")),
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ImplicitSolverConfig(**kwargs)
+
+    def test_numpy_integer_iterations_accepted(self):
+        cfg = ImplicitSolverConfig(max_iterations=np.int64(5))
+        assert cfg.max_iterations == 5 and type(cfg.max_iterations) is int
 
 
 class TestSolveImplicit:

@@ -87,6 +87,15 @@ def test_problem_validation():
         )
 
 
+@pytest.mark.parametrize("dimension", [True, 1.0, "1", np.int64(0)])
+def test_problem_dimension_must_be_a_positive_integer(dimension):
+    with pytest.raises(ValueError, match="dimension must be an integer"):
+        SdeProblem(
+            dimension=dimension, drift=lambda x, t: x, diffusion=lambda x, t: x,
+            k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=True, label="bad",
+        )
+
+
 class TestAudit:
     def test_linear_passes_default_grid(self):
         report = audit_conditions(linear_example())
@@ -312,6 +321,16 @@ class TestRegistry:
     def test_unknown_label(self):
         with pytest.raises(ValueError, match="unknown problem"):
             problem_from_label("nope")
+
+    @pytest.mark.parametrize("label", [["linear"], {"linear": 1}, 5])
+    def test_label_of_another_type(self, label):
+        with pytest.raises(ValueError, match="unknown problem"):
+            problem_from_label(label)
+
+    @pytest.mark.parametrize("overrides", [dict(k1="2"), dict(c=True), dict(k1=[1.0])])
+    def test_override_that_is_not_a_positive_real(self, overrides):
+        with pytest.raises(ValueError, match="must be a positive real"):
+            problem_from_label("linear", **overrides)
 
     def test_overrides(self):
         p = problem_from_label("linear", k1=2.5, c=0.7)
