@@ -26,12 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import integer, positive_real
+from .checks import integer, positive_real, real
 from .ensemble import MomentSeries
 from .gamma import log_gamma_ratio
 
 __all__ = [
     "DecayEstimate",
+    "check_decay_fit_args",
     "estimate_decay_exponent",
     "em_envelope",
     "bem_envelope",
@@ -72,6 +73,21 @@ class DecayEstimate:
         }
 
 
+def check_decay_fit_args(window_fraction, k1, tolerance):
+    """(window_fraction, k1, tolerance) as floats, or ValueError.
+
+    window_fraction must lie in (0, 1), k1 must be finite and tolerance
+    finite and >= 0. k1 may be 0 or below: an audited K1 is clipped at 0,
+    and the bound -(2 k1 - 1) is defined for any finite k1.
+    """
+    k1 = real("k1", k1)
+    tolerance = real("tolerance", tolerance, 0.0)
+    window_fraction = real("window_fraction", window_fraction)
+    if not 0.0 < window_fraction < 1.0:
+        raise ValueError(f"window_fraction must be in (0, 1), got {window_fraction}")
+    return window_fraction, k1, tolerance
+
+
 def estimate_decay_exponent(
     series: MomentSeries,
     window_fraction: float = 0.5,
@@ -85,10 +101,10 @@ def estimate_decay_exponent(
     statements are asymptotic and early transients bias slopes upward, so the
     default is the last half. Checkpoints with mean_square == 0 are excluded
     with a warning; blown-up paths inside the window make the fit meaningless
-    and raise. Conformance compares slope against -(2 k1 - 1) + tolerance.
+    and raise. Conformance compares slope against -(2 k1 - 1) + tolerance;
+    check_decay_fit_args checks the three arguments.
     """
-    if not 0.0 < window_fraction < 1.0:
-        raise ValueError(f"window_fraction must be in (0, 1), got {window_fraction}")
+    window_fraction, k1, tolerance = check_decay_fit_args(window_fraction, k1, tolerance)
     t = np.asarray(series.time, dtype=float)
     m2 = np.asarray(series.mean_square, dtype=float)
     if len(t) < 2:
@@ -387,9 +403,9 @@ def verify_proof_bounds(
     """Evaluate all four inequality families on grids k in {2..k_max}, r < k.
 
     The explicit-scheme families require K1 >= 1; the semi-implicit ones only
-    K1 > 0.5.
+    K1 > 0.5. k_max must be an integer >= 2, so that the grid is not empty.
     """
-    ks = np.arange(2, k_max + 1)
+    ks = np.arange(2, integer("k_max", k_max, 2) + 1)
     pair_k = np.repeat(ks, ks)  # each k paired with r = 0..k-1
     pair_r = np.concatenate([np.arange(k) for k in ks])
 

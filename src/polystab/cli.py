@@ -221,6 +221,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_analyze(args) -> int:
     csv_path = Path(args.csv)
     try:
+        analysis.check_decay_fit_args(args.window_fraction, args.k1, args.tolerance)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         series = ensemble.MomentSeries.from_csv(csv_path)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -239,7 +244,11 @@ def _cmd_analyze(args) -> int:
     report.update(estimate.to_json_dict())
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+            print(f"error: --out: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     if not estimate.conforms:
@@ -253,8 +262,13 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify_gamma(args) -> int:
+    try:
+        report = analysis.verify_proof_bounds(k_max=args.k_max)
+        identity = gamma.verify_product_identity(num_samples=args.samples, seed=args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     failures = []
-    identity = gamma.verify_product_identity(num_samples=args.samples, seed=args.seed)
     print(
         f"product identity: worst relative error {identity.worst_rel_error:.3e} "
         f"over {identity.samples} samples (tolerance {identity.tolerance:g})"
@@ -274,7 +288,6 @@ def _cmd_verify_gamma(args) -> int:
             f"{signs.worst_point_below if signs.max_margin_below_one >= 0 else signs.worst_point_above}"
         )
 
-    report = analysis.verify_proof_bounds(k_max=args.k_max)
     print(report.summary())
     for fam in report.families:
         if fam.worst_margin < -report.slack:

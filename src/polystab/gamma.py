@@ -229,9 +229,11 @@ def verify_product_identity(
     """Randomized cross-check of product_via_gamma against product_direct.
 
     Samples integer 0 <= a <= b <= max_index, alpha in (0, alpha_max],
-    beta in [0, beta_max], delta in (0, 0.99/alpha).
+    beta in [0, beta_max], delta in (0, 0.99/alpha). num_samples must be
+    an integer >= 1, so that the check is never vacuous, and seed >= 0.
     """
-    rng = np.random.default_rng(seed)
+    num_samples = integer("num_samples", num_samples, 1)
+    rng = np.random.default_rng(integer("seed", seed, 0))
     worst = -1.0
     worst_params = None
     for _ in range(num_samples):

@@ -6,9 +6,10 @@ Semi-implicit step: Z_{k+1} = Z_k + f(Z_{k+1}, (k+1) dt) dt + g(Z_k, k dt) dB_k
 The implicit step needs the root of x = f(x,t) dt + b. Under the one-sided
 Lipschitz condition with dt < 1/|Kbar| the map F(x) = x - f(x,t) dt is
 strictly monotone, so the root exists and is unique; the solver is damped
-Newton with a finite-difference Jacobian, falling back to bisection (scalar)
-or damped fixed-point iteration. solve_implicit_batch solves a whole (m, n)
-block of lanes at once in every dimension: for n = 1 an elementwise Newton
+Newton with a finite-difference Jacobian. For n = 1 monotonicity makes
+bisection a complete fallback for the lanes Newton leaves unsolved; for
+n > 1 such lanes are reported as failed. solve_implicit_batch solves a whole
+(m, n) block of lanes at once in every dimension: for n = 1 an elementwise Newton
 whose first drift call stacks the residual point b and both difference
 points into one (3m, 1) block, and for n > 1 a damped Newton that makes one
 drift call per iteration on a ((2n+1)w, n) block: the trial point of each of
@@ -78,21 +79,15 @@ class StepContext:
         return self.k * self.dt
 
 
-_FALLBACKS = ("bisection", "damped-iteration")
-
-
 @dataclass(frozen=True)
 class ImplicitSolverConfig:
     residual_tolerance: float = 1e-12
     max_iterations: int = 100
-    fallback: str = "bisection"
 
     def __post_init__(self):
         object.__setattr__(self, "residual_tolerance",
                            positive_real("residual_tolerance", self.residual_tolerance))
         object.__setattr__(self, "max_iterations", integer("max_iterations", self.max_iterations, 1))
-        if self.fallback not in _FALLBACKS:
-            raise ValueError(f"fallback must be one of {_FALLBACKS}, got {self.fallback!r}")
 
 
 DEFAULT_SOLVER_CONFIG = ImplicitSolverConfig()
@@ -153,21 +148,20 @@ def check_implicit_dt(problem: SdeProblem, dt: float) -> None:
         )
 
 
-def check_decay_dt(problem: SdeProblem, dt: float, strict: bool = False) -> None:
-    """Warn (or, under strict, raise ValueError) when dt >= 1/K1.
+def check_decay_dt(problem: SdeProblem, dt: float) -> None:
+    """Warn (UserWarning) when dt >= 1/K1.
 
     Such a step keeps the implicit equation well posed but leaves the range
-    the polynomial decay guarantee covers. The warning points at the caller
-    of the function that calls this one. Call once per run or per public step.
+    the polynomial decay guarantee covers; a caller who wants an error sets a
+    warnings filter. The warning points at the caller of the function that
+    calls this one. Call once per run or per public step.
     """
     if dt >= 1.0 / problem.k1:
-        msg = (
+        warnings.warn(
             f"dt={dt} is not below 1/K1 = {1.0 / problem.k1}; the polynomial "
-            f"decay guarantee does not cover this step size"
+            f"decay guarantee does not cover this step size",
+            stacklevel=3,
         )
-        if strict:
-            raise ValueError(msg)
-        warnings.warn(msg, stacklevel=3)
 
 
 def bisect_root_scalar(
@@ -236,8 +230,9 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     residual never does. Such a lane's next iterate is x - NaN, and so is
     every later one, so it leaves the Newton loop at once with x - r, the
     NaN the rest of its budget would end on. Lanes with a NaN residual and
-    lanes left after cfg.max_iterations go to the configured fallback.
-    Returns (x, ok) with ok of shape (m,).
+    lanes left after cfg.max_iterations go to bisect_root_scalar, and stay
+    unsolved if it cannot bracket a root. Returns (x, ok) with ok of shape
+    (m,).
     """
     tol = cfg.residual_tolerance
     m = b.shape[0]
@@ -250,7 +245,7 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     # it, so nothing is gathered while all lanes are active
     lanes, xi, bi = slice(None), x, b
     ai = np.abs(ri[:, 0])
-    unsolved = []  # index arrays of the lanes for the fallback
+    unsolved = []  # index arrays of the lanes for bisection
     maybe_nan = True  # r is NaN only at b or where every halving failed
     for it in range(cfg.max_iterations + 1):
         left = ai > tol  # False once converged, and for a NaN residual
@@ -304,43 +299,13 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     if not unsolved:
         return x, np.ones(m, dtype=bool)
     unsolved = np.sort(np.concatenate(unsolved))
-    if cfg.fallback == "bisection":
-        for i in unsolved:
-            try:
-                x[i, 0] = bisect_root_scalar(drift, t, float(b[i, 0]), dt, tolerance=tol)
-            except ImplicitSolveError:
-                pass
-    else:
-        mask = np.zeros(b.shape, dtype=bool)
-        mask[unsolved] = True
-        x, _ = _damped_iteration(drift, t, b, dt, cfg, x0=x, mask=mask, out=x)
+    for i in unsolved:
+        try:
+            x[i, 0] = bisect_root_scalar(drift, t, float(b[i, 0]), dt, tolerance=tol)
+        except ImplicitSolveError:
+            pass
     r = x - dt * np.asarray(drift(x, t), dtype=float) - b
     return x, np.abs(r[:, 0]) <= tol
-
-
-def _damped_iteration(drift, t, b, dt, cfg, x0, mask, out, budget: int = 200):
-    """Per-lane damped fixed-point iteration x <- x - lam * residual(x)."""
-    b = np.asarray(b, dtype=float)
-    x = np.array(x0, dtype=float)
-
-    def residual(xv):
-        return xv - dt * np.asarray(drift(xv, t), dtype=float) - b
-
-    lam = np.where(mask, 1.0, 0.0)
-    r = residual(x)
-    for _ in range(budget):
-        act = mask & (np.abs(r) > cfg.residual_tolerance)
-        if not np.any(act):
-            break
-        xa = np.where(act, x - lam * r, x)
-        ra = residual(xa)
-        worse = act & ~(np.abs(ra) <= np.abs(r))
-        lam = np.where(worse, 0.5 * lam, lam)
-        keep = act & ~worse
-        x = np.where(keep, xa, x)
-        r = np.where(keep, ra, r)
-    out = np.where(mask, x, out)
-    return out, np.abs(residual(out)) <= cfg.residual_tolerance
 
 
 def _drift_on_rows(drift, rows, t):
@@ -492,13 +457,12 @@ def solve_implicit_batch(
     """Solve x = f(x,t)*dt + b lane by lane for an (m, n) block b.
 
     The batched kernel behind solve_implicit and the BEM ensemble. n = 1
-    runs the elementwise scalar Newton with its configured fallback; n > 1
-    runs the stacked Newton, then damped iteration on the lanes it left
-    unsolved if cfg.fallback is "damped-iteration" (bisection is scalar
-    only). Returns (x, ok) with ok of shape (m,). Each lane's result is what
-    solving it alone gives, for a drift that computes each row on its own.
-    Only the shape is validated here: b must be finite and the caller
-    checks dt once with check_implicit_dt.
+    runs the elementwise scalar Newton with its bisection fallback; n > 1
+    runs the stacked Newton, whose unsolved lanes come back with ok False
+    and their best iterate. Returns (x, ok) with ok of shape (m,). Each
+    lane's result is what solving it alone gives, for a drift that computes
+    each row on its own. Only the shape is validated here: b must be finite
+    and the caller checks dt once with check_implicit_dt.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[1] != problem.dimension:
@@ -507,16 +471,7 @@ def solve_implicit_batch(
         )
     if problem.dimension == 1:
         return _solve_scalar_batch(problem.drift, t, b, dt, cfg)
-    x, ok = _solve_vector_batch(problem.drift, t, b, dt, cfg)
-    if cfg.fallback == "damped-iteration" and not ok.all():
-        fail = np.flatnonzero(~ok)
-        xf, okf = _damped_iteration(
-            problem.drift, t, b[fail], dt, cfg, x0=x[fail],
-            mask=np.ones((fail.size, b.shape[1]), dtype=bool), out=x[fail],
-        )
-        x[fail] = xf
-        ok[fail] = np.all(okf, axis=1)
-    return x, ok
+    return _solve_vector_batch(problem.drift, t, b, dt, cfg)
 
 
 def _as_lanes(problem: SdeProblem, a: np.ndarray) -> np.ndarray:
@@ -539,7 +494,7 @@ def solve_implicit(
     """Solve x = f(x,t)*dt + b to |x - f(x,t)*dt - b| <= cfg.residual_tolerance.
 
     Newton from the initial guess x0 = b (the drift term is O(dt), so b is
-    within O(dt) of the root), with backtracking and the configured fallback.
+    within O(dt) of the root), with backtracking and, for n = 1, bisection.
     For n = 1, b may hold any number of values, each solved on its own; for
     n > 1, b is one vector of shape (n,). Requires dt < 1/|Kbar|. Raises
     ImplicitSolveError with the best residual if the budget is exhausted.
@@ -599,16 +554,15 @@ def bem_step(
     z,
     ctx: StepContext,
     cfg: ImplicitSolverConfig = DEFAULT_SOLVER_CONFIG,
-    strict_dt: bool = False,
 ):
     """Semi-implicit step: drift at the unknown next state, noise at the current one.
 
     Solves x = z + g(z, k dt) dB + f(x, (k+1) dt) dt. Validating adapter over
     bem_step_batch for a state of any shape (n = 1) or of shape (n,). dt >=
     1/K1 leaves the polynomial decay guarantee but not well-posedness, so it
-    is a warning by default and an error under strict_dt.
+    is a UserWarning (check_decay_dt), not an error.
     """
-    check_decay_dt(problem, ctx.dt, strict=strict_dt)
+    check_decay_dt(problem, ctx.dt)
     check_implicit_dt(problem, ctx.dt)
     z_arr = np.asarray(z, dtype=float)
     zb, db = np.broadcast_arrays(z_arr, np.asarray(ctx.db, dtype=float))

@@ -109,6 +109,22 @@ class TestDecayEstimate:
             with pytest.raises(ValueError):
                 estimate_decay_exponent(series, bad, k1=1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(k1=math.nan), dict(k1=math.inf), dict(k1=-math.inf),
+        dict(tolerance=math.nan), dict(tolerance=math.inf), dict(tolerance=-1.0),
+    ], ids=lambda kw: repr(kw))
+    def test_k1_and_tolerance_validated(self, kwargs):
+        t = geometric_times()
+        series = synthetic_series(t, (1 + t) ** -1)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            estimate_decay_exponent(series, **{"k1": 1.0, **kwargs})
+
+    def test_k1_zero_accepted(self):
+        # an audited K1 is clipped at 0; the bound is then -(2*0 - 1) = 1
+        t = geometric_times()
+        est = estimate_decay_exponent(synthetic_series(t, (1 + t) ** -1), k1=0.0, tolerance=0.0)
+        assert est.theoretical_bound == 1.0 and est.conforms
+
     def test_nonconforming_slope(self):
         t = geometric_times()
         est = estimate_decay_exponent(synthetic_series(t, (1 + t) ** -1), k1=3.0)
@@ -254,6 +270,15 @@ class TestProofBounds:
     def test_all_families_hold_on_acceptance_grid_sample(self):
         report = verify_proof_bounds(k_max=60)
         assert report.all_passed, report.summary()
+
+    @pytest.mark.parametrize("k_max", [1, 0, -5, 2.0, True])
+    def test_k_max_below_two_or_not_an_integer_rejected(self, k_max):
+        with pytest.raises(ValueError, match="k_max"):
+            verify_proof_bounds(k_max=k_max)
+
+    def test_smallest_grid(self):
+        report = verify_proof_bounds(k_max=2)
+        assert report.all_passed and [f.n_points for f in report.families] == [15, 30, 15, 30]
 
     def test_em_sum_margin_against_high_precision(self):
         dt, k1, k, r = 0.1, 2.7, 7, 3

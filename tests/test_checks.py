@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polystab.checks import integer, positive_real
+from polystab.checks import integer, positive_real, real
 
 
 @pytest.mark.parametrize("value,minimum,expected", [
@@ -58,4 +58,29 @@ def test_positive_real(value, expected):
             positive_real("x", value)
     else:
         out = positive_real("x", value)
+        assert out == expected and type(out) is float
+
+
+@pytest.mark.parametrize("value,minimum,expected", [
+    (True, None, None),
+    (np.bool_(False), 0.0, None),
+    (math.nan, None, None),
+    (math.inf, None, None),
+    (-math.inf, 0.0, None),
+    (10**400, None, None),
+    ("1", None, None),
+    (None, None, None),
+    (-1e-300, 0.0, None),  # below the minimum
+    (0, None, 0.0),  # zero: an audited K1 is clipped at 0
+    (-2.5, None, -2.5),
+    (0.0, 0.0, 0.0),
+    (np.float64(0.15), 0.0, 0.15),
+    (np.int64(3), 0.0, 3.0),
+], ids=lambda v: repr(v))
+def test_real(value, minimum, expected):
+    if expected is None:
+        with pytest.raises(ValueError, match=r"^r must be a finite real"):
+            real("r", value, minimum)
+    else:
+        out = real("r", value, minimum)
         assert out == expected and type(out) is float

@@ -260,6 +260,29 @@ class TestAnalyze:
     def test_missing_file_usage_error(self, tmp_path):
         assert run(["analyze", "--csv", str(tmp_path / "nope.csv"), "--k1", "1.0"]) == 1
 
+    @pytest.mark.parametrize("out", ["missing/report.json", ".", "a\0b"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, monkeypatch, capsys, out):
+        monkeypatch.chdir(tmp_path)
+        write_power_law_csv(tmp_path / "m.csv", -1.0)
+        assert run(["analyze", "--csv", "m.csv", "--k1", "1.0", "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --out:")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--k1", "nan"), ("--k1", "inf"), ("--k1", "-inf"),
+        ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "-1"),
+        ("--window-fraction", "nan"),
+    ])
+    def test_nonfinite_k1_or_bad_tolerance_is_usage_error(self, tmp_path, capsys, flag, value):
+        csv = tmp_path / "m.csv"
+        write_power_law_csv(csv, -1.0)
+        argv = ["analyze", "--csv", str(csv), "--k1", "1.0", f"{flag}={value}"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestRoundTrip:
     def test_simulate_then_analyze_deterministic(self, tmp_path):
@@ -310,6 +333,17 @@ class TestVerifyGamma:
         assert code == 2
         err = capsys.readouterr().err
         assert "em-initial-term" in err and "(7, 0.1, 2.0)" in err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["--k-max", "0"], ["--k-max", "1"], ["--seed", "-1"],
+        ["--samples", "0"], ["--samples", "-3"],
+    ], ids=" ".join)
+    def test_bad_argument_is_usage_error(self, capsys, argv):
+        assert run(["verify-gamma", "--samples", "5", "--k-max", "10", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestCounterexample:
@@ -388,20 +422,59 @@ def specs(draw):
 
 
 @st.composite
-def flag_lists(draw):
+def flag_lists(draw, values=FLAG_VALUES, max_size=3):
     argv = []
-    for flag in draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=3, unique=True)):
+    for flag in draw(st.lists(st.sampled_from(sorted(values)), max_size=max_size, unique=True)):
         junk = draw(st.integers(0, 9)) == 5  # most flags get a value argparse takes
-        argv += [flag, draw(JUNK_WORDS if junk else FLAG_VALUES[flag])]
+        argv += [flag, draw(JUNK_WORDS if junk else values[flag])]
     return argv
+
+
+# Any float: nan, inf, negatives and the extremes included.
+ANY_FLOAT = st.floats().map(repr)
+# Flag values for the other commands. Each of their fuzz argv starts from small
+# valid values for the required and costly flags, which a drawn flag overrides
+# (argparse keeps the last).
+ANALYZE_VALUES = {
+    "--csv": st.sampled_from(["m.csv", "blown.csv", "bad.csv", "missing.csv"]),
+    "--k1": st.floats(0, 5).map(repr) | ANY_FLOAT,
+    "--window-fraction": st.floats(0, 1).map(repr) | ANY_FLOAT,
+    "--tolerance": st.floats(0, 1).map(repr) | ANY_FLOAT,
+    "--out": st.sampled_from(["r.json", ".", "missing/r.json", "a\0b"]),
+}
+# --k-max and --samples stay small, so no draw builds a large grid.
+VERIFY_VALUES = {
+    "--samples": st.integers(-1, 5).map(str),
+    "--seed": st.integers(-1, 2**70).map(str),
+    "--k-max": st.integers(0, 12).map(str),
+}
+# --paths and --steps stay small; --k-max bounds the recursion's length.
+COUNTEREXAMPLE_VALUES = {
+    "--dt": st.floats(0, 0.6).map(repr) | ANY_FLOAT,
+    "--cap": st.floats(0.5, 1e308).map(repr) | ANY_FLOAT,
+    "--k-max": st.integers(0, 40).map(str),
+    "--paths": st.integers(0, 8).map(str),
+    "--steps": st.integers(0, 20).map(str),
+    "--seed": GOOD["seed"].map(str),
+    "--x0": st.floats(-10, 10).map(repr),
+}
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def fuzz_main(argv):
+    """main(argv) with warnings silenced; must return a documented exit code."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
 
 
 class TestFuzz:
     def test_good_values_cover_every_spec_key(self):
         assert sorted(GOOD) == sorted(SPEC_KEYS)
 
-    @settings(max_examples=150, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(FUZZ, max_examples=150)
     @given(spec=specs() | st.none() | JSON, flags=flag_lists(), envelope=st.booleans())
     def test_simulate_returns_a_documented_exit_code(self, tmp_path, monkeypatch, spec,
                                                      flags, envelope):
@@ -410,6 +483,25 @@ class TestFuzz:
         if spec is not None:
             (tmp_path / "spec.json").write_text(json.dumps(spec))
             argv += ["--spec", "spec.json"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert main(argv) in (0, 1, 2, 3)
+        fuzz_main(argv)
+
+    @FUZZ
+    @given(flags=flag_lists(ANALYZE_VALUES, max_size=5))
+    def test_analyze_returns_a_documented_exit_code(self, tmp_path, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        write_power_law_csv(tmp_path / "m.csv", -1.0)
+        lines = (tmp_path / "m.csv").read_text().splitlines()
+        blown = lines[:-1] + ["59,1e4,1e-4,0.0,90,10"]
+        (tmp_path / "blown.csv").write_text("\n".join(blown) + "\n")
+        (tmp_path / "bad.csv").write_text(CSV_HEADER + "\n0,0.0,1.0\n")
+        fuzz_main(["analyze", "--csv", "m.csv", "--k1", "1.0", *flags])
+
+    @settings(FUZZ, max_examples=30)  # a run that passes its checks takes ~35 ms
+    @given(flags=flag_lists(VERIFY_VALUES))
+    def test_verify_gamma_returns_a_documented_exit_code(self, flags):
+        fuzz_main(["verify-gamma", "--samples", "2", "--k-max", "4", *flags])
+
+    @FUZZ
+    @given(flags=flag_lists(COUNTEREXAMPLE_VALUES, max_size=4))
+    def test_counterexample_returns_a_documented_exit_code(self, flags):
+        fuzz_main(["counterexample", "--dt", "0.1", "--paths", "4", "--steps", "10", *flags])

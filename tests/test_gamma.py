@@ -119,6 +119,15 @@ class TestProducts:
         result = verify_product_identity(num_samples=1000, seed=123, max_index=10_000)
         assert result.passed, f"worst {result.worst_rel_error} at {result.worst_params}"
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(num_samples=0), dict(num_samples=-3), dict(num_samples=2.0),
+        dict(seed=-1), dict(seed=True),
+    ], ids=lambda kw: repr(kw))
+    def test_empty_sample_or_negative_seed_rejected(self, kwargs):
+        # zero samples would pass vacuously with a worst error of -1
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            verify_product_identity(**kwargs)
+
 
 class TestRatioPowerMargin:
     def test_below_one_at_x1(self):

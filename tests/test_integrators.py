@@ -10,7 +10,6 @@ from polystab.integrators import (
     ImplicitSolverConfig,
     StepContext,
     StepError,
-    _damped_iteration,
     bem_step,
     bem_step_batch,
     bisect_root_scalar,
@@ -134,17 +133,16 @@ class TestSolverConfig:
         cfg = ImplicitSolverConfig()
         assert cfg.residual_tolerance == 1e-12
         assert cfg.max_iterations == 100
-        assert cfg.fallback == "bisection"
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(residual_tolerance=0.0),
             dict(max_iterations=0),
-            dict(fallback="newton"),
             dict(max_iterations=True),
             dict(max_iterations=5.0),
             dict(residual_tolerance=float("nan")),
+            dict(residual_tolerance=float("inf")),
         ],
     )
     def test_validation(self, kwargs):
@@ -207,28 +205,25 @@ class TestSolveImplicit:
 
     def test_bisection_fallback_engages(self):
         # one Newton iteration cannot reach tolerance from x0 = b here
-        cfg = ImplicitSolverConfig(max_iterations=1, fallback="bisection")
+        cfg = ImplicitSolverConfig(max_iterations=1)
         x = solve_implicit(cubic_counterexample(), 0.0, 40.0, 0.3, cfg)
         resid = x - 0.3 * float(np.asarray(cubic_counterexample().drift(x, 0.0))) - 40.0
         assert abs(resid) <= 1e-12
 
-    def test_damped_iteration_fallback(self):
-        cfg = ImplicitSolverConfig(max_iterations=1, fallback="damped-iteration")
-        x = solve_implicit(linear_example(), 2.0, 1.5, 0.3, cfg)
-        assert x == pytest.approx(1.5 / 1.1, abs=1e-11)
-
     def test_unsolvable_raises_with_residual(self):
-        # residual x - 0.5 x^2 - b has no root for b > 0.5: sup(x - 0.5 x^2) = 0.5
+        # residual x - 0.5 x^2 - b has no root for b > 0.5: sup(x - 0.5 x^2) = 0.5,
+        # so Newton cannot converge and bisection cannot bracket a root
         p = SdeProblem(
             dimension=1,
             drift=lambda x, t: np.asarray(x, dtype=float) ** 2,
             diffusion=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
             k1=1.0, c=1.0, kbar=-1.0, satisfies_linear_growth=False, label="no-root",
         )
-        cfg = ImplicitSolverConfig(fallback="damped-iteration", max_iterations=30)
         with pytest.raises(ImplicitSolveError) as err:
-            solve_implicit(p, 1.0, 10.0, 0.5, cfg)
+            solve_implicit(p, 1.0, 10.0, 0.5)
         assert err.value.best_residual is not None
+        with pytest.raises(ImplicitSolveError, match="bracket"):
+            bisect_root_scalar(p.drift, 1.0, 10.0, 0.5)
 
 
 class Test2D:
@@ -349,7 +344,7 @@ class TestBatchedSolve:
     @pytest.mark.parametrize("cfg", [
         ImplicitSolverConfig(),
         ImplicitSolverConfig(max_iterations=3),
-        ImplicitSolverConfig(max_iterations=3, fallback="damped-iteration"),
+        ImplicitSolverConfig(max_iterations=1),
     ])
     def test_block_equals_lone_lanes(self, cfg):
         p, b = self.problem(), self.lanes()
@@ -546,18 +541,14 @@ def reference_scalar_newton(drift, t, b, dt, cfg):
         active = ~(np.abs(r) <= cfg.residual_tolerance)
 
     if np.any(active):
-        flat_active = np.argwhere(active)
-        if cfg.fallback == "bisection":
-            for idx in flat_active:
-                key = tuple(idx)
-                try:
-                    x[key] = bisect_root_scalar(
-                        drift, t, float(b[key]), dt, tolerance=cfg.residual_tolerance
-                    )
-                except ImplicitSolveError:
-                    pass
-        else:
-            x, _ = _damped_iteration(drift, t, b, dt, cfg, x0=x, mask=active, out=x)
+        for idx in np.argwhere(active):
+            key = tuple(idx)
+            try:
+                x[key] = bisect_root_scalar(
+                    drift, t, float(b[key]), dt, tolerance=cfg.residual_tolerance
+                )
+            except ImplicitSolveError:
+                pass
         r = residual(x)
         active = ~(np.abs(r) <= cfg.residual_tolerance)
     return x, ~active, iterations, backtracked
@@ -572,7 +563,7 @@ class TestScalarSolveReference:
     def problem():
         # a steep arctan well makes Newton from x0 = b overshoot and backtrack;
         # beyond |x| = 50 the residual x - 0.5 (2x) - b = -b has no root, so
-        # such a lane exhausts its budget and every fallback
+        # such a lane exhausts its budget and the bisection fallback
         def drift(x, t):
             x = np.asarray(x, dtype=float)
             return np.where(np.abs(x) >= 50.0, 2.0 * x, -20.0 * np.arctan(5.0 * x) / (1.0 + t))
@@ -591,8 +582,7 @@ class TestScalarSolveReference:
     @pytest.mark.parametrize("cfg", [
         ImplicitSolverConfig(),
         ImplicitSolverConfig(max_iterations=2),
-        ImplicitSolverConfig(max_iterations=2, fallback="damped-iteration"),
-    ], ids=["newton", "bisection", "damped-iteration"])
+    ], ids=["newton", "bisection"])
     def test_matches_reference(self, cfg):
         p, b = self.problem(), self.lanes()
         ref_x, ref_ok, iterations, backtracked = reference_scalar_newton(
@@ -600,20 +590,17 @@ class TestScalarSolveReference:
         x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
         assert np.array_equal(x, ref_x) and np.array_equal(ok, ref_ok[:, 0])
         assert ref_ok[0, 0] and iterations[0, 0] == 0  # converges at b
-        assert not ref_ok[1, 0]  # no root: fails after every fallback
+        assert not ref_ok[1, 0]  # no root: fails after bisection too
         assert backtracked.sum() >= 3
         if cfg.max_iterations == 2:
-            # lanes that run out of Newton updates and are rescued by the fallback
+            # lanes that run out of Newton updates and are rescued by bisection
             rescued = ref_ok[:, 0] & (iterations[:, 0] == 2) & (
                 np.abs(ref_x - self.DT * p.drift(ref_x, 1.0) - b)[:, 0] <= 1e-12)
             assert rescued.sum() >= 3
         else:
             assert (iterations >= 3).sum() >= 3 and ref_ok.sum() == len(b) - 1
 
-    @pytest.mark.parametrize("cfg", [
-        ImplicitSolverConfig(),
-        ImplicitSolverConfig(fallback="damped-iteration"),
-    ], ids=["bisection", "damped-iteration"])
+    @pytest.mark.parametrize("cfg", [ImplicitSolverConfig()], ids=["bisection"])
     def test_nan_residual_is_not_converged(self, cfg):
         # the drift is NaN above x = 10: a lane starting there must fail, not
         # come back as its own b with ok True
@@ -645,8 +632,6 @@ class TestHopelessLanes:
     """A lane whose residual is NaN can never converge: its next iterate is x - NaN."""
 
     DT = 0.5
-    CONFIGS = [ImplicitSolverConfig(), ImplicitSolverConfig(fallback="damped-iteration")]
-
     @staticmethod
     def problem(dimension, drift):
         return SdeProblem(
@@ -660,37 +645,28 @@ class TestHopelessLanes:
             x, ok, _, _ = reference_scalar_newton(drift, 1.0, b, dt, cfg)
             return x, ok[:, 0]
         lanes = [reference_vector_newton(drift, 1.0, bi, dt, cfg) for bi in b]
-        x, ok = np.array([lane[0] for lane in lanes]), np.array([lane[1] for lane in lanes])
-        if cfg.fallback == "damped-iteration" and not ok.all():
-            # what solve_implicit_batch does with the lanes Newton left
-            fail = ~ok
-            x[fail], okf = _damped_iteration(drift, 1.0, b[fail], dt, cfg, x0=x[fail],
-                                             mask=np.ones(b[fail].shape, dtype=bool),
-                                             out=x[fail])
-            ok[fail] = okf.all(axis=1)
-        return x, ok
+        return np.array([lane[0] for lane in lanes]), np.array([lane[1] for lane in lanes])
 
-    @pytest.mark.parametrize("dimension,fallback,expected_calls", [
-        (1, "bisection", 4), (1, "damped-iteration", 4),
-        (2, "bisection", 1), (2, "damped-iteration", 3),
-    ])
-    def test_nan_everywhere_leaves_after_one_newton_call(self, dimension, fallback, expected_calls):
-        # one drift call for the residual at b, then only what the fallback
-        # makes, where the whole Newton budget used to be spent on it
+    # ids: dimension, the default config's scalar fallback, drift calls
+    @pytest.mark.parametrize("dimension,expected_calls", [(1, 4), (2, 1)],
+                             ids=["1-bisection-4", "2-bisection-1"])
+    def test_nan_everywhere_leaves_after_one_newton_call(self, dimension, expected_calls):
+        # one drift call for the residual at b, then in 1-D only what
+        # bisection makes: the lane spends none of the Newton budget
         calls = []
 
         def drift(x, t):
             calls.append(np.shape(x))
             return np.full(np.shape(x), np.nan)
 
-        p, cfg = self.problem(dimension, drift), ImplicitSolverConfig(fallback=fallback)
+        p, cfg = self.problem(dimension, drift), ImplicitSolverConfig()
         b = np.full((1, dimension), 2.0)
         x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
         assert len(calls) == expected_calls
         ref_x, ref_ok = self.reference(drift, b, self.DT, cfg)
         assert x.tobytes() == ref_x.tobytes() and ok.tolist() == ref_ok.tolist() == [False]
 
-    @pytest.mark.parametrize("cfg", CONFIGS, ids=["bisection", "damped-iteration"])
+    @pytest.mark.parametrize("cfg", [ImplicitSolverConfig()], ids=["bisection"])
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_lane_whose_residual_turns_nan_mid_newton(self, cfg, dimension):
         # the drift is -20 in every component where x_0 >= 0 and NaN where
@@ -741,8 +717,11 @@ class TestBemStep:
         ctx = StepContext(k=0, dt=0.5, db=0.0)
         with pytest.warns(UserWarning, match="1/K1"):
             bem_step(steep, 1.0, ctx)
-        with pytest.raises(ValueError, match="1/K1"):
-            bem_step(steep, 1.0, ctx, strict_dt=True)
+        # strict: a warnings filter turns it into an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            with pytest.raises(UserWarning, match="1/K1"):
+                bem_step(steep, 1.0, ctx)
 
     def test_batch_kernel_matches_solve_per_path(self):
         # (k+1) dt, not k dt + dt, is the solve time: here the drift differs
