@@ -48,7 +48,12 @@ __all__ = [
     "BoundFamilyResult",
     "ProofBoundReport",
     "verify_proof_bounds",
+    "PROOF_BOUNDS_MAX_K",
 ]
+
+# verify_proof_bounds builds index arrays of ~k_max**2 / 2 entries: ~5 s and
+# ~120 MB at this ceiling, and a larger k_max is refused before any is built
+PROOF_BOUNDS_MAX_K = 1000
 
 
 @dataclass(frozen=True)
@@ -100,9 +105,10 @@ def estimate_decay_exponent(
     The window is the final ``window_fraction`` of the log-time axis; decay
     statements are asymptotic and early transients bias slopes upward, so the
     default is the last half. Checkpoints with mean_square == 0 are excluded
-    with a warning; blown-up paths inside the window make the fit meaningless
-    and raise. Conformance compares slope against -(2 k1 - 1) + tolerance;
-    check_decay_fit_args checks the three arguments.
+    with a warning; blown-up paths or a NaN, infinite or negative
+    mean_square inside the window make the fit meaningless and raise. Conformance compares
+    slope against -(2 k1 - 1) + tolerance; check_decay_fit_args checks the
+    three arguments.
     """
     window_fraction, k1, tolerance = check_decay_fit_args(window_fraction, k1, tolerance)
     t = np.asarray(series.time, dtype=float)
@@ -114,6 +120,12 @@ def estimate_decay_exponent(
     in_window = log_time >= lo
     if np.any(np.asarray(series.blown_up)[in_window] > 0):
         raise ValueError("blown-up paths inside the fit window; slope undefined")
+    bad = in_window & ~(np.isfinite(m2) & (m2 >= 0.0))
+    if np.any(bad):
+        raise ValueError(
+            f"{int(np.sum(bad))} mean_square values inside the fit window are NaN, "
+            f"infinite or negative; slope undefined"
+        )
     zero = in_window & ~(m2 > 0.0)
     if np.any(zero):
         warnings.warn(
@@ -403,9 +415,11 @@ def verify_proof_bounds(
     """Evaluate all four inequality families on grids k in {2..k_max}, r < k.
 
     The explicit-scheme families require K1 >= 1; the semi-implicit ones only
-    K1 > 0.5. k_max must be an integer >= 2, so that the grid is not empty.
+    K1 > 0.5. k_max must be an integer >= 2, so that the grid is not empty,
+    and at most PROOF_BOUNDS_MAX_K, since the paired grid has ~k_max**2 / 2
+    points.
     """
-    ks = np.arange(2, integer("k_max", k_max, 2) + 1)
+    ks = np.arange(2, integer("k_max", k_max, 2, PROOF_BOUNDS_MAX_K) + 1)
     pair_k = np.repeat(ks, ks)  # each k paired with r = 0..k-1
     pair_r = np.concatenate([np.arange(k) for k in ks])
 

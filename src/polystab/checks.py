@@ -25,12 +25,14 @@ _INTEGERS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
 
 
-def integer(name: str, value, minimum: int | None = None) -> int:
-    """value as an int: an int or numpy integer, not a bool, >= minimum if given."""
+def integer(name: str, value, minimum: int | None = None, maximum: int | None = None) -> int:
+    """value as an int: an int or numpy integer, not a bool, in [minimum, maximum] where given."""
     if isinstance(value, bool) or not isinstance(value, _INTEGERS):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be an integer <= {maximum}, got {value!r}")
     return int(value)
 
 

@@ -12,12 +12,14 @@ Paths run in fixed chunks of 4096. A chunk draws its normals in step blocks of
 at most 2**20 values into one step-major buffer (one contiguous row of path
 normals per step), from one Philox that is re-keyed for each path of the
 chunk. The raw words of a group of paths are gathered into a fixed-size
-scratch and mapped to normals by one transform per group. Each step then
-makes one call of the scheme's batched kernel, em_step_batch or
-bem_step_batch: on the whole chunk while no path of it is frozen, and for BEM
-on the live paths after that. Chunk, step-block and scratch sizes are module
-constants and never depend on the worker count; workers only decide which
-thread runs a chunk.
+scratch and mapped to normals by one transform per group, in a contiguous
+float scratch that is then copied into the buffer. Each filled step block
+is scaled by sqrt(dt) once, so a step's increments are a view of one row.
+Each step then makes one call of the scheme's batched kernel, em_step_batch
+or bem_step_batch: on the whole chunk while no path of it is frozen, and for
+BEM on the live paths after that. Chunk, step-block and scratch sizes are
+module constants and never depend on the worker count; workers only decide
+which thread runs a chunk.
 
 A run keeps one float array, the squared norm of every path at every
 checkpoint; each chunk writes its own columns of it. Per path a chunk also
@@ -186,9 +188,12 @@ def _fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int)
     mapped through the inverse normal CDF. One generator serves every row: its
     key, counter and buffer position are reset through its state for each
     path. Word 0 of each row goes into a scratch of about _SCRATCH_WORDS
-    words, and each group of rows is transformed at once. out may be any
-    view, such as the transpose of a step-major buffer. A value never depends
-    on the rows or steps it was generated with.
+    words, and each group of rows is transformed at once: in place when out
+    is C-contiguous, else in a contiguous float scratch of the same size
+    that is then written to out with one copy. out may therefore be any
+    view, such as the transpose of a step-major buffer, whose elements lie
+    far apart. A value never depends on the rows or steps it was generated
+    with.
     """
     m, count = out.shape
     bg = Philox(_PhiloxKey(seed, path_lo), counter=int(step0))
@@ -201,19 +206,24 @@ def _fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int)
     group = max(1, _SCRATCH_WORDS // count)
     # its own scratch, not a uint64 view of out: numpy copies an aliased input
     words = np.empty((min(group, m), count), dtype=np.uint64)
+    # a strided out, such as the engine's, is transformed in a contiguous
+    # scratch and copied in once; a contiguous one in place
+    floats = None if out.flags.c_contiguous else np.empty(words.shape)
     for g0 in range(0, m, group):
         g1 = min(g0 + group, m)
         raw = words[: g1 - g0]
+        block = out[g0:g1] if floats is None else floats[: g1 - g0]
         for j in range(g0, g1):
             if j:  # row 0 uses the generator as built
                 inner["key"][1] = (path_lo + j) & _MASK64
                 bg.state = state
             raw[j - g0] = bg.random_raw(4 * count)[0::4]
         raw >>= np.uint64(11)
-        block = out[g0:g1]
         np.multiply(raw, 2.0**-53, out=block)
         block += 2.0**-54
         ndtri(block, out=block)
+        if floats is not None:
+            out[g0:g1] = block
 
 
 def _standard_normal_block(seed: int, path_id: int, step0: int, count: int) -> np.ndarray:
@@ -341,6 +351,15 @@ def _resolve_workers(workers) -> int:
     return n
 
 
+def _squared_norms(x):
+    """|x_i|^2 for each row of an (m, n) block.
+
+    For n = 1 one square, which skips einsum's dispatch and gives the same
+    bits: einsum's sum of the single product x_i0 * x_i0 is that product.
+    """
+    return np.square(x[:, 0]) if x.shape[1] == 1 else np.einsum("ij,ij->i", x, x)
+
+
 @np.errstate(all="ignore")  # overflow and NaN in a step are what the norm check is for
 def _simulate_chunk(problem, config, path_lo, path_hi, out=None):
     """Evolve paths [path_lo, path_hi); return their squared checkpoint norms.
@@ -372,7 +391,7 @@ def _simulate_chunk(problem, config, path_lo, path_hi, out=None):
 
     pos = 0
     if ckpts[0] == 0:
-        sq[0] = np.einsum("ij,ij->i", x, x)
+        sq[0] = _squared_norms(x)
         pos = 1
 
     # nothing after the last checkpoint is recorded, so every freeze happens
@@ -386,8 +405,9 @@ def _simulate_chunk(problem, config, path_lo, path_hi, out=None):
         b1 = min(b0 + step_block, num_steps)
         normals = buffer[: b1 - b0]
         _fill_standard_normals(normals.T, config.seed, path_lo, b0)
-        for k, z in enumerate(normals, b0):
-            db = z[:, None] * sqrt_dt
+        normals *= sqrt_dt  # now the increments dB = z sqrt(dt), one product each
+        for k, increments in enumerate(normals, b0):
+            db = increments[:, None]
             if config.scheme == "em":
                 new = em_step_batch(problem, x, k * dt, dt, db)
                 x = np.where((gone_from < n_ck)[:, None], x, new) if any_frozen else new
@@ -404,10 +424,10 @@ def _simulate_chunk(problem, config, path_lo, path_hi, out=None):
                     lost = live[~ok]
                     failed[lost] = True
                     gone_from[lost] = pos
-            norm2 = np.einsum("ij,ij->i", x, x)
+            norm2 = _squared_norms(x)
             # one comparison while nothing is over (a NaN max fails it too); a
             # frozen path is blown already or kept a state that passed
-            if not norm2.max() <= limit:
+            if not np.maximum.reduce(norm2) <= limit:
                 np.minimum(gone_from, pos, out=gone_from, where=~(norm2 <= limit))
                 any_frozen = True
             if ckpts[pos] == k + 1:

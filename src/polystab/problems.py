@@ -87,11 +87,19 @@ class SdeProblem:
 
 
 def _linear_drift(x, t):
-    return -x / (1.0 + t)
+    # -x / (1 + t) in one operation: division rounds symmetrically in sign,
+    # so every value but a NaN's sign bit is the same
+    return x / -(1.0 + t)
+
+
+def _noise_column(x, value):
+    """value at the shape of x, as a float array (a numpy float for a scalar x)."""
+    g = np.full_like(x, value, dtype=float)
+    return g if g.ndim else g[()]
 
 
 def _linear_diffusion(x, t):
-    return np.zeros_like(np.asarray(x, dtype=float)) + 1.0 / (1.0 + t)
+    return _noise_column(x, 1.0 / (1.0 + t))
 
 
 def linear_example() -> SdeProblem:
@@ -113,7 +121,7 @@ def _cubic_drift(x, t):
 
 
 def _cubic_diffusion(x, t):
-    return np.zeros_like(np.asarray(x, dtype=float)) + (1.0 + t) ** -3
+    return _noise_column(x, (1.0 + t) ** -3)
 
 
 def cubic_counterexample() -> SdeProblem:

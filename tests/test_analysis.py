@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polystab.analysis import (
+    PROOF_BOUNDS_MAX_K,
     bem_envelope,
     bem_initial_term_log_margin,
     bem_sum_term_log_margin,
@@ -96,6 +98,27 @@ class TestDecayEstimate:
         with pytest.warns(UserWarning, match="mean_square == 0"):
             est = estimate_decay_exponent(synthetic_series(t, m2), k1=1.0)
         assert est.slope == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1e-3])
+    def test_invalid_mean_square_in_window_rejected(self, bad):
+        # inf would fit a NaN slope; NaN or a negative value would pass as a
+        # zero and be dropped from the fit
+        t = geometric_times()
+        m2 = (1 + t) ** -1
+        m2[1::2] = bad
+        with np.errstate(invalid="ignore"):  # its capped means take sqrt(m2)
+            series = synthetic_series(t, m2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "mean_square == 0" warning either
+            with pytest.raises(ValueError, match="NaN, infinite or negative"):
+                estimate_decay_exponent(series, k1=1.0)
+
+    def test_invalid_mean_square_before_window_ignored(self):
+        t = geometric_times()
+        m2 = (1 + t) ** -1
+        m2[1] = math.inf
+        est = estimate_decay_exponent(synthetic_series(t, m2), k1=1.0)
+        assert est.slope == pytest.approx(-1.0, abs=1e-12)
 
     def test_too_few_points(self):
         t = geometric_times(n=12)  # ~6 points in the tail window
@@ -275,6 +298,11 @@ class TestProofBounds:
     def test_k_max_below_two_or_not_an_integer_rejected(self, k_max):
         with pytest.raises(ValueError, match="k_max"):
             verify_proof_bounds(k_max=k_max)
+
+    def test_k_max_above_the_ceiling_rejected(self):
+        # refused before the ~k_max**2 / 2 point grid is built
+        with pytest.raises(ValueError, match=f"k_max must be an integer <= {PROOF_BOUNDS_MAX_K}"):
+            verify_proof_bounds(k_max=PROOF_BOUNDS_MAX_K + 1)
 
     def test_smallest_grid(self):
         report = verify_proof_bounds(k_max=2)

@@ -34,6 +34,17 @@ def test_integer(value, minimum, expected):
 
 
 @pytest.mark.parametrize("value,expected", [
+    (10, 10), (np.int64(10), 10), (-3, -3), (11, None), (np.uint64(2**63), None), (2**70, None),
+], ids=lambda v: repr(v))
+def test_integer_maximum(value, expected):
+    if expected is None:
+        with pytest.raises(ValueError, match=r"^n must be an integer <= 10, got"):
+            integer("n", value, maximum=10)
+    else:
+        assert integer("n", value, maximum=10) == expected
+
+
+@pytest.mark.parametrize("value,expected", [
     (True, None),
     (np.bool_(True), None),
     (0.0, None),  # below the minimum

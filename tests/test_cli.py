@@ -250,6 +250,24 @@ class TestAnalyze:
         assert code == 2
         assert "estimation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["inf", "nan", "-0.001"])
+    def test_invalid_mean_square_numerical_error(self, tmp_path, capsys, bad):
+        # mean_square bad at every other checkpoint: an estimation error, not
+        # a verdict on a NaN slope (inf) or a fit on the rest (nan, negative)
+        csv = tmp_path / "m.csv"
+        write_power_law_csv(csv, -1.0)
+        lines = csv.read_text().splitlines()
+        for i in range(2, len(lines), 2):
+            fields = lines[i].split(",")
+            fields[2] = bad
+            lines[i] = ",".join(fields)
+        csv.write_text("\n".join(lines) + "\n")
+        code = run(["analyze", "--csv", str(csv), "--k1", "1.0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("estimation error: ") and "NaN, infinite or negative" in captured.err
+        assert "mean_square == 0" not in captured.err
+
     def test_malformed_csv_names_line(self, tmp_path, capsys):
         csv = tmp_path / "bad.csv"
         csv.write_text(CSV_HEADER + "\n0,0.0,1.0,0.0,10,0\noops\n")
@@ -334,6 +352,12 @@ class TestVerifyGamma:
         err = capsys.readouterr().err
         assert "em-initial-term" in err and "(7, 0.1, 2.0)" in err
 
+    def test_k_max_above_the_ceiling_is_usage_error(self, capsys):
+        k_max = str(polystab.analysis.PROOF_BOUNDS_MAX_K + 1)
+        assert run(["verify-gamma", "--samples", "5", "--k-max", k_max]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: k_max must be an integer <= ")
 
     @pytest.mark.parametrize("argv", [
         ["--k-max", "0"], ["--k-max", "1"], ["--seed", "-1"],

@@ -245,6 +245,18 @@ class TestNoiseStreamPinned:
             assert np.array_equal(first[j], whole[:steps])
             assert np.array_equal(second[j], whole[steps:])
 
+    def test_transposed_out_with_a_partial_last_group(self):
+        # the engine's layout: a step-major buffer filled through its
+        # transpose, whose path rows lie a whole step row apart
+        seed, path_lo, step0, steps = 77, 300, 5000, 1000
+        group = ensemble._SCRATCH_WORDS // steps
+        m = 2 * group + 5  # two full transform groups and a partial one
+        buffer = np.full((steps, m), np.nan)
+        _fill_standard_normals(buffer.T, seed, path_lo, step0)
+        for j in range(m):
+            row = _standard_normal_block(seed, path_lo + j, step0, steps)
+            assert buffer[:, j].tobytes() == row.tobytes(), j
+
 
 class TestChunkBoundaries:
     # CSV SHA-256 recorded with 256-path chunks and 4096-step blocks

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -626,6 +627,96 @@ class TestScalarSolveReference:
             ref_x, ref_ok, _, _ = reference_scalar_newton(p.drift, t, b, 0.3, cfg)
             x, ok = solve_implicit_batch(p, t, b, 0.3, cfg)
             assert np.array_equal(x, ref_x) and np.array_equal(ok, ref_ok[:, 0])
+
+    def test_one_newton_step_takes_two_drift_calls(self):
+        # the 1-D sibling of TestVectorSolveEdges' test: the first call covers
+        # b and both difference points, the second the trial
+        rows = []
+
+        def drift(x, t):
+            rows.append(len(x))
+            return -x / (1.0 + t)
+
+        p = SdeProblem(
+            dimension=1, drift=drift, diffusion=lambda x, t: np.zeros_like(x),
+            k1=1.0, c=1.0, kbar=-1.0, satisfies_linear_growth=True, label="lin1d",
+        )
+        b = np.random.default_rng(4).uniform(-1.0, 1.0, size=(64, 1))
+        x, ok = solve_implicit_batch(p, 1.0, b, 1e-4)
+        assert ok.all() and rows == [3 * 64, 64]
+        ref_x, ref_ok, iterations, _ = reference_scalar_newton(
+            p.drift, 1.0, b, 1e-4, ImplicitSolverConfig())
+        assert x.tobytes() == ref_x.tobytes() and (iterations == 1).all()
+
+
+class TestAllConvergedExit:
+    """A solve returns right after the trial that leaves every lane converged.
+
+    Bit for bit against the plain references on three kinds of block, in
+    both solvers: every lane converges on its first step; some lanes
+    converge at b and the rest in one step; one lane must backtrack, so the
+    first trial does not end the solve.
+    """
+
+    DT = 0.5
+
+    @staticmethod
+    def counted(dimension):
+        # the wells of TestScalarSolveReference (1-D) or TestVectorSolveEdges
+        # (2-D), near whose root at 0 one Newton step converges; rows records
+        # the number of rows of each array drift call
+        base = TestScalarSolveReference.problem() if dimension == 1 else TestVectorSolveEdges.problem()
+        rows = []
+
+        def drift(x, t):
+            if np.ndim(x):  # bisection passes floats
+                rows.append(len(x))
+            return base.drift(x, t)
+
+        return dataclasses.replace(base, drift=drift), rows
+
+    @staticmethod
+    def block(kind, dimension):
+        b = np.random.default_rng(9).uniform(-1e-9, 1e-9, size=(12, dimension))
+        if kind == "converged-at-b":
+            b[::3] = 0.0
+        elif kind == "one-backtracks":
+            b[5] = [3.0, -2.0][:dimension]
+        return b
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("kind", ["one-step", "converged-at-b", "one-backtracks"])
+    def test_matches_reference(self, kind, dimension):
+        p, rows = self.counted(dimension)
+        b = self.block(kind, dimension)
+        b_before = b.copy()
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT)
+        calls = rows.copy()
+        ref_x, ref_ok = TestHopelessLanes.reference(p.drift, b, self.DT, ImplicitSolverConfig())
+        assert x.tobytes() == ref_x.tobytes() and ok.tolist() == ref_ok.tolist()
+        assert ok.all() and x.shape == b.shape
+        assert b.tobytes() == b_before.tobytes() and not np.shares_memory(x, b)
+        # rows per lane: at b, the residual and 2n difference points; for a
+        # trial, the residual alone in 1-D and all 2n+1 points in n-d
+        at_b, trial = (3, 1) if dimension == 1 else (5, 5)
+        m = len(b)
+        if kind == "one-step":
+            assert calls == [at_b * m, trial * m]
+        elif kind == "converged-at-b":
+            assert calls == [at_b * m, trial * (m - len(b[::3]))]
+        else:
+            cfg = ImplicitSolverConfig()
+            if dimension == 1:
+                backtracked = reference_scalar_newton(p.drift, 1.0, b, self.DT, cfg)[3][5, 0]
+            else:
+                backtracked = reference_vector_newton(p.drift, 1.0, b[5], self.DT, cfg)[2] > 0
+            assert backtracked and len(calls) > 2
+
+    def test_lane_that_never_improves_returns_a_copy_of_b(self):
+        # no lane leaves and no trial beats b, so the best iterate is b itself
+        p, b = TestBatchedSolve.problem(), np.array([[100.0, 100.0]])
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT)
+        assert not ok[0] and x.tobytes() == b.tobytes() and not np.shares_memory(x, b)
 
 
 class TestHopelessLanes:

@@ -32,6 +32,20 @@ def test_linear_example_values():
     assert p.satisfies_linear_growth
 
 
+def test_linear_terms_are_the_written_formulas_bit_for_bit():
+    # the drift divides by -(1+t) in one operation and the noise column is
+    # filled at once; both give exactly -x/(1+t) and zeros_like(x) + 1/(1+t)
+    p = linear_example()
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 300, 2000)
+    x = np.concatenate([x, [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1.7e308]])[:, None]
+    for t in (0.0, 1e-9, 0.3, 7.5, 1e300):
+        assert p.drift(x, t).tobytes() == (-x / (1.0 + t)).tobytes()
+        g = p.diffusion(x, t)
+        assert g.shape == x.shape and g.tobytes() == (np.zeros_like(x) + 1.0 / (1.0 + t)).tobytes()
+    assert type(p.diffusion(2.0, 1.0)) is np.float64 and p.diffusion(2.0, 1.0) == 0.5
+
+
 def test_cubic_counterexample_values():
     p = cubic_counterexample()
     assert p.drift(np.array([1.0]), 0.0).item() == -4.0
