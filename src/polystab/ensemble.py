@@ -188,12 +188,11 @@ def _fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int)
     mapped through the inverse normal CDF. One generator serves every row: its
     key, counter and buffer position are reset through its state for each
     path. Word 0 of each row goes into a scratch of about _SCRATCH_WORDS
-    words, and each group of rows is transformed at once: in place when out
-    is C-contiguous, else in a contiguous float scratch of the same size
-    that is then written to out with one copy. out may therefore be any
-    view, such as the transpose of a step-major buffer, whose elements lie
-    far apart. A value never depends on the rows or steps it was generated
-    with.
+    words, and each group of rows is transformed at once in a contiguous
+    float scratch of the same size that is then written to out with one
+    copy. out may therefore be any view, such as the transpose of a
+    step-major buffer, whose elements lie far apart. A value never depends
+    on the rows or steps it was generated with.
     """
     m, count = out.shape
     bg = Philox(_PhiloxKey(seed, path_lo), counter=int(step0))
@@ -206,13 +205,13 @@ def _fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int)
     group = max(1, _SCRATCH_WORDS // count)
     # its own scratch, not a uint64 view of out: numpy copies an aliased input
     words = np.empty((min(group, m), count), dtype=np.uint64)
-    # a strided out, such as the engine's, is transformed in a contiguous
-    # scratch and copied in once; a contiguous one in place
-    floats = None if out.flags.c_contiguous else np.empty(words.shape)
+    # the transform runs here, contiguous, rather than on a strided out such
+    # as the engine's
+    floats = np.empty(words.shape)
     for g0 in range(0, m, group):
         g1 = min(g0 + group, m)
         raw = words[: g1 - g0]
-        block = out[g0:g1] if floats is None else floats[: g1 - g0]
+        block = floats[: g1 - g0]
         for j in range(g0, g1):
             if j:  # row 0 uses the generator as built
                 inner["key"][1] = (path_lo + j) & _MASK64
@@ -222,8 +221,7 @@ def _fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int)
         np.multiply(raw, 2.0**-53, out=block)
         block += 2.0**-54
         ndtri(block, out=block)
-        if floats is not None:
-            out[g0:g1] = block
+        out[g0:g1] = block
 
 
 def _standard_normal_block(seed: int, path_id: int, step0: int, count: int) -> np.ndarray:

@@ -17,10 +17,8 @@ the w active lanes and its 2n difference points, so the residual and the
 next Jacobian come together (the first call, at x0 = b, gives the residual
 at b and the first Jacobian). Linear solves and backtracking are batched
 over the lanes. Converged lanes leave the working set, so a lane's iterates
-never depend on the other lanes in its block. Both solvers return right
-after a Newton trial that leaves every lane converged (none NaN at b), the
-common case: two drift calls for the whole block. The explicit step applies
-the formula verbatim with no safeguard: reproducing the blow-up of explicit
+never depend on the other lanes in its block. The explicit step applies the
+formula verbatim with no safeguard: reproducing the blow-up of explicit
 stepping on superlinear drifts requires the unmodified map.
 
 Each scheme has one kernel for an (m, n) block of paths, with no per-step
@@ -234,10 +232,8 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     every later one, so it leaves the Newton loop at once with x - r, the
     NaN the rest of its budget would end on. Lanes with a NaN residual and
     lanes left after cfg.max_iterations go to bisect_root_scalar, and stay
-    unsolved if it cannot bracket a root. When no lane is NaN at b and a
-    Newton trial leaves every carried lane converged, the solve returns at
-    once: in the common case after the first trial, two drift calls in all.
-    Returns (x, ok) with ok of shape (m,).
+    unsolved if it cannot bracket a root. Returns (x, ok) with ok of shape
+    (m,).
     """
     tol = cfg.residual_tolerance
     m = b.shape[0]
@@ -299,10 +295,6 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
             worse[sel] = ~(aa[sel] <= ai[sel])
         else:
             maybe_nan = True  # lanes may be left worse, as a NaN one always is
-        if not unsolved and (aa <= tol).all():
-            # the common end: every lane converged and none is left for bisection
-            x[lanes] = xa
-            return x, np.ones(m, dtype=bool)
         xi, ri, ai = xa, ra, aa
 
     if not unsolved:
@@ -384,25 +376,22 @@ def _solve_vector_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     and the first Jacobian. Lanes that must backtrack get residual-only calls
     for their halved steps and one more stacked call after the last halving.
     Only unconverged lanes are carried, so each lane's iterates depend only
-    on its own values. A block whose every lane converges in one trial
-    returns that trial after two drift calls, having copied and indexed
-    nothing. Returns (x, ok): the root for converged lanes and the best
-    iterate for the others, plus the (m,) convergence mask.
+    on its own values. Returns (x, ok): the root for converged lanes and the
+    best iterate for the others, plus the (m,) convergence mask.
     """
     n = b.shape[1]
     tol = cfg.residual_tolerance
+    x = b.copy()
     signs = _difference_signs(n)
     R, h = _stacked_residuals(drift, t, b, b, dt, signs)
     rn = _max_abs(R[0])
     ok = rn <= tol
     # the working set: active lanes only, compacted whenever some leave.
-    # Nothing is gathered or copied while every lane is active (lanes is
-    # None): xi, bi and best_x are never written in place, so they may start
-    # as b itself, and x, the result, is made when a lane first leaves.
-    lanes, xi, bi = None, b, b
+    # Nothing is gathered while every lane is active: xi, bi and best_x are
+    # never written in place, so they may start as x and b themselves.
+    lanes, xi, bi = np.arange(len(b)), x, b
     left = rn > tol  # False for a NaN residual too: such a lane keeps b
     if not left.all():
-        x = b.copy()
         if not left.any():
             return x, ok
         lanes = np.flatnonzero(left)
@@ -415,7 +404,7 @@ def _solve_vector_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
             step = np.linalg.solve(jac, ri[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
             step = np.empty_like(ri)
-            for i in range(len(xi)):  # rare: isolate the singular lanes
+            for i in range(lanes.size):  # rare: isolate the singular lanes
                 try:
                     step[i] = np.linalg.solve(jac[i], ri[i])
                 except np.linalg.LinAlgError:
@@ -454,10 +443,6 @@ def _solve_vector_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
         done = rn <= tol
         leave = done if hopeless is None else done | hopeless
         if leave.any():
-            if lanes is None:
-                if done.all():  # the common end: every lane converged at once
-                    return xi, done
-                x, lanes = b.copy(), np.arange(len(b))
             x[lanes[done]] = xi[done]
             ok[lanes[done]] = True
             if hopeless is not None:
@@ -467,8 +452,6 @@ def _solve_vector_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
             keep = ~leave
             lanes, xi, bi, rn, R, h = lanes[keep], xi[keep], bi[keep], rn[keep], R[:, keep], h[keep]
             best_x, best_r = best_x[keep], best_r[keep]
-    if lanes is None:
-        return best_x.copy(), ok  # best_x may still be b
     x[lanes] = best_x
     return x, ok
 

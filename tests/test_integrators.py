@@ -650,7 +650,7 @@ class TestScalarSolveReference:
 
 
 class TestAllConvergedExit:
-    """A solve returns right after the trial that leaves every lane converged.
+    """A block whose every lane converges in one Newton trial ends after it.
 
     Bit for bit against the plain references on three kinds of block, in
     both solvers: every lane converges on its first step; some lanes
