@@ -40,7 +40,6 @@ from .integrators import (
     ImplicitSolveError,
     StepContext,
     StepError,
-    bem_step,
     bem_step_batch,
     bisect_root_scalar,
     em_step,
@@ -91,7 +90,6 @@ __all__ = [
     "ImplicitSolveError",
     "StepContext",
     "StepError",
-    "bem_step",
     "bem_step_batch",
     "bisect_root_scalar",
     "em_step",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -68,14 +68,7 @@ class DecayEstimate:
     n_points: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "slope_std_error": self.slope_std_error,
-            "fit_window": list(self.fit_window),
-            "theoretical_bound": self.theoretical_bound,
-            "conforms": self.conforms,
-            "n_points": self.n_points,
-        }
+        return asdict(self)
 
 
 def check_decay_fit_args(window_fraction, k1, tolerance):
@@ -104,17 +97,22 @@ def estimate_decay_exponent(
 
     The window is the final ``window_fraction`` of the log-time axis; decay
     statements are asymptotic and early transients bias slopes upward, so the
-    default is the last half. Checkpoints with mean_square == 0 are excluded
-    with a warning; blown-up paths or a NaN, infinite or negative
-    mean_square inside the window make the fit meaningless and raise. Conformance compares
-    slope against -(2 k1 - 1) + tolerance; check_decay_fit_args checks the
-    three arguments.
+    default is the last half. A time that is not finite and >= 0 raises.
+    Checkpoints with mean_square == 0 are excluded with a warning; blown-up
+    paths or a NaN, infinite or negative mean_square inside the window, or
+    usable checkpoints that all share one time, make the fit meaningless
+    and raise. Conformance compares slope against -(2 k1 - 1) + tolerance;
+    check_decay_fit_args checks the three arguments.
     """
     window_fraction, k1, tolerance = check_decay_fit_args(window_fraction, k1, tolerance)
     t = np.asarray(series.time, dtype=float)
     m2 = np.asarray(series.mean_square, dtype=float)
     if len(t) < 2:
         raise ValueError("series too short to fit")
+    bad_time = ~(np.isfinite(t) & (t >= 0.0))
+    if bad_time.any():
+        i = int(np.argmax(bad_time))
+        raise ValueError(f"time must be finite and >= 0, got {t[i]!r} at checkpoint {i}")
     log_time = np.log1p(t)
     lo = log_time[-1] - window_fraction * (log_time[-1] - log_time[0])
     in_window = log_time >= lo
@@ -137,6 +135,9 @@ def estimate_decay_exponent(
     if n < 10:
         raise ValueError(f"need >= 10 usable checkpoints in the fit window, have {n}")
     x = log_time[usable]
+    if (x == x[0]).all():
+        raise ValueError("every usable checkpoint in the fit window has the same time; "
+                         "slope undefined")
     y = np.log(m2[usable])
     x_mean = float(np.mean(x))
     y_mean = float(np.mean(y))

@@ -16,8 +16,9 @@ scratch and mapped to normals by one transform per group, in a contiguous
 float scratch that is then copied into the buffer. Each filled step block
 is scaled by sqrt(dt) once, so a step's increments are a view of one row.
 Each step then makes one call of the scheme's batched kernel, em_step_batch
-or bem_step_batch: on the whole chunk while no path of it is frozen, and for
-BEM on the live paths after that. Chunk, step-block and scratch sizes are
+or bem_step_batch: on the whole chunk while no path of it is frozen, and
+after that, for either scheme, on the live paths only, so a frozen path is
+never stepped again. Chunk, step-block and scratch sizes are
 module constants and never depend on the worker count; workers only decide
 which thread runs a chunk.
 
@@ -40,7 +41,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,8 @@ class SimConfig:
         object.__setattr__(self, "dt", positive_real("dt", self.dt))
         for name in ("num_steps", "num_paths"):
             object.__setattr__(self, name, integer(name, getattr(self, name), 1))
+        if not math.isfinite(self.dt * self.num_steps):  # the time of the last step
+            raise ValueError(f"dt * num_steps must be finite, got {self.dt!r} * {self.num_steps}")
         object.__setattr__(self, "seed", integer("seed", self.seed))  # used mod 2**64
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
@@ -134,34 +137,13 @@ class SimConfig:
         object.__setattr__(self, "blow_up_cap", cap)
 
     def to_json_dict(self) -> dict:
-        return {
-            "dt": self.dt,
-            "num_steps": self.num_steps,
-            "num_paths": self.num_paths,
-            "seed": self.seed,
-            "scheme": self.scheme,
-            "initial_value": list(self.initial_value),
-            "checkpoints": list(self.checkpoints),
-            "blow_up_cap": self.blow_up_cap,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SimConfig":
-        d = dict(d)
-        d.pop("problem", None)
-        kwargs = {
-            "dt": d["dt"],
-            "num_steps": d["num_steps"],
-            "num_paths": d["num_paths"],
-            "seed": d["seed"],
-            "scheme": d["scheme"],
-            "initial_value": tuple(d["initial_value"]),
-        }
-        if d.get("checkpoints") is not None:
-            kwargs["checkpoints"] = tuple(d["checkpoints"])
-        if d.get("blow_up_cap") is not None:
-            kwargs["blow_up_cap"] = d["blow_up_cap"]
-        return cls(**kwargs)
+        """The config of a to_json_dict dict; other keys, such as "problem", are ignored."""
+        names = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in d.items() if k in names and v is not None})
 
 
 class _PhiloxKey(ISeedSequence):
@@ -296,7 +278,13 @@ class MomentSeries:
 
     @classmethod
     def from_csv(cls, path) -> "MomentSeries":
-        """Parse the six-column CSV back into a series (no config attached)."""
+        """Parse the six-column CSV back into a series (no config attached).
+
+        Every row must have k an integer >= 0, t finite and >= 0, surviving
+        and blown_up integers >= 0; down the rows k must strictly increase, t
+        must not decrease and surviving + blown_up must stay the same. Each
+        violation is a ValueError that names the line.
+        """
         text = Path(path).read_text(encoding="utf-8")
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0].strip() != CSV_HEADER:
@@ -307,12 +295,14 @@ class MomentSeries:
             if len(parts) != 6:
                 raise ValueError(f"{path}: line {ln_no}: expected 6 fields, got {len(parts)}")
             try:
-                rows.append(
-                    (int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]),
-                     int(parts[4]), int(parts[5]))
-                )
+                row = (int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]),
+                       int(parts[4]), int(parts[5]))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {ln_no}: {exc}") from None
+            fault = _row_fault(row, rows[-1] if rows else None)
+            if fault:
+                raise ValueError(f"{path}: line {ln_no}: {fault}")
+            rows.append(row)
         cols = list(zip(*rows)) if rows else [[], [], [], [], [], []]
         return cls(
             problem_label="",
@@ -326,6 +316,27 @@ class MomentSeries:
             blown_up=np.asarray(cols[5], dtype=int),
             capped_mean_abs=np.full(len(rows), np.nan),
         )
+
+
+def _row_fault(row, prev):
+    """Why a parsed CSV row cannot follow prev (the row before it, or None); "" if it can."""
+    k, t, _, _, surviving, blown_up = row
+    if k < 0:
+        return f"k must be >= 0, got {k}"
+    if not (math.isfinite(t) and t >= 0.0):
+        return f"t must be finite and >= 0, got {t!r}"
+    if surviving < 0 or blown_up < 0:
+        return f"surviving and blown_up must be >= 0, got {surviving} and {blown_up}"
+    if prev is None:
+        return ""
+    if k <= prev[0]:
+        return f"k must strictly increase, got {k} after {prev[0]}"
+    if t < prev[1]:
+        return f"t must not decrease, got {t!r} after {prev[1]!r}"
+    if surviving + blown_up != prev[4] + prev[5]:
+        return (f"surviving + blown_up must be the same on every row, got "
+                f"{surviving + blown_up} after {prev[4] + prev[5]}")
+    return ""
 
 
 class WorkerCountError(ValueError):
@@ -368,8 +379,9 @@ def _simulate_chunk(problem, config, path_lo, path_hi, out=None):
     first checkpoint index at which a path is frozen (blown up or
     solver-failed), n_checkpoints if never, so it is frozen at checkpoint i
     exactly when gone_from <= i; failed flags the paths whose implicit solve
-    failed. Everything in here is elementwise per path, so results do not
-    depend on chunk boundaries.
+    failed. A frozen path keeps the state it froze with: once one path is
+    frozen, the kernel steps the live rows only. Everything in here is
+    elementwise per path, so results do not depend on chunk boundaries.
     """
     dt = config.dt
     try:
@@ -385,7 +397,13 @@ def _simulate_chunk(problem, config, path_lo, path_hi, out=None):
     x = np.tile(x0, (m, 1))
     gone_from = np.full(m, n_ck)
     failed = np.zeros(m, dtype=bool)
-    any_frozen = False
+    live = None  # the rows still stepped; None while no path is frozen
+    if config.scheme == "em":
+        def step(x, k, db):  # no solve to fail
+            return em_step_batch(problem, x, k * dt, dt, db), None
+    else:
+        def step(x, k, db):
+            return bem_step_batch(problem, x, k, dt, db)
 
     pos = 0
     if ckpts[0] == 0:
@@ -406,28 +424,24 @@ def _simulate_chunk(problem, config, path_lo, path_hi, out=None):
         normals *= sqrt_dt  # now the increments dB = z sqrt(dt), one product each
         for k, increments in enumerate(normals, b0):
             db = increments[:, None]
-            if config.scheme == "em":
-                new = em_step_batch(problem, x, k * dt, dt, db)
-                x = np.where((gone_from < n_ck)[:, None], x, new) if any_frozen else new
-            elif not any_frozen:
-                x, ok = bem_step_batch(problem, x, k, dt, db)
-                if not ok.all():
-                    failed = ~ok  # such a path kept its state
-                    gone_from[failed] = pos
-                    any_frozen = True
-            else:
-                live = np.flatnonzero(gone_from == n_ck)
-                if live.size:
-                    x[live], ok = bem_step_batch(problem, x[live], k, dt, db[live])
-                    lost = live[~ok]
-                    failed[lost] = True
-                    gone_from[lost] = pos
+            ok = None
+            if live is None:
+                x, ok = step(x, k, db)
+            elif live.size:
+                x[live], ok = step(x[live], k, db[live])
+            froze = ok is not None and not ok.all()
+            if froze:  # such a path kept its state
+                lost = np.flatnonzero(~ok) if live is None else live[~ok]
+                failed[lost] = True
+                gone_from[lost] = pos
             norm2 = _squared_norms(x)
             # one comparison while nothing is over (a NaN max fails it too); a
             # frozen path is blown already or kept a state that passed
             if not np.maximum.reduce(norm2) <= limit:
                 np.minimum(gone_from, pos, out=gone_from, where=~(norm2 <= limit))
-                any_frozen = True
+                froze = True
+            if froze:
+                live = np.flatnonzero(gone_from == n_ck)
             if ckpts[pos] == k + 1:
                 sq[pos] = norm2
                 pos += 1

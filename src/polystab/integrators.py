@@ -24,8 +24,9 @@ stepping on superlinear drifts requires the unmodified map.
 Each scheme has one kernel for an (m, n) block of paths, with no per-step
 validation, and the ensemble calls it once per step: em_step_batch, and
 bem_step_batch, which forms the noise term and makes one implicit solve.
-em_step and bem_step are thin adapters over them that take a StepContext and
-validate.
+em_step is a validating adapter over em_step_batch that takes a StepContext;
+solve_implicit is one over solve_implicit_batch that raises
+ImplicitSolveError when a lane is not solved.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "StepError",
     "em_step",
     "em_step_batch",
-    "bem_step",
     "bem_step_batch",
     "solve_implicit",
     "solve_implicit_batch",
@@ -155,7 +155,7 @@ def check_decay_dt(problem: SdeProblem, dt: float) -> None:
     Such a step keeps the implicit equation well posed but leaves the range
     the polynomial decay guarantee covers; a caller who wants an error sets a
     warnings filter. The warning points at the caller of the function that
-    calls this one. Call once per run or per public step.
+    calls this one. Call once per run.
     """
     if dt >= 1.0 / problem.k1:
         warnings.warn(
@@ -483,16 +483,6 @@ def solve_implicit_batch(
     return _solve_vector_batch(problem.drift, t, b, dt, cfg)
 
 
-def _as_lanes(problem: SdeProblem, a: np.ndarray) -> np.ndarray:
-    """a as an (m, n) block: every value a lane for n = 1, one lane of shape (n,) else."""
-    n = problem.dimension
-    if n == 1:
-        return a.reshape(-1, 1)
-    if a.shape != (n,):
-        raise ValueError(f"b must have shape ({n},) for a {n}-dimensional problem")
-    return a[None, :]
-
-
 def solve_implicit(
     problem: SdeProblem,
     t: float,
@@ -513,7 +503,10 @@ def solve_implicit(
     b_arr = np.asarray(b, dtype=float)
     if not np.all(np.isfinite(b_arr)):
         raise ValueError("b must be finite")
-    x, ok = solve_implicit_batch(problem, t, _as_lanes(problem, b_arr), dt, cfg)
+    n = problem.dimension
+    if n > 1 and b_arr.shape != (n,):
+        raise ValueError(f"b must have shape ({n},) for a {n}-dimensional problem")
+    x, ok = solve_implicit_batch(problem, t, b_arr.reshape(-1, n), dt, cfg)
     x = x.reshape(b_arr.shape)
     if not ok.all():
         r = x - dt * np.asarray(problem.drift(x, t), dtype=float) - b_arr
@@ -556,33 +549,3 @@ def bem_step_batch(
     if not ok.all():
         new[~ok] = x[~ok]
     return new, ok
-
-
-def bem_step(
-    problem: SdeProblem,
-    z,
-    ctx: StepContext,
-    cfg: ImplicitSolverConfig = DEFAULT_SOLVER_CONFIG,
-):
-    """Semi-implicit step: drift at the unknown next state, noise at the current one.
-
-    Solves x = z + g(z, k dt) dB + f(x, (k+1) dt) dt. Validating adapter over
-    bem_step_batch for a state of any shape (n = 1) or of shape (n,). dt >=
-    1/K1 leaves the polynomial decay guarantee but not well-posedness, so it
-    is a UserWarning (check_decay_dt), not an error.
-    """
-    check_decay_dt(problem, ctx.dt)
-    check_implicit_dt(problem, ctx.dt)
-    z_arr = np.asarray(z, dtype=float)
-    zb, db = np.broadcast_arrays(z_arr, np.asarray(ctx.db, dtype=float))
-    lanes = _as_lanes(problem, zb)
-    db = db.reshape(lanes.shape)
-    out, ok = bem_step_batch(problem, lanes, ctx.k, ctx.dt, db, cfg)
-    if not np.all(np.isfinite(out)):
-        raise StepError(f"non-finite diffusion output at k={ctx.k}, t={ctx.t}", state=z_arr)
-    if not ok.all():
-        # the kernel keeps z on a failed lane: solve again to report the best iterate
-        b = lanes + np.asarray(problem.diffusion(lanes, ctx.t), dtype=float) * db
-        solve_implicit(problem, (ctx.k + 1) * ctx.dt, b.reshape(zb.shape), ctx.dt, cfg)
-    out = out.reshape(zb.shape)
-    return float(out) if np.ndim(z) == 0 else out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -124,6 +125,32 @@ class TestDecayEstimate:
         t = geometric_times(n=12)  # ~6 points in the tail window
         with pytest.raises(ValueError, match=">= 10"):
             estimate_decay_exponent(synthetic_series(t, (1 + t) ** -1), k1=1.0)
+
+    def test_one_time_in_window_is_undefined(self):
+        # 30 checkpoints at t = 1.0: the OLS denominator is a rounding residue
+        series = synthetic_series(np.full(30, 1.0), np.full(30, 0.5), dt=0.1)
+        with pytest.raises(ValueError, match="same time; slope undefined"):
+            estimate_decay_exponent(series, k1=1.0)
+
+    def test_two_times_in_window_fit(self):
+        t = np.concatenate([[0.0], np.repeat([1.0, 3.0], 15)])
+        series = synthetic_series(t, (1 + t) ** -1, dt=0.1)
+        est = estimate_decay_exponent(series, window_fraction=0.9, k1=1.0)
+        assert est.n_points == 30
+        assert est.slope == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [
+        np.arange(40) * 0.1 - 2.0,
+        np.concatenate([geometric_times()[:-1], [np.inf]]),
+        np.concatenate([[np.nan], geometric_times()[1:]]),
+    ], ids=["negative", "inf", "nan"])
+    def test_bad_time_rejected_before_any_warning(self, t):
+        series = dataclasses.replace(synthetic_series(np.arange(len(t)), np.full(len(t), 0.5)),
+                                     time=t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="time must be finite and >= 0"):
+                estimate_decay_exponent(series, k1=1.0)
 
     def test_window_fraction_validated(self):
         t = geometric_times()

@@ -275,6 +275,39 @@ class TestAnalyze:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    @staticmethod
+    def bad_csv_rows(kind):
+        """Rows (k, t, mean_square, surviving, blown_up) of a CSV that analyze refuses."""
+        if kind == "one time":
+            return [(k, 1.0, 0.5, 100, 0) for k in range(30)]
+        if kind == "negative time":
+            return [(k, 0.1 * k - 2.0, 0.5, 100, 0) for k in range(40)]
+        rows = [(k, 0.1 * 1.3**k, (1.0 + 0.1 * 1.3**k) ** -1, 100, 0) for k in range(40)]
+        if kind == "swapped rows":
+            rows[35], rows[36] = rows[36], rows[35]
+        else:  # alternating surviving, blown_up fixed
+            rows = [(k, t, m2, 90 if k % 2 else 100, 0) for k, t, m2, _, _ in rows]
+        return rows
+
+    @pytest.mark.parametrize("kind,message", [
+        ("one time", "estimation error: every usable checkpoint in the fit window has the same time"),
+        ("negative time", "parse error: m.csv: line 2: t must be finite and >= 0, got -2.0"),
+        ("swapped rows", "parse error: m.csv: line 38: k must strictly increase, got 35 after 36"),
+        ("alternating surviving", "parse error: m.csv: line 3: surviving + blown_up must be "
+                                  "the same on every row, got 90 after 100"),
+    ])
+    def test_bad_series_is_a_data_error(self, tmp_path, monkeypatch, capsys, kind, message):
+        monkeypatch.chdir(tmp_path)
+        lines = [CSV_HEADER] + [f"{k},{t!r},{m2!r},0.0,{s},{b}"
+                                for k, t, m2, s, b in self.bad_csv_rows(kind)]
+        (tmp_path / "m.csv").write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["analyze", "--csv", "m.csv", "--k1", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
     def test_missing_file_usage_error(self, tmp_path):
         assert run(["analyze", "--csv", str(tmp_path / "nope.csv"), "--k1", "1.0"]) == 1
 

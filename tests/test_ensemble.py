@@ -2,11 +2,15 @@ import dataclasses
 import hashlib
 import json
 import math
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from polystab import ensemble
@@ -86,6 +90,7 @@ class TestSimConfig:
             dict(checkpoints=(0, np.float64(5))),
             dict(num_paths=4.0),
             dict(seed=True),
+            dict(dt=1e308),  # dt * num_steps, the last step's time, beyond the floats
         ],
     )
     def test_validation(self, kwargs):
@@ -348,6 +353,29 @@ class TestPartialBlowUpBytes:
         assert 0 < series.blown_up[-1] < self.CONFIG.num_paths
         first = np.flatnonzero(np.diff(series.blown_up)) + 1
         assert {5, 6, 8, 9} <= set(first.tolist())  # blow-ups inside a block
+        text = series.to_csv_text()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CSV_SHA256
+        capped = np.ascontiguousarray(series.capped_mean_abs, dtype=np.float64)
+        assert hashlib.sha256(capped.tobytes()).hexdigest() == self.CAPPED_SHA256
+
+
+class TestAllFrozenBytes:
+    # SHA-256 of the CSV and of the capped_mean_abs bytes, recorded while the
+    # EM step loop still stepped frozen paths and discarded their new states:
+    # from x0 = 10 every path of all three 200-path chunks blows up at step 3,
+    # and the chunks run 27 more steps with nothing live.
+    CSV_SHA256 = "525d800294d8a23788be61e0ea246ef3d3a79d2bf6547a663b6b137efd7b8b7c"
+    CAPPED_SHA256 = "63b5a8f4bd2b0bb921844373d16893d4b249e5d9be90e2468cda4f02fb956f9e"
+    CONFIG = SimConfig(dt=0.1, num_steps=30, num_paths=500, seed=5, scheme="em",
+                       initial_value=(10.0,), checkpoints=tuple(range(31)))
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_bytes_pinned(self, monkeypatch, workers):
+        monkeypatch.setattr(ensemble, "_CHUNK_PATHS", 200)
+        monkeypatch.setattr(ensemble, "_BLOCK_NORMALS", 200 * 7)
+        series = simulate_ensemble(cubic_counterexample(), self.CONFIG, workers=workers)
+        gone = series.step_index[np.flatnonzero(series.surviving == 0)]
+        assert gone[0] == 3 and gone[-1] == self.CONFIG.num_steps
         text = series.to_csv_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CSV_SHA256
         capped = np.ascontiguousarray(series.capped_mean_abs, dtype=np.float64)
@@ -744,6 +772,57 @@ class TestSerialization:
         path.write_text(CSV_HEADER + "\n0,0.0,1.0,0.0,4,0\nx,0.1,1.0,0.0,4,0\n")
         with pytest.raises(ValueError, match="line 3"):
             MomentSeries.from_csv(path)
+
+    @pytest.mark.parametrize("rows,line,message", [
+        (["-1,0.0,1.0,0.0,4,0"], 2, "k must be >= 0, got -1"),
+        (["0,0.0,1.0,0.0,4,0", "0,0.1,1.0,0.0,4,0"], 3, "k must strictly increase, got 0 after 0"),
+        (["0,0.0,1.0,0.0,4,0", "2,0.2,1.0,0.0,4,0", "1,0.1,1.0,0.0,4,0"], 4,
+         "k must strictly increase, got 1 after 2"),
+        (["0,-0.1,1.0,0.0,4,0"], 2, "t must be finite and >= 0, got -0.1"),
+        (["0,0.0,1.0,0.0,4,0", "1,inf,1.0,0.0,4,0"], 3, "t must be finite and >= 0, got inf"),
+        (["0,nan,1.0,0.0,4,0"], 2, "t must be finite and >= 0, got nan"),
+        (["0,0.2,1.0,0.0,4,0", "1,0.1,1.0,0.0,4,0"], 3, "t must not decrease, got 0.1 after 0.2"),
+        (["0,0.0,1.0,0.0,-1,5"], 2, "surviving and blown_up must be >= 0, got -1 and 5"),
+        (["0,0.0,1.0,0.0,5,-1"], 2, "surviving and blown_up must be >= 0, got 5 and -1"),
+        (["0,0.0,1.0,0.0,4,0", "1,0.1,1.0,0.0,3,0"], 3,
+         "surviving \\+ blown_up must be the same on every row, got 3 after 4"),
+    ])
+    def test_from_csv_column_rules(self, tmp_path, rows, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+        with pytest.raises(ValueError, match=f"bad.csv: line {line}: {message}$"):
+            MomentSeries.from_csv(path)
+
+    def test_from_csv_accepts_repeated_times_and_any_moments(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(CSV_HEADER + "\n0,0.0,1.0,0.0,4,0\n3,0.0,nan,nan,0,4\n7,0.5,-1.0,inf,1,3\n")
+        series = MomentSeries.from_csv(path)
+        assert series.step_index.tolist() == [0, 3, 7] and series.time.tolist() == [0.0, 0.0, 0.5]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @example(problem=linear_example(), scheme="em", dt=1e308, steps=3, paths=2, seed=1,
+             x0=1.0, count=4, cap=1e12)  # a last-step time beyond the floats
+    @given(problem=st.sampled_from([linear_example(), cubic_counterexample(), bem_example()]),
+           scheme=st.sampled_from(["em", "bem"]),
+           dt=st.floats(1e-3, 0.6) | st.floats(1e-300, 1e308),
+           steps=st.integers(1, 20), paths=st.integers(1, 8), seed=st.integers(0, 2**64),
+           x0=st.floats(-10, 10), count=st.integers(2, 25), cap=st.floats(11, 1e308))
+    def test_every_csv_simulate_writes_parses(self, problem, scheme, dt, steps, paths, seed,
+                                              x0, count, cap):
+        try:
+            config = SimConfig(dt=dt, num_steps=steps, num_paths=paths, seed=seed, scheme=scheme,
+                               initial_value=(x0,), checkpoints=geometric_checkpoints(steps, count),
+                               blow_up_cap=cap)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the 1/K1 and solve-failure warnings
+                series = simulate_ensemble(problem, config)
+        except (ValueError, RuntimeError):
+            return  # a config or a run the engine refuses writes no CSV
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.csv"
+            series.write_csv(path)
+            parsed = MomentSeries.from_csv(path)
+        assert parsed.to_csv_text() == series.to_csv_text()
 
 
 def cubic_rotation_2d():

@@ -11,9 +11,9 @@ from polystab.integrators import (
     ImplicitSolverConfig,
     StepContext,
     StepError,
-    bem_step,
     bem_step_batch,
     bisect_root_scalar,
+    check_decay_dt,
     em_step,
     em_step_batch,
     solve_implicit,
@@ -255,9 +255,9 @@ class Test2D:
 
     def test_bem_step_vector(self):
         p = self.problem()
-        z = np.array([1.0, 1.0])
-        out = bem_step(p, z, StepContext(k=2, dt=0.2, db=0.3))
-        assert out.shape == (2,)
+        z = np.array([[1.0, 1.0]])
+        out, ok = bem_step_batch(p, z, 2, 0.2, np.array([[0.3]]))
+        assert out.shape == (1, 2) and ok.tolist() == [True]
         b = z + p.diffusion(z, 0.4) * 0.3
         resid = out - 0.2 * p.drift(out, 0.6) - b
         assert np.max(np.abs(resid)) <= 1e-12
@@ -785,19 +785,20 @@ class TestBemStep:
             diffusion=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
             k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=True, label="zero",
         )
-        assert bem_step(p, 4.0, StepContext(k=5, dt=0.3, db=1.7)) == pytest.approx(4.0)
+        out, ok = bem_step_batch(p, np.array([[4.0]]), 5, 0.3, np.array([[1.7]]))
+        assert out[0, 0] == pytest.approx(4.0) and ok.tolist() == [True]
 
     def test_linear_closed_form(self):
-        out = bem_step(linear_example(), 1.0, StepContext(k=0, dt=0.1, db=0.0))
-        assert out == pytest.approx(11.0 / 12.0, abs=3e-12)
+        out, ok = bem_step_batch(linear_example(), np.array([[1.0]]), 0, 0.1, np.zeros((1, 1)))
+        assert out[0, 0] == pytest.approx(11.0 / 12.0, abs=3e-12) and ok.tolist() == [True]
 
     def test_bem_example_against_oracle(self):
         p = bem_example()
         z, dt, db = 2.0, 0.3, 0.1
-        out = bem_step(p, z, StepContext(k=0, dt=dt, db=db))
+        out, ok = bem_step_batch(p, np.array([[z]]), 0, dt, np.array([[db]]))
         b = z + 5.0 * math.sin(2.0) * db
         oracle = oracle_bisect(p.drift, dt, b, dt, lo=-100.0, hi=100.0)
-        assert out == pytest.approx(oracle, abs=1e-10)
+        assert out[0, 0] == pytest.approx(oracle, abs=1e-10) and ok.tolist() == [True]
 
     def test_decay_guarantee_dt_warning_and_strict(self):
         from polystab.problems import problem_from_label
@@ -805,14 +806,13 @@ class TestBemStep:
         # claimed K1 = 20 puts 1/K1 = 0.05 below dt while the solver
         # precondition dt < 1/|Kbar| = 1 still holds
         steep = problem_from_label("linear", k1=20.0)
-        ctx = StepContext(k=0, dt=0.5, db=0.0)
         with pytest.warns(UserWarning, match="1/K1"):
-            bem_step(steep, 1.0, ctx)
+            check_decay_dt(steep, 0.5)
         # strict: a warnings filter turns it into an error
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
             with pytest.raises(UserWarning, match="1/K1"):
-                bem_step(steep, 1.0, ctx)
+                check_decay_dt(steep, 0.5)
 
     def test_batch_kernel_matches_solve_per_path(self):
         # (k+1) dt, not k dt + dt, is the solve time: here the drift differs
@@ -827,7 +827,6 @@ class TestBemStep:
             z = x[i, 0]
             b = z + float(p.diffusion(z, k * dt)) * db[i, 0]
             assert out[i, 0] == solve_implicit(p, (k + 1) * dt, b, dt)
-            assert out[i, 0] == bem_step(p, z, StepContext(k=k, dt=dt, db=db[i, 0]))
 
     def test_batch_kernel_nonfinite_noise_and_failed_solve(self):
         # residual x - 0.5 x^2 - b has no root for b > 0.5; noise is infinite
@@ -843,20 +842,12 @@ class TestBemStep:
         assert ok.tolist() == [True, True, False]
         assert out[0, 0] == solve_implicit(p, 0.5, 0.1, 0.5)
         assert out[1, 0] == np.inf and out[2, 0] == 2.0
-        with pytest.raises(StepError, match="non-finite diffusion output at k=0"):
-            bem_step(p, 6.0, StepContext(k=0, dt=0.5, db=1.0))
-        with pytest.raises(ImplicitSolveError) as err:
-            bem_step(p, 2.0, StepContext(k=0, dt=0.5, db=1.0))
-        with pytest.raises(ImplicitSolveError) as direct:
-            solve_implicit(p, 0.5, 2.0, 0.5)
-        assert str(err.value) == str(direct.value)
-        assert err.value.best_residual == direct.value.best_residual
-        assert np.array_equal(err.value.state, direct.value.state)
 
     def test_no_warning_inside_guaranteed_range(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bem_step(linear_example(), 1.0, StepContext(k=0, dt=0.1, db=0.0))
+            check_decay_dt(linear_example(), 0.1)
+            bem_step_batch(linear_example(), np.array([[1.0]]), 0, 0.1, np.zeros((1, 1)))
 
 
 class TestMonotonicityCertificate:

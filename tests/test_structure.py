@@ -85,3 +85,47 @@ def test_only_scipy_import_is_ndtri_in_ensemble():
 ])
 def test_scipy_guard_finds_every_form(source, expected):
     assert scipy_imports(source) == expected
+
+
+def imported_names(source: str, module: str) -> set[str]:
+    """The names that source imports from the polystab module of that name.
+
+    An import of the module itself, which would reach every name in it, is
+    reported as the module's own name.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in (
+            (1, module), (0, f"polystab.{module}")
+        ):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.level, node.module) in (
+            (1, None), (0, "polystab")
+        ):
+            found.update(alias.name for alias in node.names if alias.name == module)
+        elif isinstance(node, ast.Import):
+            found.update(module for alias in node.names if alias.name == f"polystab.{module}")
+    return found
+
+
+def test_ensemble_uses_only_the_batch_kernels_and_dt_checks():
+    source = (SRC / "ensemble.py").read_text(encoding="utf-8")
+    assert imported_names(source, "integrators") == {
+        "em_step_batch", "bem_step_batch", "check_implicit_dt", "check_decay_dt"
+    }
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("from .integrators import em_step_batch, bem_step", {"em_step_batch", "bem_step"}),
+    ("from .integrators import (\n    em_step,\n)\nfrom .checks import integer", {"em_step"}),
+    ("def f():\n    from .integrators import solve_implicit", {"solve_implicit"}),
+    ("from polystab.integrators import em_step", {"em_step"}),
+    ("from . import integrators, checks", {"integrators"}),
+    ("from polystab import integrators", {"integrators"}),
+    ("import polystab.integrators as it", {"integrators"}),
+    ("from ..integrators import em_step", set()),
+    ("from . import problems", set()),
+    ("from .problems import SdeProblem", set()),
+])
+def test_import_guard_finds_every_form(source, expected):
+    assert imported_names(source, "integrators") == expected
