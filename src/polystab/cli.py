@@ -302,8 +302,15 @@ def _cmd_verify_gamma(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    problem = problems.cubic_counterexample()
+    x0 = args.x0 if args.x0 is not None else problems.DEFAULT_INITIAL_VALUES[problem.label]
+    # every argument is checked before the first line of output
     try:
         seq = analysis.counterexample_lower_bound(args.dt, args.k_max)
+        config = ensemble.SimConfig(
+            dt=args.dt, num_steps=args.steps, num_paths=args.paths, seed=args.seed,
+            scheme="em", initial_value=x0, blow_up_cap=args.cap,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -324,16 +331,6 @@ def _cmd_counterexample(args) -> int:
     invariant_ok = bool(np.all(margins >= 0.0))
     print(f"induction invariant b_k >= ((1+k dt)/dt)^0.5 (k+2): {'holds' if invariant_ok else 'VIOLATED'}")
 
-    problem = problems.cubic_counterexample()
-    x0 = args.x0 if args.x0 is not None else problems.DEFAULT_INITIAL_VALUES[problem.label]
-    try:
-        config = ensemble.SimConfig(
-            dt=args.dt, num_steps=args.steps, num_paths=args.paths, seed=args.seed,
-            scheme="em", initial_value=x0, blow_up_cap=args.cap,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     series, code = _simulate(problem, config)
     if series is None:
         return code

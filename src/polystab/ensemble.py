@@ -18,9 +18,11 @@ is scaled by sqrt(dt) once, so a step's increments are a view of one row.
 Each step then makes one call of the scheme's batched kernel, em_step_batch
 or bem_step_batch: on the whole chunk while no path of it is frozen, and
 after that, for either scheme, on the live paths only, so a frozen path is
-never stepped again. Chunk, step-block and scratch sizes are
-module constants and never depend on the worker count; workers only decide
-which thread runs a chunk.
+never stepped again. Once every path of a chunk is frozen, the chunk writes
+their squared norms into its remaining checkpoints and ends, drawing no
+more noise. Chunk, step-block and scratch sizes are module constants and
+never depend on the worker count; workers only decide which thread runs a
+chunk.
 
 A run keeps one float array, the squared norm of every path at every
 checkpoint; each chunk writes its own columns of it. Per path a chunk also
@@ -175,6 +177,12 @@ def _fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int)
     copy. out may therefore be any view, such as the transpose of a
     step-major buffer, whose elements lie far apart. A value never depends
     on the rows or steps it was generated with.
+
+    The map is u = (w >> 11) 2**-53 + 2**-54, then ndtri(u). The top 2**11
+    of the 2**64 words, those with w >> 11 == 2**53 - 1, round u to exactly
+    1.0 and give +inf: probability 2**-53 per normal, and a path that draws
+    one blows up. Every other normal lies in [-8.292, 8.126]. The stream's
+    bytes are pinned, so this map stays as it is.
     """
     m, count = out.shape
     bg = Philox(_PhiloxKey(seed, path_lo), counter=int(step0))
@@ -380,7 +388,8 @@ def _simulate_chunk(problem, config, path_lo, path_hi, out=None):
     solver-failed), n_checkpoints if never, so it is frozen at checkpoint i
     exactly when gone_from <= i; failed flags the paths whose implicit solve
     failed. A frozen path keeps the state it froze with: once one path is
-    frozen, the kernel steps the live rows only. Everything in here is
+    frozen, the kernel steps the live rows only, and once every path is,
+    the chunk returns. Everything in here is
     elementwise per path, so results do not depend on chunk boundaries.
     """
     dt = config.dt
@@ -424,12 +433,11 @@ def _simulate_chunk(problem, config, path_lo, path_hi, out=None):
         normals *= sqrt_dt  # now the increments dB = z sqrt(dt), one product each
         for k, increments in enumerate(normals, b0):
             db = increments[:, None]
-            ok = None
             if live is None:
                 x, ok = step(x, k, db)
-            elif live.size:
+            else:
                 x[live], ok = step(x[live], k, db[live])
-            froze = ok is not None and not ok.all()
+            froze = ok is not None and np.count_nonzero(ok) < ok.size
             if froze:  # such a path kept its state
                 lost = np.flatnonzero(~ok) if live is None else live[~ok]
                 failed[lost] = True
@@ -442,6 +450,10 @@ def _simulate_chunk(problem, config, path_lo, path_hi, out=None):
                 froze = True
             if froze:
                 live = np.flatnonzero(gone_from == n_ck)
+                if not live.size:
+                    # no path moves again: every later checkpoint holds this norm2
+                    sq[pos:] = norm2
+                    return sq, gone_from, failed
             if ckpts[pos] == k + 1:
                 sq[pos] = norm2
                 pos += 1

@@ -223,34 +223,51 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     Per lane: x0 = b; derivative from central differences with step
     h = max(1e-7, 1e-7|x|); up to 8 halvings of the step while the new
     residual is not at most the current one (NaN included). Since x0 = b,
-    the first drift call stacks the residual point and both difference
-    points, drift(concatenate((x, x+h, x-h))); later iterations make one call
-    on concatenate((x+h, x-h)). Only unconverged lanes are carried and only
-    lanes that got worse are re-evaluated, so each lane's iterates depend on
-    its own values alone. A lane converges once |r| <= tolerance, so a NaN
-    residual never does. Such a lane's next iterate is x - NaN, and so is
-    every later one, so it leaves the Newton loop at once with x - r, the
-    NaN the rest of its budget would end on. Lanes with a NaN residual and
-    lanes left after cfg.max_iterations go to bisect_root_scalar, and stay
-    unsolved if it cannot bracket a root. Returns (x, ok) with ok of shape
-    (m,).
+    the first drift call is on one (3m, 1) block holding b, b+h and b-h;
+    later iterations make one call on concatenate((x+h, x-h)). Only
+    unconverged lanes are carried and only lanes that got worse are
+    re-evaluated, so each lane's iterates depend on its own values alone.
+    A lane converges once |r| <= tolerance, so a NaN residual never does.
+    Such a lane's next iterate is x - NaN, and so is every later one, so it
+    leaves the Newton loop at once with x - r, the NaN the rest of its
+    budget would end on. Lanes with a NaN residual and lanes left after
+    cfg.max_iterations go to bisect_root_scalar, and stay unsolved if it
+    cannot bracket a root. Returns (x, ok) with ok of shape (m,); when one
+    trial converges every lane, x is that trial.
+
+    The solver works in temporaries it allocated itself, written with out=
+    and in-place operators, and never writes into b or into what the drift
+    returned. Each value is the same IEEE operation on the same operands as
+    written out: the residual (x - dt f) - b and the derivative
+    1 - (dt (fp - fm)) / (2h), so the bits do not depend on where a value
+    is held. Whether every lane is still active, or has converged, is one
+    np.count_nonzero of a mask, which costs about half an ndarray.all().
     """
     tol = cfg.residual_tolerance
     m = b.shape[0]
-    x = b.copy()
-    h = np.maximum(1e-7, 1e-7 * np.abs(x))
-    f = _drift_on_rows(drift, np.concatenate((x, x + h, x - h)), t)
-    ri = x - dt * f[:m] - b
+    h = np.abs(b)
+    h *= 1e-7
+    np.maximum(h, 1e-7, out=h)
+    pts = np.empty((3 * m, 1))  # b, b+h and b-h, for one drift call
+    pts[:m] = b
+    np.add(b, h, out=pts[m : 2 * m])
+    np.subtract(b, h, out=pts[2 * m :])
+    f = _drift_on_rows(drift, pts, t)
+    ri = np.multiply(f[:m], dt)
+    np.subtract(b, ri, out=ri)
+    ri -= b
     fp, fm = f[m : 2 * m], f[2 * m :]
     # the working set; a slice over every lane until the first lane leaves
-    # it, so nothing is gathered while all lanes are active
-    lanes, xi, bi = slice(None), x, b
+    # it, so nothing is gathered while all lanes are active. The iterates
+    # are never written in place, so the first one may be b itself.
+    lanes, xi, bi = slice(None), b, b
+    x = None  # the result; allocated once a lane leaves or the budget ends
     ai = np.abs(ri[:, 0])
     unsolved = []  # index arrays of the lanes for bisection
     maybe_nan = True  # r is NaN only at b or where every halving failed
     for it in range(cfg.max_iterations + 1):
         left = ai > tol  # False once converged, and for a NaN residual
-        if not left.all():
+        if np.count_nonzero(left) < left.size:
             # converged and NaN lanes leave the working set; their iterates
             # are written back
             if maybe_nan:
@@ -259,6 +276,8 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
                     if it < cfg.max_iterations:
                         xi = np.where(nan[:, None], xi - ri, xi)
                     unsolved.append(np.arange(m)[lanes][nan])
+            if x is None:
+                x = np.empty_like(b)
             x[lanes] = xi
             lanes = np.arange(m)[lanes][left]
             if not lanes.size:
@@ -267,6 +286,8 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
             if not it:
                 h, fp, fm = h[left], fp[left], fm[left]
         if it == cfg.max_iterations:
+            if x is None:
+                x = np.empty_like(b)
             x[lanes] = xi
             unsolved.append(np.arange(m)[lanes])
             break
@@ -275,12 +296,26 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
             h = np.maximum(1e-7, 1e-7 * np.abs(xi))
             f = _drift_on_rows(drift, np.concatenate((xi + h, xi - h)), t)
             fp, fm = f[:w], f[w:]
-        deriv = 1.0 - dt * (fp - fm) / (2.0 * h)
-        deriv = np.where(np.abs(deriv) < 1e-300, 1.0, deriv)
-        step = ri / deriv
+        # deriv = 1 - dt (fp - fm) / (2h), then step = r / deriv, in one array
+        step = np.subtract(fp, fm)
+        step *= dt
+        h *= 2.0
+        step /= h
+        np.subtract(1.0, step, out=step)
+        # the guard |deriv| < 1e-300 can fire only if some deriv < 1e-300
+        if np.count_nonzero(step < 1e-300):
+            step[np.abs(step) < 1e-300] = 1.0
+        np.divide(ri, step, out=step)
         xa = xi - step
-        ra = xa - dt * np.asarray(drift(xa, t), dtype=float) - bi
+        ra = np.multiply(_drift_on_rows(drift, xa, t), dt)
+        np.subtract(xa, ra, out=ra)
+        ra -= bi
         aa = np.abs(ra[:, 0])
+        if x is None:
+            done = aa <= tol
+            if np.count_nonzero(done) == done.size:
+                # every lane converged on this trial and none had left before
+                return xa, done
         worse = ~(aa <= ai)  # catches NaN too
         maybe_nan = False
         for _ in range(8):
@@ -531,21 +566,27 @@ def bem_step_batch(
     """Semi-implicit step from step k for an (m, n) block of paths.
 
     Computes b = x + g(x, k dt) dB and solves x' = f(x', (k+1) dt) dt + b
-    with solve_implicit_batch. Returns (x_new, ok) with ok of shape (m,): a
-    lane whose b is not finite gets b back with ok True, so the caller's norm
-    check blows it up; a lane whose solve fails keeps x, with ok False. The
-    step index, not k dt + dt, fixes the solve time, so it is exactly
-    (k+1) dt. No validation: the caller checks dt once with check_implicit_dt.
+    with the solver that solve_implicit_batch dispatches to, called
+    directly. That solver works in its own temporaries and never writes
+    into b or into what the drift returned. Returns (x_new, ok) with ok of
+    shape (m,): a lane whose b is not finite gets b back with ok True, so
+    the caller's norm check blows it up; a lane whose solve fails keeps x,
+    with ok False. The step index, not k dt + dt, fixes the solve time, so
+    it is exactly (k+1) dt. No validation: b is not checked again, and the
+    caller checks dt once with check_implicit_dt.
     """
     g = np.asarray(problem.diffusion(x, k * dt), dtype=float)
     b = x + g * db
-    if np.isfinite(b).all():
-        new, ok = solve_implicit_batch(problem, (k + 1) * dt, b, dt, cfg)
+    solve = _solve_scalar_batch if problem.dimension == 1 else _solve_vector_batch
+    t = (k + 1) * dt
+    finite = np.isfinite(b)
+    if np.count_nonzero(finite) == finite.size:
+        new, ok = solve(problem.drift, t, b, dt, cfg)
     else:
         new, ok = b, np.ones(len(b), dtype=bool)
-        rows = np.flatnonzero(np.isfinite(b).all(axis=1))
+        rows = np.flatnonzero(finite.all(axis=1))
         if rows.size:
-            new[rows], ok[rows] = solve_implicit_batch(problem, (k + 1) * dt, b[rows], dt, cfg)
-    if not ok.all():
+            new[rows], ok[rows] = solve(problem.drift, t, b[rows], dt, cfg)
+    if np.count_nonzero(ok) < ok.size:
         new[~ok] = x[~ok]
     return new, ok

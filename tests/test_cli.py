@@ -417,6 +417,16 @@ class TestCounterexample:
         assert run(["counterexample", "--dt", "0.6"]) == 1
         assert "0, 0.5" in capsys.readouterr().err.replace("(", "").replace(")", "")
 
+    @pytest.mark.parametrize("argv", [
+        ["--cap", "nan"], ["--cap", "inf"], ["--cap", "0.5"],
+        ["--steps", "0"], ["--paths", "0"], ["--x0", "inf"],
+    ], ids=" ".join)
+    def test_bad_argument_is_usage_error_before_any_output(self, capsys, argv):
+        assert run(["counterexample", "--dt", "0.1", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 

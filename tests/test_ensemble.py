@@ -381,6 +381,23 @@ class TestAllFrozenBytes:
         capped = np.ascontiguousarray(series.capped_mean_abs, dtype=np.float64)
         assert hashlib.sha256(capped.tobytes()).hexdigest() == self.CAPPED_SHA256
 
+    def test_chunk_ends_once_every_path_is_frozen(self, monkeypatch):
+        # every path blows up at step 3, in each chunk's first step block, so
+        # each chunk fills that block only: 3 fills, not the 13 of all blocks
+        monkeypatch.setattr(ensemble, "_CHUNK_PATHS", 200)
+        monkeypatch.setattr(ensemble, "_BLOCK_NORMALS", 200 * 7)
+        fills = []
+        fill = ensemble._fill_standard_normals
+
+        def counted(out, seed, path_lo, step0):
+            fills.append((path_lo, step0))
+            fill(out, seed, path_lo, step0)
+
+        monkeypatch.setattr(ensemble, "_fill_standard_normals", counted)
+        series = simulate_ensemble(cubic_counterexample(), self.CONFIG)
+        assert fills == [(0, 0), (200, 0), (400, 0)]
+        assert series.surviving[-1] == 0
+
 
 def bem_example_with_edges():
     """bem-example with a noise that turns infinite above |x| = 2 and a drift

@@ -777,6 +777,50 @@ class TestHopelessLanes:
         assert x.tobytes() == ref_x.tobytes() and ok.tolist() == ref_ok.tolist()
 
 
+# The values of a drift that returns views of this one array, as a drift that
+# keeps its own output buffer would: a solver that wrote into what its drift
+# returned would change them.
+DRIFT_VALUES = np.tile([-1.0, 0.5], (64, 1))
+
+
+def cached_drift(dimension):
+    """The constant drift DRIFT_VALUES[0, :dimension], returned as a slice of DRIFT_VALUES."""
+    def drift(x, t):
+        if np.ndim(x) == 1:  # one lane of reference_vector_newton
+            return DRIFT_VALUES[0, :dimension]
+        return DRIFT_VALUES[: len(x), :dimension]
+
+    return drift
+
+
+class TestSolverWritesOnlyItsOwnArrays:
+    """The solver never writes into b or into an array its drift returned."""
+
+    DT = 0.5
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("kind", ["one-step", "converged-at-b"])
+    def test_drift_output_and_b_unchanged(self, kind, dimension):
+        p = SdeProblem(
+            dimension=dimension, drift=cached_drift(dimension),
+            diffusion=lambda x, t: np.zeros_like(x),
+            k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=True, label="cached-drift",
+        )
+        b = np.random.default_rng(6).uniform(-2.0, 2.0, size=(8, dimension))
+        b[1] = -0.0
+        if kind == "converged-at-b":
+            b[3] = 1e20  # b - dt f rounds to b: the residual at b is 0
+        values, b_before = DRIFT_VALUES.copy(), b.copy()
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT)
+        assert DRIFT_VALUES.tobytes() == values.tobytes()
+        assert b.tobytes() == b_before.tobytes() and not np.shares_memory(x, b)
+        ref_x, ref_ok = TestHopelessLanes.reference(p.drift, b, self.DT, ImplicitSolverConfig())
+        assert x.tobytes() == ref_x.tobytes() and ok.tolist() == ref_ok.tolist()
+        assert ok.all() and x.shape == b.shape
+        if kind == "converged-at-b":
+            assert x[3].tobytes() == b[3].tobytes()
+
+
 class TestBemStep:
     def test_identity_when_no_dynamics(self):
         p = SdeProblem(
