@@ -55,9 +55,7 @@ from .problems import (
     cubic_counterexample,
     exact_linear_mean_square,
     linear_example,
-    load_problem_config,
     one_sided_decay_max_k1,
-    problem_from_config,
     problem_from_label,
 )
 
@@ -103,9 +101,7 @@ __all__ = [
     "cubic_counterexample",
     "exact_linear_mean_square",
     "linear_example",
-    "load_problem_config",
     "one_sided_decay_max_k1",
-    "problem_from_config",
     "problem_from_label",
     "__version__",
 ]

@@ -55,6 +55,11 @@ __all__ = [
 # ~120 MB at this ceiling, and a larger k_max is refused before any is built
 PROOF_BOUNDS_MAX_K = 1000
 
+# verify_proof_bounds' fixed axes and pass threshold
+_PROOF_DTS = (0.05, 0.1, 0.2)
+_PROOF_K1S = (1.0, 1.5, 2.0, 2.7, 3.0)
+_PROOF_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class DecayEstimate:
@@ -158,12 +163,9 @@ def estimate_decay_exponent(
     )
 
 
-def _validate_envelope_args(dt, c, m0):
-    positive_real("dt", dt)
-    if not (math.isfinite(c) and c >= 0):  # c = 0: pure power decay of m0
-        raise ValueError(f"c must be nonnegative, got {c}")
-    if not (math.isfinite(m0) and m0 >= 0):
-        raise ValueError(f"m0 must be nonnegative, got {m0}")
+def _validate_envelope_args(dt, k1, c, m0):
+    """(dt, k1, c, m0) as floats; c = 0 is pure power decay of m0."""
+    return positive_real("dt", dt), real("k1", k1), real("c", c, 0.0), real("m0", m0, 0.0)
 
 
 def em_envelope(k, dt: float, k1: float, c: float, m0: float):
@@ -172,7 +174,7 @@ def em_envelope(k, dt: float, k1: float, c: float, m0: float):
     Valid for the explicit scheme under K1 >= 1 and dt < 1/(2 + K1).
     Vectorized over k.
     """
-    _validate_envelope_args(dt, c, m0)
+    dt, k1, c, m0 = _validate_envelope_args(dt, k1, c, m0)
     if not k1 >= 1.0:
         raise ValueError(f"the explicit-scheme envelope requires K1 >= 1, got {k1}")
     if not dt < 1.0 / (2.0 + k1):
@@ -192,7 +194,7 @@ def bem_envelope(k, dt: float, k1: float, c: float, m0: float, kbar: float | Non
     and dt < 1/K1 (and dt < 1/|Kbar| when kbar is supplied). Vectorized
     over k.
     """
-    _validate_envelope_args(dt, c, m0)
+    dt, k1, c, m0 = _validate_envelope_args(dt, k1, c, m0)
     if not k1 > 0.5:
         raise ValueError(f"the semi-implicit envelope requires K1 > 0.5, got {k1}")
     if not dt < 1.0 / k1:
@@ -406,19 +408,15 @@ class ProofBoundReport:
         return "\n".join(lines)
 
 
-def verify_proof_bounds(
-    k_max: int = 200,
-    dts=(0.05, 0.1, 0.2),
-    k1s_em=(1.0, 1.5, 2.0, 2.7, 3.0),
-    k1s_bem=(1.0, 1.5, 2.0, 2.7, 3.0),
-    slack: float = 1e-12,
-) -> ProofBoundReport:
+def verify_proof_bounds(k_max: int = 200) -> ProofBoundReport:
     """Evaluate all four inequality families on grids k in {2..k_max}, r < k.
 
-    The explicit-scheme families require K1 >= 1; the semi-implicit ones only
-    K1 > 0.5. k_max must be an integer >= 2, so that the grid is not empty,
-    and at most PROOF_BOUNDS_MAX_K, since the paired grid has ~k_max**2 / 2
-    points.
+    The other axes are fixed: every dt in _PROOF_DTS with every K1 in
+    _PROOF_K1S, for all four families (each K1 there meets the explicit
+    families' K1 >= 1 and the semi-implicit ones' K1 > 0.5). A family passes
+    at a worst margin >= -_PROOF_SLACK. k_max must be an integer >= 2, so
+    that the grid is not empty, and at most PROOF_BOUNDS_MAX_K, since the
+    paired grid has ~k_max**2 / 2 points.
     """
     ks = np.arange(2, integer("k_max", k_max, 2, PROOF_BOUNDS_MAX_K) + 1)
     pair_k = np.repeat(ks, ks)  # each k paired with r = 0..k-1
@@ -427,16 +425,16 @@ def verify_proof_bounds(
     single = (ks,)
     paired = (pair_k, pair_r)
     families = (
-        ("em-initial-term", em_initial_term_log_margin, single, k1s_em),
-        ("em-sum-term", em_sum_term_log_margin, paired, k1s_em),
-        ("bem-initial-term", bem_initial_term_log_margin, single, k1s_bem),
-        ("bem-sum-term", bem_sum_term_log_margin, paired, k1s_bem),
+        ("em-initial-term", em_initial_term_log_margin, single),
+        ("em-sum-term", em_sum_term_log_margin, paired),
+        ("bem-initial-term", bem_initial_term_log_margin, single),
+        ("bem-sum-term", bem_sum_term_log_margin, paired),
     )
     results = []
-    for name, margin_fn, index_arrays, k1s in families:
+    for name, margin_fn, index_arrays in families:
         worst_margin, worst_point, total = np.inf, None, 0
-        for dt in dts:
-            for k1 in k1s:
+        for dt in _PROOF_DTS:
+            for k1 in _PROOF_K1S:
                 m = margin_fn(*index_arrays, dt, k1)
                 total += int(m.size)
                 i = int(np.argmin(m))
@@ -448,4 +446,4 @@ def verify_proof_bounds(
                 name=name, worst_margin=worst_margin, worst_point=worst_point, n_points=total
             )
         )
-    return ProofBoundReport(families=tuple(results), slack=slack)
+    return ProofBoundReport(families=tuple(results), slack=_PROOF_SLACK)

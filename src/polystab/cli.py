@@ -27,7 +27,7 @@ class ExperimentSpec:
     """One experiment: a --spec JSON object overlaid with the flags given.
 
     Only the output options are checked here; SimConfig and
-    problem_from_config check the rest, where they use them.
+    problem_from_label check the rest, where they use them.
     """
 
     problem: str
@@ -138,10 +138,9 @@ def _simulate(problem, config):
 def _cmd_simulate(args) -> int:
     try:
         spec = ExperimentSpec.from_args(args)
-        problem, default_x0 = problems.problem_from_config(
-            {"problem": spec.problem, "k1": spec.k1, "c": spec.c}
-        )
-        x0 = default_x0 if spec.x0 is None else np.atleast_1d(np.asarray(spec.x0, dtype=float))
+        problem = problems.problem_from_label(spec.problem, k1=spec.k1, c=spec.c)
+        x0 = problems.DEFAULT_INITIAL_VALUES[spec.problem] if spec.x0 is None else spec.x0
+        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
         if x0.shape != (problem.dimension,):
             raise ValueError(
                 f"x0 has shape {x0.shape}, problem '{spec.problem}' needs ({problem.dimension},)"

@@ -13,12 +13,11 @@ are exposed as tested primitives.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import integer, positive_real
+from .checks import integer, positive_real, real
 
 __all__ = [
     "GammaProductParams",
@@ -52,11 +51,9 @@ class GammaProductParams:
         object.__setattr__(self, "a", integer("a", self.a, 0))
         object.__setattr__(self, "b", integer("b", self.b, 0))
         alpha = positive_real("alpha", self.alpha)
-        beta = float(self.beta)
-        delta = float(self.delta)
-        if not math.isfinite(beta) or beta < 0:
-            raise ValueError(f"beta must be nonnegative, got {beta}")
-        if not math.isfinite(delta) or not 0 < delta < 1.0 / alpha:
+        beta = real("beta", self.beta, 0.0)
+        delta = positive_real("delta", self.delta)
+        if not delta < 1.0 / alpha:
             raise ValueError(
                 f"delta must satisfy 0 < delta < 1/alpha = {1.0 / alpha}, got {delta}"
             )
@@ -218,29 +215,31 @@ class IdentityCheckResult:
         return self.worst_rel_error <= self.tolerance
 
 
-def verify_product_identity(
-    num_samples: int = 1000,
-    seed: int = 20240331,
-    max_index: int = 10_000,
-    alpha_max: float = 5.0,
-    beta_max: float = 10.0,
-    tolerance: float = 1e-10,
-) -> IdentityCheckResult:
+# verify_product_identity's sampling box and pass threshold
+_IDENTITY_MAX_INDEX = 10_000
+_IDENTITY_ALPHA_MAX = 5.0
+_IDENTITY_BETA_MAX = 10.0
+_IDENTITY_TOLERANCE = 1e-10
+
+
+def verify_product_identity(num_samples: int = 1000, seed: int = 20240331) -> IdentityCheckResult:
     """Randomized cross-check of product_via_gamma against product_direct.
 
-    Samples integer 0 <= a <= b <= max_index, alpha in (0, alpha_max],
-    beta in [0, beta_max], delta in (0, 0.99/alpha). num_samples must be
-    an integer >= 1, so that the check is never vacuous, and seed >= 0.
+    The sampling box is fixed: integer 0 <= a <= b <= _IDENTITY_MAX_INDEX,
+    alpha in (0, _IDENTITY_ALPHA_MAX], beta in [0, _IDENTITY_BETA_MAX] and
+    delta in (0, 0.99/alpha); the check passes at a worst relative error
+    <= _IDENTITY_TOLERANCE. num_samples must be an integer >= 1, so that
+    the check is never vacuous, and seed >= 0.
     """
     num_samples = integer("num_samples", num_samples, 1)
     rng = np.random.default_rng(integer("seed", seed, 0))
     worst = -1.0
     worst_params = None
     for _ in range(num_samples):
-        b = int(rng.integers(0, max_index + 1))
+        b = int(rng.integers(0, _IDENTITY_MAX_INDEX + 1))
         a = int(rng.integers(0, b + 1))
-        alpha = float(alpha_max * (1.0 - rng.random()))  # (0, alpha_max]
-        beta = float(rng.uniform(0.0, beta_max))
+        alpha = float(_IDENTITY_ALPHA_MAX * (1.0 - rng.random()))  # (0, max]
+        beta = float(rng.uniform(0.0, _IDENTITY_BETA_MAX))
         delta = float(rng.uniform(1e-12, 0.99 / alpha))
         params = GammaProductParams(a=a, b=b, alpha=alpha, beta=beta, delta=delta)
         direct = product_direct(params)
@@ -253,7 +252,7 @@ def verify_product_identity(
         samples=num_samples,
         worst_rel_error=worst,
         worst_params=worst_params,
-        tolerance=tolerance,
+        tolerance=_IDENTITY_TOLERANCE,
     )
 
 
@@ -276,20 +275,21 @@ class RatioSignResult:
         return self.max_margin_below_one < 0.0 and self.min_margin_above_one > 0.0
 
 
-def verify_ratio_signs(
-    x_grid=RATIO_X_GRID,
-    eta_below=RATIO_ETA_BELOW_ONE,
-    eta_above=RATIO_ETA_ABOVE_ONE,
-) -> RatioSignResult:
-    """Evaluate the ratio/power margin over the sign-contract grid."""
+def verify_ratio_signs() -> RatioSignResult:
+    """Evaluate the ratio/power margin over the sign-contract grid.
+
+    The grid is fixed: every x in RATIO_X_GRID with every eta in
+    RATIO_ETA_BELOW_ONE (margin < 0 expected) and RATIO_ETA_ABOVE_ONE
+    (margin > 0 expected).
+    """
     max_below, min_above = -np.inf, np.inf
     at_below = at_above = None
-    for x in x_grid:
-        for eta in eta_below:
+    for x in RATIO_X_GRID:
+        for eta in RATIO_ETA_BELOW_ONE:
             m = ratio_power_margin(x, eta)
             if m > max_below:
                 max_below, at_below = m, (x, eta)
-        for eta in eta_above:
+        for eta in RATIO_ETA_ABOVE_ONE:
             m = ratio_power_margin(x, eta)
             if m < min_above:
                 min_above, at_above = m, (x, eta)

@@ -165,18 +165,21 @@ def check_decay_dt(problem: SdeProblem, dt: float) -> None:
         )
 
 
+_BISECT_ITERATIONS = 400
+
+
 def bisect_root_scalar(
     drift,
     t: float,
     b: float,
     dt: float,
     tolerance: float = 1e-12,
-    max_iterations: int = 400,
 ) -> float:
     """Root of x - drift(x,t)*dt - b = 0 by bracket growth plus bisection.
 
     Valid for scalar problems where the residual is strictly increasing in x
     (guaranteed by the one-sided Lipschitz condition with dt < 1/|Kbar|).
+    Stops after _BISECT_ITERATIONS halvings at most.
     """
 
     def resid(x):
@@ -203,7 +206,7 @@ def bisect_root_scalar(
         if it > 200:
             raise ImplicitSolveError("bisection failed to bracket the root below", state=b)
     mid, rmid = lo, rlo
-    for _ in range(max_iterations):
+    for _ in range(_BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
         rmid = resid(mid)
         if abs(rmid) <= tolerance:
@@ -555,25 +558,18 @@ def solve_implicit(
     return float(x) if np.ndim(b) == 0 else x
 
 
-def bem_step_batch(
-    problem: SdeProblem,
-    x: np.ndarray,
-    k: int,
-    dt: float,
-    db,
-    cfg: ImplicitSolverConfig = DEFAULT_SOLVER_CONFIG,
-):
+def bem_step_batch(problem: SdeProblem, x: np.ndarray, k: int, dt: float, db):
     """Semi-implicit step from step k for an (m, n) block of paths.
 
     Computes b = x + g(x, k dt) dB and solves x' = f(x', (k+1) dt) dt + b
     with the solver that solve_implicit_batch dispatches to, called
-    directly. That solver works in its own temporaries and never writes
-    into b or into what the drift returned. Returns (x_new, ok) with ok of
-    shape (m,): a lane whose b is not finite gets b back with ok True, so
-    the caller's norm check blows it up; a lane whose solve fails keeps x,
-    with ok False. The step index, not k dt + dt, fixes the solve time, so
-    it is exactly (k+1) dt. No validation: b is not checked again, and the
-    caller checks dt once with check_implicit_dt.
+    directly with DEFAULT_SOLVER_CONFIG. That solver works in its own
+    temporaries and never writes into b or into what the drift returned.
+    Returns (x_new, ok) with ok of shape (m,): a lane whose b is not finite
+    gets b back with ok True, so the caller's norm check blows it up; a lane
+    whose solve fails keeps x, with ok False. The step index, not k dt + dt,
+    fixes the solve time, so it is exactly (k+1) dt. No validation: b is not
+    checked again, and the caller checks dt once with check_implicit_dt.
     """
     g = np.asarray(problem.diffusion(x, k * dt), dtype=float)
     b = x + g * db
@@ -581,12 +577,12 @@ def bem_step_batch(
     t = (k + 1) * dt
     finite = np.isfinite(b)
     if np.count_nonzero(finite) == finite.size:
-        new, ok = solve(problem.drift, t, b, dt, cfg)
+        new, ok = solve(problem.drift, t, b, dt, DEFAULT_SOLVER_CONFIG)
     else:
         new, ok = b, np.ones(len(b), dtype=bool)
         rows = np.flatnonzero(finite.all(axis=1))
         if rows.size:
-            new[rows], ok[rows] = solve(problem.drift, t, b[rows], dt, cfg)
+            new[rows], ok[rows] = solve(problem.drift, t, b[rows], dt, DEFAULT_SOLVER_CONFIG)
     if np.count_nonzero(ok) < ok.size:
         new[~ok] = x[~ok]
     return new, ok

@@ -16,14 +16,13 @@ pass is sampling evidence, never a proof.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .checks import integer, positive_real
+from .checks import integer, positive_real, real
 
 __all__ = [
     "SdeProblem",
@@ -40,8 +39,6 @@ __all__ = [
     "PROBLEM_BUILDERS",
     "DEFAULT_INITIAL_VALUES",
     "problem_from_label",
-    "problem_from_config",
-    "load_problem_config",
 ]
 
 AUDIT_NOTE = "sampled evidence only; a pass is not a proof"
@@ -76,10 +73,7 @@ class SdeProblem:
         object.__setattr__(self, "dimension", integer("dimension", self.dimension, 1))
         for name in ("k1", "c"):
             object.__setattr__(self, name, positive_real(name, getattr(self, name)))
-        kbar = float(self.kbar)
-        if not math.isfinite(kbar):
-            raise ValueError(f"kbar must be finite, got {kbar}")
-        object.__setattr__(self, "kbar", kbar)
+        object.__setattr__(self, "kbar", real("kbar", self.kbar))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +177,7 @@ def exact_linear_mean_square(x0: float, t) -> float:
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0) or not np.all(np.isfinite(t_arr)):
         raise ValueError(f"t must be nonnegative and finite, got {t!r}")
-    out = (float(x0) ** 2 + t_arr) / (1.0 + t_arr) ** 2
+    out = (real("x0", x0) ** 2 + t_arr) / (1.0 + t_arr) ** 2
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -193,12 +187,13 @@ def exact_linear_mean_square(x0: float, t) -> float:
 DEFAULT_AUDIT_TIMES = (0.0, 0.1, 1.0, 10.0, 100.0, 1e4)
 _GRID_POINTS_PER_AXIS = 33
 _GRID_MAX_AXES = 3
+_GRID_HALF_WIDTH = 100.0
 
 
-def default_state_grid(dimension: int, half_width: float = 100.0) -> np.ndarray:
-    """Product grid of states, 33 points per axis on [-hw, hw], at most 3 axes."""
+def default_state_grid(dimension: int) -> np.ndarray:
+    """Product grid of states, 33 points per axis on [-100, 100], at most 3 axes."""
     axes = min(dimension, _GRID_MAX_AXES)
-    pts = np.linspace(-half_width, half_width, _GRID_POINTS_PER_AXIS)
+    pts = np.linspace(-_GRID_HALF_WIDTH, _GRID_HALF_WIDTH, _GRID_POINTS_PER_AXIS)
     mesh = np.meshgrid(*([pts] * axes), indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=-1)
     if dimension > axes:
@@ -303,8 +298,11 @@ def audit_conditions(
     states: (m, dimension) array, default :func:`default_state_grid`.
     times: iterable of t >= 0, default DEFAULT_AUDIT_TIMES. The one-sided
     Lipschitz condition quantifies over state pairs, so it is sampled with
-    ``pair_samples`` random pairs per time from a seeded generator.
+    ``pair_samples`` random pairs per time (an integer >= 1) from a generator
+    seeded with ``seed`` (an integer >= 0).
     """
+    pair_samples = integer("pair_samples", pair_samples, 1)
+    seed = integer("seed", seed, 0)
     if states is None:
         states = default_state_grid(problem.dimension)
     states = np.atleast_2d(np.asarray(states, dtype=float))
@@ -404,7 +402,7 @@ def one_sided_decay_max_k1(
 
 
 # ---------------------------------------------------------------------------
-# registry and JSON config loading
+# registry
 
 PROBLEM_BUILDERS = {
     "linear": linear_example,
@@ -433,33 +431,3 @@ def problem_from_label(label: str, k1=None, c=None) -> SdeProblem:
     if overrides:
         problem = dataclasses.replace(problem, **overrides)
     return problem
-
-
-def problem_from_config(config: dict) -> tuple[SdeProblem, np.ndarray]:
-    """Build (problem, initial_value) from a mapping.
-
-    Recognized keys: problem (label, required), k1, c, initial_value.
-    """
-    if "problem" not in config:
-        raise ValueError("config must contain a 'problem' label")
-    unknown = set(config) - {"problem", "k1", "c", "initial_value"}
-    if unknown:
-        raise ValueError(f"unknown problem config keys: {sorted(unknown)}")
-    label = config["problem"]
-    problem = problem_from_label(label, k1=config.get("k1"), c=config.get("c"))
-    x0 = config.get("initial_value", DEFAULT_INITIAL_VALUES[label])
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape != (problem.dimension,):
-        raise ValueError(
-            f"initial_value must have shape ({problem.dimension},), got {x0.shape}"
-        )
-    return problem, x0
-
-
-def load_problem_config(path) -> tuple[SdeProblem, np.ndarray]:
-    """Read a JSON problem config file, see :func:`problem_from_config`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise ValueError(f"problem config in {path} must be a JSON object")
-    return problem_from_config(config)

@@ -37,10 +37,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_gamma_product_identity():
-    result = verify_product_identity(
-        num_samples=1000, seed=20240331, max_index=10_000, alpha_max=5.0, beta_max=10.0,
-        tolerance=1e-10,
-    )
+    result = verify_product_identity(num_samples=1000, seed=20240331)
     ok = result.passed
     report(
         "1", ok,
@@ -63,11 +60,7 @@ def test_criterion_2_ratio_power_signs():
 
 
 def test_criterion_3_proof_estimate_inequalities():
-    grid_report = verify_proof_bounds(
-        k_max=200, dts=(0.05, 0.1, 0.2),
-        k1s_em=(1.0, 1.5, 2.0, 2.7, 3.0), k1s_bem=(1.0, 1.5, 2.0, 2.7, 3.0),
-        slack=1e-12,
-    )
+    grid_report = verify_proof_bounds(k_max=200)
     ok = grid_report.all_passed
     worst = min(f.worst_margin for f in grid_report.families)
     report(

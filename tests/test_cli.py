@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import polystab.analysis
+from polystab import problems
 from polystab.analysis import BoundFamilyResult, ProofBoundReport
 from polystab.cli import ExperimentSpec, main
 from polystab.ensemble import CSV_HEADER, MomentSeries
@@ -124,6 +125,21 @@ class TestSimulate:
         assert lines[0] == "k,t,envelope"
         series = MomentSeries.from_csv(tmp_path / "env.csv")
         assert len(lines) == 1 + len(series)
+
+    def test_builder_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        # the benchmark traces em-long by replacing the registry entry after
+        # import, so simulate must read problems.PROBLEM_BUILDERS on each call
+        calls = []
+        linear = problems.linear_example()
+
+        def counted_drift(x, t):
+            calls.append(1)
+            return linear.drift(x, t)
+
+        counted = dataclasses.replace(linear, drift=counted_drift)
+        monkeypatch.setitem(problems.PROBLEM_BUILDERS, "linear", lambda: counted)
+        assert run(self.SMALL_RUN + ["--out-dir", str(tmp_path)]) == 0
+        assert calls
 
     def test_spec_file(self, tmp_path):
         spec = {
@@ -360,7 +376,28 @@ class TestRoundTrip:
         assert report_a["conforms"] is True
 
 
+VERIFY_GAMMA_STDOUT_300_60 = (
+    "product identity: worst relative error 1.767e-14 over 300 samples (tolerance 1e-10)\n"
+    "ratio/power signs: max margin below-one -4.500e-06 at (10000.0, 0.9); "
+    "min margin above-one +5.500e-06 at (10000.0, 1.1)\n"
+    "gamma-ratio bound verification (log-space margins, >= 0 expected):\n"
+    "  em-initial-term          pass  worst margin +1.026e-01 at (39, 0.05, 1.0)  (885 points)\n"
+    "  em-sum-term              pass  worst margin +2.516e-02 at (60, 59, 0.05, 1.0)  (27435 points)\n"
+    "  bem-initial-term         pass  worst margin +1.477e-01 at (60, 0.05, 1.0)  (885 points)\n"
+    "  bem-sum-term             pass  worst margin +4.923e-02 at (60, 59, 0.05, 1.0)  (27435 points)\n"
+    "all gamma checks passed\n"
+)
+
+
 class TestVerifyGamma:
+    def test_stdout_pinned(self, capsys):
+        # the whole report on the fixed grids, recorded before they became
+        # module constants: the grids, tolerance and slack are part of it
+        assert run(["verify-gamma", "--samples", "300", "--k-max", "60"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == VERIFY_GAMMA_STDOUT_300_60
+        assert captured.err == ""
+
     def test_default_grids_pass(self, capsys):
         code = run(["verify-gamma", "--samples", "200", "--k-max", "40"])
         assert code == 0

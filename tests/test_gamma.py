@@ -70,6 +70,9 @@ class TestProductParams:
             dict(a=0, b=2, alpha=2.0, beta=0.0, delta=0.5),  # delta >= 1/alpha
             dict(a=0, b=2, alpha=2.0, beta=0.0, delta=0.0),
             dict(a=0, b=2, alpha=2.0, beta=0.0, delta=-0.1),
+            dict(a=0, b=2, alpha=2.0, beta="1", delta=0.1),
+            dict(a=0, b=2, alpha=2.0, beta=True, delta=0.1),
+            dict(a=0, b=2, alpha=2.0, beta=0.0, delta="0.1"),
         ],
     )
     def test_invalid_params(self, kwargs):
@@ -116,7 +119,7 @@ class TestProducts:
         assert abs(via - direct) <= 1e-10 * direct
 
     def test_randomized_oracle_equivalence(self):
-        result = verify_product_identity(num_samples=1000, seed=123, max_index=10_000)
+        result = verify_product_identity(num_samples=1000, seed=123)
         assert result.passed, f"worst {result.worst_rel_error} at {result.worst_params}"
 
     @pytest.mark.parametrize("kwargs", [

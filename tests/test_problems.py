@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -16,9 +15,7 @@ from polystab.problems import (
     default_state_grid,
     exact_linear_mean_square,
     linear_example,
-    load_problem_config,
     one_sided_decay_max_k1,
-    problem_from_config,
     problem_from_label,
 )
 
@@ -77,6 +74,9 @@ def test_exact_linear_mean_square():
     assert exact_linear_mean_square(2.0, 99.0) == pytest.approx(0.0103, rel=1e-12)
     with pytest.raises(ValueError):
         exact_linear_mean_square(1.0, -1.0)
+    for x0 in ("2", True, math.inf, math.nan):
+        with pytest.raises(ValueError, match="x0 must be a finite real"):
+            exact_linear_mean_square(x0, 1.0)
 
 
 def test_exact_linear_mean_square_asymptotic_slope():
@@ -107,6 +107,16 @@ def test_problem_dimension_must_be_a_positive_integer(dimension):
         SdeProblem(
             dimension=dimension, drift=lambda x, t: x, diffusion=lambda x, t: x,
             k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=True, label="bad",
+        )
+
+
+@pytest.mark.parametrize("kbar", ["0", True, [1], math.inf, math.nan, 10**400],
+                         ids=["str", "bool", "list", "inf", "nan", "int-beyond-floats"])
+def test_problem_kbar_must_be_a_finite_real(kbar):
+    with pytest.raises(ValueError, match="kbar must be a finite real"):
+        SdeProblem(
+            dimension=1, drift=lambda x, t: x, diffusion=lambda x, t: x,
+            k1=1.0, c=1.0, kbar=kbar, satisfies_linear_growth=True, label="bad",
         )
 
 
@@ -181,6 +191,18 @@ class TestAudit:
             audit_conditions(linear_example(), times=())
         with pytest.raises(ValueError):
             audit_conditions(linear_example(), times=(-1.0,))
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(pair_samples=0), "pair_samples must be an integer >= 1"),
+        (dict(pair_samples=-1), "pair_samples must be an integer >= 1"),
+        (dict(pair_samples=2.0), "pair_samples must be an integer"),
+        (dict(seed=-1), "seed must be an integer >= 0"),
+        (dict(seed=True), "seed must be an integer"),
+    ], ids=["no-pairs", "negative-pairs", "float-pairs", "negative-seed", "bool-seed"])
+    def test_pair_samples_and_seed_checked(self, kwargs, message):
+        # zero pairs would pass the one-sided Lipschitz check vacuously
+        with pytest.raises(ValueError, match=message):
+            audit_conditions(linear_example(), **kwargs)
 
     def test_report_mentions_evidence(self):
         report = audit_conditions(linear_example())
@@ -351,33 +373,3 @@ class TestRegistry:
         assert p.k1 == 2.5 and p.c == 0.7
         # dynamics untouched
         assert p.drift(np.array([2.0]), 0.0).item() == -2.0
-
-    def test_problem_from_config(self):
-        problem, x0 = problem_from_config(
-            {"problem": "counterexample", "initial_value": 4.0, "k1": 2.0}
-        )
-        assert problem.k1 == 2.0
-        assert x0.tolist() == [4.0]
-
-    def test_problem_from_config_defaults(self):
-        problem, x0 = problem_from_config({"problem": "counterexample"})
-        assert x0.tolist() == [5.0]
-
-    def test_problem_from_config_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown problem config keys"):
-            problem_from_config({"problem": "linear", "sigma": 2.0})
-        with pytest.raises(ValueError, match="'problem'"):
-            problem_from_config({"k1": 1.0})
-
-    def test_load_problem_config(self, tmp_path):
-        path = tmp_path / "problem.json"
-        path.write_text(json.dumps({"problem": "linear", "c": 2.0, "initial_value": [3.0]}))
-        problem, x0 = load_problem_config(path)
-        assert problem.c == 2.0
-        assert x0.tolist() == [3.0]
-
-    def test_load_problem_config_rejects_non_object(self, tmp_path):
-        path = tmp_path / "problem.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(ValueError, match="JSON object"):
-            load_problem_config(path)

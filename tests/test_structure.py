@@ -5,16 +5,22 @@ a leading underscore marks a name as private to the module that defines it.
 Its one scipy import is ndtri, in the ensemble: importing scipy.special
 costs about twice numpy's own import time (~0.31 s against ~0.15 s on a
 2-core Xeon), so each further scipy module shows in every command's set-up
-time.
+time. The benchmark harness under perfbench/ reaches polystab only through
+names the package exports, so deleting one of them fails here first.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "polystab"
+import polystab
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "polystab"
 MODULES = sorted(SRC.glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def private_imports(source: str) -> list[str]:
@@ -129,3 +135,53 @@ def test_ensemble_uses_only_the_batch_kernels_and_dt_checks():
 ])
 def test_import_guard_finds_every_form(source, expected):
     assert imported_names(source, "integrators") == expected
+
+
+def polystab_attributes(source: str) -> set[tuple[str, str]]:
+    """The polystab names that source reads as attributes, as (module, name).
+
+    module is "" for a name read through the package itself (import polystab
+    as ps; ps.<name>) and the module's name for one read through a module
+    imported from it (from polystab import ensemble; ensemble.<name>).
+    """
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({a.asname or a.name: "" for a in node.names if a.name == "polystab"})
+        elif isinstance(node, ast.ImportFrom) and (node.level, node.module) == (0, "polystab"):
+            bound.update({a.asname or a.name: a.name for a in node.names})
+    return {
+        (bound[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in bound
+    }
+
+
+def test_benchmark_files_found():
+    assert {p.name for p in PERFBENCH} >= {"child.py", "micro.py", "workloads.py"}
+
+
+@pytest.mark.parametrize("path", PERFBENCH, ids=lambda p: p.name)
+def test_benchmark_reads_only_exported_names(path):
+    missing = []
+    for module, name in sorted(polystab_attributes(path.read_text(encoding="utf-8"))):
+        if module:
+            found = hasattr(importlib.import_module(f"polystab.{module}"), name)
+        else:  # a module attribute such as __file__ is not exported but always there
+            found = name in polystab.__all__ or (name.startswith("__") and hasattr(polystab, name))
+        if not found:
+            missing.append(f"{module or 'polystab'}.{name}")
+    assert missing == []
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("import polystab as ps\nps.em_step(ps.StepContext)", {("", "em_step"), ("", "StepContext")}),
+    ("import polystab\npolystab.SimConfig", {("", "SimConfig")}),
+    ("from polystab import cli, ensemble as e\ncli.main\ne.SCHEMES", {("cli", "main"), ("ensemble", "SCHEMES")}),
+    ("import polystab.cli\nimport numpy as ps\nps.zeros", set()),
+    ("from polystab.problems import bem_example\nbem_example.label", set()),
+])
+def test_benchmark_guard_finds_every_form(source, expected):
+    assert polystab_attributes(source) == expected
