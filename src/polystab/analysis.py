@@ -12,10 +12,12 @@ series, and the theoretical side is an explicit envelope
                           C2 = 1 + (1+2K1) dt
 
 C1 and C2 are the exact suprema of the step ratios they bound (attained at
-r = 0), which gives the tightest implementable constants. The gamma-ratio
-inequalities that the envelopes rest on are exposed as log-margin functions
-so they can be verified on grids, and the cubic counterexample's divergence
-recursion is included with its induction invariant.
+r = 0), which gives the tightest implementable constants. Each envelope
+rests on an initial-term and a sum-term gamma-ratio inequality; the initial
+term is the sum term at its boundary index (r = -1 explicit, r = 0
+semi-implicit), so each scheme has one log-margin function, verified on
+grids as four families. The cubic counterexample's divergence recursion is
+included with its induction invariant.
 """
 
 from __future__ import annotations
@@ -41,9 +43,7 @@ __all__ = [
     "em_recurrence_bound",
     "LowerBoundSequence",
     "counterexample_lower_bound",
-    "em_initial_term_log_margin",
     "em_sum_term_log_margin",
-    "bem_initial_term_log_margin",
     "bem_sum_term_log_margin",
     "BoundFamilyResult",
     "ProofBoundReport",
@@ -168,6 +168,15 @@ def _validate_envelope_args(dt, k1, c, m0):
     return positive_real("dt", dt), real("k1", k1), real("c", c, 0.0), real("m0", m0, 0.0)
 
 
+def _power_law_envelope(k, dt, k1, c, m0, shift, growth):
+    """((k + shift) dt + 1)^(-2K1+1) (m0 + C^2 growth^{2K1}), vectorized over k >= 0."""
+    k_arr = np.asarray(k)
+    if np.any(k_arr < 0):
+        raise ValueError("k must be nonnegative")
+    out = ((k_arr + shift) * dt + 1.0) ** (-2.0 * k1 + 1.0) * (m0 + c**2 * growth ** (2.0 * k1))
+    return float(out) if np.ndim(k) == 0 else out
+
+
 def em_envelope(k, dt: float, k1: float, c: float, m0: float):
     """Second-moment envelope (k dt + 1)^(-2K1+1) (m0 + C^2 (1+dt)^{2K1}).
 
@@ -179,12 +188,7 @@ def em_envelope(k, dt: float, k1: float, c: float, m0: float):
         raise ValueError(f"the explicit-scheme envelope requires K1 >= 1, got {k1}")
     if not dt < 1.0 / (2.0 + k1):
         raise ValueError(f"need dt < 1/(2+K1) = {1.0 / (2.0 + k1)}, got {dt}")
-    k_arr = np.asarray(k)
-    if np.any(k_arr < 0):
-        raise ValueError("k must be nonnegative")
-    c1 = 1.0 + dt
-    out = (k_arr * dt + 1.0) ** (-2.0 * k1 + 1.0) * (m0 + c**2 * c1 ** (2.0 * k1))
-    return float(out) if np.ndim(k) == 0 else out
+    return _power_law_envelope(k, dt, k1, c, m0, 0.0, 1.0 + dt)
 
 
 def bem_envelope(k, dt: float, k1: float, c: float, m0: float, kbar: float | None = None):
@@ -201,12 +205,7 @@ def bem_envelope(k, dt: float, k1: float, c: float, m0: float, kbar: float | Non
         raise ValueError(f"need dt < 1/K1 = {1.0 / k1}, got {dt}")
     if kbar is not None and kbar != 0.0 and not dt < 1.0 / abs(kbar):
         raise ValueError(f"need dt < 1/|Kbar| = {1.0 / abs(kbar)}, got {dt}")
-    k_arr = np.asarray(k)
-    if np.any(k_arr < 0):
-        raise ValueError("k must be nonnegative")
-    c2 = 1.0 + (1.0 + 2.0 * k1) * dt
-    out = ((k_arr + 1.0) * dt + 1.0) ** (-2.0 * k1 + 1.0) * (m0 + c**2 * c2 ** (2.0 * k1))
-    return float(out) if np.ndim(k) == 0 else out
+    return _power_law_envelope(k, dt, k1, c, m0, 1.0, 1.0 + (1.0 + 2.0 * k1) * dt)
 
 
 @dataclass(frozen=True)
@@ -332,49 +331,31 @@ def counterexample_lower_bound(dt: float, k_max: int) -> LowerBoundSequence:
 # inequality holds at a point iff its margin is >= 0 up to slack)
 
 
-def _dinv(dt):
-    if np.any(np.asarray(dt) <= 0):
-        raise ValueError("dt must be positive")
-    return 1.0 / dt
-
-
-def em_initial_term_log_margin(k, dt, k1):
-    """Margin of Gamma(k+D-K1)^2 Gamma(D)^2 / (Gamma(k+D)^2 Gamma(D-K1)^2)
-    <= ((k-K1) dt + 1)^{-2K1}, with D = 1/dt. Needs D > K1 and (k-K1) dt + 1 > 0."""
-    k = np.asarray(k, dtype=float)
-    d = _dinv(dt)
-    lhs = 2.0 * log_gamma_ratio(d - k1, k1) - 2.0 * log_gamma_ratio(k + d - k1, k1)
-    rhs = -2.0 * k1 * np.log((k - k1) * dt + 1.0)
-    return rhs - lhs
-
-
 def em_sum_term_log_margin(k, r, dt, k1):
     """Margin of Gamma(k+D-K1)^2 Gamma(r+1+D)^2 / (Gamma(k+D)^2 Gamma(r+1+D-K1)^2)
-    <= ((k-K1) dt + 1)^{-2K1} ((r+1) dt + 1)^{2K1}."""
+    <= ((k-K1) dt + 1)^{-2K1} ((r+1) dt + 1)^{2K1}, with D = 1/dt, for -1 <= r < k.
+
+    r = -1 is the initial term, Gamma(k+D-K1)^2 Gamma(D)^2 / (Gamma(k+D)^2
+    Gamma(D-K1)^2) <= ((k-K1) dt + 1)^{-2K1}. Needs D > K1 and (k-K1) dt + 1 > 0.
+    """
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
-    d = _dinv(dt)
+    d = 1.0 / positive_real("dt", dt)
     lhs = 2.0 * log_gamma_ratio(r + 1.0 + d - k1, k1) - 2.0 * log_gamma_ratio(k + d - k1, k1)
     rhs = -2.0 * k1 * np.log((k - k1) * dt + 1.0) + 2.0 * k1 * np.log((r + 1.0) * dt + 1.0)
     return rhs - lhs
 
 
-def bem_initial_term_log_margin(k, dt, k1):
-    """Margin of Gamma(k+1+D) Gamma(1+2K1+D) / (Gamma(k+1+D+2K1) Gamma(1+D))
-    <= ((k+1) dt + 1)^{-2K1} ((1+2K1) dt + 1)^{2K1}."""
-    k = np.asarray(k, dtype=float)
-    d = _dinv(dt)
-    lhs = log_gamma_ratio(1.0 + d, 2.0 * k1) - log_gamma_ratio(k + 1.0 + d, 2.0 * k1)
-    rhs = -2.0 * k1 * np.log((k + 1.0) * dt + 1.0) + 2.0 * k1 * np.log((1.0 + 2.0 * k1) * dt + 1.0)
-    return rhs - lhs
-
-
 def bem_sum_term_log_margin(k, r, dt, k1):
     """Margin of Gamma(k+1+D) Gamma(r+1+D+2K1) / (Gamma(k+1+D+2K1) Gamma(r+1+D))
-    <= ((k+1) dt + 1)^{-2K1} ((r+1+2K1) dt + 1)^{2K1}."""
+    <= ((k+1) dt + 1)^{-2K1} ((r+1+2K1) dt + 1)^{2K1}, with D = 1/dt, for 0 <= r < k.
+
+    r = 0 is the initial term, Gamma(k+1+D) Gamma(1+2K1+D) / (Gamma(k+1+D+2K1)
+    Gamma(1+D)) <= ((k+1) dt + 1)^{-2K1} ((1+2K1) dt + 1)^{2K1}.
+    """
     k = np.asarray(k, dtype=float)
     r = np.asarray(r, dtype=float)
-    d = _dinv(dt)
+    d = 1.0 / positive_real("dt", dt)
     lhs = log_gamma_ratio(r + 1.0 + d, 2.0 * k1) - log_gamma_ratio(k + 1.0 + d, 2.0 * k1)
     rhs = -2.0 * k1 * np.log((k + 1.0) * dt + 1.0) + 2.0 * k1 * np.log((r + 1.0 + 2.0 * k1) * dt + 1.0)
     return rhs - lhs
@@ -411,7 +392,9 @@ class ProofBoundReport:
 def verify_proof_bounds(k_max: int = 200) -> ProofBoundReport:
     """Evaluate all four inequality families on grids k in {2..k_max}, r < k.
 
-    The other axes are fixed: every dt in _PROOF_DTS with every K1 in
+    The initial-term families are the sum terms at r = -1 (explicit) and
+    r = 0 (semi-implicit) over k alone, so their worst points read (k, dt,
+    K1). The other axes are fixed: every dt in _PROOF_DTS with every K1 in
     _PROOF_K1S, for all four families (each K1 there meets the explicit
     families' K1 >= 1 and the semi-implicit ones' K1 > 0.5). A family passes
     at a worst margin >= -_PROOF_SLACK. k_max must be an integer >= 2, so
@@ -425,9 +408,9 @@ def verify_proof_bounds(k_max: int = 200) -> ProofBoundReport:
     single = (ks,)
     paired = (pair_k, pair_r)
     families = (
-        ("em-initial-term", em_initial_term_log_margin, single),
+        ("em-initial-term", lambda k, dt, k1: em_sum_term_log_margin(k, -1, dt, k1), single),
         ("em-sum-term", em_sum_term_log_margin, paired),
-        ("bem-initial-term", bem_initial_term_log_margin, single),
+        ("bem-initial-term", lambda k, dt, k1: bem_sum_term_log_margin(k, 0, dt, k1), single),
         ("bem-sum-term", bem_sum_term_log_margin, paired),
     )
     results = []

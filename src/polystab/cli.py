@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,11 @@ def _cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Show a library warning as one "warning: <message>" line on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -357,7 +363,10 @@ def main(argv=None) -> int:
         "verify-gamma": _cmd_verify_gamma,
         "counterexample": _cmd_counterexample,
     }
-    return handlers[args.command](args)
+    # the warnings filters still decide which warnings show or raise
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        return handlers[args.command](args)
 
 
 if __name__ == "__main__":

@@ -460,6 +460,20 @@ def _simulate_chunk(problem, config, path_lo, path_hi, out=None):
     return sq, gone_from, failed
 
 
+def _mean_of_sum(values, n):
+    """sum(values) / n for values >= 0, whose sum may overflow near the float maximum.
+
+    An overflowed sum (blown-up paths at a cap near the float maximum, or
+    survivors' norm2 there) is taken again as max * (sum(values / max) / n).
+    Call under np.errstate(over="ignore").
+    """
+    mean = float(np.sum(values)) / n
+    if not math.isfinite(mean):
+        scale = float(np.max(values))
+        mean = scale * (float(np.sum(values / scale)) / n)
+    return mean
+
+
 def simulate_ensemble(
     problem: SdeProblem,
     config: SimConfig,
@@ -529,11 +543,7 @@ def simulate_ensemble(
             row = sq[i]
             capped = np.sqrt(row)
             np.minimum(capped, cap, out=capped)
-            capped_mean[i] = float(np.sum(capped)) / n_paths
-            if not math.isfinite(capped_mean[i]):
-                # blown-up paths at a cap near the float maximum
-                scale = float(np.max(capped))
-                capped_mean[i] = scale * (float(np.sum(capped / scale)) / n_paths)
+            capped_mean[i] = _mean_of_sum(capped, n_paths)
             n_surv = int(surviving[i])
             if n_surv == 0:
                 mean_sq[i] = np.nan
@@ -542,12 +552,7 @@ def simulate_ensemble(
             # with no path gone, the masked arrays equal the plain ones: same sums
             mask = gone_from <= i if n_surv < n_paths else None
             vals = row if mask is None else np.where(mask, 0.0, row)
-            mean = float(np.sum(vals)) / n_surv
-            if not math.isfinite(mean):
-                # survivors' norm2 near the float maximum
-                scale = float(np.max(vals))
-                mean = scale * (float(np.sum(vals / scale)) / n_surv)
-            mean_sq[i] = mean
+            mean_sq[i] = mean = _mean_of_sum(vals, n_surv)
             if n_surv == 1:
                 std_err[i] = 0.0
             else:

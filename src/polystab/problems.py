@@ -375,29 +375,22 @@ def audit_conditions(
     )
 
 
-def one_sided_decay_max_k1(
-    problem: SdeProblem,
-    states: np.ndarray | None = None,
-    times=None,
-) -> float:
-    """Largest K1 for which the one-sided decay condition holds on the grid.
+def one_sided_decay_max_k1(problem: SdeProblem) -> float:
+    """Largest K1 for which the one-sided decay condition holds on the audit grid.
 
-    Returns min over sampled points with |x| > 0 of -<x, f(x,t)> (1+t)/|x|^2,
-    clipped at 0 when even that fails. This is the audited K1: what the data
-    supports, as opposed to what the problem claims.
+    Returns min over the points of default_state_grid with |x| > 0 and the
+    times in DEFAULT_AUDIT_TIMES of -<x, f(x,t)> (1+t)/|x|^2, clipped at 0
+    when even that fails. This is the audited K1: what the data supports, as
+    opposed to what the problem claims.
     """
-    if states is None:
-        states = default_state_grid(problem.dimension)
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    times = DEFAULT_AUDIT_TIMES if times is None else tuple(float(t) for t in times)
+    states = default_state_grid(problem.dimension)
+    xn2 = np.einsum("ij,ij->i", states, states)
+    nz = xn2 > 0.0  # every point but the origin
     best = np.inf
-    for t in times:
+    for t in DEFAULT_AUDIT_TIMES:
         f = _eval_checked(problem.drift, states, t, "drift", problem.label)
-        xn2 = np.einsum("ij,ij->i", states, states)
         xf = np.einsum("ij,ij->i", states, f)
-        nz = xn2 > 0.0
-        if np.any(nz):
-            best = min(best, float(np.min(-xf[nz] * (1.0 + t) / xn2[nz])))
+        best = min(best, float(np.min(-xf[nz] * (1.0 + t) / xn2[nz])))
     return max(best, 0.0)
 
 

@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from polystab.analysis import (
     PROOF_BOUNDS_MAX_K,
     bem_envelope,
-    bem_initial_term_log_margin,
     bem_sum_term_log_margin,
     counterexample_lower_bound,
     em_envelope,
-    em_initial_term_log_margin,
     em_recurrence_bound,
     em_sum_term_log_margin,
     estimate_decay_exponent,
@@ -355,17 +353,47 @@ class TestProofBounds:
         got = float(bem_sum_term_log_margin(np.array([5]), np.array([2]), 0.2, 1.5)[0])
         assert got == pytest.approx(0.868500068037806595, rel=1e-10)  # 50-digit evaluation
 
+    def test_em_initial_margin_against_high_precision(self):
+        # the initial term is the sum term at r = -1:
+        # Gamma(k+D-K1)^2 Gamma(D)^2 / (Gamma(k+D)^2 Gamma(D-K1)^2) <= ((k-K1) dt + 1)^{-2K1}
+        k, dt, k1 = 7, mpmath.mpf("0.1"), mpmath.mpf("2.7")
+        d = 1 / dt
+        lhs = 2 * (mpmath.loggamma(k + d - k1) + mpmath.loggamma(d)
+                   - mpmath.loggamma(k + d) - mpmath.loggamma(d - k1))
+        rhs = -2 * k1 * mpmath.log((k - k1) * dt + 1)
+        got = float(em_sum_term_log_margin(np.array([k]), -1, 0.1, 2.7)[0])
+        assert got == pytest.approx(float(rhs - lhs), rel=1e-10)
+        assert got == pytest.approx(1.4317148895784548569, rel=1e-10)  # frozen oracle value
+
+    def test_bem_initial_margin_against_high_precision(self):
+        # the initial term is the sum term at r = 0: Gamma(k+1+D) Gamma(1+2K1+D) /
+        # (Gamma(k+1+D+2K1) Gamma(1+D)) <= ((k+1) dt + 1)^{-2K1} ((1+2K1) dt + 1)^{2K1}
+        k, dt, k1 = 5, mpmath.mpf("0.2"), mpmath.mpf("1.5")
+        d = 1 / dt
+        lhs = (mpmath.loggamma(k + 1 + d) + mpmath.loggamma(1 + 2 * k1 + d)
+               - mpmath.loggamma(k + 1 + d + 2 * k1) - mpmath.loggamma(1 + d))
+        rhs = -2 * k1 * mpmath.log((k + 1) * dt + 1) + 2 * k1 * mpmath.log((1 + 2 * k1) * dt + 1)
+        got = float(bem_sum_term_log_margin(np.array([k]), 0, 0.2, 1.5)[0])
+        assert got == pytest.approx(float(rhs - lhs), rel=1e-10)
+        assert got == pytest.approx(1.0286280336982498724, rel=1e-10)  # frozen oracle value
+
+    @pytest.mark.parametrize("margin,r", [(em_sum_term_log_margin, -1), (bem_sum_term_log_margin, 0)])
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, True])
+    def test_margins_refuse_a_dt_that_is_not_a_positive_real(self, margin, r, dt):
+        with pytest.raises(ValueError, match=f"dt must be a positive real, got {dt!r}"):
+            margin(np.array([7]), r, dt, 1.5)
+
     def test_em_initial_margin_positive_on_grid(self):
         ks = np.arange(2, 201)
         for dt in (0.05, 0.1, 0.2):
             for k1 in (1.0, 1.5, 2.0, 2.7, 3.0):
-                assert np.all(em_initial_term_log_margin(ks, dt, k1) >= -1e-12)
+                assert np.all(em_sum_term_log_margin(ks, -1, dt, k1) >= -1e-12)
 
     def test_bem_initial_margin_holds_below_one(self):
         # the semi-implicit chain only needs K1 > 0.5
         ks = np.arange(2, 201)
         for k1 in (0.6, 0.75, 0.9):
-            assert np.all(bem_initial_term_log_margin(ks, 0.1, k1) >= -1e-12)
+            assert np.all(bem_sum_term_log_margin(ks, 0, 0.1, k1) >= -1e-12)
 
     def test_envelope_gamma_consistency(self):
         # squared contraction products stay below the power-law cap

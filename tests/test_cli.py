@@ -217,6 +217,15 @@ class TestSimulate:
         assert (tmp_path / "linear_em_seed1.csv").exists()
         assert not (tmp_path / "linear_em_seed1_envelope.csv").exists()
 
+    def test_library_warning_is_one_line(self, tmp_path, capsys):
+        code = run(["simulate", "--problem", "bem-example", "--scheme", "bem", "--dt", "0.5",
+                    "--steps", "20", "--paths", "10", "--seed", "1", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: dt=0.5 is not below 1/K1 = 0.3333333333333333; the polynomial "
+            "decay guarantee does not cover this step size\n"
+        )
+
     def test_counterexample_blow_up_fraction_reported(self, tmp_path, capsys):
         code = run([
             "simulate", "--problem", "counterexample", "--scheme", "em", "--dt", "0.1",
@@ -246,6 +255,20 @@ class TestAnalyze:
         code = run(["analyze", "--csv", str(csv), "--k1", "1.0", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["conforms"] is True
+
+    def test_zero_mean_square_warning_is_one_line(self, tmp_path, capsys):
+        csv = tmp_path / "m.csv"
+        write_power_law_csv(csv, -1.0)
+        lines = csv.read_text().splitlines()
+        for i in (-1, -2):  # the last two checkpoints, inside the fit window
+            fields = lines[i].split(",")
+            fields[2] = "0.0"
+            lines[i] = ",".join(fields)
+        csv.write_text("\n".join(lines) + "\n")
+        assert run(["analyze", "--csv", str(csv), "--k1", "1"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: excluding 2 checkpoints with mean_square == 0 from the fit\n"
+        )
 
     def test_nonconforming_exit_code(self, tmp_path, capsys):
         csv = tmp_path / "m.csv"

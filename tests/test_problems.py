@@ -176,6 +176,11 @@ class TestAudit:
     def test_linear_audited_k1_is_one(self):
         assert one_sided_decay_max_k1(linear_example()) == pytest.approx(1.0, rel=1e-12)
 
+    def test_rotation_2d_audited_k1(self):
+        # -<x, f> (1+t) / |x|^2 = 1 + |x|^2 (the skew part is orthogonal to x),
+        # least at the smallest nonzero |x| = 6.25 on the default 2-D grid
+        assert one_sided_decay_max_k1(rotation_2d()) == 40.0625
+
     def test_nonfinite_drift_reported(self):
         p = SdeProblem(
             dimension=1,

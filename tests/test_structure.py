@@ -6,7 +6,9 @@ Its one scipy import is ndtri, in the ensemble: importing scipy.special
 costs about twice numpy's own import time (~0.31 s against ~0.15 s on a
 2-core Xeon), so each further scipy module shows in every command's set-up
 time. The benchmark harness under perfbench/ reaches polystab only through
-names the package exports, so deleting one of them fails here first.
+names the package exports, so deleting one of them fails here first, and
+every name in a module's __all__ must exist, so a deletion that leaves a
+stale export fails too.
 """
 
 import ast
@@ -21,6 +23,24 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "polystab"
 MODULES = sorted(SRC.glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def stale_exports(module) -> list[str]:
+    """The names in module.__all__ (none if it has no __all__) that module lacks."""
+    return [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_exists(path):
+    name = "polystab" if path.stem == "__init__" else f"polystab.{path.stem}"
+    assert stale_exports(importlib.import_module(name)) == []
+
+
+def test_stale_export_guard_flags_a_missing_name():
+    module = type(polystab)("fake")
+    module.__all__ = ["present", "deleted"]
+    module.present = 1
+    assert stale_exports(module) == ["deleted"]
 
 
 def private_imports(source: str) -> list[str]:
