@@ -36,7 +36,6 @@ from .gamma import (
     verify_ratio_signs,
 )
 from .integrators import (
-    ImplicitSolverConfig,
     ImplicitSolveError,
     StepContext,
     StepError,
@@ -84,7 +83,6 @@ __all__ = [
     "ratio_power_margin",
     "verify_product_identity",
     "verify_ratio_signs",
-    "ImplicitSolverConfig",
     "ImplicitSolveError",
     "StepContext",
     "StepError",

@@ -243,12 +243,19 @@ def em_recurrence_bound(
 
     within n_sigma combined standard errors. Non-consecutive pairs, and pairs
     touched by blow-ups, cannot be checked and are counted as skipped.
-    Requires K1 dt < 1 so the contraction factor stays positive.
+    Requires K1 dt < 1 so the contraction factor stays positive. k1 and an
+    explicit dt must be finite and positive, c and n_sigma finite and >= 0:
+    a NaN one would make every comparison False and pass every pair.
     """
+    k1 = positive_real("k1", k1)
+    c = real("c", c, 0.0)
+    n_sigma = real("n_sigma", n_sigma, 0.0)
     if dt is None:
         if series.config is None:
             raise ValueError("series has no config; pass dt explicitly")
         dt = series.config.dt
+    else:
+        dt = positive_real("dt", dt)
     if not k1 * dt < 1.0:
         raise ValueError(f"need K1*dt < 1, got K1*dt = {k1 * dt}")
     ks = np.asarray(series.step_index, dtype=int)

@@ -1,7 +1,10 @@
 """Command-line front end: simulate, analyze, verify-gamma, counterexample.
 
 Exit codes: 0 success, 1 usage error, 2 numerical/data failure, 3 conformance
-failure. Seeds are mandatory — there are no wall-clock defaults anywhere.
+failure. A library warning is printed as one "warning: <message>" line; where
+a warnings filter turns it into an error (python -W error), the command stops
+with one "error: <message>" line and exit 2. Seeds are mandatory — there are
+no wall-clock defaults anywhere.
 """
 
 from __future__ import annotations
@@ -363,10 +366,15 @@ def main(argv=None) -> int:
         "verify-gamma": _cmd_verify_gamma,
         "counterexample": _cmd_counterexample,
     }
-    # the warnings filters still decide which warnings show or raise
+    # the warnings filters still decide which warnings show or raise; one
+    # raised as an error ends the command as a numerical or data failure
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
-        return handlers[args.command](args)
+        try:
+            return handlers[args.command](args)
+        except Warning as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

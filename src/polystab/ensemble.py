@@ -352,16 +352,19 @@ class WorkerCountError(ValueError):
 
 
 def _resolve_workers(workers) -> int:
-    source = "worker count"
-    if workers is None:
-        env = os.environ.get("POLYSTAB_THREADS", "").strip()
-        if not env:
-            return 1
-        workers, source = env, "POLYSTAB_THREADS"
-    error = WorkerCountError(f"{source} must be an integer >= 1, got {workers!r}")
+    """workers, an integer >= 1 (not a bool or a float); else POLYSTAB_THREADS; else 1."""
+    if workers is not None:
+        try:
+            return integer("workers", workers, 1)
+        except ValueError:
+            raise WorkerCountError(f"worker count must be an integer >= 1, got {workers!r}") from None
+    env = os.environ.get("POLYSTAB_THREADS", "").strip()
+    if not env:
+        return 1
+    error = WorkerCountError(f"POLYSTAB_THREADS must be an integer >= 1, got {env!r}")
     try:
-        n = int(workers)
-    except (TypeError, ValueError):
+        n = int(env)
+    except ValueError:
         raise error from None
     if n < 1:
         raise error

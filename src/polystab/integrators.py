@@ -26,7 +26,9 @@ validation, and the ensemble calls it once per step: em_step_batch, and
 bem_step_batch, which forms the noise term and makes one implicit solve.
 em_step is a validating adapter over em_step_batch that takes a StepContext;
 solve_implicit is one over solve_implicit_batch that raises
-ImplicitSolveError when a lane is not solved.
+ImplicitSolveError when a lane is not solved. Every solve stops at the
+residual tolerance _RESIDUAL_TOLERANCE or after _MAX_ITERATIONS Newton
+iterations; no caller sets either, so neither is a parameter.
 """
 
 from __future__ import annotations
@@ -42,8 +44,6 @@ from .problems import SdeProblem
 
 __all__ = [
     "StepContext",
-    "ImplicitSolverConfig",
-    "DEFAULT_SOLVER_CONFIG",
     "ImplicitSolveError",
     "StepError",
     "em_step",
@@ -78,20 +78,6 @@ class StepContext:
     @property
     def t(self) -> float:
         return self.k * self.dt
-
-
-@dataclass(frozen=True)
-class ImplicitSolverConfig:
-    residual_tolerance: float = 1e-12
-    max_iterations: int = 100
-
-    def __post_init__(self):
-        object.__setattr__(self, "residual_tolerance",
-                           positive_real("residual_tolerance", self.residual_tolerance))
-        object.__setattr__(self, "max_iterations", integer("max_iterations", self.max_iterations, 1))
-
-
-DEFAULT_SOLVER_CONFIG = ImplicitSolverConfig()
 
 
 class StepError(RuntimeError):
@@ -166,6 +152,10 @@ def check_decay_dt(problem: SdeProblem, dt: float) -> None:
 
 
 _BISECT_ITERATIONS = 400
+# a lane is solved once |x - f(x,t) dt - b| <= _RESIDUAL_TOLERANCE (max-norm
+# for n > 1); Newton stops after _MAX_ITERATIONS iterations, both read at call time
+_RESIDUAL_TOLERANCE = 1e-12
+_MAX_ITERATIONS = 100
 
 
 def bisect_root_scalar(
@@ -173,7 +163,7 @@ def bisect_root_scalar(
     t: float,
     b: float,
     dt: float,
-    tolerance: float = 1e-12,
+    tolerance: float = _RESIDUAL_TOLERANCE,
 ) -> float:
     """Root of x - drift(x,t)*dt - b = 0 by bracket growth plus bisection.
 
@@ -220,7 +210,7 @@ def bisect_root_scalar(
     return mid
 
 
-def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
+def _solve_scalar_batch(drift, t, b, dt):
     """Newton for x - drift(x,t)*dt - b = 0 on an (m, 1) block of lanes.
 
     Per lane: x0 = b; derivative from central differences with step
@@ -234,7 +224,7 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     Such a lane's next iterate is x - NaN, and so is every later one, so it
     leaves the Newton loop at once with x - r, the NaN the rest of its
     budget would end on. Lanes with a NaN residual and lanes left after
-    cfg.max_iterations go to bisect_root_scalar, and stay unsolved if it
+    _MAX_ITERATIONS go to bisect_root_scalar, and stay unsolved if it
     cannot bracket a root. Returns (x, ok) with ok of shape (m,); when one
     trial converges every lane, x is that trial.
 
@@ -246,7 +236,7 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     is held. Whether every lane is still active, or has converged, is one
     np.count_nonzero of a mask, which costs about half an ndarray.all().
     """
-    tol = cfg.residual_tolerance
+    tol, max_iterations = _RESIDUAL_TOLERANCE, _MAX_ITERATIONS
     m = b.shape[0]
     h = np.abs(b)
     h *= 1e-7
@@ -268,7 +258,7 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     ai = np.abs(ri[:, 0])
     unsolved = []  # index arrays of the lanes for bisection
     maybe_nan = True  # r is NaN only at b or where every halving failed
-    for it in range(cfg.max_iterations + 1):
+    for it in range(max_iterations + 1):
         left = ai > tol  # False once converged, and for a NaN residual
         if np.count_nonzero(left) < left.size:
             # converged and NaN lanes leave the working set; their iterates
@@ -276,7 +266,7 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
             if maybe_nan:
                 nan = np.isnan(ai)
                 if nan.any():
-                    if it < cfg.max_iterations:
+                    if it < max_iterations:
                         xi = np.where(nan[:, None], xi - ri, xi)
                     unsolved.append(np.arange(m)[lanes][nan])
             if x is None:
@@ -288,7 +278,7 @@ def _solve_scalar_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
             xi, ri, ai, bi = xi[left], ri[left], ai[left], bi[left]
             if not it:
                 h, fp, fm = h[left], fp[left], fm[left]
-        if it == cfg.max_iterations:
+        if it == max_iterations:
             if x is None:
                 x = np.empty_like(b)
             x[lanes] = xi
@@ -396,7 +386,7 @@ def _stacked_residuals(drift, t, x, b, dt, signs):
     return pts - dt * f.reshape(pts.shape) - b, h
 
 
-def _solve_vector_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
+def _solve_vector_batch(drift, t, b, dt):
     """Damped Newton for x - drift(x,t)*dt - b = 0 on an (m, n) block of lanes.
 
     Per lane: x0 = b; central-difference Jacobian column j with step
@@ -418,7 +408,7 @@ def _solve_vector_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     best iterate for the others, plus the (m,) convergence mask.
     """
     n = b.shape[1]
-    tol = cfg.residual_tolerance
+    tol = _RESIDUAL_TOLERANCE
     x = b.copy()
     signs = _difference_signs(n)
     R, h = _stacked_residuals(drift, t, b, b, dt, signs)
@@ -435,7 +425,7 @@ def _solve_vector_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
         lanes = np.flatnonzero(left)
         xi, bi, rn, R, h = x[lanes], b[lanes], rn[lanes], R[:, lanes], h[lanes]
     best_x, best_r = xi, rn
-    for _ in range(cfg.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         ri = R[0]
         jac = ((R[1 : n + 1] - R[n + 1 :]) / (2.0 * h.T[:, :, None])).transpose(1, 2, 0)
         try:
@@ -494,13 +484,7 @@ def _solve_vector_batch(drift, t, b, dt, cfg: ImplicitSolverConfig):
     return x, ok
 
 
-def solve_implicit_batch(
-    problem: SdeProblem,
-    t: float,
-    b,
-    dt: float,
-    cfg: ImplicitSolverConfig = DEFAULT_SOLVER_CONFIG,
-):
+def solve_implicit_batch(problem: SdeProblem, t: float, b, dt: float):
     """Solve x = f(x,t)*dt + b lane by lane for an (m, n) block b.
 
     The batched kernel behind solve_implicit and the BEM ensemble. n = 1
@@ -509,7 +493,8 @@ def solve_implicit_batch(
     and their best iterate. Returns (x, ok) with ok of shape (m,). Each
     lane's result is what solving it alone gives, for a drift that computes
     each row on its own. Only the shape is validated here: b must be finite
-    and the caller checks dt once with check_implicit_dt.
+    and the caller checks dt once with check_implicit_dt. This is the one
+    place the dimension picks the solver.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 2 or b.shape[1] != problem.dimension:
@@ -517,18 +502,12 @@ def solve_implicit_batch(
             f"b must have shape (m, {problem.dimension}), got {b.shape}"
         )
     if problem.dimension == 1:
-        return _solve_scalar_batch(problem.drift, t, b, dt, cfg)
-    return _solve_vector_batch(problem.drift, t, b, dt, cfg)
+        return _solve_scalar_batch(problem.drift, t, b, dt)
+    return _solve_vector_batch(problem.drift, t, b, dt)
 
 
-def solve_implicit(
-    problem: SdeProblem,
-    t: float,
-    b,
-    dt: float,
-    cfg: ImplicitSolverConfig = DEFAULT_SOLVER_CONFIG,
-):
-    """Solve x = f(x,t)*dt + b to |x - f(x,t)*dt - b| <= cfg.residual_tolerance.
+def solve_implicit(problem: SdeProblem, t: float, b, dt: float):
+    """Solve x = f(x,t)*dt + b to |x - f(x,t)*dt - b| <= _RESIDUAL_TOLERANCE.
 
     Newton from the initial guess x0 = b (the drift term is O(dt), so b is
     within O(dt) of the root), with backtracking and, for n = 1, bisection.
@@ -544,13 +523,13 @@ def solve_implicit(
     n = problem.dimension
     if n > 1 and b_arr.shape != (n,):
         raise ValueError(f"b must have shape ({n},) for a {n}-dimensional problem")
-    x, ok = solve_implicit_batch(problem, t, b_arr.reshape(-1, n), dt, cfg)
+    x, ok = solve_implicit_batch(problem, t, b_arr.reshape(-1, n), dt)
     x = x.reshape(b_arr.shape)
     if not ok.all():
         r = x - dt * np.asarray(problem.drift(x, t), dtype=float) - b_arr
         worst = float(np.max(np.abs(r)))
         raise ImplicitSolveError(
-            f"implicit solve did not reach tolerance {cfg.residual_tolerance} "
+            f"implicit solve did not reach tolerance {_RESIDUAL_TOLERANCE} "
             f"(best residual {worst:.3e})",
             best_residual=worst,
             state=x,
@@ -562,9 +541,8 @@ def bem_step_batch(problem: SdeProblem, x: np.ndarray, k: int, dt: float, db):
     """Semi-implicit step from step k for an (m, n) block of paths.
 
     Computes b = x + g(x, k dt) dB and solves x' = f(x', (k+1) dt) dt + b
-    with the solver that solve_implicit_batch dispatches to, called
-    directly with DEFAULT_SOLVER_CONFIG. That solver works in its own
-    temporaries and never writes into b or into what the drift returned.
+    with solve_implicit_batch, which works in its own temporaries and never
+    writes into b or into what the drift returned.
     Returns (x_new, ok) with ok of shape (m,): a lane whose b is not finite
     gets b back with ok True, so the caller's norm check blows it up; a lane
     whose solve fails keeps x, with ok False. The step index, not k dt + dt,
@@ -573,16 +551,15 @@ def bem_step_batch(problem: SdeProblem, x: np.ndarray, k: int, dt: float, db):
     """
     g = np.asarray(problem.diffusion(x, k * dt), dtype=float)
     b = x + g * db
-    solve = _solve_scalar_batch if problem.dimension == 1 else _solve_vector_batch
     t = (k + 1) * dt
     finite = np.isfinite(b)
     if np.count_nonzero(finite) == finite.size:
-        new, ok = solve(problem.drift, t, b, dt, DEFAULT_SOLVER_CONFIG)
+        new, ok = solve_implicit_batch(problem, t, b, dt)
     else:
         new, ok = b, np.ones(len(b), dtype=bool)
         rows = np.flatnonzero(finite.all(axis=1))
         if rows.size:
-            new[rows], ok[rows] = solve(problem.drift, t, b[rows], dt, DEFAULT_SOLVER_CONFIG)
+            new[rows], ok[rows] = solve_implicit_batch(problem, t, b[rows], dt)
     if np.count_nonzero(ok) < ok.size:
         new[~ok] = x[~ok]
     return new, ok

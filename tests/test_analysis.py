@@ -270,6 +270,23 @@ class TestRecurrenceBound:
         with pytest.raises(ValueError, match="K1\\*dt"):
             em_recurrence_bound(series, 11.0, 1.0, dt=0.1)
 
+    @pytest.mark.parametrize("name,value", [
+        (name, value) for name in ("k1", "c", "n_sigma", "dt")
+        for value in (float("nan"), float("inf"), True, -1.0)
+    ] + [("k1", 0.0), ("dt", 0.0)])
+    def test_constants_checked(self, name, value):
+        # a NaN constant makes every comparison False, which would pass every pair
+        series = self.recurrence_series(n=20)
+        kwargs = dict(k1=1.0, c=1.0, dt=0.1, n_sigma=4.0)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match=name):
+            em_recurrence_bound(series, **kwargs)
+
+    def test_zero_c_and_n_sigma_accepted(self):
+        series = self.recurrence_series(c=0.0, n=20)
+        result = em_recurrence_bound(series, 1.0, 0.0, dt=0.1, n_sigma=0.0)
+        assert result.n_checked == 20
+
     def test_statistical_tolerance_on_mc_data(self):
         cfg = SimConfig(dt=0.1, num_steps=40, num_paths=20_000, seed=3, scheme="em",
                         initial_value=(1.0,), checkpoints=tuple(range(41)))

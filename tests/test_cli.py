@@ -226,6 +226,19 @@ class TestSimulate:
             "decay guarantee does not cover this step size\n"
         )
 
+    def test_library_warning_raised_as_error_is_a_numerical_failure(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["simulate", "--problem", "bem-example", "--scheme", "bem", "--dt", "0.5",
+                        "--steps", "20", "--paths", "10", "--seed", "1", "--out-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: dt=0.5 is not below 1/K1 = 0.3333333333333333; the polynomial "
+            "decay guarantee does not cover this step size\n"
+        )
+        assert not any(tmp_path.iterdir())
+
     def test_counterexample_blow_up_fraction_reported(self, tmp_path, capsys):
         code = run([
             "simulate", "--problem", "counterexample", "--scheme", "em", "--dt", "0.1",
@@ -268,6 +281,23 @@ class TestAnalyze:
         assert run(["analyze", "--csv", str(csv), "--k1", "1"]) == 0
         assert capsys.readouterr().err == (
             "warning: excluding 2 checkpoints with mean_square == 0 from the fit\n"
+        )
+
+    def test_zero_mean_square_warning_raised_as_error(self, tmp_path, capsys):
+        csv = tmp_path / "m.csv"
+        write_power_law_csv(csv, -1.0)
+        lines = csv.read_text().splitlines()
+        fields = lines[-1].split(",")
+        fields[2] = "0.0"  # the last checkpoint, inside the fit window
+        lines[-1] = ",".join(fields)
+        csv.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["analyze", "--csv", str(csv), "--k1", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: excluding 1 checkpoints with mean_square == 0 from the fit\n"
         )
 
     def test_nonconforming_exit_code(self, tmp_path, capsys):

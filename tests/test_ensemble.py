@@ -554,6 +554,17 @@ class TestSimulateEnsemble:
         with pytest.raises(ValueError):
             _resolve_workers(0)
 
+    @pytest.mark.parametrize("value", [2.5, True, 0, np.float64(3.0), "3"])
+    def test_bad_workers_argument(self, value):
+        # a fractional or bool count is refused, not truncated to an int
+        config = SimConfig(dt=0.1, num_steps=5, num_paths=2, seed=1, scheme="em",
+                           initial_value=(1.0,))
+        with pytest.raises(WorkerCountError, match="worker count must be an integer >= 1"):
+            simulate_ensemble(linear_example(), config, workers=value)
+
+    def test_numpy_integer_workers_accepted(self):
+        assert _resolve_workers(np.int64(3)) == 3
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
     def test_bad_workers_env(self, monkeypatch, value):
         monkeypatch.setenv("POLYSTAB_THREADS", value)

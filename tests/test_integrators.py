@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+from polystab import integrators
 from polystab.ensemble import brownian_increment
 from polystab.integrators import (
     ImplicitSolveError,
-    ImplicitSolverConfig,
     StepContext,
     StepError,
     bem_step_batch,
@@ -47,6 +47,9 @@ def oracle_bisect(drift, t, b, dt, lo=-1e6, hi=1e6, iters=200):
             hi = mid
     return 0.5 * (lo + hi)
 
+
+# the solver's residual tolerance, which the references below stop at
+TOLERANCE = 1e-12
 
 # frozen from the oracle above (and cross-checked at 50 digits):
 # root of 0.1 x^3 + 1.3 x - 1 = 0
@@ -131,28 +134,8 @@ class TestEmStep:
 
 class TestSolverConfig:
     def test_defaults(self):
-        cfg = ImplicitSolverConfig()
-        assert cfg.residual_tolerance == 1e-12
-        assert cfg.max_iterations == 100
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(residual_tolerance=0.0),
-            dict(max_iterations=0),
-            dict(max_iterations=True),
-            dict(max_iterations=5.0),
-            dict(residual_tolerance=float("nan")),
-            dict(residual_tolerance=float("inf")),
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            ImplicitSolverConfig(**kwargs)
-
-    def test_numpy_integer_iterations_accepted(self):
-        cfg = ImplicitSolverConfig(max_iterations=np.int64(5))
-        assert cfg.max_iterations == 5 and type(cfg.max_iterations) is int
+        assert integrators._RESIDUAL_TOLERANCE == TOLERANCE
+        assert integrators._MAX_ITERATIONS == 100
 
 
 class TestSolveImplicit:
@@ -204,10 +187,10 @@ class TestSolveImplicit:
             bisect = bisect_root_scalar(problem.drift, t, b, dt, tolerance=1e-13)
             assert abs(newton - bisect) <= 1e-10, (problem.label, t, b, dt)
 
-    def test_bisection_fallback_engages(self):
+    def test_bisection_fallback_engages(self, monkeypatch):
         # one Newton iteration cannot reach tolerance from x0 = b here
-        cfg = ImplicitSolverConfig(max_iterations=1)
-        x = solve_implicit(cubic_counterexample(), 0.0, 40.0, 0.3, cfg)
+        monkeypatch.setattr(integrators, "_MAX_ITERATIONS", 1)
+        x = solve_implicit(cubic_counterexample(), 0.0, 40.0, 0.3)
         resid = x - 0.3 * float(np.asarray(cubic_counterexample().drift(x, 0.0))) - 40.0
         assert abs(resid) <= 1e-12
 
@@ -262,16 +245,17 @@ class Test2D:
         resid = out - 0.2 * p.drift(out, 0.6) - b
         assert np.max(np.abs(resid)) <= 1e-12
 
-    def test_converged_on_last_iteration(self):
+    def test_converged_on_last_iteration(self, monkeypatch):
         # the second Newton step lands on the root; the budget is then spent
+        monkeypatch.setattr(integrators, "_MAX_ITERATIONS", 2)
         p = self.problem()
         b = np.array([1.0, -2.0])
-        x = solve_implicit(p, 1.0, b, 0.2, ImplicitSolverConfig(max_iterations=2))
+        x = solve_implicit(p, 1.0, b, 0.2)
         resid = x - 0.2 * p.drift(x, 1.0) - b
         assert np.max(np.abs(resid)) <= 1e-12
 
 
-def reference_vector_newton(drift, t, b, dt, cfg):
+def reference_vector_newton(drift, t, b, dt, max_iterations):
     """One lane of the n-d damped Newton, written as a plain loop.
 
     The per-vector loop the batched kernel replaced, plus the final
@@ -286,8 +270,8 @@ def reference_vector_newton(drift, t, b, dt, cfg):
     r = residual(x)
     best_x, best_r = x, float(np.max(np.abs(r)))
     backtracks = 0
-    for _ in range(cfg.max_iterations):
-        if np.max(np.abs(r)) <= cfg.residual_tolerance:
+    for _ in range(max_iterations):
+        if np.max(np.abs(r)) <= TOLERANCE:
             return x, True, backtracks
         jac = np.empty((n, n))
         for j in range(n):
@@ -310,7 +294,7 @@ def reference_vector_newton(drift, t, b, dt, cfg):
         rmax = float(np.max(np.abs(r)))
         if rmax < best_r:
             best_x, best_r = x, rmax
-    if np.max(np.abs(r)) <= cfg.residual_tolerance:
+    if np.max(np.abs(r)) <= TOLERANCE:
         return x, True, backtracks
     return best_x, False, backtracks
 
@@ -342,28 +326,26 @@ class TestBatchedSolve:
         fixed = np.array([[0.0, 0.0], [3.0, -2.0], [-4.0, 0.1], [100.0, 100.0]])
         return np.concatenate([fixed, rng.uniform(-8.0, 8.0, size=(12, 2))])
 
-    @pytest.mark.parametrize("cfg", [
-        ImplicitSolverConfig(),
-        ImplicitSolverConfig(max_iterations=3),
-        ImplicitSolverConfig(max_iterations=1),
-    ])
-    def test_block_equals_lone_lanes(self, cfg):
+    @pytest.mark.parametrize("max_iterations", [100, 3, 1], ids=["cfg0", "cfg1", "cfg2"])
+    def test_block_equals_lone_lanes(self, monkeypatch, max_iterations):
+        monkeypatch.setattr(integrators, "_MAX_ITERATIONS", max_iterations)
         p, b = self.problem(), self.lanes()
-        x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT)
         assert x.shape == b.shape and ok.shape == (len(b),)
         assert not ok[3]  # the singular lane never converges
         for i in range(len(b)):
-            xi, oki = solve_implicit_batch(p, 1.0, b[i:i + 1], self.DT, cfg)
+            xi, oki = solve_implicit_batch(p, 1.0, b[i:i + 1], self.DT)
             assert np.array_equal(x[i], xi[0]) and ok[i] == oki[0], i
 
     @pytest.mark.parametrize("max_iterations", [100, 3])
-    def test_matches_plain_loop(self, max_iterations):
-        cfg = ImplicitSolverConfig(max_iterations=max_iterations)
+    def test_matches_plain_loop(self, monkeypatch, max_iterations):
+        monkeypatch.setattr(integrators, "_MAX_ITERATIONS", max_iterations)
         p, b = self.problem(), self.lanes()
-        x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT)
         backtracked = 0
         for i in range(len(b)):
-            ref_x, ref_ok, backtracks = reference_vector_newton(p.drift, 1.0, b[i], self.DT, cfg)
+            ref_x, ref_ok, backtracks = reference_vector_newton(
+                p.drift, 1.0, b[i], self.DT, max_iterations)
             assert np.array_equal(x[i], ref_x) and ok[i] == ref_ok, i
             backtracked += backtracks > 0
         assert backtracked >= 2
@@ -434,20 +416,18 @@ class TestVectorSolveEdges:
         [-4.0, 0.1], [-1.72152537, -0.1116317], [0.24520898, -3.42717792], [100.0, 100.0],
     ])
 
-    @pytest.mark.parametrize("cfg", [
-        ImplicitSolverConfig(),
-        ImplicitSolverConfig(max_iterations=1),
-        ImplicitSolverConfig(max_iterations=3),
-    ], ids=["newton", "one-iteration", "three-iterations"])
-    def test_matches_plain_loop_bytes(self, cfg):
+    @pytest.mark.parametrize("max_iterations", [100, 1, 3],
+                             ids=["newton", "one-iteration", "three-iterations"])
+    def test_matches_plain_loop_bytes(self, monkeypatch, max_iterations):
+        monkeypatch.setattr(integrators, "_MAX_ITERATIONS", max_iterations)
         p, b = self.problem(), self.LANES
-        x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT)
         for i in range(len(b)):
-            ref_x, ref_ok, _ = reference_vector_newton(p.drift, 1.0, b[i], self.DT, cfg)
+            ref_x, ref_ok, _ = reference_vector_newton(p.drift, 1.0, b[i], self.DT, max_iterations)
             assert x[i].tobytes() == ref_x.tobytes() and ok[i] == ref_ok, i
         assert ok[0] and ok[1] and x[:2].tobytes() == b[:2].tobytes()  # converged at b
         assert not ok[-1]
-        if cfg.max_iterations == 100:
+        if max_iterations == 100:
             assert np.sum(ok) == len(b) - 1
         else:
             assert np.sum(ok) < len(b) - 1  # lanes out of budget return their best iterate
@@ -455,13 +435,12 @@ class TestVectorSolveEdges:
     def test_lane_backtracks_from_a_nonfinite_residual(self):
         seen_inf = []
         p, b = self.problem(seen_inf), self.LANES[4:5]
-        ref_x, ref_ok, backtracks = reference_vector_newton(
-            p.drift, 1.0, b[0], self.DT, ImplicitSolverConfig())
+        ref_x, ref_ok, backtracks = reference_vector_newton(p.drift, 1.0, b[0], self.DT, 100)
         assert seen_inf and ref_ok and backtracks > 0
         x, ok = solve_implicit_batch(p, 1.0, b, self.DT)
         assert x[0].tobytes() == ref_x.tobytes() and ok[0]
 
-    def test_drift_that_sees_the_sign_of_zero(self):
+    def test_drift_that_sees_the_sign_of_zero(self, monkeypatch):
         # each point carries the sign of zero it has when formed on its own:
         # x itself at the residual point, x + 0.0 and x - 0.0 off column j
         wells = TestBatchedSolve.problem().drift
@@ -471,11 +450,12 @@ class TestVectorSolveEdges:
             k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=False, label="signbit-wells2d",
         )
         b = np.array([[-0.0, 3.0], [2.5, -0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0]])
-        for cfg in (ImplicitSolverConfig(), ImplicitSolverConfig(max_iterations=2)):
-            x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
+        for max_iterations in (100, 2):
+            monkeypatch.setattr(integrators, "_MAX_ITERATIONS", max_iterations)
+            x, ok = solve_implicit_batch(p, 1.0, b, self.DT)
             for i in range(len(b)):
-                ref_x, ref_ok, _ = reference_vector_newton(p.drift, 1.0, b[i], self.DT, cfg)
-                assert x[i].tobytes() == ref_x.tobytes() and ok[i] == ref_ok, (cfg, i)
+                ref_x, ref_ok, _ = reference_vector_newton(p.drift, 1.0, b[i], self.DT, max_iterations)
+                assert x[i].tobytes() == ref_x.tobytes() and ok[i] == ref_ok, (max_iterations, i)
 
     def test_one_newton_step_takes_two_drift_calls(self):
         # a linear drift at a small step converges in one Newton step: the
@@ -495,11 +475,11 @@ class TestVectorSolveEdges:
         x, ok = solve_implicit_batch(p, 1.0, b, 1e-4)
         assert ok.all() and rows == [5 * 64, 5 * 64]
         for i in range(len(b)):
-            ref_x, _, _ = reference_vector_newton(p.drift, 1.0, b[i], 1e-4, ImplicitSolverConfig())
+            ref_x, _, _ = reference_vector_newton(p.drift, 1.0, b[i], 1e-4, 100)
             assert x[i].tobytes() == ref_x.tobytes(), i
 
 
-def reference_scalar_newton(drift, t, b, dt, cfg):
+def reference_scalar_newton(drift, t, b, dt, max_iterations):
     """The scalar batched Newton as first written, on full-width lanes.
 
     Every lane is evaluated on every pass and np.where keeps the converged
@@ -515,8 +495,8 @@ def reference_scalar_newton(drift, t, b, dt, cfg):
         return xv - dt * np.asarray(drift(xv, t), dtype=float) - b
 
     r = residual(x)
-    active = ~(np.abs(r) <= cfg.residual_tolerance)  # a NaN residual is not converged
-    for _ in range(cfg.max_iterations):
+    active = ~(np.abs(r) <= TOLERANCE)  # a NaN residual is not converged
+    for _ in range(max_iterations):
         if not np.any(active):
             break
         iterations += active
@@ -539,19 +519,17 @@ def reference_scalar_newton(drift, t, b, dt, cfg):
             worse = worse & ~(np.abs(ra) <= np.abs(r))
         x = np.where(active, xa, x)
         r = np.where(active, ra, r)
-        active = ~(np.abs(r) <= cfg.residual_tolerance)
+        active = ~(np.abs(r) <= TOLERANCE)
 
     if np.any(active):
         for idx in np.argwhere(active):
             key = tuple(idx)
             try:
-                x[key] = bisect_root_scalar(
-                    drift, t, float(b[key]), dt, tolerance=cfg.residual_tolerance
-                )
+                x[key] = bisect_root_scalar(drift, t, float(b[key]), dt, tolerance=TOLERANCE)
             except ImplicitSolveError:
                 pass
         r = residual(x)
-        active = ~(np.abs(r) <= cfg.residual_tolerance)
+        active = ~(np.abs(r) <= TOLERANCE)
     return x, ~active, iterations, backtracked
 
 
@@ -580,20 +558,18 @@ class TestScalarSolveReference:
         fixed = [0.0, 100.0, 3.0, -0.4, 0.05, 25.0]
         return np.concatenate([fixed, rng.uniform(-10.0, 10.0, size=26)])[:, None]
 
-    @pytest.mark.parametrize("cfg", [
-        ImplicitSolverConfig(),
-        ImplicitSolverConfig(max_iterations=2),
-    ], ids=["newton", "bisection"])
-    def test_matches_reference(self, cfg):
+    @pytest.mark.parametrize("max_iterations", [100, 2], ids=["newton", "bisection"])
+    def test_matches_reference(self, monkeypatch, max_iterations):
+        monkeypatch.setattr(integrators, "_MAX_ITERATIONS", max_iterations)
         p, b = self.problem(), self.lanes()
         ref_x, ref_ok, iterations, backtracked = reference_scalar_newton(
-            p.drift, 1.0, b, self.DT, cfg)
-        x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
+            p.drift, 1.0, b, self.DT, max_iterations)
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT)
         assert np.array_equal(x, ref_x) and np.array_equal(ok, ref_ok[:, 0])
         assert ref_ok[0, 0] and iterations[0, 0] == 0  # converges at b
         assert not ref_ok[1, 0]  # no root: fails after bisection too
         assert backtracked.sum() >= 3
-        if cfg.max_iterations == 2:
+        if max_iterations == 2:
             # lanes that run out of Newton updates and are rescued by bisection
             rescued = ref_ok[:, 0] & (iterations[:, 0] == 2) & (
                 np.abs(ref_x - self.DT * p.drift(ref_x, 1.0) - b)[:, 0] <= 1e-12)
@@ -601,8 +577,8 @@ class TestScalarSolveReference:
         else:
             assert (iterations >= 3).sum() >= 3 and ref_ok.sum() == len(b) - 1
 
-    @pytest.mark.parametrize("cfg", [ImplicitSolverConfig()], ids=["bisection"])
-    def test_nan_residual_is_not_converged(self, cfg):
+    @pytest.mark.parametrize("max_iterations", [100], ids=["bisection"])
+    def test_nan_residual_is_not_converged(self, max_iterations):
         # the drift is NaN above x = 10: a lane starting there must fail, not
         # come back as its own b with ok True
         well = self.problem().drift
@@ -612,20 +588,20 @@ class TestScalarSolveReference:
             k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=False, label="nan-well1d",
         )
         b = np.array([[2.0], [20.0], [-3.0], [12.0], [9.0]])
-        ref_x, ref_ok, _, _ = reference_scalar_newton(p.drift, 1.0, b, self.DT, cfg)
-        x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
+        ref_x, ref_ok, _, _ = reference_scalar_newton(p.drift, 1.0, b, self.DT, max_iterations)
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT)
         assert np.array_equal(x, ref_x, equal_nan=True) and np.array_equal(ok, ref_ok[:, 0])
         assert ok.tolist() == [True, False, True, False, True]
         with pytest.raises(ImplicitSolveError):
-            solve_implicit(p, 1.0, 20.0, self.DT, cfg)
+            solve_implicit(p, 1.0, 20.0, self.DT)
 
     def test_bem_example_matches_reference(self):
         # the ensemble's problem at its step size, over the range its lanes cover
-        p, cfg = bem_example(), ImplicitSolverConfig()
+        p = bem_example()
         b = np.linspace(-40.0, 40.0, 161)[:, None]
         for t in (0.3, 3.0, 300.0):
-            ref_x, ref_ok, _, _ = reference_scalar_newton(p.drift, t, b, 0.3, cfg)
-            x, ok = solve_implicit_batch(p, t, b, 0.3, cfg)
+            ref_x, ref_ok, _, _ = reference_scalar_newton(p.drift, t, b, 0.3, 100)
+            x, ok = solve_implicit_batch(p, t, b, 0.3)
             assert np.array_equal(x, ref_x) and np.array_equal(ok, ref_ok[:, 0])
 
     def test_one_newton_step_takes_two_drift_calls(self):
@@ -644,8 +620,7 @@ class TestScalarSolveReference:
         b = np.random.default_rng(4).uniform(-1.0, 1.0, size=(64, 1))
         x, ok = solve_implicit_batch(p, 1.0, b, 1e-4)
         assert ok.all() and rows == [3 * 64, 64]
-        ref_x, ref_ok, iterations, _ = reference_scalar_newton(
-            p.drift, 1.0, b, 1e-4, ImplicitSolverConfig())
+        ref_x, ref_ok, iterations, _ = reference_scalar_newton(p.drift, 1.0, b, 1e-4, 100)
         assert x.tobytes() == ref_x.tobytes() and (iterations == 1).all()
 
 
@@ -692,7 +667,7 @@ class TestAllConvergedExit:
         b_before = b.copy()
         x, ok = solve_implicit_batch(p, 1.0, b, self.DT)
         calls = rows.copy()
-        ref_x, ref_ok = TestHopelessLanes.reference(p.drift, b, self.DT, ImplicitSolverConfig())
+        ref_x, ref_ok = TestHopelessLanes.reference(p.drift, b, self.DT, 100)
         assert x.tobytes() == ref_x.tobytes() and ok.tolist() == ref_ok.tolist()
         assert ok.all() and x.shape == b.shape
         assert b.tobytes() == b_before.tobytes() and not np.shares_memory(x, b)
@@ -705,11 +680,10 @@ class TestAllConvergedExit:
         elif kind == "converged-at-b":
             assert calls == [at_b * m, trial * (m - len(b[::3]))]
         else:
-            cfg = ImplicitSolverConfig()
             if dimension == 1:
-                backtracked = reference_scalar_newton(p.drift, 1.0, b, self.DT, cfg)[3][5, 0]
+                backtracked = reference_scalar_newton(p.drift, 1.0, b, self.DT, 100)[3][5, 0]
             else:
-                backtracked = reference_vector_newton(p.drift, 1.0, b[5], self.DT, cfg)[2] > 0
+                backtracked = reference_vector_newton(p.drift, 1.0, b[5], self.DT, 100)[2] > 0
             assert backtracked and len(calls) > 2
 
     def test_lane_that_never_improves_returns_a_copy_of_b(self):
@@ -731,14 +705,14 @@ class TestHopelessLanes:
         )
 
     @staticmethod
-    def reference(drift, b, dt, cfg):
+    def reference(drift, b, dt, max_iterations):
         if b.shape[1] == 1:
-            x, ok, _, _ = reference_scalar_newton(drift, 1.0, b, dt, cfg)
+            x, ok, _, _ = reference_scalar_newton(drift, 1.0, b, dt, max_iterations)
             return x, ok[:, 0]
-        lanes = [reference_vector_newton(drift, 1.0, bi, dt, cfg) for bi in b]
+        lanes = [reference_vector_newton(drift, 1.0, bi, dt, max_iterations) for bi in b]
         return np.array([lane[0] for lane in lanes]), np.array([lane[1] for lane in lanes])
 
-    # ids: dimension, the default config's scalar fallback, drift calls
+    # ids: dimension, the default budget's scalar fallback, drift calls
     @pytest.mark.parametrize("dimension,expected_calls", [(1, 4), (2, 1)],
                              ids=["1-bisection-4", "2-bisection-1"])
     def test_nan_everywhere_leaves_after_one_newton_call(self, dimension, expected_calls):
@@ -750,16 +724,16 @@ class TestHopelessLanes:
             calls.append(np.shape(x))
             return np.full(np.shape(x), np.nan)
 
-        p, cfg = self.problem(dimension, drift), ImplicitSolverConfig()
+        p = self.problem(dimension, drift)
         b = np.full((1, dimension), 2.0)
-        x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT)
         assert len(calls) == expected_calls
-        ref_x, ref_ok = self.reference(drift, b, self.DT, cfg)
+        ref_x, ref_ok = self.reference(drift, b, self.DT, 100)
         assert x.tobytes() == ref_x.tobytes() and ok.tolist() == ref_ok.tolist() == [False]
 
-    @pytest.mark.parametrize("cfg", [ImplicitSolverConfig()], ids=["bisection"])
+    @pytest.mark.parametrize("max_iterations", [100], ids=["bisection"])
     @pytest.mark.parametrize("dimension", [1, 2])
-    def test_lane_whose_residual_turns_nan_mid_newton(self, cfg, dimension):
+    def test_lane_whose_residual_turns_nan_mid_newton(self, max_iterations, dimension):
         # the drift is -20 in every component where x_0 >= 0 and NaN where
         # x_0 < 0, so a root below x_0 = 0 is out of reach: the lanes from
         # x_0 = 2 step towards 0 until every halving lands below it. The lane
@@ -771,8 +745,8 @@ class TestHopelessLanes:
 
         p = self.problem(dimension, drift)
         b = np.array([[2.0, 1.0], [-1.0, 3.0], [30.0, 40.0], [2.0, -3.0]])[:, :dimension]
-        x, ok = solve_implicit_batch(p, 1.0, b, self.DT, cfg)
-        ref_x, ref_ok = self.reference(drift, b, self.DT, cfg)
+        x, ok = solve_implicit_batch(p, 1.0, b, self.DT)
+        ref_x, ref_ok = self.reference(drift, b, self.DT, max_iterations)
         assert ok[2] and not ok[[0, 1, 3]].any()
         assert x.tobytes() == ref_x.tobytes() and ok.tolist() == ref_ok.tolist()
 
@@ -814,7 +788,7 @@ class TestSolverWritesOnlyItsOwnArrays:
         x, ok = solve_implicit_batch(p, 1.0, b, self.DT)
         assert DRIFT_VALUES.tobytes() == values.tobytes()
         assert b.tobytes() == b_before.tobytes() and not np.shares_memory(x, b)
-        ref_x, ref_ok = TestHopelessLanes.reference(p.drift, b, self.DT, ImplicitSolverConfig())
+        ref_x, ref_ok = TestHopelessLanes.reference(p.drift, b, self.DT, 100)
         assert x.tobytes() == ref_x.tobytes() and ok.tolist() == ref_ok.tolist()
         assert ok.all() and x.shape == b.shape
         if kind == "converged-at-b":

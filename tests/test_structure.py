@@ -8,7 +8,9 @@ costs about twice numpy's own import time (~0.31 s against ~0.15 s on a
 time. The benchmark harness under perfbench/ reaches polystab only through
 names the package exports, so deleting one of them fails here first, and
 every name in a module's __all__ must exist, so a deletion that leaves a
-stale export fails too.
+stale export fails too. The dimension picks the implicit solver in one
+place: only solve_implicit_batch refers to the two private solvers, and no
+integrator takes a solver config.
 """
 
 import ast
@@ -205,3 +207,69 @@ def test_benchmark_reads_only_exported_names(path):
 ])
 def test_benchmark_guard_finds_every_form(source, expected):
     assert polystab_attributes(source) == expected
+
+
+SOLVERS = ("_solve_scalar_batch", "_solve_vector_batch")
+
+
+def solver_references(source: str) -> list[tuple[str, str]]:
+    """(function, solver) for each reference to a private solver outside its own def.
+
+    function is the name of the innermost def holding the reference, or ""
+    at module level.
+    """
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                if isinstance(child, ast.Name) and child.id in SOLVERS:
+                    found.append((where, child.id))
+                elif isinstance(child, ast.Attribute) and child.attr in SOLVERS:
+                    found.append((where, child.attr))
+                visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_solve_implicit_batch_is_the_only_dimension_dispatch():
+    found = set()
+    for path in MODULES:
+        found.update(solver_references(path.read_text(encoding="utf-8")))
+    assert found == {("solve_implicit_batch", name) for name in SOLVERS}
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("def solve_implicit_batch(p, b):\n    return _solve_scalar_batch(p, b)",
+     [("solve_implicit_batch", "_solve_scalar_batch")]),
+    ("def bem_step_batch(p, b):\n"
+     "    solve = _solve_scalar_batch if p.dimension == 1 else _solve_vector_batch\n"
+     "    return solve(p, b)",
+     [("bem_step_batch", "_solve_scalar_batch"), ("bem_step_batch", "_solve_vector_batch")]),
+    ("solve = integrators._solve_vector_batch", [("", "_solve_vector_batch")]),
+    ("def _solve_scalar_batch(drift, t, b, dt):\n    return b", []),
+    ("def bem_step_batch(p, b):\n    return solve_implicit_batch(p, b)", []),
+])
+def test_dispatch_guard_flags_a_second_call_site(source, expected):
+    assert solver_references(source) == expected
+
+
+def cfg_parameters(source: str) -> list[str]:
+    """The functions of source that take a parameter named cfg."""
+    return [
+        node.name for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "cfg" in {a.arg for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}
+    ]
+
+
+def test_no_integrator_takes_a_solver_config():
+    assert cfg_parameters((SRC / "integrators.py").read_text(encoding="utf-8")) == []
+
+
+def test_config_guard_flags_a_cfg_parameter():
+    source = "def solve(problem, b, cfg=None):\n    pass\ndef step(x, *, cfg):\n    pass\ndef ok(x):\n    pass"
+    assert cfg_parameters(source) == ["solve", "step"]
