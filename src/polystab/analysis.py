@@ -169,10 +169,10 @@ def _validate_envelope_args(dt, k1, c, m0):
 
 
 def _power_law_envelope(k, dt, k1, c, m0, shift, growth):
-    """((k + shift) dt + 1)^(-2K1+1) (m0 + C^2 growth^{2K1}), vectorized over k >= 0."""
-    k_arr = np.asarray(k)
-    if np.any(k_arr < 0):
-        raise ValueError("k must be nonnegative")
+    """((k + shift) dt + 1)^(-2K1+1) (m0 + C^2 growth^{2K1}), vectorized over finite k >= 0."""
+    k_arr = np.asarray(k, dtype=float)
+    if not (np.all(k_arr >= 0) and np.all(np.isfinite(k_arr))):
+        raise ValueError(f"k must be finite and >= 0, got {k!r}")
     out = ((k_arr + shift) * dt + 1.0) ** (-2.0 * k1 + 1.0) * (m0 + c**2 * growth ** (2.0 * k1))
     return float(out) if np.ndim(k) == 0 else out
 
@@ -203,7 +203,7 @@ def bem_envelope(k, dt: float, k1: float, c: float, m0: float, kbar: float | Non
         raise ValueError(f"the semi-implicit envelope requires K1 > 0.5, got {k1}")
     if not dt < 1.0 / k1:
         raise ValueError(f"need dt < 1/K1 = {1.0 / k1}, got {dt}")
-    if kbar is not None and kbar != 0.0 and not dt < 1.0 / abs(kbar):
+    if kbar is not None and real("kbar", kbar) != 0.0 and not dt < 1.0 / abs(kbar):
         raise ValueError(f"need dt < 1/|Kbar| = {1.0 / abs(kbar)}, got {dt}")
     return _power_law_envelope(k, dt, k1, c, m0, 1.0, 1.0 + (1.0 + 2.0 * k1) * dt)
 

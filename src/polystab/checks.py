@@ -8,8 +8,8 @@ bool is not an integer" holds at all of them. All raise ValueError, never
 TypeError, whatever the value's type, and return the value as an int or a
 float. Range conditions beyond these (dt < 1/K1, dt < 1/|Kbar|) stay with
 the function whose result needs them. em_step_batch, bem_step_batch,
-solve_implicit_batch and the ensemble's chunk loop take checked values and
-call none of them.
+solve_implicit_batch and the ensemble's chunk loop, which forms each step's
+t and t_next from a checked dt, take checked values and call none of them.
 """
 
 from __future__ import annotations

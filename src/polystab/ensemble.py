@@ -15,14 +15,14 @@ chunk. The raw words of a group of paths are gathered into a fixed-size
 scratch and mapped to normals by one transform per group, in a contiguous
 float scratch that is then copied into the buffer. Each filled step block
 is scaled by sqrt(dt) once, so a step's increments are a view of one row.
-Each step then makes one call of the scheme's batched kernel, em_step_batch
-or bem_step_batch: on the whole chunk while no path of it is frozen, and
-after that, for either scheme, on the live paths only, so a frozen path is
-never stepped again. Once every path of a chunk is frozen, the chunk writes
-their squared norms into its remaining checkpoints and ends, drawing no
-more noise. Chunk, step-block and scratch sizes are module constants and
-never depend on the worker count; workers only decide which thread runs a
-chunk.
+Each step then makes one call of kernel(problem, x, k dt, (k+1) dt, dt, dB),
+the scheme's entry in _KERNELS, the one table of schemes: on the whole chunk
+while no path of it is frozen, and after that on the live paths only, so a
+frozen path is never stepped again. Once every path of a chunk is frozen,
+the chunk writes their squared norms into its remaining checkpoints and
+ends, drawing no more noise. Chunk, step-block and scratch sizes are module
+constants and never depend on the worker count; workers only decide which
+thread runs a chunk.
 
 A run keeps one float array, the squared norm of every path at every
 checkpoint; each chunk writes its own columns of it. Per path a chunk also
@@ -71,7 +71,8 @@ __all__ = [
     "WorkerCountError",
 ]
 
-SCHEMES = ("em", "bem")
+_KERNELS = {"em": em_step_batch, "bem": bem_step_batch}
+SCHEMES = tuple(_KERNELS)
 CSV_HEADER = "k,t,mean_square,std_error,surviving,blown_up"
 
 _MASK64 = (1 << 64) - 1
@@ -381,7 +382,7 @@ def _squared_norms(x):
 
 
 @np.errstate(all="ignore")  # overflow and NaN in a step are what the norm check is for
-def _simulate_chunk(problem, config, path_lo, path_hi, out=None):
+def _simulate_chunk(kernel, problem, config, path_lo, path_hi, out=None):
     """Evolve paths [path_lo, path_hi); return their squared checkpoint norms.
 
     Returns (sq, gone_from, failed). sq, of shape (n_checkpoints, chunk),
@@ -391,8 +392,8 @@ def _simulate_chunk(problem, config, path_lo, path_hi, out=None):
     solver-failed), n_checkpoints if never, so it is frozen at checkpoint i
     exactly when gone_from <= i; failed flags the paths whose implicit solve
     failed. A frozen path keeps the state it froze with: once one path is
-    frozen, the kernel steps the live rows only, and once every path is,
-    the chunk returns. Everything in here is
+    frozen, kernel, the scheme's entry in _KERNELS, steps the live rows only,
+    and once every path is, the chunk returns. Everything in here is
     elementwise per path, so results do not depend on chunk boundaries.
     """
     dt = config.dt
@@ -410,13 +411,6 @@ def _simulate_chunk(problem, config, path_lo, path_hi, out=None):
     gone_from = np.full(m, n_ck)
     failed = np.zeros(m, dtype=bool)
     live = None  # the rows still stepped; None while no path is frozen
-    if config.scheme == "em":
-        def step(x, k, db):  # no solve to fail
-            return em_step_batch(problem, x, k * dt, dt, db), None
-    else:
-        def step(x, k, db):
-            return bem_step_batch(problem, x, k, dt, db)
-
     pos = 0
     if ckpts[0] == 0:
         sq[0] = _squared_norms(x)
@@ -436,10 +430,13 @@ def _simulate_chunk(problem, config, path_lo, path_hi, out=None):
         normals *= sqrt_dt  # now the increments dB = z sqrt(dt), one product each
         for k, increments in enumerate(normals, b0):
             db = increments[:, None]
+            # t_next is (k+1) dt, not t + dt: the two can differ in the last
+            # bit, and the solve time moves every BEM byte after it
+            t, t_next = k * dt, (k + 1) * dt
             if live is None:
-                x, ok = step(x, k, db)
+                x, ok = kernel(problem, x, t, t_next, dt, db)
             else:
-                x[live], ok = step(x[live], k, db[live])
+                x[live], ok = kernel(problem, x[live], t, t_next, dt, db[live])
             froze = ok is not None and np.count_nonzero(ok) < ok.size
             if froze:  # such a path kept its state
                 lost = np.flatnonzero(~ok) if live is None else live[~ok]
@@ -500,6 +497,7 @@ def simulate_ensemble(
         check_implicit_dt(problem, config.dt)
         check_decay_dt(problem, config.dt)
     workers = _resolve_workers(workers)
+    kernel = _KERNELS[config.scheme]
 
     n_paths = config.num_paths
     bounds = [(lo, min(lo + _CHUNK_PATHS, n_paths)) for lo in range(0, n_paths, _CHUNK_PATHS)]
@@ -511,7 +509,7 @@ def simulate_ensemble(
     def run(bound):
         lo, hi = bound
         _, gone_from[lo:hi], failed[lo:hi] = _simulate_chunk(
-            problem, config, lo, hi, out=sq[:, lo:hi])
+            kernel, problem, config, lo, hi, out=sq[:, lo:hi])
 
     if workers == 1 or len(bounds) == 1:
         for bound in bounds:

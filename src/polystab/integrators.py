@@ -1,7 +1,7 @@
 """One-step maps for the explicit and semi-implicit Euler schemes.
 
-Explicit step:      Y_{k+1} = Y_k + f(Y_k, k dt) dt + g(Y_k, k dt) dB_k
-Semi-implicit step: Z_{k+1} = Z_k + f(Z_{k+1}, (k+1) dt) dt + g(Z_k, k dt) dB_k
+Explicit step:      Y_{k+1} = Y_k + f(Y_k, t_k) dt + g(Y_k, t_k) dB_k
+Semi-implicit step: Z_{k+1} = Z_k + f(Z_{k+1}, t_{k+1}) dt + g(Z_k, t_k) dB_k
 
 The implicit step needs the root of x = f(x,t) dt + b. Under the one-sided
 Lipschitz condition with dt < 1/|Kbar| the map F(x) = x - f(x,t) dt is
@@ -22,13 +22,15 @@ formula verbatim with no safeguard: reproducing the blow-up of explicit
 stepping on superlinear drifts requires the unmodified map.
 
 Each scheme has one kernel for an (m, n) block of paths, with no per-step
-validation, and the ensemble calls it once per step: em_step_batch, and
-bem_step_batch, which forms the noise term and makes one implicit solve.
-em_step is a validating adapter over em_step_batch that takes a StepContext;
-solve_implicit is one over solve_implicit_batch that raises
-ImplicitSolveError when a lane is not solved. Every solve stops at the
-residual tolerance _RESIDUAL_TOLERANCE or after _MAX_ITERATIONS Newton
-iterations; no caller sets either, so neither is a parameter.
+validation, and both share one contract, kernel(problem, x, t, t_next, dt,
+db) -> (x_new, ok): em_step_batch evaluates the drift at t and returns ok
+None, as no lane can fail; bem_step_batch forms the noise term at t and
+solves for the drift at t_next. em_step is a validating adapter over
+em_step_batch that takes a StepContext; solve_implicit is one over
+solve_implicit_batch that raises ImplicitSolveError when a lane is not
+solved. Every solve stops at the residual tolerance _RESIDUAL_TOLERANCE or
+after _MAX_ITERATIONS Newton iterations; no caller sets either, so neither
+is a parameter.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import integer, positive_real
+from .checks import integer, positive_real, real
 from .problems import SdeProblem
 
 __all__ = [
@@ -97,16 +99,17 @@ class ImplicitSolveError(RuntimeError):
         self.state = state
 
 
-def em_step_batch(problem: SdeProblem, x: np.ndarray, t: float, dt: float, db):
+def em_step_batch(problem: SdeProblem, x: np.ndarray, t: float, t_next: float, dt: float, db):
     """Explicit step x + f(x, t) dt + g(x, t) dB for an (m, n) block of paths.
 
     The formula exactly as written, with no validation: x is a float array,
     db broadcasts against it (an (m, 1) column for one increment per path),
-    and non-finite results are left for the caller to detect.
+    and non-finite results are left for the caller to detect. Returns
+    (x_new, None): t_next is not used and no lane can fail.
     """
     f = np.asarray(problem.drift(x, t), dtype=float)
     g = np.asarray(problem.diffusion(x, t), dtype=float)
-    return x + f * dt + g * db
+    return x + f * dt + g * db, None
 
 
 def em_step(problem: SdeProblem, y, ctx: StepContext, validate: bool = True):
@@ -115,7 +118,7 @@ def em_step(problem: SdeProblem, y, ctx: StepContext, validate: bool = True):
     Validating adapter over em_step_batch for a state of any shape.
     """
     y_arr = np.asarray(y, dtype=float)
-    out = em_step_batch(problem, y_arr, ctx.t, ctx.dt, ctx.db)
+    out, _ = em_step_batch(problem, y_arr, ctx.t, (ctx.k + 1) * ctx.dt, ctx.dt, ctx.db)
     if validate and not np.all(np.isfinite(out)):
         raise StepError(
             f"non-finite drift/diffusion output at k={ctx.k}, t={ctx.t}", state=y_arr
@@ -512,9 +515,10 @@ def solve_implicit(problem: SdeProblem, t: float, b, dt: float):
     Newton from the initial guess x0 = b (the drift term is O(dt), so b is
     within O(dt) of the root), with backtracking and, for n = 1, bisection.
     For n = 1, b may hold any number of values, each solved on its own; for
-    n > 1, b is one vector of shape (n,). Requires dt < 1/|Kbar|. Raises
-    ImplicitSolveError with the best residual if the budget is exhausted.
+    n > 1, b is one vector of shape (n,). Requires t >= 0 and dt < 1/|Kbar|.
+    Raises ImplicitSolveError with the best residual if the budget is exhausted.
     """
+    t = real("t", t, 0.0)
     dt = positive_real("dt", dt)
     check_implicit_dt(problem, dt)
     b_arr = np.asarray(b, dtype=float)
@@ -537,29 +541,27 @@ def solve_implicit(problem: SdeProblem, t: float, b, dt: float):
     return float(x) if np.ndim(b) == 0 else x
 
 
-def bem_step_batch(problem: SdeProblem, x: np.ndarray, k: int, dt: float, db):
-    """Semi-implicit step from step k for an (m, n) block of paths.
+def bem_step_batch(problem: SdeProblem, x: np.ndarray, t: float, t_next: float, dt: float, db):
+    """Semi-implicit step from time t to t_next for an (m, n) block of paths.
 
-    Computes b = x + g(x, k dt) dB and solves x' = f(x', (k+1) dt) dt + b
-    with solve_implicit_batch, which works in its own temporaries and never
+    Computes b = x + g(x, t) dB and solves x' = f(x', t_next) dt + b with
+    solve_implicit_batch, which works in its own temporaries and never
     writes into b or into what the drift returned.
     Returns (x_new, ok) with ok of shape (m,): a lane whose b is not finite
     gets b back with ok True, so the caller's norm check blows it up; a lane
-    whose solve fails keeps x, with ok False. The step index, not k dt + dt,
-    fixes the solve time, so it is exactly (k+1) dt. No validation: b is not
+    whose solve fails keeps x, with ok False. No validation: b is not
     checked again, and the caller checks dt once with check_implicit_dt.
     """
-    g = np.asarray(problem.diffusion(x, k * dt), dtype=float)
+    g = np.asarray(problem.diffusion(x, t), dtype=float)
     b = x + g * db
-    t = (k + 1) * dt
     finite = np.isfinite(b)
     if np.count_nonzero(finite) == finite.size:
-        new, ok = solve_implicit_batch(problem, t, b, dt)
+        new, ok = solve_implicit_batch(problem, t_next, b, dt)
     else:
         new, ok = b, np.ones(len(b), dtype=bool)
         rows = np.flatnonzero(finite.all(axis=1))
         if rows.size:
-            new[rows], ok[rows] = solve_implicit_batch(problem, t, b[rows], dt)
+            new[rows], ok[rows] = solve_implicit_batch(problem, t_next, b[rows], dt)
     if np.count_nonzero(ok) < ok.size:
         new[~ok] = x[~ok]
     return new, ok

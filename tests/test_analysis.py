@@ -196,6 +196,7 @@ class TestEnvelopes:
     @pytest.mark.parametrize("kwargs", [
         dict(k1=0.9), dict(dt=0.4), dict(m0=-1.0), dict(c=-1.0),
         dict(c="1"), dict(c=True), dict(k1="2"),
+        dict(k=[0, math.nan]), dict(k=math.inf),
     ])
     def test_em_envelope_preconditions(self, kwargs):
         base = dict(k=1, dt=0.1, k1=1.0, c=1.0, m0=1.0)
@@ -223,6 +224,7 @@ class TestEnvelopes:
     @pytest.mark.parametrize("kwargs", [
         dict(k1=0.5), dict(dt=0.4), dict(kbar=-4.0),
         dict(c="5"), dict(k1=True),
+        dict(kbar="x"), dict(kbar=True), dict(k=[0, math.nan]),
     ])
     def test_bem_envelope_preconditions(self, kwargs):
         base = dict(k=1, dt=0.3, k1=3.0, c=5.0, m0=1.0, kbar=None)

@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
+import platform
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -9,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -28,6 +32,7 @@ from polystab.ensemble import (
     simulate_ensemble,
 )
 from polystab.gamma import GammaProductParams, product_direct, product_via_gamma
+from polystab.integrators import em_step_batch
 from polystab.problems import (
     SdeProblem,
     bem_example,
@@ -582,7 +587,7 @@ class TestSimulateEnsemble:
     def test_cap_whose_square_overflows_still_blows_up(self):
         cfg = SimConfig(dt=0.1, num_steps=200, num_paths=20, seed=1, scheme="em",
                         initial_value=(5.0,), blow_up_cap=1e300)
-        sq, gone_from, failed = _simulate_chunk(cubic_counterexample(), cfg, 0, 20)
+        sq, gone_from, failed = _simulate_chunk(em_step_batch, cubic_counterexample(), cfg, 0, 20)
         frozen = gone_from <= np.arange(len(sq))[:, None]
         capped = np.minimum(np.sqrt(sq), cfg.blow_up_cap)
         assert frozen[-1].all() and not failed.any()
@@ -596,7 +601,7 @@ class TestSimulateEnsemble:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             series = simulate_ensemble(cubic_counterexample(), cfg)
-        sq, gone_from, _ = _simulate_chunk(cubic_counterexample(), cfg, 0, 100)
+        sq, gone_from, _ = _simulate_chunk(em_step_batch, cubic_counterexample(), cfg, 0, 100)
         frozen = gone_from <= np.arange(len(sq))[:, None]
         checked = 0
         for i in range(len(series)):
@@ -662,8 +667,8 @@ class TestSimulateEnsemble:
         cfg = SimConfig(dt=0.1, num_steps=400, num_paths=2000, seed=77, scheme="em",
                         initial_value=(1.0,), checkpoints=(0, 400))
         lin = linear_example()
-        sq_a, *_ = _simulate_chunk(lin, cfg, 0, 1000)
-        sq_b, *_ = _simulate_chunk(lin, cfg, 1000, 2000)
+        sq_a, *_ = _simulate_chunk(em_step_batch, lin, cfg, 0, 1000)
+        sq_b, *_ = _simulate_chunk(em_step_batch, lin, cfg, 1000, 2000)
         # pre-registered seed; Welch test on the final-checkpoint squares
         result = stats.ttest_ind(sq_a[-1], sq_b[-1], equal_var=False)
         assert result.pvalue > 0.05
@@ -887,3 +892,28 @@ class TestBem2DBytes:
         assert series.failed_paths == 0
         text = series.to_csv_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CSV_SHA256
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_bem_2d_workload_matches_its_golden_hashes(tmp_path, monkeypatch):
+    # the benchmark's bem-2d workload at the pinned seed, run in-process: the
+    # cheapest workload and the only one on the n-d implicit solve
+    golden = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
+    versions = {"python": platform.python_version(), "numpy": np.__version__,
+                "scipy": scipy.__version__}
+    if versions != golden["versions"]:
+        pytest.skip(f"hashes recorded under {golden['versions']}, running {versions}")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    problem, config = workloads.WORKLOADS["bem-2d"].build(golden["seed"])
+    series = simulate_ensemble(problem, config)
+    series.write_csv(tmp_path / "bem-2d.csv")
+    series.write_config_json(tmp_path / "bem-2d_config.json")
+    digests = {"csv": workloads.sha256(tmp_path / "bem-2d.csv"),
+               "config": workloads.sha256(tmp_path / "bem-2d_config.json")}
+    assert digests == golden["hashes"]["bem-2d"]

@@ -116,7 +116,7 @@ class TestEmStep:
         for p in (linear_example(), cubic_counterexample()):
             x = rng.normal(scale=2.0, size=(64, 1))
             db = rng.normal(scale=math.sqrt(dt), size=(64, 1))
-            out = em_step_batch(p, x, k * dt, dt, db)
+            out, _ = em_step_batch(p, x, k * dt, (k + 1) * dt, dt, db)
             t = k * dt
             for i in range(64):
                 y = x[i, 0]
@@ -162,6 +162,12 @@ class TestSolveImplicit:
     def test_dt_precondition(self):
         with pytest.raises(ValueError, match="Kbar"):
             solve_implicit(cubic_counterexample(), 1.0, 1.0, 0.4)  # 1/|Kbar| = 1/3
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, True],
+                             ids=["negative", "nan", "inf", "bool"])
+    def test_time_precondition(self, t):
+        with pytest.raises(ValueError, match="t must be a finite real >= 0"):
+            solve_implicit(linear_example(), t, 2.0, 0.1)
 
     def test_residual_meets_tolerance_randomized(self):
         rng = np.random.default_rng(77)
@@ -239,7 +245,7 @@ class Test2D:
     def test_bem_step_vector(self):
         p = self.problem()
         z = np.array([[1.0, 1.0]])
-        out, ok = bem_step_batch(p, z, 2, 0.2, np.array([[0.3]]))
+        out, ok = bem_step_batch(p, z, 2 * 0.2, 3 * 0.2, 0.2, np.array([[0.3]]))
         assert out.shape == (1, 2) and ok.tolist() == [True]
         b = z + p.diffusion(z, 0.4) * 0.3
         resid = out - 0.2 * p.drift(out, 0.6) - b
@@ -803,17 +809,17 @@ class TestBemStep:
             diffusion=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
             k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=True, label="zero",
         )
-        out, ok = bem_step_batch(p, np.array([[4.0]]), 5, 0.3, np.array([[1.7]]))
+        out, ok = bem_step_batch(p, np.array([[4.0]]), 5 * 0.3, 6 * 0.3, 0.3, np.array([[1.7]]))
         assert out[0, 0] == pytest.approx(4.0) and ok.tolist() == [True]
 
     def test_linear_closed_form(self):
-        out, ok = bem_step_batch(linear_example(), np.array([[1.0]]), 0, 0.1, np.zeros((1, 1)))
+        out, ok = bem_step_batch(linear_example(), np.array([[1.0]]), 0.0, 0.1, 0.1, np.zeros((1, 1)))
         assert out[0, 0] == pytest.approx(11.0 / 12.0, abs=3e-12) and ok.tolist() == [True]
 
     def test_bem_example_against_oracle(self):
         p = bem_example()
         z, dt, db = 2.0, 0.3, 0.1
-        out, ok = bem_step_batch(p, np.array([[z]]), 0, dt, np.array([[db]]))
+        out, ok = bem_step_batch(p, np.array([[z]]), 0.0, dt, dt, np.array([[db]]))
         b = z + 5.0 * math.sin(2.0) * db
         oracle = oracle_bisect(p.drift, dt, b, dt, lo=-100.0, hi=100.0)
         assert out[0, 0] == pytest.approx(oracle, abs=1e-10) and ok.tolist() == [True]
@@ -839,7 +845,7 @@ class TestBemStep:
         rng = np.random.default_rng(4)
         x = rng.normal(scale=3.0, size=(64, 1))
         db = rng.normal(scale=math.sqrt(dt), size=(64, 1))
-        out, ok = bem_step_batch(p, x, k, dt, db)
+        out, ok = bem_step_batch(p, x, k * dt, (k + 1) * dt, dt, db)
         assert ok.all()
         for i in range(64):
             z = x[i, 0]
@@ -856,7 +862,7 @@ class TestBemStep:
             k1=1.0, c=1.0, kbar=-1.0, satisfies_linear_growth=False, label="no-root",
         )
         x = np.array([[0.1], [6.0], [2.0]])
-        out, ok = bem_step_batch(p, x, 0, 0.5, np.ones((3, 1)))
+        out, ok = bem_step_batch(p, x, 0.0, 0.5, 0.5, np.ones((3, 1)))
         assert ok.tolist() == [True, True, False]
         assert out[0, 0] == solve_implicit(p, 0.5, 0.1, 0.5)
         assert out[1, 0] == np.inf and out[2, 0] == 2.0
@@ -865,7 +871,7 @@ class TestBemStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             check_decay_dt(linear_example(), 0.1)
-            bem_step_batch(linear_example(), np.array([[1.0]]), 0, 0.1, np.zeros((1, 1)))
+            bem_step_batch(linear_example(), np.array([[1.0]]), 0.0, 0.1, 0.1, np.zeros((1, 1)))
 
 
 class TestMonotonicityCertificate:

@@ -10,7 +10,10 @@ names the package exports, so deleting one of them fails here first, and
 every name in a module's __all__ must exist, so a deletion that leaves a
 stale export fails too. The dimension picks the implicit solver in one
 place: only solve_implicit_batch refers to the two private solvers, and no
-integrator takes a solver config.
+integrator takes a solver config. Every scheme is one entry of the
+ensemble's kernel table, and every kernel in it keeps one step contract,
+kernel(problem, x, t, t_next, dt, db) -> (x_new, ok), so the chunk loop
+holds no code for any one scheme.
 """
 
 import ast
@@ -20,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import polystab
+from polystab import ensemble
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "polystab"
@@ -273,3 +277,77 @@ def test_no_integrator_takes_a_solver_config():
 def test_config_guard_flags_a_cfg_parameter():
     source = "def solve(problem, b, cfg=None):\n    pass\ndef step(x, *, cfg):\n    pass\ndef ok(x):\n    pass"
     assert cfg_parameters(source) == ["solve", "step"]
+
+
+KERNEL_PARAMETERS = ["problem", "x", "t", "t_next", "dt", "db"]
+
+
+def kernel_signatures(source: str, names) -> dict[str, tuple[list[str], bool]]:
+    """For each def of source named in names: its parameters and whether every return is a pair."""
+    found = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names:
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+            returns = [n for n in ast.walk(node) if isinstance(n, ast.Return)]
+            pairs = bool(returns) and all(
+                isinstance(r.value, ast.Tuple) and len(r.value.elts) == 2 for r in returns
+            )
+            found[node.name] = (params, pairs)
+    return found
+
+
+def test_every_scheme_kernel_keeps_the_step_contract():
+    assert ensemble.SCHEMES == tuple(ensemble._KERNELS)
+    names = {k.__name__ for k in ensemble._KERNELS.values()}
+    assert names == {"em_step_batch", "bem_step_batch"}
+    found = kernel_signatures((SRC / "integrators.py").read_text(encoding="utf-8"), names)
+    assert found == {name: (KERNEL_PARAMETERS, True) for name in names}
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("def em_step_batch(problem, x, t, t_next, dt, db):\n    return x, None",
+     {"em_step_batch": (KERNEL_PARAMETERS, True)}),
+    ("def bem_step_batch(problem, x, k, dt, db):\n    return x",
+     {"bem_step_batch": (["problem", "x", "k", "dt", "db"], False)}),
+    ("def bem_step_batch(problem, x, t, t_next, dt, db):\n"
+     "    if t:\n        return x, None\n    return x",
+     {"bem_step_batch": (KERNEL_PARAMETERS, False)}),
+    ("def em_step_batch(problem, x, t, dt, db, *, k):\n    return x, None",
+     {"em_step_batch": (["problem", "x", "t", "dt", "db", "k"], True)}),
+    ("def em_step(problem, y, ctx):\n    return y", {}),
+])
+def test_kernel_guard_reads_parameters_and_returns(source, expected):
+    assert kernel_signatures(source, {"em_step_batch", "bem_step_batch"}) == expected
+
+
+def per_scheme_code(source: str, function: str) -> list[str]:
+    """What the def named function reads of a scheme: each .scheme attribute and scheme name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == function:
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Attribute) and inner.attr == "scheme":
+                    found.append(".scheme")
+                elif isinstance(inner, ast.Constant) and inner.value in ensemble.SCHEMES:
+                    found.append(repr(inner.value))
+    return found
+
+
+def test_chunk_loop_has_no_per_scheme_code():
+    source = (SRC / "ensemble.py").read_text(encoding="utf-8")
+    assert per_scheme_code(source, "simulate_ensemble") != []  # the guard reads this file
+    assert per_scheme_code(source, "_simulate_chunk") == []
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("def _simulate_chunk(kernel, config):\n    return kernel(config.dt)", []),
+    ("def _simulate_chunk(problem, config):\n    if config.scheme == 'em':\n        pass",
+     [".scheme", "'em'"]),
+    ("def _simulate_chunk(problem, config, name):\n    return {'bem': f}[name]", ["'bem'"]),
+    ("def _simulate_chunk(problem, config):\n    def step(x):\n        return config.scheme",
+     [".scheme"]),
+    ("def simulate_ensemble(config):\n    return config.scheme == 'bem'", []),
+])
+def test_scheme_guard_flags_a_branch_or_a_lookup(source, expected):
+    assert per_scheme_code(source, "_simulate_chunk") == expected
