@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .checks import integer, positive_real, real
+from .checks import integer, positive_real, real, reals
 from .ensemble import MomentSeries
 from .gamma import log_gamma_ratio
 
@@ -110,14 +110,10 @@ def estimate_decay_exponent(
     check_decay_fit_args checks the three arguments.
     """
     window_fraction, k1, tolerance = check_decay_fit_args(window_fraction, k1, tolerance)
-    t = np.asarray(series.time, dtype=float)
+    t = reals("time", series.time, 0.0)
     m2 = np.asarray(series.mean_square, dtype=float)
     if len(t) < 2:
         raise ValueError("series too short to fit")
-    bad_time = ~(np.isfinite(t) & (t >= 0.0))
-    if bad_time.any():
-        i = int(np.argmax(bad_time))
-        raise ValueError(f"time must be finite and >= 0, got {t[i]!r} at checkpoint {i}")
     log_time = np.log1p(t)
     lo = log_time[-1] - window_fraction * (log_time[-1] - log_time[0])
     in_window = log_time >= lo
@@ -170,9 +166,7 @@ def _validate_envelope_args(dt, k1, c, m0):
 
 def _power_law_envelope(k, dt, k1, c, m0, shift, growth):
     """((k + shift) dt + 1)^(-2K1+1) (m0 + C^2 growth^{2K1}), vectorized over finite k >= 0."""
-    k_arr = np.asarray(k, dtype=float)
-    if not (np.all(k_arr >= 0) and np.all(np.isfinite(k_arr))):
-        raise ValueError(f"k must be finite and >= 0, got {k!r}")
+    k_arr = reals("k", k, 0.0)
     out = ((k_arr + shift) * dt + 1.0) ** (-2.0 * k1 + 1.0) * (m0 + c**2 * growth ** (2.0 * k1))
     return float(out) if np.ndim(k) == 0 else out
 
@@ -345,8 +339,7 @@ def em_sum_term_log_margin(k, r, dt, k1):
     r = -1 is the initial term, Gamma(k+D-K1)^2 Gamma(D)^2 / (Gamma(k+D)^2
     Gamma(D-K1)^2) <= ((k-K1) dt + 1)^{-2K1}. Needs D > K1 and (k-K1) dt + 1 > 0.
     """
-    k = np.asarray(k, dtype=float)
-    r = np.asarray(r, dtype=float)
+    k, r, k1 = reals("k", k, 0.0), reals("r", r, -1.0), real("k1", k1)
     d = 1.0 / positive_real("dt", dt)
     lhs = 2.0 * log_gamma_ratio(r + 1.0 + d - k1, k1) - 2.0 * log_gamma_ratio(k + d - k1, k1)
     rhs = -2.0 * k1 * np.log((k - k1) * dt + 1.0) + 2.0 * k1 * np.log((r + 1.0) * dt + 1.0)
@@ -360,8 +353,7 @@ def bem_sum_term_log_margin(k, r, dt, k1):
     r = 0 is the initial term, Gamma(k+1+D) Gamma(1+2K1+D) / (Gamma(k+1+D+2K1)
     Gamma(1+D)) <= ((k+1) dt + 1)^{-2K1} ((1+2K1) dt + 1)^{2K1}.
     """
-    k = np.asarray(k, dtype=float)
-    r = np.asarray(r, dtype=float)
+    k, r, k1 = reals("k", k, 0.0), reals("r", r, 0.0), real("k1", k1)
     d = 1.0 / positive_real("dt", dt)
     lhs = log_gamma_ratio(r + 1.0 + d, 2.0 * k1) - log_gamma_ratio(k + 1.0 + d, 2.0 * k1)
     rhs = -2.0 * k1 * np.log((k + 1.0) * dt + 1.0) + 2.0 * k1 * np.log((r + 1.0 + 2.0 * k1) * dt + 1.0)

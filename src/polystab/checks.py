@@ -4,12 +4,17 @@ Step indices, counts, path ids and seeds are integers; step sizes and the
 constants a problem claims are finite positive reals; a fit's K1 and
 tolerance are finite reals, the tolerance >= 0. Every public entry
 checks such an argument with one of these validators, so a rule such as "a
-bool is not an integer" holds at all of them. All raise ValueError, never
-TypeError, whatever the value's type, and return the value as an int or a
-float. Range conditions beyond these (dt < 1/K1, dt < 1/|Kbar|) stay with
-the function whose result needs them. em_step_batch, bem_step_batch,
-solve_implicit_batch and the ensemble's chunk loop, which forms each step's
-t and t_next from a checked dt, take checked values and call none of them.
+bool is not an integer" holds at all of them. An array argument (times,
+states, initial values, increments, gamma arguments, the indices k and r)
+goes through reals, whose elements must be ints or floats: a bool or a
+string is not a real there either. All raise ValueError, never TypeError,
+whatever the value's type, and return an int, a float or a float array.
+Relational conditions (x + eta > 0, dt < 1/K1, dt < 1/|Kbar|, a state's
+shape against the problem) stay with the function whose result needs them.
+em_step_batch, bem_step_batch, solve_implicit_batch and the ensemble's chunk
+loop, which forms each step's t and t_next from a checked dt, take checked
+values and call none of them; only a lane that Newton leaves unsolved goes
+on to the checked bisect_root_scalar.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import math
 
 import numpy as np
 
-__all__ = ["integer", "real", "positive_real"]
+__all__ = ["integer", "real", "positive_real", "reals"]
 
 # concrete types: an isinstance check against the numbers ABCs costs ~4x more
 _INTEGERS = (int, np.integer)
@@ -61,3 +66,19 @@ def positive_real(name: str, value) -> float:
     if not (math.isfinite(v) and v > 0):
         raise ValueError(f"{name} must be a positive real, got {value!r}")
     return v
+
+
+def reals(name: str, value, minimum: float | None = None) -> np.ndarray:
+    """value as a float array: int or float elements, not bool, str, object or complex,
+    each finite and >= minimum if given; a message names the first bad element's index."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    ok = np.isfinite(arr) if minimum is None else np.isfinite(arr) & (arr >= minimum)
+    if not ok.all():
+        what = "finite" if minimum is None else f"finite and >= {minimum}"
+        i = tuple(int(j) for j in np.argwhere(~ok)[0])
+        at = f" at index {i[0] if len(i) == 1 else i}" if i else ""
+        raise ValueError(f"{name} must be {what}, got {float(arr[i])!r}{at}")
+    return arr

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, ensemble, gamma, problems
+from . import analysis, checks, ensemble, gamma, problems
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -144,7 +144,7 @@ def _cmd_simulate(args) -> int:
         spec = ExperimentSpec.from_args(args)
         problem = problems.problem_from_label(spec.problem, k1=spec.k1, c=spec.c)
         x0 = problems.DEFAULT_INITIAL_VALUES[spec.problem] if spec.x0 is None else spec.x0
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+        x0 = np.atleast_1d(checks.reals("x0", x0))
         if x0.shape != (problem.dimension,):
             raise ValueError(
                 f"x0 has shape {x0.shape}, problem '{spec.problem}' needs ({problem.dimension},)"

@@ -51,7 +51,7 @@ from numpy.random import Philox
 from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
-from .checks import integer, positive_real
+from .checks import integer, positive_real, reals
 from .integrators import (
     bem_step_batch,
     check_decay_dt,
@@ -119,9 +119,9 @@ class SimConfig:
         object.__setattr__(self, "seed", integer("seed", self.seed))  # used mod 2**64
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        x0 = np.atleast_1d(np.asarray(self.initial_value, dtype=float))
-        if x0.ndim != 1 or not np.all(np.isfinite(x0)):
-            raise ValueError(f"initial_value must be a finite vector, got {self.initial_value!r}")
+        x0 = np.atleast_1d(reals("initial_value", self.initial_value))
+        if x0.ndim != 1:
+            raise ValueError(f"initial_value must be a vector, got {self.initial_value!r}")
         object.__setattr__(self, "initial_value", tuple(float(v) for v in x0))
         if self.checkpoints is None:
             object.__setattr__(self, "checkpoints", geometric_checkpoints(self.num_steps))

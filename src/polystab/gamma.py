@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import integer, positive_real, real
+from .checks import integer, positive_real, real, reals
 
 __all__ = [
     "GammaProductParams",
@@ -70,13 +70,6 @@ class GammaProductParams:
         return self.a == self.b + 1
 
 
-def _validated_positive(x, name):
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {x!r}")
-    return arr
-
-
 # Stirling series coefficients B_{2n} / (2n(2n-1)) for the tail
 # lnGamma(x) = (x - 1/2) ln x - x + ln(2 pi)/2 + S(x); truncation error
 # < 1e-16 for x >= 10, where the shifted evaluation always lands.
@@ -116,10 +109,7 @@ def log_gamma_ratio(x, eta):
     with S the Stirling tail, keeping the absolute error at a few 1e-16
     regardless of the size of x. Requires x > 0 and x + eta > 0.
     """
-    x_arr = np.asarray(x, dtype=float)
-    eta_arr = np.asarray(eta, dtype=float)
-    if not (np.all(np.isfinite(x_arr)) and np.all(np.isfinite(eta_arr))):
-        raise ValueError("x and eta must be finite")
+    x_arr, eta_arr = reals("x", x), reals("eta", eta)
     if np.any(x_arr <= 0.0) or np.any(x_arr + eta_arr <= 0.0):
         raise ValueError("need x > 0 and x + eta > 0")
     xs, etas = np.broadcast_arrays(x_arr, eta_arr)
@@ -191,8 +181,9 @@ def ratio_power_margin(x, eta):
     eta == 1 is rejected because Gamma(x+1)/Gamma(x) = x exactly and neither
     strict inequality holds.
     """
-    x_arr = _validated_positive(x, "x")
-    eta_arr = _validated_positive(eta, "eta")
+    x_arr, eta_arr = reals("x", x), reals("eta", eta)
+    if np.any(x_arr <= 0.0) or np.any(eta_arr <= 0.0):
+        raise ValueError(f"need x > 0 and eta > 0, got x={x!r}, eta={eta!r}")
     if np.any(eta_arr == 1.0):
         raise ValueError("eta == 1 is excluded; Gamma(x+1)/Gamma(x) = x exactly")
     out = log_gamma_ratio(x_arr, eta_arr) - eta_arr * np.log(x_arr)

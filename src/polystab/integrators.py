@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import integer, positive_real, real
+from .checks import integer, positive_real, real, reals
 from .problems import SdeProblem
 
 __all__ = [
@@ -74,8 +74,7 @@ class StepContext:
     def __post_init__(self):
         object.__setattr__(self, "k", integer("k", self.k, 0))
         object.__setattr__(self, "dt", positive_real("dt", self.dt))
-        if not np.all(np.isfinite(np.asarray(self.db, dtype=float))):
-            raise ValueError("db must be finite")
+        reals("db", self.db)
 
     @property
     def t(self) -> float:
@@ -172,14 +171,15 @@ def bisect_root_scalar(
 
     Valid for scalar problems where the residual is strictly increasing in x
     (guaranteed by the one-sided Lipschitz condition with dt < 1/|Kbar|).
-    Stops after _BISECT_ITERATIONS halvings at most.
+    Requires t >= 0. Stops after _BISECT_ITERATIONS halvings at most.
     """
+    t, b, dt = real("t", t, 0.0), real("b", b), positive_real("dt", dt)
 
     def resid(x):
         return x - dt * float(drift(x, t)) - b
 
     width = max(1.0, abs(b))
-    lo = hi = float(b)
+    lo = hi = b
     rlo = rhi = resid(lo)
     it = 0
     while rhi < 0.0:
@@ -521,9 +521,7 @@ def solve_implicit(problem: SdeProblem, t: float, b, dt: float):
     t = real("t", t, 0.0)
     dt = positive_real("dt", dt)
     check_implicit_dt(problem, dt)
-    b_arr = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(b_arr)):
-        raise ValueError("b must be finite")
+    b_arr = reals("b", b)
     n = problem.dimension
     if n > 1 and b_arr.shape != (n,):
         raise ValueError(f"b must have shape ({n},) for a {n}-dimensional problem")

@@ -16,13 +16,12 @@ pass is sampling evidence, never a proof.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .checks import integer, positive_real, real
+from .checks import integer, positive_real, real, reals
 
 __all__ = [
     "SdeProblem",
@@ -174,9 +173,7 @@ def exact_linear_mean_square(x0: float, t) -> float:
     The integrating factor (1+t) gives d[(1+t)x] = dB, so
     x(t) = (x0 + B(t))/(1+t) and the second moment follows by Ito isometry.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0) or not np.all(np.isfinite(t_arr)):
-        raise ValueError(f"t must be nonnegative and finite, got {t!r}")
+    t_arr = reals("t", t, 0.0)
     out = (real("x0", x0) ** 2 + t_arr) / (1.0 + t_arr) ** 2
     return float(out) if np.ndim(t) == 0 else out
 
@@ -296,7 +293,7 @@ def audit_conditions(
     """Sample the four conditions over grids and report worst margins.
 
     states: (m, dimension) array, default :func:`default_state_grid`.
-    times: iterable of t >= 0, default DEFAULT_AUDIT_TIMES. The one-sided
+    times: array-like of t >= 0, default DEFAULT_AUDIT_TIMES. The one-sided
     Lipschitz condition quantifies over state pairs, so it is sampled with
     ``pair_samples`` random pairs per time (an integer >= 1) from a generator
     seeded with ``seed`` (an integer >= 0).
@@ -305,16 +302,14 @@ def audit_conditions(
     seed = integer("seed", seed, 0)
     if states is None:
         states = default_state_grid(problem.dimension)
-    states = np.atleast_2d(np.asarray(states, dtype=float))
+    states = np.atleast_2d(reals("states", states))
     if states.shape[1] != problem.dimension:
         raise ValueError(
             f"states must have {problem.dimension} columns, got {states.shape[1]}"
         )
-    times = DEFAULT_AUDIT_TIMES if times is None else tuple(float(t) for t in times)
+    times = DEFAULT_AUDIT_TIMES if times is None else reals("times", times, 0.0).ravel().tolist()
     if len(times) == 0 or len(states) == 0:
         raise ValueError("need non-empty state and time samples")
-    if any(t < 0 or not math.isfinite(t) for t in times):
-        raise ValueError(f"times must be finite and >= 0, got {times}")
 
     k1, c = problem.k1, problem.c
     # per time: margin (LHS - RHS) and slack of every sample, in sample order

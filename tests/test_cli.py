@@ -198,6 +198,10 @@ class TestSimulate:
         {"k1": "2"},
         {"problem": ["linear"]},
         {"x0": 10**400},
+        {"x0": "2"},
+        {"x0": True},
+        {"x0": ["1"]},
+        {"x0": [True]},
         {"out_dir": "a\u0000b"},
         {"prefix": "a\u0000b"},
     ], ids=lambda entry: json.dumps(entry)[:32])

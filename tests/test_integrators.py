@@ -162,12 +162,17 @@ class TestSolveImplicit:
     def test_dt_precondition(self):
         with pytest.raises(ValueError, match="Kbar"):
             solve_implicit(cubic_counterexample(), 1.0, 1.0, 0.4)  # 1/|Kbar| = 1/3
+        for dt in (0.0, -0.1, math.nan, True):
+            with pytest.raises(ValueError, match="dt must be a positive real"):
+                bisect_root_scalar(linear_example().drift, 1.0, 2.0, dt)
 
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, True],
                              ids=["negative", "nan", "inf", "bool"])
     def test_time_precondition(self, t):
         with pytest.raises(ValueError, match="t must be a finite real >= 0"):
             solve_implicit(linear_example(), t, 2.0, 0.1)
+        with pytest.raises(ValueError, match="t must be a finite real >= 0"):
+            bisect_root_scalar(linear_example().drift, t, 2.0, 0.1)
 
     def test_residual_meets_tolerance_randomized(self):
         rng = np.random.default_rng(77)
