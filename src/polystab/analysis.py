@@ -185,20 +185,19 @@ def em_envelope(k, dt: float, k1: float, c: float, m0: float):
     return _power_law_envelope(k, dt, k1, c, m0, 0.0, 1.0 + dt)
 
 
-def bem_envelope(k, dt: float, k1: float, c: float, m0: float, kbar: float | None = None):
+def bem_envelope(k, dt: float, k1: float, c: float, m0: float):
     """Second-moment envelope ((k+1) dt + 1)^(-2K1+1) (m0 + C^2 C2^{2K1}).
 
     C2 = 1 + (1+2K1) dt. Valid for the semi-implicit scheme under K1 > 0.5
-    and dt < 1/K1 (and dt < 1/|Kbar| when kbar is supplied). Vectorized
-    over k.
+    and dt < 1/K1, for a run whose step also has dt < 1/|Kbar|: that
+    relation is the run's, checked by integrators.check_implicit_dt before
+    any step, and not checked here. Vectorized over k.
     """
     dt, k1, c, m0 = _validate_envelope_args(dt, k1, c, m0)
     if not k1 > 0.5:
         raise ValueError(f"the semi-implicit envelope requires K1 > 0.5, got {k1}")
     if not dt < 1.0 / k1:
         raise ValueError(f"need dt < 1/K1 = {1.0 / k1}, got {dt}")
-    if kbar is not None and real("kbar", kbar) != 0.0 and not dt < 1.0 / abs(kbar):
-        raise ValueError(f"need dt < 1/|Kbar| = {1.0 / abs(kbar)}, got {dt}")
     return _power_law_envelope(k, dt, k1, c, m0, 1.0, 1.0 + (1.0 + 2.0 * k1) * dt)
 
 

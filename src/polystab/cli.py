@@ -186,16 +186,9 @@ def _cmd_simulate(args) -> int:
 
     if spec.envelope:
         try:
-            if spec.scheme == "em":
-                env = analysis.em_envelope(
-                    series.step_index, config.dt, problem.k1, problem.c,
-                    float(np.dot(x0, x0)),
-                )
-            else:
-                env = analysis.bem_envelope(
-                    series.step_index, config.dt, problem.k1, problem.c,
-                    float(np.dot(x0, x0)), kbar=problem.kbar,
-                )
+            envelope = analysis.em_envelope if spec.scheme == "em" else analysis.bem_envelope
+            env = envelope(series.step_index, config.dt, problem.k1, problem.c,
+                           float(np.dot(x0, x0)))
             env_path = out_dir / f"{prefix}_envelope.csv"
             lines = ["k,t,envelope"]
             for i, k in enumerate(series.step_index):

@@ -48,7 +48,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.random import Philox
-from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtri
 
 from .checks import integer, positive_real, reals
@@ -149,35 +148,20 @@ class SimConfig:
         return cls(**{k: v for k, v in d.items() if k in names and v is not None})
 
 
-class _PhiloxKey(ISeedSequence):
-    """The Philox key (seed, path_id), handed to Philox as its seed sequence.
-
-    Philox(key=...) first draws OS entropy for a seed sequence that it then
-    discards, which costs more than the rest of its construction.
-    """
-
-    def __init__(self, seed: int, path_id: int):
-        self.words = np.array([seed & _MASK64, path_id & _MASK64], dtype=np.uint64)
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"expected a request for the 2-word uint64 Philox key, "
-                             f"got {n_words} words of {np.dtype(dtype)}")
-        return self.words
-
-
 def _fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int) -> None:
     """Fill out[j, i] with the standard normal for (seed, path_lo + j, step0 + i).
 
     One Philox block per step (counter = step index), word 0 of the block
-    mapped through the inverse normal CDF. One generator serves every row: its
-    key, counter and buffer position are reset through its state for each
-    path. Word 0 of each row goes into a scratch of about _SCRATCH_WORDS
-    words, and each group of rows is transformed at once in a contiguous
-    float scratch of the same size that is then written to out with one
-    copy. out may therefore be any view, such as the transpose of a
-    step-major buffer, whose elements lie far apart. A value never depends
-    on the rows or steps it was generated with.
+    mapped through the inverse normal CDF. One generator, built with
+    Philox(key=(seed, path_lo), counter=step0), serves every row: before
+    each row, the first one too, its key, counter and buffer position are
+    reset through its state, held as a dict of Python ints. Word 0 of each
+    row goes into a scratch of about _SCRATCH_WORDS words, and each group of
+    rows is transformed at once in a contiguous float scratch of the same
+    size that is then written to out with one copy. out may therefore be
+    any view, such as the transpose of a step-major buffer, whose elements
+    lie far apart. A value never depends on the rows or steps it was
+    generated with.
 
     The map is u = (w >> 11) 2**-53 + 2**-54, then ndtri(u). The top 2**11
     of the 2**64 words, those with w >> 11 == 2**53 - 1, round u to exactly
@@ -186,13 +170,13 @@ def _fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int)
     bytes are pinned, so this map stays as it is.
     """
     m, count = out.shape
-    bg = Philox(_PhiloxKey(seed, path_lo), counter=int(step0))
-    if m > 1:
-        state = bg.state  # counter = step0, buffer empty
-        # as Python ints, which the state setter reads ~2x faster than arrays
-        inner = state["state"]
-        inner["counter"], inner["key"] = inner["counter"].tolist(), inner["key"].tolist()
-        state["buffer"] = state["buffer"].tolist()
+    key = np.array([seed & _MASK64, path_lo & _MASK64], dtype=np.uint64)
+    bg = Philox(key=key, counter=int(step0))
+    state = bg.state  # counter = step0, buffer empty
+    # as Python ints, which the state setter reads ~2x faster than arrays
+    inner = state["state"]
+    inner["counter"], inner["key"] = inner["counter"].tolist(), inner["key"].tolist()
+    state["buffer"] = state["buffer"].tolist()
     group = max(1, _SCRATCH_WORDS // count)
     # its own scratch, not a uint64 view of out: numpy copies an aliased input
     words = np.empty((min(group, m), count), dtype=np.uint64)
@@ -204,9 +188,8 @@ def _fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int)
         raw = words[: g1 - g0]
         block = floats[: g1 - g0]
         for j in range(g0, g1):
-            if j:  # row 0 uses the generator as built
-                inner["key"][1] = (path_lo + j) & _MASK64
-                bg.state = state
+            inner["key"][1] = (path_lo + j) & _MASK64
+            bg.state = state
             raw[j - g0] = bg.random_raw(4 * count)[0::4]
         raw >>= np.uint64(11)
         np.multiply(raw, 2.0**-53, out=block)
@@ -216,7 +199,10 @@ def _fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int)
 
 
 def _standard_normal_block(seed: int, path_id: int, step0: int, count: int) -> np.ndarray:
-    """count standard normals for (seed, path_id, steps step0..step0+count-1)."""
+    """count standard normals for (seed, path_id, steps step0..step0+count-1).
+
+    One row of _fill_standard_normals, re-keyed like every row of a chunk.
+    """
     out = np.empty((1, count))
     _fill_standard_normals(out, seed, path_id, step0)
     return out[0]

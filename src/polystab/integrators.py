@@ -114,9 +114,10 @@ def em_step_batch(problem: SdeProblem, x: np.ndarray, t: float, t_next: float, d
 def em_step(problem: SdeProblem, y, ctx: StepContext, validate: bool = True):
     """Explicit step y + f(y, k dt) dt + g(y, k dt) dB, exactly as written.
 
-    Validating adapter over em_step_batch for a state of any shape.
+    Validating adapter over em_step_batch for a state of any shape, whose
+    elements must be finite ints or floats (checks.reals).
     """
-    y_arr = np.asarray(y, dtype=float)
+    y_arr = reals("y", y)
     out, _ = em_step_batch(problem, y_arr, ctx.t, (ctx.k + 1) * ctx.dt, ctx.dt, ctx.db)
     if validate and not np.all(np.isfinite(out)):
         raise StepError(
@@ -260,18 +261,16 @@ def _solve_scalar_batch(drift, t, b, dt):
     x = None  # the result; allocated once a lane leaves or the budget ends
     ai = np.abs(ri[:, 0])
     unsolved = []  # index arrays of the lanes for bisection
-    maybe_nan = True  # r is NaN only at b or where every halving failed
     for it in range(max_iterations + 1):
         left = ai > tol  # False once converged, and for a NaN residual
         if np.count_nonzero(left) < left.size:
             # converged and NaN lanes leave the working set; their iterates
             # are written back
-            if maybe_nan:
-                nan = np.isnan(ai)
-                if nan.any():
-                    if it < max_iterations:
-                        xi = np.where(nan[:, None], xi - ri, xi)
-                    unsolved.append(np.arange(m)[lanes][nan])
+            nan = np.isnan(ai)
+            if nan.any():
+                if it < max_iterations:
+                    xi = np.where(nan[:, None], xi - ri, xi)
+                unsolved.append(np.arange(m)[lanes][nan])
             if x is None:
                 x = np.empty_like(b)
             x[lanes] = xi
@@ -313,7 +312,6 @@ def _solve_scalar_batch(drift, t, b, dt):
                 # every lane converged on this trial and none had left before
                 return xa, done
         worse = ~(aa <= ai)  # catches NaN too
-        maybe_nan = False
         for _ in range(8):
             if not worse.any():
                 break
@@ -324,8 +322,6 @@ def _solve_scalar_batch(drift, t, b, dt):
             ra[sel] = xs - dt * np.asarray(drift(xs, t), dtype=float) - bi[sel]
             aa[sel] = np.abs(ra[sel, 0])
             worse[sel] = ~(aa[sel] <= ai[sel])
-        else:
-            maybe_nan = True  # lanes may be left worse, as a NaN one always is
         xi, ri, ai = xa, ra, aa
 
     if not unsolved:

@@ -148,14 +148,12 @@ def test_criterion_5_bem_nonlinear_example():
             "by the gamma-bound suite (criterion 3)"
         )
     else:  # pragma: no cover - not the measured outcome
-        env = bem_envelope(series.step_index, config.dt, audited_k1, problem.c, x0**2,
-                           kbar=problem.kbar)
+        env = bem_envelope(series.step_index, config.dt, audited_k1, problem.c, x0**2)
         assert np.all(series.mean_square <= env)
 
     # honest record of what the claimed constants would have demanded
     claimed_slope_ok = est.slope <= -5.0 + 0.5
-    env_claimed = bem_envelope(series.step_index, config.dt, 3.0, problem.c, x0**2,
-                               kbar=problem.kbar)
+    env_claimed = bem_envelope(series.step_index, config.dt, 3.0, problem.c, x0**2)
     claimed_env_ok = bool(np.all(series.mean_square <= env_claimed))
     print(
         f"[criterion 5] against the claimed K1=3 (not required once the audit "

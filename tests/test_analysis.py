@@ -222,15 +222,15 @@ class TestEnvelopes:
         np.testing.assert_allclose(env, 2.0 * ((ks + 1) * 0.1 + 1.0) ** -5, rtol=1e-12)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(k1=0.5), dict(dt=0.4), dict(kbar=-4.0),
+        dict(k1=0.5), dict(dt=0.4),
         dict(c="5"), dict(k1=True),
-        dict(kbar="x"), dict(kbar=True), dict(k=[0, math.nan]),
+        dict(k=[0, math.nan]),
     ])
     def test_bem_envelope_preconditions(self, kwargs):
-        base = dict(k=1, dt=0.3, k1=3.0, c=5.0, m0=1.0, kbar=None)
+        base = dict(k=1, dt=0.3, k1=3.0, c=5.0, m0=1.0)
         base.update(kwargs)
         with pytest.raises(ValueError):
-            bem_envelope(base["k"], base["dt"], base["k1"], base["c"], base["m0"], kbar=base["kbar"])
+            bem_envelope(base["k"], base["dt"], base["k1"], base["c"], base["m0"])
 
 
 class TestRecurrenceBound:

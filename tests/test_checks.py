@@ -14,7 +14,7 @@ from polystab.analysis import (
 from polystab.checks import integer, positive_real, real, reals
 from polystab.ensemble import MomentSeries, SimConfig
 from polystab.gamma import log_gamma_ratio, ratio_power_margin
-from polystab.integrators import StepContext, bisect_root_scalar, solve_implicit
+from polystab.integrators import StepContext, bisect_root_scalar, em_step, solve_implicit
 from polystab.problems import audit_conditions, exact_linear_mean_square, linear_example
 
 
@@ -175,6 +175,7 @@ ARRAY_ENTRIES = {
         lambda v: SimConfig(dt=0.1, num_steps=5, num_paths=2, seed=1, scheme="em",
                             initial_value=(v,)), False),
     "StepContext db": (lambda v: StepContext(k=0, dt=0.1, db=v), False),
+    "em_step y": (lambda v: em_step(linear_example(), v, StepContext(k=0, dt=0.1, db=0.0)), False),
     "solve_implicit b": (lambda v: solve_implicit(linear_example(), 0.0, v, 0.1), False),
     "bisect_root_scalar t": (lambda v: bisect_root_scalar(linear_example().drift, v, 2.0, 0.1), True),
     "bisect_root_scalar b": (lambda v: bisect_root_scalar(linear_example().drift, 0.0, v, 0.1), False),

@@ -126,6 +126,25 @@ class TestSimulate:
         series = MomentSeries.from_csv(tmp_path / "env.csv")
         assert len(lines) == 1 + len(series)
 
+    @pytest.mark.parametrize("dt,code", [("0.1", 0), ("0.4", 2)])  # 0.4 >= 1/|Kbar| = 1/3
+    def test_bem_envelope_file(self, tmp_path, dt, code):
+        assert run([
+            "simulate", "--problem", "counterexample", "--scheme", "bem", "--dt", dt,
+            "--steps", "50", "--paths", "8", "--seed", "3", "--x0", "2.0",
+            "--out-dir", str(tmp_path), "--prefix", "env", "--envelope",
+        ]) == code
+        env_path = tmp_path / "env_envelope.csv"
+        if code:
+            assert not env_path.exists()
+            return
+        problem = problems.cubic_counterexample()
+        series = MomentSeries.from_csv(tmp_path / "env.csv")
+        expected = polystab.analysis.bem_envelope(series.step_index, 0.1, problem.k1,
+                                                  problem.c, 4.0)
+        rows = [line.split(",") for line in env_path.read_text().splitlines()[1:]]
+        assert [int(k) for k, _, _ in rows] == list(series.step_index)
+        assert [float(v) for _, _, v in rows] == list(expected)
+
     def test_builder_looked_up_at_call_time(self, tmp_path, monkeypatch):
         # the benchmark traces em-long by replacing the registry entry after
         # import, so simulate must read problems.PROBLEM_BUILDERS on each call

@@ -5,7 +5,9 @@ a leading underscore marks a name as private to the module that defines it.
 Its one scipy import is ndtri, in the ensemble: importing scipy.special
 costs about twice numpy's own import time (~0.31 s against ~0.15 s on a
 2-core Xeon), so each further scipy module shows in every command's set-up
-time. The benchmark harness under perfbench/ reaches polystab only through
+time. The noise stream builds its generator with numpy's public
+Philox(key=, counter=), so no module imports from numpy.random.bit_generator.
+The benchmark harness under perfbench/ reaches polystab only through
 names the package exports, so deleting one of them fails here first, and
 every name in a module's __all__ must exist, so a deletion that leaves a
 stale export fails too. The dimension picks the implicit solver in one
@@ -117,6 +119,39 @@ def test_only_scipy_import_is_ndtri_in_ensemble():
 ])
 def test_scipy_guard_finds_every_form(source, expected):
     assert scipy_imports(source) == expected
+
+
+BIT_GENERATOR = "numpy.random.bit_generator"
+
+
+def bit_generator_imports(source: str) -> list[str]:
+    """The imports of numpy.random.bit_generator or of names from it in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name == BIT_GENERATOR]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found += [f"{node.module}:{alias.name}" for alias in node.names
+                      if node.module == BIT_GENERATOR
+                      or f"{node.module}.{alias.name}" == BIT_GENERATOR]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_bit_generator_internals(path):
+    assert bit_generator_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("from numpy.random.bit_generator import ISeedSequence",
+     ["numpy.random.bit_generator:ISeedSequence"]),
+    ("import numpy.random.bit_generator as bg", ["numpy.random.bit_generator"]),
+    ("from numpy.random import bit_generator", ["numpy.random:bit_generator"]),
+    ("from numpy.random import Philox", []),
+    ("import numpy.random", []),
+])
+def test_bit_generator_guard_finds_every_form(source, expected):
+    assert bit_generator_imports(source) == expected
 
 
 def imported_names(source: str, module: str) -> set[str]:
