@@ -128,15 +128,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _simulate(problem, config):
-    """(series, EXIT_OK) from simulate_ensemble, or (None, the exit code of its error)."""
+    """simulate_ensemble's series, or None once its error is printed as a numerical failure."""
     try:
-        return ensemble.simulate_ensemble(problem, config), EXIT_OK
-    except ensemble.WorkerCountError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_USAGE
-    except (RuntimeError, ValueError) as exc:
+        return ensemble.simulate_ensemble(problem, config)
+    except (MemoryError, RuntimeError, ValueError) as exc:  # MemoryError: a run too large to hold
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return None, EXIT_NUMERICAL
+        return None
 
 
 def _cmd_simulate(args) -> int:
@@ -169,9 +166,9 @@ def _cmd_simulate(args) -> int:
         print(f"error: --out-dir: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    series, code = _simulate(problem, config)
+    series = _simulate(problem, config)
     if series is None:
-        return code
+        return EXIT_NUMERICAL
 
     prefix = spec.prefix or f"{spec.problem}_{spec.scheme}_seed{spec.seed}"
     csv_path = out_dir / f"{prefix}.csv"
@@ -327,9 +324,9 @@ def _cmd_counterexample(args) -> int:
     invariant_ok = bool(np.all(margins >= 0.0))
     print(f"induction invariant b_k >= ((1+k dt)/dt)^0.5 (k+2): {'holds' if invariant_ok else 'VIOLATED'}")
 
-    series, code = _simulate(problem, config)
+    series = _simulate(problem, config)
     if series is None:
-        return code
+        return EXIT_NUMERICAL
     frac = series.blown_up[-1] / config.num_paths
     print(
         f"companion ensemble (explicit scheme, {config.num_paths} paths, x0={x0}): "

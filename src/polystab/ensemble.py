@@ -3,10 +3,10 @@
 Reproducibility contract: the Brownian increment consumed by path p at step k
 is a pure function of (seed, p, k), produced by a counter-based generator
 (Philox keyed on (seed, path), counter = step, one block per step, inverse-CDF
-normal). Path trajectories therefore never depend on evaluation order, worker
+normal). Path trajectories therefore never depend on evaluation order, thread
 count, or how paths are chunked, and the checkpoint reduction is a fixed-order
 pairwise sum over path-id-ordered arrays — two runs of the same SimConfig are
-byte-identical at any worker count.
+byte-identical at any thread count.
 
 Paths run in fixed chunks of 4096. A chunk draws its normals in step blocks of
 at most 2**20 values into one step-major buffer (one contiguous row of path
@@ -21,8 +21,10 @@ while no path of it is frozen, and after that on the live paths only, so a
 frozen path is never stepped again. Once every path of a chunk is frozen,
 the chunk writes their squared norms into its remaining checkpoints and
 ends, drawing no more noise. Chunk, step-block and scratch sizes are module
-constants and never depend on the worker count; workers only decide which
-thread runs a chunk.
+constants and never depend on the thread count; threads only decide where a
+chunk runs. A run uses min(usable CPUs, chunks) threads, the usable CPUs
+being those of the process's affinity mask, and runs its chunks in order on
+the calling thread when that is 1; taskset is how to cap the count.
 
 A run keeps one float array, the squared norm of every path at every
 checkpoint; each chunk writes its own columns of it. Per path a chunk also
@@ -67,7 +69,6 @@ __all__ = [
     "brownian_increment",
     "simulate_ensemble",
     "CSV_HEADER",
-    "WorkerCountError",
 ]
 
 _KERNELS = {"em": em_step_batch, "bem": bem_step_batch}
@@ -75,7 +76,7 @@ SCHEMES = tuple(_KERNELS)
 CSV_HEADER = "k,t,mean_square,std_error,surviving,blown_up"
 
 _MASK64 = (1 << 64) - 1
-_CHUNK_PATHS = 4096  # fixed: chunking must not depend on worker count
+_CHUNK_PATHS = 4096  # fixed: chunking must not depend on the thread count
 _BLOCK_NORMALS = 2**20  # normals per step block of a chunk: steps = this // paths
 _SCRATCH_WORDS = 2**14  # raw words per grouped normal transform: rows = this // steps
 
@@ -229,7 +230,6 @@ class MomentSeries:
     """
 
     problem_label: str
-    scheme: str
     config: SimConfig | None
     step_index: np.ndarray
     time: np.ndarray
@@ -301,7 +301,6 @@ class MomentSeries:
         cols = list(zip(*rows)) if rows else [[], [], [], [], [], []]
         return cls(
             problem_label="",
-            scheme="",
             config=None,
             step_index=np.asarray(cols[0], dtype=int),
             time=np.asarray(cols[1], dtype=float),
@@ -334,28 +333,11 @@ def _row_fault(row, prev):
     return ""
 
 
-class WorkerCountError(ValueError):
-    """The worker count (argument or POLYSTAB_THREADS) is not a positive integer."""
-
-
-def _resolve_workers(workers) -> int:
-    """workers, an integer >= 1 (not a bool or a float); else POLYSTAB_THREADS; else 1."""
-    if workers is not None:
-        try:
-            return integer("workers", workers, 1)
-        except ValueError:
-            raise WorkerCountError(f"worker count must be an integer >= 1, got {workers!r}") from None
-    env = os.environ.get("POLYSTAB_THREADS", "").strip()
-    if not env:
-        return 1
-    error = WorkerCountError(f"POLYSTAB_THREADS must be an integer >= 1, got {env!r}")
-    try:
-        n = int(env)
-    except ValueError:
-        raise error from None
-    if n < 1:
-        raise error
-    return n
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _squared_norms(x):
@@ -460,18 +442,16 @@ def _mean_of_sum(values, n):
     return mean
 
 
-def simulate_ensemble(
-    problem: SdeProblem,
-    config: SimConfig,
-    workers: int | None = None,
-) -> MomentSeries:
+def simulate_ensemble(problem: SdeProblem, config: SimConfig) -> MomentSeries:
     """Run the ensemble and reduce to a MomentSeries.
 
     Blown-up (and the rare solver-failed) paths freeze and leave the surviving
     set; statistics at each checkpoint are over survivors, with counts
     reported alongside. Solver failures above 1% of paths abort the run.
-    Worker count (argument, else POLYSTAB_THREADS, else 1) never affects the
-    result.
+    The 4096-path chunks run on min(usable CPUs, chunks) threads, the usable
+    CPUs being those of the process's affinity mask; the thread count never
+    affects the result. A run whose arrays numpy cannot allocate raises
+    MemoryError before any path is stepped.
     """
     x0 = np.asarray(config.initial_value, dtype=float)
     if x0.shape != (problem.dimension,):
@@ -482,27 +462,27 @@ def simulate_ensemble(
     if config.scheme == "bem":
         check_implicit_dt(problem, config.dt)
         check_decay_dt(problem, config.dt)
-    workers = _resolve_workers(workers)
     kernel = _KERNELS[config.scheme]
 
     n_paths = config.num_paths
-    bounds = [(lo, min(lo + _CHUNK_PATHS, n_paths)) for lo in range(0, n_paths, _CHUNK_PATHS)]
     n_ck = len(config.checkpoints)
     sq = np.empty((n_ck, n_paths))
     gone_from = np.empty(n_paths, dtype=int)  # frozen at checkpoint i iff gone_from <= i
     failed = np.empty(n_paths, dtype=bool)
+    starts = range(0, n_paths, _CHUNK_PATHS)
 
-    def run(bound):
-        lo, hi = bound
+    def run(lo):
+        hi = min(lo + _CHUNK_PATHS, n_paths)
         _, gone_from[lo:hi], failed[lo:hi] = _simulate_chunk(
             kernel, problem, config, lo, hi, out=sq[:, lo:hi])
 
-    if workers == 1 or len(bounds) == 1:
-        for bound in bounds:
-            run(bound)
+    threads = min(_usable_cpus(), len(starts))
+    if threads == 1:
+        for lo in starts:
+            run(lo)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, bounds))  # reading each result raises its error
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(run, starts))  # reading each result raises its error
 
     n_failed = int(np.sum(failed))
     if n_failed > 0:
@@ -557,7 +537,6 @@ def simulate_ensemble(
     ks = np.asarray(config.checkpoints, dtype=int)
     return MomentSeries(
         problem_label=problem.label,
-        scheme=config.scheme,
         config=config,
         step_index=ks,
         time=ks * config.dt,

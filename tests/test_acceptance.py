@@ -16,6 +16,7 @@ from polystab.analysis import (
     estimate_decay_exponent,
     verify_proof_bounds,
 )
+from polystab import ensemble
 from polystab.cli import main as cli_main
 from polystab.ensemble import SimConfig, simulate_ensemble
 from polystab.gamma import verify_product_identity, verify_ratio_signs
@@ -262,44 +263,43 @@ def test_criterion_8_implicit_solver_residuals_and_agreement():
     )
 
 
-def test_criterion_9_reproducibility_across_workers(tmp_path, monkeypatch):
-    outputs = {}
-    for workers in (1, 4, 16):
-        out_dir = tmp_path / f"w{workers}"
-        monkeypatch.setenv("POLYSTAB_THREADS", str(workers))
-        code = cli_main([
-            "simulate", "--problem", "linear", "--scheme", "em", "--dt", "0.1",
-            "--steps", "3000", "--paths", "700", "--seed", "99",
-            "--out-dir", str(out_dir), "--prefix", "run",
-        ])
-        assert code == 0
-        outputs[workers] = (
-            (out_dir / "run.csv").read_bytes(),
-            (out_dir / "run_config.json").read_bytes(),
-        )
-    ok = outputs[1] == outputs[4] == outputs[16]
-    report(
-        "9", ok,
-        "byte-identical CSV and config JSON for the same spec at 1, 4, and 16 workers",
-    )
-    assert ok
+# SHA-256 of criterion 9's CSV and config JSON, recorded before the EM step
+# loop and the noise transform were restructured
+CRITERION_9_SHA256 = [
+    "1846f4ec81bc9efcf637650364b63d3673036d4a5667b336fdcaf78fad863398",
+    "8db787337946a15773735d1a1b4354d299912947978883ded85e2ab5cd1b8731",
+]
 
 
-def test_criterion_9_bytes_pinned(tmp_path, monkeypatch):
-    # SHA-256 of criterion 9's CSV and config JSON, recorded before the EM
-    # step loop and the noise transform were restructured
-    monkeypatch.delenv("POLYSTAB_THREADS", raising=False)
+def criterion_9_digests(out_dir):
     code = cli_main([
         "simulate", "--problem", "linear", "--scheme", "em", "--dt", "0.1",
         "--steps", "3000", "--paths", "700", "--seed", "99",
-        "--out-dir", str(tmp_path), "--prefix", "run",
+        "--out-dir", str(out_dir), "--prefix", "run",
     ])
     assert code == 0
-    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in ("run.csv", "run_config.json")]
-    ok = digests == [
-        "1846f4ec81bc9efcf637650364b63d3673036d4a5667b336fdcaf78fad863398",
-        "8db787337946a15773735d1a1b4354d299912947978883ded85e2ab5cd1b8731",
-    ]
+    return [hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in ("run.csv", "run_config.json")]
+
+
+def test_criterion_9_reproducibility_across_workers(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(ensemble, "_CHUNK_PATHS", 200)  # four chunks
+    outputs, threads = {}, {}
+    for n in (1, 4, 16):
+        cpus.use(n)
+        outputs[n] = criterion_9_digests(tmp_path / f"cpus{n}")
+        threads[n] = len(cpus.idents)
+    ok = outputs[1] == outputs[4] == outputs[16] == CRITERION_9_SHA256
+    report(
+        "9", ok,
+        f"CSV and config JSON bytes equal their pinned SHA-256 on 1, 4 and 16 CPUs "
+        f"(chunks ran on {threads[1]}, {threads[4]} and {threads[16]} threads)",
+    )
+    assert ok
+    assert threads[1] == 1 and threads[4] > 1 and threads[16] > 1
+
+
+def test_criterion_9_bytes_pinned(tmp_path):
+    ok = criterion_9_digests(tmp_path) == CRITERION_9_SHA256
     report("9", ok, "CSV and config JSON bytes equal their pinned SHA-256")
     assert ok

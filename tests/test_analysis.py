@@ -35,7 +35,7 @@ def synthetic_series(t, m2, se=None, blown=None, n_paths=1000, dt=None):
         dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
     k = np.round(t / dt).astype(int)
     return MomentSeries(
-        problem_label="synthetic", scheme="em", config=None,
+        problem_label="synthetic", config=None,
         step_index=k, time=t, mean_square=m2, std_error=se,
         surviving=np.full(len(t), n_paths, dtype=int) - blown, blown_up=blown,
         capped_mean_abs=np.sqrt(m2),

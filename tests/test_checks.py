@@ -143,7 +143,7 @@ def test_reals_refuses(value, minimum, message):
 def moment_series(time):
     n = len(time)
     return MomentSeries(
-        problem_label="s", scheme="em", config=None, step_index=np.arange(n), time=time,
+        problem_label="s", config=None, step_index=np.arange(n), time=time,
         mean_square=np.ones(n), std_error=np.zeros(n), surviving=np.ones(n, dtype=int),
         blown_up=np.zeros(n, dtype=int), capped_mean_abs=np.ones(n),
     )

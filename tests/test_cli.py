@@ -1,12 +1,17 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import polystab
 import polystab.analysis
 from polystab import problems
 from polystab.analysis import BoundFamilyResult, ProofBoundReport
@@ -90,14 +95,6 @@ class TestSimulate:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_threads_env_is_usage_error(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("POLYSTAB_THREADS", value)
-        assert run(self.SMALL_RUN + ["--out-dir", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "POLYSTAB_THREADS" in err
-        assert "numerical failure" not in err
 
     @pytest.mark.parametrize("count", ["1", "0"])
     def test_checkpoint_count_below_two_is_usage_error(self, tmp_path, capsys, count):
@@ -545,6 +542,34 @@ class TestCounterexample:
 
     def test_unknown_command_usage(self):
         assert run(["frobnicate"]) == 1
+
+
+# The child limits its address space to 2 GiB before it imports numpy, so a
+# run that grows its memory chunk by chunk ends there in a MemoryError rather
+# than taking the machine's memory; the timeout ends a run that hangs.
+LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+from polystab.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS as Linux applies it")
+@pytest.mark.parametrize("command", [
+    ["simulate", "--problem", "linear", "--scheme", "em", "--dt", "0.1", "--steps", "10"],
+    ["counterexample", "--dt", "0.1"],
+], ids=lambda command: command[0])
+def test_run_too_large_to_allocate_is_one_line(tmp_path, command):
+    # 1e14 paths need petabytes for their checkpoint norms alone
+    src = str(Path(polystab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, *command, "--paths", "100000000000000", "--seed", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
 
 
 # Strings hold no path separator or dot, so no drawn out_dir or prefix leaves

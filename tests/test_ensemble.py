@@ -3,9 +3,11 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import platform
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -22,9 +24,7 @@ from polystab.ensemble import (
     CSV_HEADER,
     MomentSeries,
     SimConfig,
-    WorkerCountError,
     _fill_standard_normals,
-    _resolve_workers,
     _simulate_chunk,
     _standard_normal_block,
     brownian_increment,
@@ -274,8 +274,8 @@ class TestChunkBoundaries:
     CONFIG = SimConfig(dt=0.1, num_steps=1100, num_paths=2100, seed=5, scheme="em",
                        initial_value=(1.0,))
 
-    def csv_text(self, workers):
-        return simulate_ensemble(linear_example(), self.CONFIG, workers=workers).to_csv_text()
+    def csv_text(self):
+        return simulate_ensemble(linear_example(), self.CONFIG).to_csv_text()
 
     def test_config_crosses_chunks_and_step_blocks(self):
         # the configs pinned at the real chunk and step-block sizes
@@ -284,15 +284,19 @@ class TestChunkBoundaries:
             assert cfg.num_steps > ensemble._BLOCK_NORMALS // ensemble._CHUNK_PATHS
         assert TestChunkBlowUpBytes.CONFIG.num_paths > 2 * ensemble._CHUNK_PATHS
 
-    def test_csv_bytes_at_one_and_three_workers(self):
-        text = self.csv_text(1)
+    def test_csv_bytes_at_one_and_three_workers(self, monkeypatch, cpus):
+        text = self.csv_text()  # one chunk
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CSV_SHA256
-        assert self.csv_text(3) == text
+        monkeypatch.setattr(ensemble, "_CHUNK_PATHS", 300)  # seven chunks
+        for n in (1, 3, 16):
+            cpus.use(n)
+            assert self.csv_text() == text
+            assert (len(cpus.idents) > 1) == (n > 1)
 
     def test_csv_bytes_with_small_chunks_and_blocks(self, monkeypatch):
         monkeypatch.setattr(ensemble, "_CHUNK_PATHS", 300)
         monkeypatch.setattr(ensemble, "_BLOCK_NORMALS", 300 * 97)
-        text = self.csv_text(3)
+        text = self.csv_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CSV_SHA256
 
 
@@ -350,11 +354,12 @@ class TestPartialBlowUpBytes:
     CONFIG = SimConfig(dt=0.1, num_steps=40, num_paths=700, seed=8, scheme="em",
                        initial_value=(4.2,), checkpoints=tuple(range(41)))
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_bytes_pinned(self, monkeypatch, workers):
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bytes_pinned(self, monkeypatch, cpus, n):
         monkeypatch.setattr(ensemble, "_CHUNK_PATHS", 200)
         monkeypatch.setattr(ensemble, "_BLOCK_NORMALS", 200 * 7)
-        series = simulate_ensemble(cubic_counterexample(), self.CONFIG, workers=workers)
+        cpus.use(n)
+        series = simulate_ensemble(cubic_counterexample(), self.CONFIG)
         assert 0 < series.blown_up[-1] < self.CONFIG.num_paths
         first = np.flatnonzero(np.diff(series.blown_up)) + 1
         assert {5, 6, 8, 9} <= set(first.tolist())  # blow-ups inside a block
@@ -374,11 +379,12 @@ class TestAllFrozenBytes:
     CONFIG = SimConfig(dt=0.1, num_steps=30, num_paths=500, seed=5, scheme="em",
                        initial_value=(10.0,), checkpoints=tuple(range(31)))
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_bytes_pinned(self, monkeypatch, workers):
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bytes_pinned(self, monkeypatch, cpus, n):
         monkeypatch.setattr(ensemble, "_CHUNK_PATHS", 200)
         monkeypatch.setattr(ensemble, "_BLOCK_NORMALS", 200 * 7)
-        series = simulate_ensemble(cubic_counterexample(), self.CONFIG, workers=workers)
+        cpus.use(n)
+        series = simulate_ensemble(cubic_counterexample(), self.CONFIG)
         gone = series.step_index[np.flatnonzero(series.surviving == 0)]
         assert gone[0] == 3 and gone[-1] == self.CONFIG.num_steps
         text = series.to_csv_text()
@@ -386,7 +392,7 @@ class TestAllFrozenBytes:
         capped = np.ascontiguousarray(series.capped_mean_abs, dtype=np.float64)
         assert hashlib.sha256(capped.tobytes()).hexdigest() == self.CAPPED_SHA256
 
-    def test_chunk_ends_once_every_path_is_frozen(self, monkeypatch):
+    def test_chunk_ends_once_every_path_is_frozen(self, monkeypatch, cpus):
         # every path blows up at step 3, in each chunk's first step block, so
         # each chunk fills that block only: 3 fills, not the 13 of all blocks
         monkeypatch.setattr(ensemble, "_CHUNK_PATHS", 200)
@@ -399,6 +405,7 @@ class TestAllFrozenBytes:
             fill(out, seed, path_lo, step0)
 
         monkeypatch.setattr(ensemble, "_fill_standard_normals", counted)
+        cpus.use(1)  # the fills come in chunk order only on one thread
         series = simulate_ensemble(cubic_counterexample(), self.CONFIG)
         assert fills == [(0, 0), (200, 0), (400, 0)]
         assert series.surviving[-1] == 0
@@ -435,12 +442,13 @@ class TestBemScalarBytes:
     CONFIG = SimConfig(dt=0.1, num_steps=30, num_paths=700, seed=12, scheme="bem",
                        initial_value=(1.0,), checkpoints=tuple(range(31)))
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_bytes_pinned(self, monkeypatch, workers):
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bytes_pinned(self, monkeypatch, cpus, n):
         monkeypatch.setattr(ensemble, "_CHUNK_PATHS", 200)
         monkeypatch.setattr(ensemble, "_BLOCK_NORMALS", 200 * 7)
+        cpus.use(n)
         with pytest.warns(UserWarning, match="2/700 paths failed the implicit solve"):
-            series = simulate_ensemble(bem_example_with_edges(), self.CONFIG, workers=workers)
+            series = simulate_ensemble(bem_example_with_edges(), self.CONFIG)
         assert series.failed_paths == 2 and series.blown_up[-1] == 68
         text = series.to_csv_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CSV_SHA256
@@ -486,9 +494,10 @@ class TestChunkBlowUpBytes:
         return (hashlib.sha256(series.to_csv_text().encode("utf-8")).hexdigest(),
                 hashlib.sha256(capped.tobytes()).hexdigest())
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_em_bytes_pinned(self, workers):
-        series = simulate_ensemble(escape_problem(), self.CONFIG, workers=workers)
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_em_bytes_pinned(self, cpus, n):
+        cpus.use(n)
+        series = simulate_ensemble(escape_problem(), self.CONFIG)
         assert series.blown_up[-1] == 621
         first = series.step_index[np.flatnonzero(series.blown_up)[0]]
         assert first < 256 < self.CONFIG.checkpoints[-1] < self.CONFIG.num_steps
@@ -539,42 +548,48 @@ class TestSimulateEnsemble:
             slack = 4.0 * series.std_error[i]
             assert abs(series.mean_square[i] - exact) <= slack, f"k={series.step_index[i]}"
 
-    def test_reproducible_and_worker_invariant(self):
+    def test_reproducible_and_worker_invariant(self, monkeypatch, cpus):
         cfg = SimConfig(dt=0.1, num_steps=500, num_paths=600, seed=11, scheme="em",
                         initial_value=(1.0,))
         lin = linear_example()
-        s1 = simulate_ensemble(lin, cfg, workers=1)
-        s2 = simulate_ensemble(lin, cfg, workers=1)
-        s3 = simulate_ensemble(lin, cfg, workers=3)
-        s4 = simulate_ensemble(lin, cfg, workers=16)
+        monkeypatch.setattr(ensemble, "_CHUNK_PATHS", 100)  # six chunks
+        runs = []
+        for n in (1, 1, 4, 16):
+            cpus.use(n)
+            runs.append(simulate_ensemble(lin, cfg))
+            assert (len(cpus.idents) > 1) == (n > 1)
+        s1, s2, s3, s4 = runs
         assert s1.to_csv_text() == s2.to_csv_text() == s3.to_csv_text() == s4.to_csv_text()
         np.testing.assert_array_equal(s1.mean_square, s4.mean_square)
         np.testing.assert_array_equal(s1.capped_mean_abs, s4.capped_mean_abs)
 
-    def test_workers_from_env(self, monkeypatch):
-        monkeypatch.setenv("POLYSTAB_THREADS", "5")
-        assert _resolve_workers(None) == 5
-        monkeypatch.delenv("POLYSTAB_THREADS")
-        assert _resolve_workers(None) == 1
-        with pytest.raises(ValueError):
-            _resolve_workers(0)
+    @pytest.mark.parametrize("n,chunks,pool", [(1, 3, None), (2, 3, 2), (16, 3, 3), (4, 1, None)])
+    def test_thread_count_is_cpus_up_to_chunks(self, monkeypatch, cpus, n, chunks, pool):
+        pools = []
+        executor = ensemble.ThreadPoolExecutor
 
-    @pytest.mark.parametrize("value", [2.5, True, 0, np.float64(3.0), "3"])
-    def test_bad_workers_argument(self, value):
-        # a fractional or bool count is refused, not truncated to an int
-        config = SimConfig(dt=0.1, num_steps=5, num_paths=2, seed=1, scheme="em",
-                           initial_value=(1.0,))
-        with pytest.raises(WorkerCountError, match="worker count must be an integer >= 1"):
-            simulate_ensemble(linear_example(), config, workers=value)
+        def spy(max_workers):
+            pools.append(max_workers)
+            return executor(max_workers=max_workers)
 
-    def test_numpy_integer_workers_accepted(self):
-        assert _resolve_workers(np.int64(3)) == 3
+        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", spy)
+        monkeypatch.setattr(ensemble, "_CHUNK_PATHS", 100)
+        cfg = SimConfig(dt=0.1, num_steps=20, num_paths=100 * chunks - 50, seed=2, scheme="em",
+                        initial_value=(1.0,))
+        cpus.use(n)
+        simulate_ensemble(linear_example(), cfg)
+        assert pools == ([] if pool is None else [pool])
+        if pool is None:  # the chunks ran in order on the calling thread
+            assert cpus.idents == {threading.get_ident()}
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_bad_workers_env(self, monkeypatch, value):
-        monkeypatch.setenv("POLYSTAB_THREADS", value)
-        with pytest.raises(WorkerCountError, match="POLYSTAB_THREADS"):
-            _resolve_workers(None)
+    def test_usable_cpus_are_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert ensemble._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert ensemble._usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown
+        assert ensemble._usable_cpus() == 1
 
     def test_cap_whose_square_overflows(self):
         # 1e200**2 overflows a float; the run must match a cap nothing reaches

@@ -15,7 +15,9 @@ place: only solve_implicit_batch refers to the two private solvers, and no
 integrator takes a solver config. Every scheme is one entry of the
 ensemble's kernel table, and every kernel in it keeps one step contract,
 kernel(problem, x, t, t_next, dt, db) -> (x_new, ok), so the chunk loop
-holds no code for any one scheme.
+holds no code for any one scheme. No module reads the environment, and
+simulate_ensemble takes the problem and its config and nothing else: the
+thread count comes from the CPUs the process may use, not from a setting.
 """
 
 import ast
@@ -386,3 +388,67 @@ def test_chunk_loop_has_no_per_scheme_code():
 ])
 def test_scheme_guard_flags_a_branch_or_a_lookup(source, expected):
     assert per_scheme_code(source, "_simulate_chunk") == expected
+
+
+ENVIRONMENT_NAMES = ("environ", "getenv")
+
+
+def environment_reads(source: str) -> list[str]:
+    """Each read of os.environ or os.getenv in source, as "os.name", in whichever form."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
+            found.append(f"os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [f"os.{a.name}" for a in node.names if a.name in ENVIRONMENT_NAMES]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("import os\nn = os.environ.get('N', '1')", ["os.environ"]),
+    ("import os\nn = os.environ['N']", ["os.environ"]),
+    ("import os as o\nn = o.getenv('N')", ["os.getenv"]),
+    ("from os import environ, getenv as g\n", ["os.environ", "os.getenv"]),
+    ("import os\nn = len(os.sched_getaffinity(0))", []),
+])
+def test_environment_guard_finds_every_form(source, expected):
+    assert environment_reads(source) == expected
+
+
+def parameter_names(source: str, function: str) -> list[str] | None:
+    """The parameters of the def named function, starred ones with * or **; None if absent."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == function:
+            args = node.args
+            names = [a.arg for a in (*args.posonlyargs, *args.args)]
+            if args.vararg:
+                names.append(f"*{args.vararg.arg}")
+            names += [a.arg for a in args.kwonlyargs]
+            if args.kwarg:
+                names.append(f"**{args.kwarg.arg}")
+            return names
+    return None
+
+
+def test_simulate_ensemble_takes_only_the_problem_and_its_config():
+    source = (SRC / "ensemble.py").read_text(encoding="utf-8")
+    assert parameter_names(source, "simulate_ensemble") == ["problem", "config"]
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("def simulate_ensemble(problem, config):\n    pass", ["problem", "config"]),
+    ("def simulate_ensemble(problem, config, workers=None):\n    pass",
+     ["problem", "config", "workers"]),
+    ("def simulate_ensemble(problem, config, *, threads):\n    pass",
+     ["problem", "config", "threads"]),
+    ("def simulate_ensemble(problem, config, *args, **options):\n    pass",
+     ["problem", "config", "*args", "**options"]),
+    ("def simulate(problem, config, workers):\n    pass", None),
+])
+def test_parameter_guard_reads_every_kind(source, expected):
+    assert parameter_names(source, "simulate_ensemble") == expected
