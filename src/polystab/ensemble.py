@@ -24,7 +24,9 @@ ends, drawing no more noise. Chunk, step-block and scratch sizes are module
 constants and never depend on the thread count; threads only decide where a
 chunk runs. A run uses min(usable CPUs, chunks) threads, the usable CPUs
 being those of the process's affinity mask, and runs its chunks in order on
-the calling thread when that is 1; taskset is how to cap the count.
+the calling thread when that is 1. A cgroup CPU quota is not read: taskset
+is how to cap the count. Each running chunk holds its own step block of
+noise, so peak memory grows by one block per thread.
 
 A run keeps one float array, the squared norm of every path at every
 checkpoint; each chunk writes its own columns of it. Per path a chunk also
@@ -449,8 +451,9 @@ def simulate_ensemble(problem: SdeProblem, config: SimConfig) -> MomentSeries:
     set; statistics at each checkpoint are over survivors, with counts
     reported alongside. Solver failures above 1% of paths abort the run.
     The 4096-path chunks run on min(usable CPUs, chunks) threads, the usable
-    CPUs being those of the process's affinity mask; the thread count never
-    affects the result. A run whose arrays numpy cannot allocate raises
+    CPUs being those of the process's affinity mask, not of a cgroup quota;
+    the thread count never affects the result, only peak memory (one noise
+    block per thread). A run whose arrays numpy cannot allocate raises
     MemoryError before any path is stepped.
     """
     x0 = np.asarray(config.initial_value, dtype=float)

@@ -510,11 +510,14 @@ class TestChunkBlowUpBytes:
         assert self.digests(series) == (self.BEM_CSV_SHA256, self.BEM_CAPPED_SHA256)
 
 
-def test_every_step_run_keeps_one_checkpoint_array():
-    # the squared norms of every path at every checkpoint are the one array a
-    # run must hold; frozen masks and capped norms are derived from them
-    cfg = SimConfig(dt=0.01, num_steps=100, num_paths=16_000, seed=3, scheme="em",
-                    initial_value=(1.0,), checkpoints=tuple(range(101)))
+EVERY_STEP_RUN = SimConfig(dt=0.01, num_steps=100, num_paths=16_000, seed=3, scheme="em",
+                           initial_value=(1.0,), checkpoints=tuple(range(101)))
+
+
+def every_step_run_peak():
+    """The run's series, the tracemalloc peak of the run, its squared-norm bytes
+    and one chunk's noise-block bytes."""
+    cfg = EVERY_STEP_RUN
     sq_bytes = 101 * 16_000 * 8
     steps_per_block = ensemble._BLOCK_NORMALS // ensemble._CHUNK_PATHS
     noise_bytes = min(steps_per_block, 100) * ensemble._CHUNK_PATHS * 8
@@ -525,7 +528,24 @@ def test_every_step_run_keeps_one_checkpoint_array():
     finally:
         tracemalloc.stop()
     assert np.all(series.surviving == cfg.num_paths)
+    return peak, sq_bytes, noise_bytes
+
+
+def test_every_step_run_keeps_one_checkpoint_array(cpus):
+    # the squared norms of every path at every checkpoint are the one array a
+    # run must hold; frozen masks and capped norms are derived from them
+    cpus.use(1)
+    peak, sq_bytes, noise_bytes = every_step_run_peak()
     assert peak < 1.5 * sq_bytes + noise_bytes, (peak, sq_bytes, noise_bytes)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_each_thread_adds_one_noise_block(cpus, n):
+    # four chunks on n threads: each running chunk holds its own noise block
+    cpus.use(n)
+    peak, sq_bytes, noise_bytes = every_step_run_peak()
+    assert len(cpus.idents) > 1
+    assert peak < 1.5 * sq_bytes + n * noise_bytes, (peak, sq_bytes, noise_bytes)
 
 
 class TestSimulateEnsemble:
