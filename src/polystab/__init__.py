@@ -10,7 +10,6 @@ are built from.
 from .analysis import (
     DecayEstimate,
     LowerBoundSequence,
-    ProofBoundReport,
     RecurrenceCheckResult,
     bem_envelope,
     counterexample_lower_bound,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DecayEstimate",
     "LowerBoundSequence",
-    "ProofBoundReport",
     "RecurrenceCheckResult",
     "bem_envelope",
     "counterexample_lower_bound",

@@ -16,8 +16,8 @@ r = 0), which gives the tightest implementable constants. Each envelope
 rests on an initial-term and a sum-term gamma-ratio inequality; the initial
 term is the sum term at its boundary index (r = -1 explicit, r = 0
 semi-implicit), so each scheme has one log-margin function, verified on
-grids as four families. The cubic counterexample's divergence recursion is
-included with its induction invariant.
+grids as four families, each reported as a checks.ConditionCheck. The cubic
+counterexample's divergence recursion is included with its induction invariant.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .checks import integer, positive_real, real, reals
+from .checks import ConditionCheck, integer, positive_real, real, reals
 from .ensemble import MomentSeries
 from .gamma import log_gamma_ratio
 
@@ -45,8 +45,6 @@ __all__ = [
     "counterexample_lower_bound",
     "em_sum_term_log_margin",
     "bem_sum_term_log_margin",
-    "BoundFamilyResult",
-    "ProofBoundReport",
     "verify_proof_bounds",
     "PROOF_BOUNDS_MAX_K",
 ]
@@ -359,38 +357,11 @@ def bem_sum_term_log_margin(k, r, dt, k1):
     return rhs - lhs
 
 
-@dataclass(frozen=True)
-class BoundFamilyResult:
-    name: str
-    worst_margin: float
-    worst_point: tuple
-    n_points: int
-
-
-@dataclass(frozen=True)
-class ProofBoundReport:
-    families: tuple[BoundFamilyResult, ...]
-    slack: float
-
-    @property
-    def all_passed(self) -> bool:
-        return all(f.worst_margin >= -self.slack for f in self.families)
-
-    def summary(self) -> str:
-        lines = ["gamma-ratio bound verification (log-space margins, >= 0 expected):"]
-        for f in self.families:
-            status = "pass" if f.worst_margin >= -self.slack else "FAIL"
-            lines.append(
-                f"  {f.name:<24s} {status}  worst margin {f.worst_margin:+.3e} "
-                f"at {f.worst_point}  ({f.n_points} points)"
-            )
-        return "\n".join(lines)
-
-
-def verify_proof_bounds(k_max: int = 200) -> ProofBoundReport:
+def verify_proof_bounds(k_max: int = 200) -> tuple[ConditionCheck, ...]:
     """Evaluate all four inequality families on grids k in {2..k_max}, r < k.
 
-    The initial-term families are the sum terms at r = -1 (explicit) and
+    Returns one checks.ConditionCheck per family, each with its least log
+    margin. The initial-term families are the sum terms at r = -1 (explicit) and
     r = 0 (semi-implicit) over k alone, so their worst points read (k, dt,
     K1). The other axes are fixed: every dt in _PROOF_DTS with every K1 in
     _PROOF_K1S, for all four families (each K1 there meets the explicit
@@ -413,18 +384,16 @@ def verify_proof_bounds(k_max: int = 200) -> ProofBoundReport:
     )
     results = []
     for name, margin_fn, index_arrays in families:
-        worst_margin, worst_point, total = np.inf, None, 0
+        worst, total = [], 0  # worst: each (dt, K1) block's least margin and its point
         for dt in _PROOF_DTS:
             for k1 in _PROOF_K1S:
                 m = margin_fn(*index_arrays, dt, k1)
                 total += int(m.size)
                 i = int(np.argmin(m))
-                if m[i] < worst_margin:
-                    worst_margin = float(m[i])
-                    worst_point = tuple(int(arr[i]) for arr in index_arrays) + (dt, k1)
-        results.append(
-            BoundFamilyResult(
-                name=name, worst_margin=worst_margin, worst_point=worst_point, n_points=total
-            )
-        )
-    return ProofBoundReport(families=tuple(results), slack=_PROOF_SLACK)
+                worst.append((float(m[i]), tuple(int(arr[i]) for arr in index_arrays) + (dt, k1)))
+        margin, point = worst[int(np.argmin([w[0] for w in worst]))]
+        results.append(ConditionCheck(
+            name=name, rule=f">= {-_PROOF_SLACK:g}", worst_margin=margin, worst_point=point,
+            samples=total, passed=margin >= -_PROOF_SLACK,
+        ))
+    return tuple(results)

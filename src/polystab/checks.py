@@ -1,4 +1,4 @@
-"""The integer and real-number preconditions, each defined once.
+"""The integer and real-number preconditions, and the one record of a sampled check.
 
 Step indices, counts, path ids and seeds are integers; step sizes and the
 constants a problem claims are finite positive reals; a fit's K1 and
@@ -15,15 +15,22 @@ em_step_batch, bem_step_batch, solve_implicit_batch and the ensemble's chunk
 loop, which forms each step's t and t_next from a checked dt, take checked
 values and call none of them; only a lane that Newton leaves unsolved goes
 on to the checked bisect_root_scalar.
+
+Every sampled check (the condition audit, the gamma product identity, the
+ratio/power signs and the four proof-bound families) returns ConditionCheck
+records, which summary renders as one table. A NaN statistic is its check's
+worst sample and fails it: argmax and argmin return the first NaN, and every
+rule's comparison is False on one.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["integer", "real", "positive_real", "reals"]
+__all__ = ["integer", "real", "positive_real", "reals", "ConditionCheck", "summary"]
 
 # concrete types: an isinstance check against the numbers ABCs costs ~4x more
 _INTEGERS = (int, np.integer)
@@ -82,3 +89,30 @@ def reals(name: str, value, minimum: float | None = None) -> np.ndarray:
         at = f" at index {i[0] if len(i) == 1 else i}" if i else ""
         raise ValueError(f"{name} must be {what}, got {float(arr[i])!r}{at}")
     return arr
+
+
+@dataclass(frozen=True)
+class ConditionCheck:
+    """The worst sample of a sampled check: worst_margin is the statistic that
+    rule compares there (a margin, or the identity's relative error)."""
+
+    name: str
+    rule: str
+    worst_margin: float
+    worst_point: tuple
+    samples: int
+    passed: bool
+
+
+def summary(title: str, records) -> str:
+    """title, then one row per record: name, rule, pass or FAIL, worst value, point, samples."""
+    name_width = max(len(r.name) for r in records)
+    rule_width = max(len(r.rule) for r in records)
+    lines = [title]
+    for r in records:
+        lines.append(
+            f"  {r.name:<{name_width}s}  {r.rule:<{rule_width}s}  "
+            f"{'pass' if r.passed else 'FAIL'}  worst {r.worst_margin:+.3e} "
+            f"at {r.worst_point}  ({r.samples} samples)"
+        )
+    return "\n".join(lines)

@@ -256,39 +256,22 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify_gamma(args) -> int:
     try:
-        report = analysis.verify_proof_bounds(k_max=args.k_max)
-        identity = gamma.verify_product_identity(num_samples=args.samples, seed=args.seed)
+        bounds = analysis.verify_proof_bounds(k_max=args.k_max)
+        records = (
+            gamma.verify_product_identity(num_samples=args.samples, seed=args.seed),
+            *gamma.verify_ratio_signs(),
+            *bounds,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    failures = []
-    print(
-        f"product identity: worst relative error {identity.worst_rel_error:.3e} "
-        f"over {identity.samples} samples (tolerance {identity.tolerance:g})"
-    )
-    if not identity.passed:
-        failures.append(f"product identity violated at {identity.worst_params}")
-
-    signs = gamma.verify_ratio_signs()
-    print(
-        f"ratio/power signs: max margin below-one {signs.max_margin_below_one:+.3e} "
-        f"at {signs.worst_point_below}; min margin above-one "
-        f"{signs.min_margin_above_one:+.3e} at {signs.worst_point_above}"
-    )
-    if not signs.passed:
-        failures.append(
-            f"ratio/power sign contract violated at "
-            f"{signs.worst_point_below if signs.max_margin_below_one >= 0 else signs.worst_point_above}"
-        )
-
-    print(report.summary())
-    for fam in report.families:
-        if fam.worst_margin < -report.slack:
-            failures.append(f"{fam.name} bound violated at {fam.worst_point}")
-
-    if failures:
-        for f in failures:
-            print(f"FAIL: {f}", file=sys.stderr)
+    title = "gamma checks (worst relative error or log margin of each, against its rule):"
+    print(checks.summary(title, records))
+    failed = [r for r in records if not r.passed]
+    for r in failed:
+        print(f"FAIL: {r.name}: worst {r.worst_margin:+.3e} at {r.worst_point} "
+              f"(rule {r.rule})", file=sys.stderr)
+    if failed:
         return EXIT_NUMERICAL
     print("all gamma checks passed")
     return EXIT_OK

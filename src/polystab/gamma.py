@@ -8,7 +8,8 @@ polynomial decay rates, so the identity and the companion inequalities
     Gamma(x+eta)/Gamma(x) < x^eta   (0 < eta < 1)
     Gamma(x+eta)/Gamma(x) > x^eta   (eta > 1)
 
-are exposed as tested primitives.
+are exposed as tested primitives. verify_product_identity and
+verify_ratio_signs check them on fixed samples as checks.ConditionCheck records.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import integer, positive_real, real, reals
+from .checks import ConditionCheck, integer, positive_real, real, reals
 
 __all__ = [
     "GammaProductParams",
@@ -192,20 +193,6 @@ def ratio_power_margin(x, eta):
     return out
 
 
-@dataclass(frozen=True)
-class IdentityCheckResult:
-    """Worst-case relative disagreement between the two product routes."""
-
-    samples: int
-    worst_rel_error: float
-    worst_params: GammaProductParams
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.worst_rel_error <= self.tolerance
-
-
 # verify_product_identity's sampling box and pass threshold
 _IDENTITY_MAX_INDEX = 10_000
 _IDENTITY_ALPHA_MAX = 5.0
@@ -213,19 +200,19 @@ _IDENTITY_BETA_MAX = 10.0
 _IDENTITY_TOLERANCE = 1e-10
 
 
-def verify_product_identity(num_samples: int = 1000, seed: int = 20240331) -> IdentityCheckResult:
+def verify_product_identity(num_samples: int = 1000, seed: int = 20240331) -> ConditionCheck:
     """Randomized cross-check of product_via_gamma against product_direct.
 
     The sampling box is fixed: integer 0 <= a <= b <= _IDENTITY_MAX_INDEX,
     alpha in (0, _IDENTITY_ALPHA_MAX], beta in [0, _IDENTITY_BETA_MAX] and
-    delta in (0, 0.99/alpha); the check passes at a worst relative error
+    delta in (0, 0.99/alpha). The record's statistic is the worst relative
+    error, at the point (a, b, alpha, beta, delta); the check passes at
     <= _IDENTITY_TOLERANCE. num_samples must be an integer >= 1, so that
     the check is never vacuous, and seed >= 0.
     """
     num_samples = integer("num_samples", num_samples, 1)
     rng = np.random.default_rng(integer("seed", seed, 0))
-    worst = -1.0
-    worst_params = None
+    errors, points = [], []
     for _ in range(num_samples):
         b = int(rng.integers(0, _IDENTITY_MAX_INDEX + 1))
         a = int(rng.integers(0, b + 1))
@@ -234,16 +221,13 @@ def verify_product_identity(num_samples: int = 1000, seed: int = 20240331) -> Id
         delta = float(rng.uniform(1e-12, 0.99 / alpha))
         params = GammaProductParams(a=a, b=b, alpha=alpha, beta=beta, delta=delta)
         direct = product_direct(params)
-        via = product_via_gamma(params)
-        rel = abs(via - direct) / direct
-        if rel > worst:
-            worst = rel
-            worst_params = params
-    return IdentityCheckResult(
-        samples=num_samples,
-        worst_rel_error=worst,
-        worst_params=worst_params,
-        tolerance=_IDENTITY_TOLERANCE,
+        errors.append(abs(product_via_gamma(params) - direct) / direct)
+        points.append((a, b, alpha, beta, delta))
+    i = int(np.argmax(errors))
+    return ConditionCheck(
+        name="product identity", rule=f"<= {_IDENTITY_TOLERANCE:g}",
+        worst_margin=errors[i], worst_point=points[i], samples=num_samples,
+        passed=errors[i] <= _IDENTITY_TOLERANCE,
     )
 
 
@@ -252,41 +236,26 @@ RATIO_ETA_BELOW_ONE = (0.1, 0.25, 0.5, 0.75, 0.9)
 RATIO_ETA_ABOVE_ONE = (1.1, 1.5, 2.0, 3.7, 5.0)
 
 
-@dataclass(frozen=True)
-class RatioSignResult:
-    """Extremal margins of ratio_power_margin over the verification grid."""
-
-    max_margin_below_one: float  # must be < 0
-    min_margin_above_one: float  # must be > 0
-    worst_point_below: tuple
-    worst_point_above: tuple
-
-    @property
-    def passed(self) -> bool:
-        return self.max_margin_below_one < 0.0 and self.min_margin_above_one > 0.0
-
-
-def verify_ratio_signs() -> RatioSignResult:
-    """Evaluate the ratio/power margin over the sign-contract grid.
+def verify_ratio_signs() -> tuple[ConditionCheck, ConditionCheck]:
+    """The ratio/power margin over the sign-contract grid, as two records.
 
     The grid is fixed: every x in RATIO_X_GRID with every eta in
-    RATIO_ETA_BELOW_ONE (margin < 0 expected) and RATIO_ETA_ABOVE_ONE
-    (margin > 0 expected).
+    RATIO_ETA_BELOW_ONE, whose record has the largest margin and passes
+    at < 0, and with every eta in RATIO_ETA_ABOVE_ONE, whose record has the
+    smallest margin and passes at > 0. Points read (x, eta).
     """
-    max_below, min_above = -np.inf, np.inf
-    at_below = at_above = None
-    for x in RATIO_X_GRID:
-        for eta in RATIO_ETA_BELOW_ONE:
-            m = ratio_power_margin(x, eta)
-            if m > max_below:
-                max_below, at_below = m, (x, eta)
-        for eta in RATIO_ETA_ABOVE_ONE:
-            m = ratio_power_margin(x, eta)
-            if m < min_above:
-                min_above, at_above = m, (x, eta)
-    return RatioSignResult(
-        max_margin_below_one=max_below,
-        min_margin_above_one=min_above,
-        worst_point_below=at_below,
-        worst_point_above=at_above,
+    below = [(x, eta) for x in RATIO_X_GRID for eta in RATIO_ETA_BELOW_ONE]
+    above = [(x, eta) for x in RATIO_X_GRID for eta in RATIO_ETA_ABOVE_ONE]
+    m_below = [ratio_power_margin(x, eta) for x, eta in below]
+    m_above = [ratio_power_margin(x, eta) for x, eta in above]
+    i, j = int(np.argmax(m_below)), int(np.argmin(m_above))
+    return (
+        ConditionCheck(
+            name="ratio/power eta < 1", rule="< 0", worst_margin=m_below[i],
+            worst_point=below[i], samples=len(below), passed=m_below[i] < 0.0,
+        ),
+        ConditionCheck(
+            name="ratio/power eta > 1", rule="> 0", worst_margin=m_above[j],
+            worst_point=above[j], samples=len(above), passed=m_above[j] > 0.0,
+        ),
     )

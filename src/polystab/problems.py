@@ -9,8 +9,9 @@ K1 > 0 and C > 0,
     |g(x,t)|   <= C (1+t)^-K1              (noise envelope)
 
 plus a one-sided Lipschitz bound with constant Kbar. User problems are black
-boxes, so the audit samples state/time grids and reports worst margins; a
-pass is sampling evidence, never a proof.
+boxes, so the audit samples state/time grids and reports each condition's
+worst margin as a checks.ConditionCheck (a NaN one fails); a pass is
+sampling evidence, never a proof.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from typing import Callable
 
 import numpy as np
 
-from .checks import integer, positive_real, real, reals
+from . import checks
+from .checks import ConditionCheck, integer, positive_real, real, reals
 
 __all__ = [
     "SdeProblem",
+    "AUDIT_NOTE",
     "ConditionCheck",
     "ConditionAuditReport",
     "audit_conditions",
@@ -200,21 +203,12 @@ def default_state_grid(dimension: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    worst_margin: float
-    worst_point: tuple
-    samples: int
-    passed: bool
-
-
-@dataclass(frozen=True)
 class ConditionAuditReport:
     """Worst sampled margins for the four structural conditions.
 
     A condition passes iff its margin (LHS - RHS of the inequality) is <= 0,
     up to a relative floating-point slack, at every sampled point. Margins are
-    raw. ``note`` spells out that this is evidence, not proof.
+    raw. The summary's title spells out that this is evidence, not proof.
     """
 
     problem_label: str
@@ -222,7 +216,6 @@ class ConditionAuditReport:
     one_sided_f: ConditionCheck
     linear_growth_g: ConditionCheck
     one_sided_lipschitz: ConditionCheck
-    note: str = AUDIT_NOTE
 
     def checks(self):
         return (
@@ -237,14 +230,8 @@ class ConditionAuditReport:
         return all(c.passed for c in self.checks())
 
     def summary(self) -> str:
-        lines = [f"condition audit for '{self.problem_label}' ({self.note}):"]
-        for c in self.checks():
-            status = "pass" if c.passed else "FAIL"
-            lines.append(
-                f"  {c.name:<22s} {status}  worst margin {c.worst_margin:+.6e} "
-                f"at {c.worst_point}  ({c.samples} samples)"
-            )
-        return "\n".join(lines)
+        title = f"condition audit for '{self.problem_label}' ({AUDIT_NOTE}):"
+        return checks.summary(title, self.checks())
 
 
 def _point(vec) -> tuple:
@@ -268,18 +255,14 @@ def _check(name, margins, slacks, point) -> ConditionCheck:
     """ConditionCheck over the samples in order: per-sample margins and slacks
     as lists of arrays, and point(i) for the point of the i-th sample.
 
-    The worst sample is the first with the largest margin; a NaN margin is
-    never the worst, and with no margin above -inf there is none.
+    The worst sample is the first NaN margin, else the first largest margin;
+    a sample passes at a margin <= its slack, so a NaN one fails.
     """
     margins, slacks = np.concatenate(margins), np.concatenate(slacks)
-    worst_m, worst_pt = -np.inf, None
-    candidates = margins > -np.inf
-    if candidates.any():
-        i = int(np.argmax(np.where(candidates, margins, -np.inf)))
-        worst_m, worst_pt = margins[i], point(i)
+    i = int(np.argmax(margins))
     return ConditionCheck(
-        name=name, worst_margin=worst_m, worst_point=worst_pt,
-        samples=margins.size, passed=not (margins > slacks).any(),
+        name=name, rule=f"<= 0 ({_MARGIN_RTOL:g} rel. slack)", worst_margin=margins[i], worst_point=point(i),
+        samples=margins.size, passed=bool((margins <= slacks).all()),
     )
 
 

@@ -17,6 +17,7 @@ from polystab.analysis import (
     verify_proof_bounds,
 )
 from polystab import ensemble
+from polystab.checks import summary
 from polystab.cli import main as cli_main
 from polystab.ensemble import SimConfig, simulate_ensemble
 from polystab.gamma import verify_product_identity, verify_ratio_signs
@@ -43,33 +44,33 @@ def test_criterion_1_gamma_product_identity():
     report(
         "1", ok,
         f"product identity, {result.samples} random parameter sets: worst relative "
-        f"error {result.worst_rel_error:.3e} (tolerance 1e-10)",
+        f"error {result.worst_margin:.3e} (tolerance 1e-10)",
     )
-    assert ok, f"worst case at {result.worst_params}"
+    assert ok, f"worst case at {result.worst_point}"
 
 
 def test_criterion_2_ratio_power_signs():
-    result = verify_ratio_signs()
-    ok = result.passed
+    below, above = verify_ratio_signs()
+    ok = below.passed and above.passed
     report(
         "2", ok,
         f"ratio/power sign grid (7 x 10): max margin below-one "
-        f"{result.max_margin_below_one:+.3e}, min margin above-one "
-        f"{result.min_margin_above_one:+.3e}",
+        f"{below.worst_margin:+.3e}, min margin above-one "
+        f"{above.worst_margin:+.3e}",
     )
     assert ok
 
 
 def test_criterion_3_proof_estimate_inequalities():
-    grid_report = verify_proof_bounds(k_max=200)
-    ok = grid_report.all_passed
-    worst = min(f.worst_margin for f in grid_report.families)
+    families = verify_proof_bounds(k_max=200)
+    ok = all(f.passed for f in families)
+    worst = min(f.worst_margin for f in families)
     report(
         "3", ok,
         f"gamma-ratio proof inequalities over k<=200, r<k, dt in {{0.05,0.1,0.2}}, "
         f"K1 in {{1,1.5,2,2.7,3}}: worst log-margin {worst:+.3e} (slack 1e-12)",
     )
-    assert ok, grid_report.summary()
+    assert ok, summary("proof bounds", families)
 
 
 def test_criterion_4_linear_benchmark_exact_law():

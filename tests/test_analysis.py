@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polystab import analysis
 from polystab.analysis import (
     PROOF_BOUNDS_MAX_K,
     bem_envelope,
@@ -19,6 +20,7 @@ from polystab.analysis import (
     estimate_decay_exponent,
     verify_proof_bounds,
 )
+from polystab.checks import summary
 from polystab.ensemble import MomentSeries, SimConfig, simulate_ensemble
 from polystab.gamma import GammaProductParams, product_direct
 from polystab.problems import exact_linear_mean_square, linear_example
@@ -337,8 +339,8 @@ class TestLowerBound:
 
 class TestProofBounds:
     def test_all_families_hold_on_acceptance_grid_sample(self):
-        report = verify_proof_bounds(k_max=60)
-        assert report.all_passed, report.summary()
+        families = verify_proof_bounds(k_max=60)
+        assert all(f.passed for f in families), summary("proof bounds", families)
 
     @pytest.mark.parametrize("k_max", [1, 0, -5, 2.0, True])
     def test_k_max_below_two_or_not_an_integer_rejected(self, k_max):
@@ -350,9 +352,22 @@ class TestProofBounds:
         with pytest.raises(ValueError, match=f"k_max must be an integer <= {PROOF_BOUNDS_MAX_K}"):
             verify_proof_bounds(k_max=PROOF_BOUNDS_MAX_K + 1)
 
+    def test_nan_margin_fails_and_is_worst(self, monkeypatch):
+        # NaN at k = 5 for dt = 0.1: both semi-implicit families fail at the
+        # first NaN, in the first (dt, K1) block that has one
+        margin = analysis.bem_sum_term_log_margin
+        monkeypatch.setattr(analysis, "bem_sum_term_log_margin", lambda k, r, dt, k1: np.where(
+            (k == 5) & (dt == 0.1), np.nan, margin(k, r, dt, k1)))
+        em_initial, em_sum, bem_initial, bem_sum = verify_proof_bounds(k_max=6)
+        assert em_initial.passed and em_sum.passed
+        assert bem_initial.worst_point == (5, 0.1, 1.0)
+        assert bem_sum.worst_point == (5, 0, 0.1, 1.0)
+        for record in (bem_initial, bem_sum):
+            assert math.isnan(record.worst_margin) and record.passed is False
+
     def test_smallest_grid(self):
-        report = verify_proof_bounds(k_max=2)
-        assert report.all_passed and [f.n_points for f in report.families] == [15, 30, 15, 30]
+        families = verify_proof_bounds(k_max=2)
+        assert all(f.passed for f in families) and [f.samples for f in families] == [15, 30, 15, 30]
 
     def test_em_sum_margin_against_high_precision(self):
         dt, k1, k, r = 0.1, 2.7, 7, 3

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import polystab
 import polystab.analysis
 from polystab import problems
-from polystab.analysis import BoundFamilyResult, ProofBoundReport
+from polystab.checks import ConditionCheck
 from polystab.cli import ExperimentSpec, main
 from polystab.ensemble import CSV_HEADER, MomentSeries
 
@@ -450,14 +450,17 @@ class TestRoundTrip:
 
 
 VERIFY_GAMMA_STDOUT_300_60 = (
-    "product identity: worst relative error 1.767e-14 over 300 samples (tolerance 1e-10)\n"
-    "ratio/power signs: max margin below-one -4.500e-06 at (10000.0, 0.9); "
-    "min margin above-one +5.500e-06 at (10000.0, 1.1)\n"
-    "gamma-ratio bound verification (log-space margins, >= 0 expected):\n"
-    "  em-initial-term          pass  worst margin +1.026e-01 at (39, 0.05, 1.0)  (885 points)\n"
-    "  em-sum-term              pass  worst margin +2.516e-02 at (60, 59, 0.05, 1.0)  (27435 points)\n"
-    "  bem-initial-term         pass  worst margin +1.477e-01 at (60, 0.05, 1.0)  (885 points)\n"
-    "  bem-sum-term             pass  worst margin +4.923e-02 at (60, 59, 0.05, 1.0)  (27435 points)\n"
+    "gamma checks (worst relative error or log margin of each, against its rule):\n"
+    "  product identity     <= 1e-10   pass  worst +1.767e-14 at "
+    "(7124, 9407, 3.960187289067554, 9.44923096041372, 0.21256858976656534)  (300 samples)\n"
+    "  ratio/power eta < 1  < 0        pass  worst -4.500e-06 at (10000.0, 0.9)  (35 samples)\n"
+    "  ratio/power eta > 1  > 0        pass  worst +5.500e-06 at (10000.0, 1.1)  (35 samples)\n"
+    "  em-initial-term      >= -1e-12  pass  worst +1.026e-01 at (39, 0.05, 1.0)  (885 samples)\n"
+    "  em-sum-term          >= -1e-12  pass  worst +2.516e-02 at (60, 59, 0.05, 1.0)  "
+    "(27435 samples)\n"
+    "  bem-initial-term     >= -1e-12  pass  worst +1.477e-01 at (60, 0.05, 1.0)  (885 samples)\n"
+    "  bem-sum-term         >= -1e-12  pass  worst +4.923e-02 at (60, 59, 0.05, 1.0)  "
+    "(27435 samples)\n"
     "all gamma checks passed\n"
 )
 
@@ -480,20 +483,28 @@ class TestVerifyGamma:
         assert "em-sum-term" in out
 
     def test_violation_reported_with_point(self, monkeypatch, capsys):
-        fake = ProofBoundReport(
-            families=(
-                BoundFamilyResult(
-                    name="em-initial-term", worst_margin=-1.0,
-                    worst_point=(7, 0.1, 2.0), n_points=10,
-                ),
+        fake = (
+            ConditionCheck(
+                name="em-initial-term", rule=">= -1e-12", worst_margin=-1.0,
+                worst_point=(7, 0.1, 2.0), samples=10, passed=False,
             ),
-            slack=1e-12,
         )
         monkeypatch.setattr(polystab.analysis, "verify_proof_bounds", lambda **kw: fake)
         code = run(["verify-gamma", "--samples", "50", "--k-max", "10"])
         assert code == 2
         err = capsys.readouterr().err
         assert "em-initial-term" in err and "(7, 0.1, 2.0)" in err
+
+    def test_every_failing_check_is_named(self, monkeypatch, capsys):
+        # a zero margin breaks both strict sign rules, eta < 1 and eta > 1
+        monkeypatch.setattr(polystab.gamma, "ratio_power_margin", lambda x, eta: 0.0)
+        assert run(["verify-gamma", "--samples", "5", "--k-max", "10"]) == 2
+        captured = capsys.readouterr()
+        fails = [line for line in captured.err.splitlines() if line.startswith("FAIL: ")]
+        assert [line.split(":")[1].strip() for line in fails] == [
+            "ratio/power eta < 1", "ratio/power eta > 1"
+        ]
+        assert captured.out.count(" FAIL ") == 2
 
     def test_k_max_above_the_ceiling_is_usage_error(self, capsys):
         k_max = str(polystab.analysis.PROOF_BOUNDS_MAX_K + 1)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polystab import gamma
 from polystab.gamma import (
     GammaProductParams,
     RATIO_ETA_ABOVE_ONE,
@@ -120,7 +121,7 @@ class TestProducts:
 
     def test_randomized_oracle_equivalence(self):
         result = verify_product_identity(num_samples=1000, seed=123)
-        assert result.passed, f"worst {result.worst_rel_error} at {result.worst_params}"
+        assert result.passed, f"worst {result.worst_margin} at {result.worst_point}"
 
     @pytest.mark.parametrize("kwargs", [
         dict(num_samples=0), dict(num_samples=-3), dict(num_samples=2.0),
@@ -130,6 +131,19 @@ class TestProducts:
         # zero samples would pass vacuously with a worst error of -1
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             verify_product_identity(**kwargs)
+
+    def test_nan_error_fails_and_is_worst(self, monkeypatch):
+        # the third sample's NaN error is worse than any finite one
+        seen = []
+
+        def via_gamma(params):
+            seen.append((params.a, params.b, params.alpha, params.beta, params.delta))
+            return math.nan if len(seen) == 3 else product_direct(params)
+
+        monkeypatch.setattr(gamma, "product_via_gamma", via_gamma)
+        result = verify_product_identity(num_samples=5, seed=1)
+        assert math.isnan(result.worst_margin) and result.passed is False
+        assert result.worst_point == seen[2] and result.samples == 5
 
 
 class TestRatioPowerMargin:
@@ -162,10 +176,21 @@ class TestRatioPowerMargin:
                 assert ratio_power_margin(x, eta) > 0, (x, eta)
 
     def test_verify_helper(self):
-        result = verify_ratio_signs()
-        assert result.passed
-        assert result.max_margin_below_one < 0
-        assert result.min_margin_above_one > 0
+        below, above = verify_ratio_signs()
+        assert below.passed and above.passed
+        assert below.worst_margin < 0
+        assert above.worst_margin > 0
+
+    def test_nan_margin_fails_and_is_worst(self, monkeypatch):
+        # NaN from x = 2 on: each family's first NaN is its worst point
+        margin = gamma.ratio_power_margin
+        monkeypatch.setattr(gamma, "ratio_power_margin",
+                            lambda x, eta: math.nan if x >= 2.0 else margin(x, eta))
+        below, above = verify_ratio_signs()
+        assert below.worst_point == (2.0, RATIO_ETA_BELOW_ONE[0])
+        assert above.worst_point == (2.0, RATIO_ETA_ABOVE_ONE[0])
+        for record in (below, above):
+            assert math.isnan(record.worst_margin) and record.passed is False
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from polystab.problems import (
+    AUDIT_NOTE,
     DEFAULT_AUDIT_TIMES,
     DEFAULT_INITIAL_VALUES,
     ConditionAuditReport,
@@ -211,8 +212,8 @@ class TestAudit:
 
     def test_report_mentions_evidence(self):
         report = audit_conditions(linear_example())
-        assert "not a proof" in report.note
-        assert "not a proof" in report.summary()
+        assert "not a proof" in AUDIT_NOTE
+        assert "not a proof" in report.summary().splitlines()[0]
 
 
 def reference_audit(problem, states=None, times=None, pair_samples=1000, seed=0):
@@ -277,8 +278,8 @@ def reference_audit(problem, states=None, times=None, pair_samples=1000, seed=0)
 
     def check(name, samples):
         worst_m, worst_pt, ok, n = worst(samples)
-        return ConditionCheck(name=name, worst_margin=worst_m, worst_point=worst_pt,
-                              samples=n, passed=ok)
+        return ConditionCheck(name=name, rule=f"<= 0 ({rtol:g} rel. slack)", worst_margin=worst_m,
+                              worst_point=worst_pt, samples=n, passed=ok)
 
     return ConditionAuditReport(
         problem_label=problem.label,
@@ -330,16 +331,20 @@ class TestAuditReference:
         assert repr(report) == repr(
             reference_audit(linear_example(), states=states, times=(1.0, 2.0)))
 
-    def test_nan_margins_are_never_worst(self):
-        # at |x| = 1e200 the norms overflow and the linear-growth margin is
-        # inf - inf = NaN; with only such states nothing is worst
-        for states in ([[1e200], [2.0], [-1e200]], [[1e200], [-1e200]]):
-            with np.errstate(over="ignore", invalid="ignore"):
+    def test_nan_margin_fails_and_is_worst(self):
+        # at |x| = 1e200 the norms and products overflow, so the drift's two
+        # margins and the pairs' margin are inf - inf = NaN: each such check
+        # fails, at its first NaN sample, and the noise envelope still passes
+        for states, first_nan in (([[1e200], [-1e200]], (1e200,)),
+                                  ([[2.0], [-1e200], [1e200]], (-1e200,))):
+            with np.errstate(all="ignore"):
                 report = audit_conditions(linear_example(), states=states, times=(0.0, 1.0))
-                reference = reference_audit(linear_example(), states=states, times=(0.0, 1.0))
-            assert repr(report) == repr(reference)
-        assert report.linear_growth_f.worst_margin == -np.inf
-        assert report.linear_growth_f.worst_point is None
+            for check in (report.linear_growth_f, report.one_sided_f):
+                assert check.passed is False and np.isnan(check.worst_margin), check
+                assert check.worst_point == (0.0, first_nan)
+            osl = report.one_sided_lipschitz
+            assert osl.passed is False and np.isnan(osl.worst_margin) and osl.worst_point[0] == 0.0
+            assert report.linear_growth_g.passed and not report.all_passed
 
 
 def test_default_state_grid_shapes():

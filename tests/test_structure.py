@@ -18,6 +18,9 @@ kernel(problem, x, t, t_next, dt, db) -> (x_new, ok), so the chunk loop
 holds no code for any one scheme. No module reads the environment, and
 simulate_ensemble takes the problem and its config and nothing else: the
 thread count comes from the CPUs the process may use, not from a setting.
+A sampled check reports the one record, checks.ConditionCheck, so no other
+module defines a class with a passed field or property; the recurrence
+check's result, which lists every violation, is the one exception.
 """
 
 import ast
@@ -423,3 +426,41 @@ def test_environment_guard_finds_every_form(source, expected):
 
 def test_simulate_ensemble_takes_only_the_problem_and_its_config():
     assert list(inspect.signature(ensemble.simulate_ensemble).parameters) == ["problem", "config"]
+
+
+def passed_classes(source: str) -> list[str]:
+    """The classes of source that define passed: as a field, an attribute or a method."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, ast.AnnAssign):
+                names = [getattr(item.target, "id", None)]
+            elif isinstance(item, ast.Assign):
+                names = [getattr(t, "id", None) for t in item.targets]
+            else:
+                names = []
+            if "passed" in names:
+                found.append(node.name)
+    return found
+
+
+def test_only_the_check_record_and_the_recurrence_result_have_passed():
+    found = {f"{path.stem}.{name}" for path in MODULES
+             for name in passed_classes(path.read_text(encoding="utf-8"))}
+    assert found == {"checks.ConditionCheck", "analysis.RecurrenceCheckResult"}
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("@dataclass(frozen=True)\nclass R:\n    name: str\n    passed: bool", ["R"]),
+    ("class R:\n    @property\n    def passed(self) -> bool:\n        return True", ["R"]),
+    ("class R:\n    passed = True", ["R"]),
+    ("def f():\n    class Inner:\n        passed: bool = False", ["Inner"]),
+    ("class R:\n    all_passed: bool\n    def passes(self):\n        return self.passed", []),
+    ("passed = True\ndef passed_count(checks):\n    return 0", []),
+])
+def test_passed_guard_finds_every_form(source, expected):
+    assert passed_classes(source) == expected
