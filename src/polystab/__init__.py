@@ -39,7 +39,6 @@ from .integrators import (
     StepContext,
     StepError,
     bem_step_batch,
-    bisect_root_scalar,
     em_step,
     em_step_batch,
     solve_implicit,
@@ -85,7 +84,6 @@ __all__ = [
     "StepContext",
     "StepError",
     "bem_step_batch",
-    "bisect_root_scalar",
     "em_step",
     "em_step_batch",
     "solve_implicit",

@@ -223,7 +223,6 @@ def em_recurrence_bound(
     series: MomentSeries,
     k1: float,
     c: float,
-    dt: float | None = None,
     n_sigma: float = 4.0,
 ) -> RecurrenceCheckResult:
     """Check the one-step moment recurrence between consecutive checkpoints.
@@ -232,21 +231,19 @@ def em_recurrence_bound(
 
         m2[k+1] <= (1 - K1 dt/(1+k dt))^2 m2[k] + C^2 (1+k dt)^{-2K1} dt
 
-    within n_sigma combined standard errors. Non-consecutive pairs, and pairs
-    touched by blow-ups, cannot be checked and are counted as skipped.
-    Requires K1 dt < 1 so the contraction factor stays positive. k1 and an
-    explicit dt must be finite and positive, c and n_sigma finite and >= 0:
-    a NaN one would make every comparison False and pass every pair.
+    within n_sigma combined standard errors, with dt from the series' config
+    (a series without one is refused). Non-consecutive pairs, and pairs
+    touched by blow-ups, cannot be checked and are counted as skipped; a
+    checked pair with a NaN moment or standard error is a violation.
+    Requires K1 dt < 1 so the contraction factor stays positive. k1 must be
+    finite and positive, c and n_sigma finite and >= 0.
     """
     k1 = positive_real("k1", k1)
     c = real("c", c, 0.0)
     n_sigma = real("n_sigma", n_sigma, 0.0)
-    if dt is None:
-        if series.config is None:
-            raise ValueError("series has no config; pass dt explicitly")
-        dt = series.config.dt
-    else:
-        dt = positive_real("dt", dt)
+    if series.config is None:
+        raise ValueError("series has no config, so the step size dt is unknown")
+    dt = series.config.dt
     if not k1 * dt < 1.0:
         raise ValueError(f"need K1*dt < 1, got K1*dt = {k1 * dt}")
     ks = np.asarray(series.step_index, dtype=int)
@@ -264,7 +261,7 @@ def em_recurrence_bound(
         bound = contraction * m2[i] + c**2 * (1.0 + k * dt) ** (-2.0 * k1) * dt
         allowance = n_sigma * math.hypot(se[i + 1], contraction * se[i])
         checked += 1
-        if m2[i + 1] > bound + allowance:
+        if not m2[i + 1] <= bound + allowance:  # False on NaN, so NaN is a violation
             violations.append(
                 RecurrenceViolation(
                     k_from=k, k_to=k + 1, observed=float(m2[i + 1]),

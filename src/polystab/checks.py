@@ -11,10 +11,10 @@ string is not a real there either. All raise ValueError, never TypeError,
 whatever the value's type, and return an int, a float or a float array.
 Relational conditions (x + eta > 0, dt < 1/K1, dt < 1/|Kbar|, a state's
 shape against the problem) stay with the function whose result needs them.
-em_step_batch, bem_step_batch, solve_implicit_batch and the ensemble's chunk
-loop, which forms each step's t and t_next from a checked dt, take checked
-values and call none of them; only a lane that Newton leaves unsolved goes
-on to the checked bisect_root_scalar.
+No step kernel or solver calls a validator: em_step_batch, bem_step_batch,
+solve_implicit_batch, the solvers behind it (the n = 1 bisection fallback
+included) and the ensemble's chunk loop, which forms each step's t and
+t_next from a checked dt, take checked values as they are.
 
 Every sampled check (the condition audit, the gamma product identity, the
 ratio/power signs and the four proof-bound families) returns ConditionCheck

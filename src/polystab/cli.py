@@ -128,12 +128,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _simulate(problem, config):
-    """simulate_ensemble's series, or None once its error is printed as a numerical failure."""
+    """(simulate_ensemble's series, EXIT_OK), or (None, exit code) once its error is printed."""
     try:
-        return ensemble.simulate_ensemble(problem, config)
+        return ensemble.simulate_ensemble(problem, config), EXIT_OK
     except (MemoryError, RuntimeError, ValueError) as exc:  # MemoryError: a run too large to hold
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return None
+        refused = isinstance(exc, ValueError)  # an input the run refuses, such as a BEM dt
+        print(f"{'error' if refused else 'numerical failure'}: {exc}", file=sys.stderr)
+        return None, EXIT_USAGE if refused else EXIT_NUMERICAL
 
 
 def _cmd_simulate(args) -> int:
@@ -166,9 +167,9 @@ def _cmd_simulate(args) -> int:
         print(f"error: --out-dir: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    series = _simulate(problem, config)
+    series, code = _simulate(problem, config)
     if series is None:
-        return EXIT_NUMERICAL
+        return code
 
     prefix = spec.prefix or f"{spec.problem}_{spec.scheme}_seed{spec.seed}"
     csv_path = out_dir / f"{prefix}.csv"
@@ -307,9 +308,9 @@ def _cmd_counterexample(args) -> int:
     invariant_ok = bool(np.all(margins >= 0.0))
     print(f"induction invariant b_k >= ((1+k dt)/dt)^0.5 (k+2): {'holds' if invariant_ok else 'VIOLATED'}")
 
-    series = _simulate(problem, config)
+    series, code = _simulate(problem, config)
     if series is None:
-        return EXIT_NUMERICAL
+        return code
     frac = series.blown_up[-1] / config.num_paths
     print(
         f"companion ensemble (explicit scheme, {config.num_paths} paths, x0={x0}): "

@@ -29,7 +29,7 @@ is how to cap the count. Each running chunk holds its own step block of
 noise, so peak memory grows by one block per thread.
 
 A run keeps one float array, the squared norm of every path at every
-checkpoint; each chunk writes its own columns of it. Per path a chunk also
+checkpoint; a chunk writes only into its own columns of it. Per path it
 returns the first checkpoint at which the path is frozen and whether its
 implicit solve failed. The reduction derives each checkpoint's survivor mask
 and capped norms from these, so no mask or capped array is stored.
@@ -352,19 +352,19 @@ def _squared_norms(x):
 
 
 @np.errstate(all="ignore")  # overflow and NaN in a step are what the norm check is for
-def _simulate_chunk(kernel, problem, config, path_lo, path_hi, out=None):
-    """Evolve paths [path_lo, path_hi); return their squared checkpoint norms.
+def _simulate_chunk(kernel, problem, config, path_lo, path_hi, sq):
+    """Evolve paths [path_lo, path_hi), writing their squared checkpoint norms into sq.
 
-    Returns (sq, gone_from, failed). sq, of shape (n_checkpoints, chunk),
-    holds each path's squared norm at each checkpoint; it is out when given,
-    such as the chunk's column slice of the caller's array. gone_from is the
-    first checkpoint index at which a path is frozen (blown up or
-    solver-failed), n_checkpoints if never, so it is frozen at checkpoint i
-    exactly when gone_from <= i; failed flags the paths whose implicit solve
-    failed. A frozen path keeps the state it froze with: once one path is
-    frozen, kernel, the scheme's entry in _KERNELS, steps the live rows only,
-    and once every path is, the chunk returns. Everything in here is
-    elementwise per path, so results do not depend on chunk boundaries.
+    sq, of shape (n_checkpoints, path_hi - path_lo), is the chunk's column
+    slice of the run's array, and the chunk writes into nothing else of it.
+    Returns (gone_from, failed): gone_from is the first checkpoint index at
+    which a path is frozen (blown up or solver-failed), n_checkpoints if
+    never, so it is frozen at checkpoint i exactly when gone_from <= i;
+    failed flags the paths whose implicit solve failed. A frozen path keeps
+    the state it froze with: once one path is frozen, kernel, the scheme's
+    entry in _KERNELS, steps the live rows only, and once every path is, the
+    chunk returns. Everything in here is elementwise per path, so results
+    do not depend on chunk boundaries.
     """
     dt = config.dt
     try:
@@ -375,7 +375,6 @@ def _simulate_chunk(kernel, problem, config, path_lo, path_hi, out=None):
     ckpts = config.checkpoints
     n_ck = len(ckpts)
     m = path_hi - path_lo
-    sq = np.empty((n_ck, m)) if out is None else out
     x0 = np.asarray(config.initial_value, dtype=float)
     x = np.tile(x0, (m, 1))
     gone_from = np.full(m, n_ck)
@@ -423,11 +422,11 @@ def _simulate_chunk(kernel, problem, config, path_lo, path_hi, out=None):
                 if not live.size:
                     # no path moves again: every later checkpoint holds this norm2
                     sq[pos:] = norm2
-                    return sq, gone_from, failed
+                    return gone_from, failed
             if ckpts[pos] == k + 1:
                 sq[pos] = norm2
                 pos += 1
-    return sq, gone_from, failed
+    return gone_from, failed
 
 
 def _mean_of_sum(values, n):
@@ -476,8 +475,8 @@ def simulate_ensemble(problem: SdeProblem, config: SimConfig) -> MomentSeries:
 
     def run(lo):
         hi = min(lo + _CHUNK_PATHS, n_paths)
-        _, gone_from[lo:hi], failed[lo:hi] = _simulate_chunk(
-            kernel, problem, config, lo, hi, out=sq[:, lo:hi])
+        gone_from[lo:hi], failed[lo:hi] = _simulate_chunk(
+            kernel, problem, config, lo, hi, sq[:, lo:hi])
 
     threads = min(_usable_cpus(), len(starts))
     if threads == 1:

@@ -7,8 +7,9 @@ The implicit step needs the root of x = f(x,t) dt + b. Under the one-sided
 Lipschitz condition with dt < 1/|Kbar| the map F(x) = x - f(x,t) dt is
 strictly monotone, so the root exists and is unique; the solver is damped
 Newton with a finite-difference Jacobian. For n = 1 monotonicity makes
-bisection a complete fallback for the lanes Newton leaves unsolved; for
-n > 1 such lanes are reported as failed. solve_implicit_batch solves a whole
+bisection (the solver's private _bisect_root_scalar) a complete fallback for
+the lanes Newton leaves unsolved; for n > 1 such lanes are reported as
+failed. solve_implicit_batch solves a whole
 (m, n) block of lanes at once in every dimension: for n = 1 an elementwise Newton
 whose first drift call stacks the residual point b and both difference
 points into one (3m, 1) block, and for n > 1 a damped Newton that makes one
@@ -25,12 +26,12 @@ Each scheme has one kernel for an (m, n) block of paths, with no per-step
 validation, and both share one contract, kernel(problem, x, t, t_next, dt,
 db) -> (x_new, ok): em_step_batch evaluates the drift at t and returns ok
 None, as no lane can fail; bem_step_batch forms the noise term at t and
-solves for the drift at t_next. em_step is a validating adapter over
-em_step_batch that takes a StepContext; solve_implicit is one over
-solve_implicit_batch that raises ImplicitSolveError when a lane is not
-solved. Every solve stops at the residual tolerance _RESIDUAL_TOLERANCE or
-after _MAX_ITERATIONS Newton iterations; no caller sets either, so neither
-is a parameter.
+solves for the drift at t_next. em_step, the one raiser of StepError, is a
+validating adapter over em_step_batch that takes a StepContext;
+solve_implicit, the one raiser of ImplicitSolveError, which nothing catches,
+is one over solve_implicit_batch. Every solve stops at the residual tolerance
+_RESIDUAL_TOLERANCE or after _MAX_ITERATIONS Newton iterations; no caller
+sets either, so neither is a parameter.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "solve_implicit_batch",
     "check_implicit_dt",
     "check_decay_dt",
-    "bisect_root_scalar",
 ]
 
 
@@ -155,55 +155,47 @@ def check_decay_dt(problem: SdeProblem, dt: float) -> None:
 
 
 _BISECT_ITERATIONS = 400
+_BRACKET_WIDENINGS = 200  # the most times each end of the bisection bracket moves
 # a lane is solved once |x - f(x,t) dt - b| <= _RESIDUAL_TOLERANCE (max-norm
 # for n > 1); Newton stops after _MAX_ITERATIONS iterations, both read at call time
 _RESIDUAL_TOLERANCE = 1e-12
 _MAX_ITERATIONS = 100
 
 
-def bisect_root_scalar(
-    drift,
-    t: float,
-    b: float,
-    dt: float,
-    tolerance: float = _RESIDUAL_TOLERANCE,
-) -> float:
-    """Root of x - drift(x,t)*dt - b = 0 by bracket growth plus bisection.
+def _bisect_root_scalar(drift, t, b, dt):
+    """Root of x - drift(x,t)*dt - b = 0 by bracket growth plus bisection, or None.
 
-    Valid for scalar problems where the residual is strictly increasing in x
-    (guaranteed by the one-sided Lipschitz condition with dt < 1/|Kbar|).
-    Requires t >= 0. Stops after _BISECT_ITERATIONS halvings at most.
+    _solve_scalar_batch's fallback, valid where the residual is strictly
+    increasing in x (one-sided Lipschitz with dt < 1/|Kbar|); it checks none
+    of the solver's values. None if an end of the bracket, moved from b by
+    doubling steps, misses the root _BRACKET_WIDENINGS times. Stops after
+    _BISECT_ITERATIONS halvings at most.
     """
-    t, b, dt = real("t", t, 0.0), real("b", b), positive_real("dt", dt)
-
     def resid(x):
         return x - dt * float(drift(x, t)) - b
 
-    width = max(1.0, abs(b))
-    lo = hi = b
-    rlo = rhi = resid(lo)
-    it = 0
-    while rhi < 0.0:
-        hi += width
-        width *= 2.0
-        rhi = resid(hi)
-        it += 1
-        if it > 200:
-            raise ImplicitSolveError("bisection failed to bracket the root above", state=b)
-    width = max(1.0, abs(b))
-    it = 0
-    while rlo > 0.0:
-        lo -= width
-        width *= 2.0
-        rlo = resid(lo)
-        it += 1
-        if it > 200:
-            raise ImplicitSolveError("bisection failed to bracket the root below", state=b)
-    mid, rmid = lo, rlo
+    rb = resid(b)
+
+    def bracket_end(direction):
+        # a NaN residual ends the widening, as one of the sign sought does
+        x, r, width = b, rb, max(1.0, abs(b))
+        for _ in range(_BRACKET_WIDENINGS):
+            if not direction * r < 0.0:
+                return x
+            x += direction * width
+            width *= 2.0
+            r = resid(x)
+        return x if not direction * r < 0.0 else None
+
+    hi = bracket_end(1.0)
+    lo = None if hi is None else bracket_end(-1.0)
+    if lo is None:
+        return None
+    mid = lo
     for _ in range(_BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
         rmid = resid(mid)
-        if abs(rmid) <= tolerance:
+        if abs(rmid) <= _RESIDUAL_TOLERANCE:
             return mid
         if rmid < 0.0:
             lo = mid
@@ -228,7 +220,7 @@ def _solve_scalar_batch(drift, t, b, dt):
     Such a lane's next iterate is x - NaN, and so is every later one, so it
     leaves the Newton loop at once with x - r, the NaN the rest of its
     budget would end on. Lanes with a NaN residual and lanes left after
-    _MAX_ITERATIONS go to bisect_root_scalar, and stay unsolved if it
+    _MAX_ITERATIONS go to _bisect_root_scalar, and stay unsolved if it
     cannot bracket a root. Returns (x, ok) with ok of shape (m,); when one
     trial converges every lane, x is that trial.
 
@@ -328,10 +320,9 @@ def _solve_scalar_batch(drift, t, b, dt):
         return x, np.ones(m, dtype=bool)
     unsolved = np.sort(np.concatenate(unsolved))
     for i in unsolved:
-        try:
-            x[i, 0] = bisect_root_scalar(drift, t, float(b[i, 0]), dt, tolerance=tol)
-        except ImplicitSolveError:
-            pass
+        root = _bisect_root_scalar(drift, t, float(b[i, 0]), dt)
+        if root is not None:
+            x[i, 0] = root
     r = x - dt * np.asarray(drift(x, t), dtype=float) - b
     return x, np.abs(r[:, 0]) <= tol
 

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -42,6 +43,14 @@ def synthetic_series(t, m2, se=None, blown=None, n_paths=1000, dt=None):
         surviving=np.full(len(t), n_paths, dtype=int) - blown, blown_up=blown,
         capped_mean_abs=np.sqrt(m2),
     )
+
+
+def with_config(series, dt):
+    """series with an EM config of step dt whose checkpoints are its step indices."""
+    ks = tuple(int(k) for k in series.step_index)
+    config = SimConfig(dt=dt, num_steps=ks[-1], num_paths=int(series.surviving[0]), seed=0,
+                       scheme="em", initial_value=(1.0,), checkpoints=ks)
+    return dataclasses.replace(series, config=config)
 
 
 def geometric_times(t_max=1e4, n=60):
@@ -120,6 +129,10 @@ class TestDecayEstimate:
         m2[1] = math.inf
         est = estimate_decay_exponent(synthetic_series(t, m2), k1=1.0)
         assert est.slope == pytest.approx(-1.0, abs=1e-12)
+
+    def test_one_row_is_too_short(self):
+        with pytest.raises(ValueError, match="too short"):
+            estimate_decay_exponent(synthetic_series([1.0], [0.5]), k1=1.0)
 
     def test_too_few_points(self):
         t = geometric_times(n=12)  # ~6 points in the tail window
@@ -244,11 +257,11 @@ class TestRecurrenceBound:
             a = (1.0 - k1 * dt / (1.0 + k * dt)) ** 2
             m2.append(a * m2[-1] + c**2 * (1.0 + k * dt) ** (-2 * k1) * dt)
         t = np.arange(n + 1) * dt
-        return synthetic_series(t, np.asarray(m2), dt=dt)
+        return with_config(synthetic_series(t, np.asarray(m2), dt=dt), dt)
 
     def test_equality_series_has_no_violations(self):
         series = self.recurrence_series()
-        result = em_recurrence_bound(series, 1.0, 1.0, dt=0.1)
+        result = em_recurrence_bound(series, 1.0, 1.0)
         assert result.passed
         assert result.n_checked == 50
         assert result.n_skipped == 0
@@ -257,38 +270,64 @@ class TestRecurrenceBound:
         series = self.recurrence_series()
         m2 = series.mean_square.copy()
         m2[20] = 10.0 * m2[19]
-        jumped = synthetic_series(series.time, m2, dt=0.1)
-        result = em_recurrence_bound(jumped, 1.0, 1.0, dt=0.1)
+        jumped = dataclasses.replace(series, mean_square=m2)
+        result = em_recurrence_bound(jumped, 1.0, 1.0)
         assert not result.passed
         assert any(v.k_to == 20 for v in result.violations)
 
     def test_non_consecutive_skipped(self):
         t = np.array([0.0, 0.1, 0.3, 0.4])
-        series = synthetic_series(t, np.ones(4), dt=0.1)
-        result = em_recurrence_bound(series, 1.0, 1.0, dt=0.1)
+        series = with_config(synthetic_series(t, np.ones(4), dt=0.1), 0.1)
+        result = em_recurrence_bound(series, 1.0, 1.0)
         assert result.n_skipped == 1
         assert result.n_checked == 2
 
     def test_contraction_precondition(self):
         series = self.recurrence_series()
         with pytest.raises(ValueError, match="K1\\*dt"):
-            em_recurrence_bound(series, 11.0, 1.0, dt=0.1)
+            em_recurrence_bound(series, 11.0, 1.0)
 
     @pytest.mark.parametrize("name,value", [
-        (name, value) for name in ("k1", "c", "n_sigma", "dt")
+        (name, value) for name in ("k1", "c", "n_sigma")
         for value in (float("nan"), float("inf"), True, -1.0)
-    ] + [("k1", 0.0), ("dt", 0.0)])
+    ] + [("k1", 0.0)])
     def test_constants_checked(self, name, value):
-        # a NaN constant makes every comparison False, which would pass every pair
         series = self.recurrence_series(n=20)
-        kwargs = dict(k1=1.0, c=1.0, dt=0.1, n_sigma=4.0)
+        kwargs = dict(k1=1.0, c=1.0, n_sigma=4.0)
         kwargs[name] = value
         with pytest.raises(ValueError, match=name):
             em_recurrence_bound(series, **kwargs)
 
     def test_zero_c_and_n_sigma_accepted(self):
         series = self.recurrence_series(c=0.0, n=20)
-        result = em_recurrence_bound(series, 1.0, 0.0, dt=0.1, n_sigma=0.0)
+        result = em_recurrence_bound(series, 1.0, 0.0, n_sigma=0.0)
+        assert result.n_checked == 20
+
+    def test_dt_comes_from_the_config(self):
+        assert list(inspect.signature(em_recurrence_bound).parameters) == [
+            "series", "k1", "c", "n_sigma"]
+        series = self.recurrence_series(dt=0.1)
+        # the same moments read at another step size break the recurrence
+        assert not em_recurrence_bound(with_config(series, 0.2), 1.0, 1.0).passed
+
+    def test_series_without_config_refused(self):
+        series = dataclasses.replace(self.recurrence_series(), config=None)
+        with pytest.raises(ValueError, match="no config"):
+            em_recurrence_bound(series, 1.0, 1.0)
+
+    def test_nan_moments_are_violations(self):
+        # a NaN pair compares False both ways; it must fail, not pass
+        series = with_config(synthetic_series(np.arange(10) * 0.1, np.full(10, np.nan)), 0.1)
+        result = em_recurrence_bound(series, k1=1.0, c=1.0)
+        assert not result.passed
+        assert (result.n_checked, result.n_skipped, len(result.violations)) == (9, 0, 9)
+
+    def test_nan_std_error_is_a_violation(self):
+        series = self.recurrence_series(n=20)
+        se = np.zeros(21)
+        se[7] = np.nan
+        result = em_recurrence_bound(dataclasses.replace(series, std_error=se), 1.0, 1.0)
+        assert [(v.k_from, v.k_to) for v in result.violations] == [(6, 7), (7, 8)]
         assert result.n_checked == 20
 
     def test_statistical_tolerance_on_mc_data(self):

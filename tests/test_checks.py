@@ -14,7 +14,7 @@ from polystab.analysis import (
 from polystab.checks import integer, positive_real, real, reals
 from polystab.ensemble import MomentSeries, SimConfig
 from polystab.gamma import log_gamma_ratio, ratio_power_margin
-from polystab.integrators import StepContext, bisect_root_scalar, em_step, solve_implicit
+from polystab.integrators import StepContext, em_step, solve_implicit
 from polystab.problems import audit_conditions, exact_linear_mean_square, linear_example
 
 
@@ -150,8 +150,8 @@ def moment_series(time):
 
 
 # each public entry whose array arguments go through reals, with the margins'
-# k1 and bisect_root_scalar's scalars: a call with one argument set to v, and
-# whether the entry refuses a negative v
+# k1: a call with one argument set to v, and whether the entry refuses a
+# negative v
 ARRAY_ENTRIES = {
     "log_gamma_ratio x": (lambda v: log_gamma_ratio(v, 0.5), True),
     "log_gamma_ratio eta": (lambda v: log_gamma_ratio(2.0, v), True),
@@ -177,9 +177,6 @@ ARRAY_ENTRIES = {
     "StepContext db": (lambda v: StepContext(k=0, dt=0.1, db=v), False),
     "em_step y": (lambda v: em_step(linear_example(), v, StepContext(k=0, dt=0.1, db=0.0)), False),
     "solve_implicit b": (lambda v: solve_implicit(linear_example(), 0.0, v, 0.1), False),
-    "bisect_root_scalar t": (lambda v: bisect_root_scalar(linear_example().drift, v, 2.0, 0.1), True),
-    "bisect_root_scalar b": (lambda v: bisect_root_scalar(linear_example().drift, 0.0, v, 0.1), False),
-    "bisect_root_scalar dt": (lambda v: bisect_root_scalar(linear_example().drift, 0.0, 2.0, v), True),
 }
 
 

@@ -61,12 +61,15 @@ class TestSimulate:
         ])
         assert code == 1
 
-    def test_bem_dt_violation_is_usage_error(self, tmp_path):
+    def test_bem_dt_violation_is_usage_error(self, tmp_path, capsys):
         code = run([
             "simulate", "--problem", "counterexample", "--scheme", "bem", "--dt", "0.5",
             "--steps", "10", "--paths", "4", "--seed", "1", "--out-dir", str(tmp_path),
         ])
-        assert code == 2
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: dt=0.5 violates") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     SMALL_RUN = ["simulate", "--problem", "linear", "--scheme", "em", "--dt", "0.1",
                  "--steps", "10", "--paths", "10", "--seed", "1"]
@@ -123,7 +126,7 @@ class TestSimulate:
         series = MomentSeries.from_csv(tmp_path / "env.csv")
         assert len(lines) == 1 + len(series)
 
-    @pytest.mark.parametrize("dt,code", [("0.1", 0), ("0.4", 2)])  # 0.4 >= 1/|Kbar| = 1/3
+    @pytest.mark.parametrize("dt,code", [("0.1", 0), ("0.4", 1)])  # 0.4 >= 1/|Kbar| = 1/3
     def test_bem_envelope_file(self, tmp_path, dt, code):
         assert run([
             "simulate", "--problem", "counterexample", "--scheme", "bem", "--dt", dt,

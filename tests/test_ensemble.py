@@ -96,6 +96,7 @@ class TestSimConfig:
             dict(num_paths=4.0),
             dict(seed=True),
             dict(dt=1e308),  # dt * num_steps, the last step's time, beyond the floats
+            dict(initial_value=((1.0, 2.0),)),  # not a vector
         ],
     )
     def test_validation(self, kwargs):
@@ -298,6 +299,27 @@ class TestChunkBoundaries:
         monkeypatch.setattr(ensemble, "_BLOCK_NORMALS", 300 * 97)
         text = self.csv_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CSV_SHA256
+
+
+def run_chunk(problem, cfg, path_lo, path_hi):
+    """An EM chunk of paths [path_lo, path_hi) written into an array of its own:
+    (sq, gone_from, failed)."""
+    sq = np.empty((len(cfg.checkpoints), path_hi - path_lo))
+    return (sq, *_simulate_chunk(em_step_batch, problem, cfg, path_lo, path_hi, sq))
+
+
+def test_chunk_writes_only_its_columns():
+    # a chunk given its column slice of a larger array writes nothing outside it
+    cfg = SimConfig(dt=0.1, num_steps=30, num_paths=10, seed=8, scheme="em",
+                    initial_value=(5.0,), checkpoints=(0, 3, 30))
+    sq = np.full((3, 10), -1.0)
+    gone_from, failed = _simulate_chunk(em_step_batch, cubic_counterexample(), cfg, 3, 7,
+                                        sq[:, 3:7])
+    alone, alone_gone, alone_failed = run_chunk(cubic_counterexample(), cfg, 3, 7)
+    assert (sq[:, :3] == -1.0).all() and (sq[:, 7:] == -1.0).all()
+    assert sq[:, 3:7].tobytes() == alone.tobytes()
+    assert gone_from.tolist() == alone_gone.tolist() and not failed.any() and not alone_failed.any()
+    assert (gone_from < 3).all()  # every path blows up: the all-frozen exit fills the rest
 
 
 def discrete_em_mean_square(dt, x0_sq, ks):
@@ -622,7 +644,7 @@ class TestSimulateEnsemble:
     def test_cap_whose_square_overflows_still_blows_up(self):
         cfg = SimConfig(dt=0.1, num_steps=200, num_paths=20, seed=1, scheme="em",
                         initial_value=(5.0,), blow_up_cap=1e300)
-        sq, gone_from, failed = _simulate_chunk(em_step_batch, cubic_counterexample(), cfg, 0, 20)
+        sq, gone_from, failed = run_chunk(cubic_counterexample(), cfg, 0, 20)
         frozen = gone_from <= np.arange(len(sq))[:, None]
         capped = np.minimum(np.sqrt(sq), cfg.blow_up_cap)
         assert frozen[-1].all() and not failed.any()
@@ -636,7 +658,7 @@ class TestSimulateEnsemble:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             series = simulate_ensemble(cubic_counterexample(), cfg)
-        sq, gone_from, _ = _simulate_chunk(em_step_batch, cubic_counterexample(), cfg, 0, 100)
+        sq, gone_from, _ = run_chunk(cubic_counterexample(), cfg, 0, 100)
         frozen = gone_from <= np.arange(len(sq))[:, None]
         checked = 0
         for i in range(len(series)):
@@ -702,8 +724,8 @@ class TestSimulateEnsemble:
         cfg = SimConfig(dt=0.1, num_steps=400, num_paths=2000, seed=77, scheme="em",
                         initial_value=(1.0,), checkpoints=(0, 400))
         lin = linear_example()
-        sq_a, *_ = _simulate_chunk(em_step_batch, lin, cfg, 0, 1000)
-        sq_b, *_ = _simulate_chunk(em_step_batch, lin, cfg, 1000, 2000)
+        sq_a, *_ = run_chunk(lin, cfg, 0, 1000)
+        sq_b, *_ = run_chunk(lin, cfg, 1000, 2000)
         # pre-registered seed; Welch test on the final-checkpoint squares
         result = stats.ttest_ind(sq_a[-1], sq_b[-1], equal_var=False)
         assert result.pvalue > 0.05
@@ -822,6 +844,13 @@ class TestSerialization:
         assert data["problem"] == "linear"
         assert data["scheme"] == "em"
         assert SimConfig.from_json_dict(data) == series.config
+
+    def test_config_sidecar_needs_a_config(self, series, tmp_path):
+        path = tmp_path / "series.csv"
+        series.write_csv(path)
+        with pytest.raises(ValueError, match="no attached config"):
+            MomentSeries.from_csv(path).write_config_json(tmp_path / "config.json")
+        assert not (tmp_path / "config.json").exists()
 
     def test_from_csv_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

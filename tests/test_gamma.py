@@ -168,6 +168,12 @@ class TestRatioPowerMargin:
         with pytest.raises(ValueError):
             ratio_power_margin(bad_x, 0.5)
 
+    def test_array_arguments(self):
+        x, eta = np.array([1.0, 10.0, 50.0]), np.array([0.5, 0.3, 2.0])
+        m = ratio_power_margin(x, eta)
+        assert isinstance(m, np.ndarray) and m.shape == (3,)
+        assert m.tolist() == [ratio_power_margin(float(a), float(e)) for a, e in zip(x, eta)]
+
     def test_sign_grid(self):
         for x in RATIO_X_GRID:
             for eta in RATIO_ETA_BELOW_ONE:

@@ -12,7 +12,6 @@ from polystab.integrators import (
     StepContext,
     StepError,
     bem_step_batch,
-    bisect_root_scalar,
     check_decay_dt,
     em_step,
     em_step_batch,
@@ -164,15 +163,21 @@ class TestSolveImplicit:
             solve_implicit(cubic_counterexample(), 1.0, 1.0, 0.4)  # 1/|Kbar| = 1/3
         for dt in (0.0, -0.1, math.nan, True):
             with pytest.raises(ValueError, match="dt must be a positive real"):
-                bisect_root_scalar(linear_example().drift, 1.0, 2.0, dt)
+                solve_implicit(linear_example(), 1.0, 2.0, dt)
 
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, True],
                              ids=["negative", "nan", "inf", "bool"])
     def test_time_precondition(self, t):
         with pytest.raises(ValueError, match="t must be a finite real >= 0"):
             solve_implicit(linear_example(), t, 2.0, 0.1)
-        with pytest.raises(ValueError, match="t must be a finite real >= 0"):
-            bisect_root_scalar(linear_example().drift, t, 2.0, 0.1)
+
+    def test_b_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"b must have shape \(2,\)"):
+            solve_implicit(Test2D.problem(), 1.0, np.array([1.0, 2.0, 3.0]), 0.2)
+        with pytest.raises(ValueError, match=r"b must have shape \(m, 2\)"):
+            solve_implicit_batch(Test2D.problem(), 1.0, np.array([1.0, 2.0]), 0.2)
+        with pytest.raises(ValueError, match=r"b must have shape \(m, 1\)"):
+            solve_implicit_batch(linear_example(), 1.0, np.ones((3, 2)), 0.2)
 
     def test_residual_meets_tolerance_randomized(self):
         rng = np.random.default_rng(77)
@@ -186,7 +191,7 @@ class TestSolveImplicit:
             resid = x - dt * float(np.asarray(problem.drift(x, t))) - b
             assert abs(resid) <= 1e-12, (problem.label, t, b, dt)
 
-    def test_newton_agrees_with_production_bisection(self):
+    def test_newton_agrees_with_production_bisection(self, monkeypatch):
         rng = np.random.default_rng(8)
         for _ in range(250):
             problem = BUILTINS[rng.integers(0, len(BUILTINS))]
@@ -195,7 +200,9 @@ class TestSolveImplicit:
             dt_hi = 0.99 / abs(problem.kbar) if problem.kbar != 0 else 1.0
             dt = float(rng.uniform(1e-3, dt_hi))
             newton = solve_implicit(problem, t, b, dt)
-            bisect = bisect_root_scalar(problem.drift, t, b, dt, tolerance=1e-13)
+            with monkeypatch.context() as m:  # the bisection alone, to a tighter residual
+                m.setattr(integrators, "_RESIDUAL_TOLERANCE", 1e-13)
+                bisect = integrators._bisect_root_scalar(problem.drift, t, b, dt)
             assert abs(newton - bisect) <= 1e-10, (problem.label, t, b, dt)
 
     def test_bisection_fallback_engages(self, monkeypatch):
@@ -217,8 +224,21 @@ class TestSolveImplicit:
         with pytest.raises(ImplicitSolveError) as err:
             solve_implicit(p, 1.0, 10.0, 0.5)
         assert err.value.best_residual is not None
-        with pytest.raises(ImplicitSolveError, match="bracket"):
-            bisect_root_scalar(p.drift, 1.0, 10.0, 0.5)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["above", "below"])
+    def test_bisection_without_a_bracket_returns_none(self, sign):
+        # drift sign * x^2 at dt = 0.5: the residual x - 0.5 sign x^2 - b stays
+        # <= -9.5 for sign 1, b = 10 (no upper end) and >= 9.5 for sign -1,
+        # b = -10 (no lower end)
+        calls = []
+
+        def drift(x, t):
+            calls.append(x)
+            return sign * x * x
+
+        assert integrators._bisect_root_scalar(drift, 1.0, sign * 10.0, 0.5) is None
+        # the residual at b, then each widening of the end that misses the root
+        assert len(calls) == 1 + integrators._BRACKET_WIDENINGS
 
 
 class Test2D:
@@ -535,10 +555,9 @@ def reference_scalar_newton(drift, t, b, dt, max_iterations):
     if np.any(active):
         for idx in np.argwhere(active):
             key = tuple(idx)
-            try:
-                x[key] = bisect_root_scalar(drift, t, float(b[key]), dt, tolerance=TOLERANCE)
-            except ImplicitSolveError:
-                pass
+            root = integrators._bisect_root_scalar(drift, t, float(b[key]), dt)
+            if root is not None:
+                x[key] = root
         r = residual(x)
         active = ~(np.abs(r) <= TOLERANCE)
     return x, ~active, iterations, backtracked
@@ -743,7 +762,7 @@ class TestHopelessLanes:
         assert x.tobytes() == ref_x.tobytes() and ok.tolist() == ref_ok.tolist() == [False]
 
     @pytest.mark.parametrize("max_iterations", [100], ids=["bisection"])
-    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
     def test_lane_whose_residual_turns_nan_mid_newton(self, max_iterations, dimension):
         # the drift is -20 in every component where x_0 >= 0 and NaN where
         # x_0 < 0, so a root below x_0 = 0 is out of reach: the lanes from
@@ -755,7 +774,8 @@ class TestHopelessLanes:
             return np.where(lead < 0.0, np.nan, np.full(x.shape, -20.0))
 
         p = self.problem(dimension, drift)
-        b = np.array([[2.0, 1.0], [-1.0, 3.0], [30.0, 40.0], [2.0, -3.0]])[:, :dimension]
+        b = np.array([[2.0, 1.0, 5.0], [-1.0, 3.0, -2.0], [30.0, 40.0, 0.5],
+                      [2.0, -3.0, 7.0]])[:, :dimension]
         x, ok = solve_implicit_batch(p, 1.0, b, self.DT)
         ref_x, ref_ok = self.reference(drift, b, self.DT, max_iterations)
         assert ok[2] and not ok[[0, 1, 3]].any()

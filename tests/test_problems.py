@@ -192,6 +192,10 @@ class TestAudit:
         with pytest.raises(ValueError, match="non-finite"):
             audit_conditions(p)
 
+    def test_states_of_the_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match="states must have 1 columns, got 2"):
+            audit_conditions(linear_example(), states=[[1.0, 2.0]], times=(1.0,))
+
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             audit_conditions(linear_example(), times=())

@@ -20,7 +20,11 @@ simulate_ensemble takes the problem and its config and nothing else: the
 thread count comes from the CPUs the process may use, not from a setting.
 A sampled check reports the one record, checks.ConditionCheck, so no other
 module defines a class with a passed field or property; the recurrence
-check's result, which lists every violation, is the one exception.
+check's result, which lists every violation, is the one exception. Each
+solver error has one raiser, its validating adapter (StepError em_step,
+ImplicitSolveError solve_implicit), and no code in the package catches
+either by name: a solver that cannot finish a lane reports it in its
+result.
 """
 
 import ast
@@ -464,3 +468,57 @@ def test_only_the_check_record_and_the_recurrence_result_have_passed():
 ])
 def test_passed_guard_finds_every_form(source, expected):
     assert passed_classes(source) == expected
+
+
+SOLVER_ERRORS = ("StepError", "ImplicitSolveError")
+
+
+def error_sites(source: str) -> list[tuple[str, str, str]]:
+    """("raise" or "except", error, function) for each raise of a SOLVER_ERRORS
+    error and each handler that names one; function is the innermost def, or ""."""
+    found = []
+
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                found.extend(("raise", n, where) for n in [name(child.exc)] if n in SOLVER_ERRORS)
+            elif isinstance(child, ast.ExceptHandler) and child.type is not None:
+                types = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                found.extend(("except", n, where) for n in map(name, types) if n in SOLVER_ERRORS)
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_each_solver_error_has_one_raiser_and_no_handler():
+    found = set()
+    for path in MODULES:
+        found.update(error_sites(path.read_text(encoding="utf-8")))
+    assert found == {("raise", "StepError", "em_step"),
+                     ("raise", "ImplicitSolveError", "solve_implicit")}
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("def solve_implicit(p):\n    raise ImplicitSolveError('x', state=p)",
+     [("raise", "ImplicitSolveError", "solve_implicit")]),
+    ("def em_step(y):\n    def inner():\n        raise StepError\n    return inner",
+     [("raise", "StepError", "inner")]),
+    ("raise integrators.StepError('x') from None", [("raise", "StepError", "")]),
+    ("def solve(b):\n    try:\n        bisect(b)\n    except ImplicitSolveError:\n        pass",
+     [("except", "ImplicitSolveError", "solve")]),
+    ("try:\n    f()\nexcept (ValueError, integrators.ImplicitSolveError) as e:\n    pass",
+     [("except", "ImplicitSolveError", "")]),
+    ("def f():\n    try:\n        g()\n    except RuntimeError:\n        raise ValueError('x')",
+     []),
+    ("def f():\n    try:\n        g()\n    except:\n        raise", []),
+])
+def test_error_guard_finds_every_form(source, expected):
+    assert error_sites(source) == expected
