@@ -137,7 +137,11 @@ class SimConfig:
                 raise ValueError("checkpoints must be strictly increasing")
             object.__setattr__(self, "checkpoints", cps)
         cap = positive_real("blow_up_cap", self.blow_up_cap)
-        if not cap > float(np.linalg.norm(x0)):
+        with np.errstate(over="ignore"):
+            x0_sq = float(_squared_norms(x0[None, :])[0])
+        if not math.isfinite(x0_sq):  # every path would blow up on its first step
+            raise ValueError(f"|initial_value|^2 must be finite, got {self.initial_value!r}")
+        if not cap > math.sqrt(x0_sq):
             raise ValueError(f"blow_up_cap must exceed |initial_value|, got {cap!r}")
         object.__setattr__(self, "blow_up_cap", cap)
 
@@ -212,10 +216,13 @@ def _standard_normal_block(seed: int, path_id: int, step0: int, count: int) -> n
 
 
 def brownian_increment(seed: int, path_id: int, step: int, dt: float) -> float:
-    """The Brownian increment dB for (seed mod 2**64, path_id, step): N(0, dt), reproducible."""
+    """The Brownian increment dB for (seed mod 2**64, path_id, step): N(0, dt), reproducible.
+
+    path_id must fit the Philox key's 64 bits and step its 256-bit counter.
+    """
     seed = integer("seed", seed)
-    path_id = integer("path_id", path_id, 0)
-    step = integer("step", step, 0)
+    path_id = integer("path_id", path_id, 0, 2**64 - 1)
+    step = integer("step", step, 0, 2**256 - 1)
     dt = positive_real("dt", dt)
     return float(_standard_normal_block(seed, path_id, step, 1)[0]) * math.sqrt(dt)
 
@@ -228,7 +235,7 @@ class MomentSeries:
     paths; they are NaN when nothing survives. capped_mean_abs is the mean
     over all paths of min(|state|, blow_up_cap), the finite-precision proxy
     for a diverging first moment. Checkpoints with blown_up > 0 should be
-    read as lower bounds (see is_lower_bound).
+    read as lower bounds.
     """
 
     problem_label: str
@@ -245,10 +252,6 @@ class MomentSeries:
     def __len__(self):
         return len(self.step_index)
 
-    @property
-    def is_lower_bound(self) -> np.ndarray:
-        return self.blown_up > 0
-
     def to_csv_text(self) -> str:
         lines = [CSV_HEADER]
         for i in range(len(self)):
@@ -262,15 +265,11 @@ class MomentSeries:
     def write_csv(self, path) -> None:
         Path(path).write_text(self.to_csv_text(), encoding="utf-8")
 
-    def config_json_dict(self) -> dict:
+    def write_config_json(self, path) -> None:
         if self.config is None:
             raise ValueError("series has no attached config")
-        d = {"problem": self.problem_label}
-        d.update(self.config.to_json_dict())
-        return d
-
-    def write_config_json(self, path) -> None:
-        text = json.dumps(self.config_json_dict(), indent=2, sort_keys=True) + "\n"
+        d = {"problem": self.problem_label, **self.config.to_json_dict()}
+        text = json.dumps(d, indent=2, sort_keys=True) + "\n"
         Path(path).write_text(text, encoding="utf-8")
 
     @classmethod

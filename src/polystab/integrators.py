@@ -246,11 +246,10 @@ def _solve_scalar_batch(drift, t, b, dt):
     np.subtract(b, ri, out=ri)
     ri -= b
     fp, fm = f[m : 2 * m], f[2 * m :]
-    # the working set; a slice over every lane until the first lane leaves
-    # it, so nothing is gathered while all lanes are active. The iterates
-    # are never written in place, so the first one may be b itself.
-    lanes, xi, bi = slice(None), b, b
-    x = None  # the result; allocated once a lane leaves or the budget ends
+    # the working set, as lane indices, and the result; the iterates are
+    # never written in place, so the first one may be b itself
+    lanes, xi, bi = np.arange(m), b, b
+    x = np.empty_like(b)
     ai = np.abs(ri[:, 0])
     unsolved = []  # index arrays of the lanes for bisection
     for it in range(max_iterations + 1):
@@ -262,21 +261,17 @@ def _solve_scalar_batch(drift, t, b, dt):
             if nan.any():
                 if it < max_iterations:
                     xi = np.where(nan[:, None], xi - ri, xi)
-                unsolved.append(np.arange(m)[lanes][nan])
-            if x is None:
-                x = np.empty_like(b)
+                unsolved.append(lanes[nan])
             x[lanes] = xi
-            lanes = np.arange(m)[lanes][left]
+            lanes = lanes[left]
             if not lanes.size:
                 break
             xi, ri, ai, bi = xi[left], ri[left], ai[left], bi[left]
             if not it:
                 h, fp, fm = h[left], fp[left], fm[left]
         if it == max_iterations:
-            if x is None:
-                x = np.empty_like(b)
             x[lanes] = xi
-            unsolved.append(np.arange(m)[lanes])
+            unsolved.append(lanes)
             break
         if it:
             w = xi.shape[0]
@@ -298,10 +293,10 @@ def _solve_scalar_batch(drift, t, b, dt):
         np.subtract(xa, ra, out=ra)
         ra -= bi
         aa = np.abs(ra[:, 0])
-        if x is None:
+        if lanes.size == m:  # no lane has left
             done = aa <= tol
             if np.count_nonzero(done) == done.size:
-                # every lane converged on this trial and none had left before
+                # every lane converged on this trial
                 return xa, done
         worse = ~(aa <= ai)  # catches NaN too
         for _ in range(8):

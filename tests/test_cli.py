@@ -79,6 +79,16 @@ class TestSimulate:
         assert code == 0
         assert (tmp_path / "linear_em_seed1.csv").exists()
 
+    def test_initial_value_whose_square_overflows_is_usage_error(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(self.SMALL_RUN + ["--out-dir", str(tmp_path), "--x0", "1e200",
+                                         "--blow-up-cap", "1e300"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: |initial_value|^2 must be finite, got (1e+200,)\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_dir_under_a_regular_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # the directory is checked before the simulation runs
         def no_simulation(*args, **kwargs):
@@ -536,6 +546,12 @@ class TestCounterexample:
         assert "exceeded at step" in out
         assert "invariant" in out and "holds" in out
         assert "blown up" in out
+
+    def test_cap_not_exceeded_within_k_max(self, capsys):
+        code = run(["counterexample", "--dt", "0.1", "--k-max", "3", "--cap", "1e300",
+                    "--paths", "50", "--steps", "50"])
+        assert code == 0
+        assert "cap 1e+300 not exceeded within k_max=3\n" in capsys.readouterr().out
 
     def test_dt_out_of_range_usage(self, capsys):
         assert run(["counterexample", "--dt", "0.6"]) == 1

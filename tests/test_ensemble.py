@@ -106,6 +106,22 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**base)
 
+    @pytest.mark.parametrize("x0", [(1e200,), (1e154, 1e154)])
+    def test_initial_value_whose_square_overflows_refused(self, x0):
+        # |x0|^2 is inf, so every path would blow up on its first step
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\|initial_value\|\^2 must be finite"):
+                SimConfig(dt=0.1, num_steps=3, num_paths=2, seed=1, scheme="em",
+                          initial_value=x0, blow_up_cap=1e300)
+
+    def test_large_initial_value_below_the_cap_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = SimConfig(dt=0.1, num_steps=3, num_paths=2, seed=1, scheme="em",
+                            initial_value=(1e150,), blow_up_cap=1e300)
+        assert cfg.initial_value == (1e150,)
+
     def test_numpy_integers_accepted(self):
         cfg = SimConfig(dt=np.float64(0.1), num_steps=np.int64(10), num_paths=np.int32(4),
                         seed=np.uint64(2**63), scheme="em", initial_value=(1.0,),
@@ -180,11 +196,14 @@ class TestBrownianIncrement:
     @pytest.mark.parametrize("kwargs", [
         dict(path_id=-1), dict(step=-1), dict(dt=0.0), dict(path_id=0.5),
         dict(seed=1.5), dict(seed=True), dict(step=True), dict(dt=True), dict(dt="0.1"),
+        dict(path_id=2**64),  # beyond the key's 64 bits: it would alias path_id 0
+        dict(step=2**256),  # beyond the 256-bit counter
     ])
     def test_validation(self, kwargs):
         base = dict(seed=1, path_id=0, step=0, dt=0.1)
         base.update(kwargs)
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be"):
             brownian_increment(**base)
 
     def test_marginal_mean(self):
@@ -737,7 +756,6 @@ class TestSimulateEnsemble:
         assert series.blown_up[-1] == 100
         assert np.all(np.diff(series.blown_up) >= 0)
         np.testing.assert_array_equal(series.surviving + series.blown_up, 100)
-        assert np.all(series.is_lower_bound == (series.blown_up > 0))
         # all blown: surviving-path stats are undefined, capped mean sits at the cap
         assert math.isnan(series.mean_square[-1])
         assert series.capped_mean_abs[-1] == cfg.blow_up_cap

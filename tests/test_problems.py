@@ -124,17 +124,17 @@ def test_problem_kbar_must_be_a_finite_real(kbar):
 class TestAudit:
     def test_linear_passes_default_grid(self):
         report = audit_conditions(linear_example())
-        assert report.all_passed, report.summary()
+        assert all(c.passed for c in report.checks()), report.summary()
 
     def test_linear_passes_spec_grid(self):
         states = np.linspace(-10, 10, 41).reshape(-1, 1)
         report = audit_conditions(linear_example(), states=states, times=(0.0, 1.0, 10.0, 100.0))
-        assert report.all_passed
+        assert all(c.passed for c in report.checks())
 
     def test_linear_passes_huge_grid(self):
         states = np.linspace(-1e6, 1e6, 33).reshape(-1, 1)
         report = audit_conditions(linear_example(), states=states, times=(0.0, 1.0, 1e6))
-        assert report.all_passed, report.summary()
+        assert all(c.passed for c in report.checks()), report.summary()
 
     def test_cubic_fails_only_linear_growth(self):
         report = audit_conditions(cubic_counterexample())
@@ -201,18 +201,6 @@ class TestAudit:
             audit_conditions(linear_example(), times=())
         with pytest.raises(ValueError):
             audit_conditions(linear_example(), times=(-1.0,))
-
-    @pytest.mark.parametrize("kwargs,message", [
-        (dict(pair_samples=0), "pair_samples must be an integer >= 1"),
-        (dict(pair_samples=-1), "pair_samples must be an integer >= 1"),
-        (dict(pair_samples=2.0), "pair_samples must be an integer"),
-        (dict(seed=-1), "seed must be an integer >= 0"),
-        (dict(seed=True), "seed must be an integer"),
-    ], ids=["no-pairs", "negative-pairs", "float-pairs", "negative-seed", "bool-seed"])
-    def test_pair_samples_and_seed_checked(self, kwargs, message):
-        # zero pairs would pass the one-sided Lipschitz check vacuously
-        with pytest.raises(ValueError, match=message):
-            audit_conditions(linear_example(), **kwargs)
 
     def test_report_mentions_evidence(self):
         report = audit_conditions(linear_example())
@@ -320,10 +308,9 @@ class TestAuditReference:
         assert report == reference_audit(problem)
 
     def test_failed_checks_match(self):
-        report = audit_conditions(rotation_2d(), times=(0.0, 3.0), pair_samples=50, seed=4)
+        report = audit_conditions(rotation_2d(), times=(0.0, 3.0))
         assert not report.linear_growth_f.passed and not report.linear_growth_g.passed
-        assert repr(report) == repr(
-            reference_audit(rotation_2d(), times=(0.0, 3.0), pair_samples=50, seed=4))
+        assert repr(report) == repr(reference_audit(rotation_2d(), times=(0.0, 3.0)))
 
     def test_tie_takes_the_first_sample(self):
         # the linear drift's one-sided margin is 0 at every state: the worst
@@ -348,7 +335,8 @@ class TestAuditReference:
                 assert check.worst_point == (0.0, first_nan)
             osl = report.one_sided_lipschitz
             assert osl.passed is False and np.isnan(osl.worst_margin) and osl.worst_point[0] == 0.0
-            assert report.linear_growth_g.passed and not report.all_passed
+            assert report.linear_growth_g.passed
+            assert not all(c.passed for c in report.checks())
 
 
 def test_default_state_grid_shapes():

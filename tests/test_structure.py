@@ -35,7 +35,7 @@ from pathlib import Path
 import pytest
 
 import polystab
-from polystab import ensemble
+from polystab import ensemble, problems
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "polystab"
@@ -430,6 +430,11 @@ def test_environment_guard_finds_every_form(source, expected):
 
 def test_simulate_ensemble_takes_only_the_problem_and_its_config():
     assert list(inspect.signature(ensemble.simulate_ensemble).parameters) == ["problem", "config"]
+
+
+def test_audit_takes_only_the_problem_and_its_grids():
+    assert list(inspect.signature(problems.audit_conditions).parameters) == [
+        "problem", "states", "times"]
 
 
 def passed_classes(source: str) -> list[str]:
