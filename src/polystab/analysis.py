@@ -162,10 +162,22 @@ def _validate_envelope_args(dt, k1, c, m0):
     return positive_real("dt", dt), real("k1", k1), real("c", c, 0.0), real("m0", m0, 0.0)
 
 
+def _power(base, exponent, name, value):
+    """The float base**exponent. Where it overflows, which a Python float **
+    raises as OverflowError, a ValueError that names the constant name = value."""
+    try:
+        return base**exponent
+    except OverflowError:
+        raise ValueError(
+            f"{name} = {value!r} is too large: {base!r}**{exponent!r} overflows a float"
+        ) from None
+
+
 def _power_law_envelope(k, dt, k1, c, m0, shift, growth):
     """((k + shift) dt + 1)^(-2K1+1) (m0 + C^2 growth^{2K1}), vectorized over finite k >= 0."""
     k_arr = reals("k", k, 0.0)
-    out = ((k_arr + shift) * dt + 1.0) ** (-2.0 * k1 + 1.0) * (m0 + c**2 * growth ** (2.0 * k1))
+    scale = m0 + _power(c, 2, "c", c) * _power(growth, 2.0 * k1, "k1", k1)
+    out = ((k_arr + shift) * dt + 1.0) ** (-2.0 * k1 + 1.0) * scale
     return float(out) if np.ndim(k) == 0 else out
 
 
@@ -246,6 +258,7 @@ def em_recurrence_bound(
     dt = series.config.dt
     if not k1 * dt < 1.0:
         raise ValueError(f"need K1*dt < 1, got K1*dt = {k1 * dt}")
+    c2 = _power(c, 2, "c", c)
     ks = np.asarray(series.step_index, dtype=int)
     m2 = np.asarray(series.mean_square, dtype=float)
     se = np.asarray(series.std_error, dtype=float)
@@ -258,7 +271,7 @@ def em_recurrence_bound(
             continue
         k = int(ks[i])
         contraction = (1.0 - k1 * dt / (1.0 + k * dt)) ** 2
-        bound = contraction * m2[i] + c**2 * (1.0 + k * dt) ** (-2.0 * k1) * dt
+        bound = contraction * m2[i] + c2 * (1.0 + k * dt) ** (-2.0 * k1) * dt
         allowance = n_sigma * math.hypot(se[i + 1], contraction * se[i])
         checked += 1
         if not m2[i + 1] <= bound + allowance:  # False on NaN, so NaN is a violation

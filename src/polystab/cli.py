@@ -193,7 +193,7 @@ def _cmd_simulate(args) -> int:
                 lines.append(f"{int(k)},{float(series.time[i])!r},{float(env[i])!r}")
             env_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             wrote.append(str(env_path))
-        except (OverflowError, ValueError) as exc:  # the run is outside the envelope's range
+        except ValueError as exc:  # the run or a constant is outside the envelope's range
             print(f"warning: envelope not written: {exc}", file=sys.stderr)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)

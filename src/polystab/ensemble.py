@@ -9,9 +9,9 @@ pairwise sum over path-id-ordered arrays — two runs of the same SimConfig are
 byte-identical at any thread count.
 
 Paths run in fixed chunks of 4096. A chunk draws its normals in step blocks of
-at most 2**20 values into one step-major buffer (one contiguous row of path
-normals per step), from one Philox that is re-keyed for each path of the
-chunk. The raw words of a group of paths are gathered into a fixed-size
+at most 512 steps and 2**20 values into one step-major buffer (one contiguous
+row of path normals per step), from one Philox that is re-keyed for each path
+of the chunk. The raw words of a group of paths are gathered into a fixed-size
 scratch and mapped to normals by one transform per group, in a contiguous
 float scratch that is then copied into the buffer. Each filled step block
 is scaled by sqrt(dt) once, so a step's increments are a view of one row.
@@ -79,7 +79,8 @@ CSV_HEADER = "k,t,mean_square,std_error,surviving,blown_up"
 
 _MASK64 = (1 << 64) - 1
 _CHUNK_PATHS = 4096  # fixed: chunking must not depend on the thread count
-_BLOCK_NORMALS = 2**20  # normals per step block of a chunk: steps = this // paths
+_BLOCK_NORMALS = 2**20  # most normals per step block of a chunk
+_BLOCK_STEPS = 512  # most steps per block: steps = min(this, _BLOCK_NORMALS // paths)
 _SCRATCH_WORDS = 2**14  # raw words per grouped normal transform: rows = this // steps
 
 
@@ -388,7 +389,10 @@ def _simulate_chunk(kernel, problem, config, path_lo, path_hi, sq):
     # while pos < n_ck and frozen == (gone_from < n_ck)
     num_steps = ckpts[-1]
     sqrt_dt = math.sqrt(dt)
-    step_block = _BLOCK_NORMALS // m
+    # a narrow chunk holds at most _BLOCK_STEPS steps of noise: a 512-step
+    # Philox call spends under 4% of its time re-keying, so a longer block
+    # would save little time and hold more memory
+    step_block = min(_BLOCK_STEPS, _BLOCK_NORMALS // m)
     # step-major, so each step reads one contiguous row; filled through its transpose
     buffer = np.empty((min(step_block, num_steps), m))
     for b0 in range(0, num_steps, step_block):
@@ -442,12 +446,37 @@ def _mean_of_sum(values, n):
     return mean
 
 
+def _check_output_shapes(problem, x0):
+    """Refuse a drift or diffusion whose output does not broadcast to the state block's shape.
+
+    Each is called once, at t = 0 on an (n + 1, n) block of x0: with one row,
+    an output of shape (rows,) would broadcast against the block and pass.
+    A wrong shape otherwise broadcasts silently into an (m, m) state, a false
+    divergence, or fails inside the implicit solve.
+    """
+    block = np.tile(x0, (len(x0) + 1, 1))
+    with np.errstate(all="ignore"):  # only the shape is read
+        for name, fn in (("drift", problem.drift), ("diffusion", problem.diffusion)):
+            shape = np.shape(fn(block, 0.0))
+            try:
+                fits = np.broadcast_shapes(shape, block.shape) == block.shape
+            except ValueError:
+                fits = False
+            if not fits:
+                raise ValueError(
+                    f"{name} of problem '{problem.label}' returned shape {shape} for a "
+                    f"{block.shape} block of states; it must broadcast to {block.shape}"
+                )
+
+
 def simulate_ensemble(problem: SdeProblem, config: SimConfig) -> MomentSeries:
     """Run the ensemble and reduce to a MomentSeries.
 
     Blown-up (and the rare solver-failed) paths freeze and leave the surviving
     set; statistics at each checkpoint are over survivors, with counts
     reported alongside. Solver failures above 1% of paths abort the run.
+    A drift or diffusion whose output at x0 does not broadcast to the shape
+    of the state block it was given is refused before any path is stepped.
     The 4096-path chunks run on min(usable CPUs, chunks) threads, the usable
     CPUs being those of the process's affinity mask, not of a cgroup quota;
     the thread count never affects the result, only peak memory (one noise
@@ -460,6 +489,7 @@ def simulate_ensemble(problem: SdeProblem, config: SimConfig) -> MomentSeries:
             f"initial_value has shape {x0.shape}, problem '{problem.label}' needs "
             f"({problem.dimension},)"
         )
+    _check_output_shapes(problem, x0)
     if config.scheme == "bem":
         check_implicit_dt(problem, config.dt)
         check_decay_dt(problem, config.dt)

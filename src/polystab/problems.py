@@ -17,6 +17,7 @@ sampling evidence, never a proof.
 from __future__ import annotations
 
 import dataclasses
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -190,6 +191,7 @@ _GRID_MAX_AXES = 3
 _GRID_HALF_WIDTH = 100.0
 _PAIR_SAMPLES = 1000  # state pairs per time for the one-sided Lipschitz check
 _PAIR_SEED = 0
+_PAIR_BOX_MAX = sys.float_info.max / 2  # largest |state| whose pair box has a finite width
 
 
 def default_state_grid(dimension: int) -> np.ndarray:
@@ -273,7 +275,9 @@ def audit_conditions(
     times: array-like of t >= 0, default DEFAULT_AUDIT_TIMES. The one-sided
     Lipschitz condition quantifies over state pairs, so it is sampled with
     a fixed 1000 uniform pairs per time in the states' box, drawn from
-    default_rng(0): the same problem and grids give the same report.
+    default_rng(0): the same problem and grids give the same report. A
+    |state| above half the float maximum is refused, since the box would
+    have no finite width.
     """
     if states is None:
         states = default_state_grid(problem.dimension)
@@ -285,6 +289,12 @@ def audit_conditions(
     times = DEFAULT_AUDIT_TIMES if times is None else reals("times", times, 0.0).ravel().tolist()
     if len(times) == 0 or len(states) == 0:
         raise ValueError("need non-empty state and time samples")
+    half_width = float(np.max(np.abs(states))) or 1.0
+    if half_width > _PAIR_BOX_MAX:
+        raise ValueError(
+            f"states must lie within +-{_PAIR_BOX_MAX!r} (half the float maximum), "
+            f"got a largest |state| of {half_width!r}"
+        )
 
     k1, c = problem.k1, problem.c
     # per time: margin (LHS - RHS) and slack of every sample, in sample order
@@ -313,7 +323,6 @@ def audit_conditions(
         lin_g[1].append(_MARGIN_RTOL * np.maximum(np.maximum(gn, rhs_g), 1.0))
 
     rng = np.random.default_rng(_PAIR_SEED)
-    half_width = float(np.max(np.abs(states))) or 1.0
     osl, pairs = ([], []), []
     for t in times:
         xs = rng.uniform(-half_width, half_width, size=(_PAIR_SAMPLES, problem.dimension))

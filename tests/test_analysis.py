@@ -247,6 +247,19 @@ class TestEnvelopes:
         with pytest.raises(ValueError):
             bem_envelope(base["k"], base["dt"], base["k1"], base["c"], base["m0"])
 
+    @pytest.mark.parametrize("envelope,args,name", [
+        (em_envelope, (5, 0.1, 1.0, 1e200, 1.0), "c"),  # c**2 overflows
+        (bem_envelope, (5, 0.3, 3.0, 1e200, 1.0), "c"),
+        (bem_envelope, (5, 0.0024, 400.0, 1.0, 1.0), "k1"),  # (1 + 801 dt)**800 overflows
+    ])
+    def test_constant_whose_power_overflows_refused(self, envelope, args, name):
+        with pytest.raises(ValueError, match=f"^{name} = .* is too large: .* overflows a float$"):
+            envelope(*args)
+
+    def test_largest_c_keeps_its_bits(self):
+        # c**2 is still finite: the same expression, as written, gives the value
+        assert em_envelope(5, 0.1, 1.0, 1e154, 1.0) == 1.5 ** -1.0 * (1.0 + 1e154**2 * 1.1 ** 2.0)
+
 
 class TestRecurrenceBound:
     @staticmethod
@@ -297,6 +310,11 @@ class TestRecurrenceBound:
         kwargs[name] = value
         with pytest.raises(ValueError, match=name):
             em_recurrence_bound(series, **kwargs)
+
+    def test_c_whose_square_overflows_refused(self):
+        series = self.recurrence_series(n=20)
+        with pytest.raises(ValueError, match=r"^c = 1e\+200 is too large: 1e\+200\*\*2 overflows"):
+            em_recurrence_bound(series, k1=1.0, c=1e200)
 
     def test_zero_c_and_n_sigma_accepted(self):
         series = self.recurrence_series(c=0.0, n=20)

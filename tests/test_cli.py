@@ -246,7 +246,7 @@ class TestSimulate:
 
     def test_envelope_constant_beyond_the_float_range_is_a_warning(self, tmp_path, capsys):
         assert run(self.SMALL_RUN + ["--out-dir", str(tmp_path), "--c", "1e200", "--envelope"]) == 0
-        assert "warning: envelope not written" in capsys.readouterr().err
+        assert "warning: envelope not written: c = 1e+200 is too large" in capsys.readouterr().err
         assert (tmp_path / "linear_em_seed1.csv").exists()
         assert not (tmp_path / "linear_em_seed1_envelope.csv").exists()
 

@@ -303,6 +303,10 @@ class TestChunkBoundaries:
             assert cfg.num_paths > ensemble._CHUNK_PATHS
             assert cfg.num_steps > ensemble._BLOCK_NORMALS // ensemble._CHUNK_PATHS
         assert TestChunkBlowUpBytes.CONFIG.num_paths > 2 * ensemble._CHUNK_PATHS
+        # a narrow chunk whose block is capped by steps, not by normals
+        cfg = TestStepBlockBytes.CONFIG
+        assert cfg.num_paths * ensemble._BLOCK_STEPS < ensemble._BLOCK_NORMALS
+        assert cfg.num_steps > 2 * ensemble._BLOCK_STEPS
 
     def test_csv_bytes_at_one_and_three_workers(self, monkeypatch, cpus):
         text = self.csv_text()  # one chunk
@@ -318,6 +322,37 @@ class TestChunkBoundaries:
         monkeypatch.setattr(ensemble, "_BLOCK_NORMALS", 300 * 97)
         text = self.csv_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CSV_SHA256
+
+
+class TestStepBlockBytes:
+    # SHA-256 of the CSV and of the capped_mean_abs bytes, recorded while a
+    # 256-path chunk drew all 1100 steps in one block; it now draws 512 + 512 + 76
+    CSV_SHA256 = "5eb57bf03dd6b473cc3556d0c689f4fed086cd1343028859b14b90054c542bd8"
+    CAPPED_SHA256 = "31df44de36168fb6e3595de9cbac54259d4cc11f6bf6aaf2c840fa3fcbf1fb51"
+    CONFIG = SimConfig(dt=0.3, num_steps=1100, num_paths=256, seed=12, scheme="bem",
+                       initial_value=(2.0,))
+
+    def test_bytes_pinned(self):
+        series = simulate_ensemble(bem_example(), self.CONFIG)
+        assert series.failed_paths == 0
+        capped = np.ascontiguousarray(series.capped_mean_abs, dtype=np.float64)
+        assert hashlib.sha256(series.to_csv_text().encode("utf-8")).hexdigest() == self.CSV_SHA256
+        assert hashlib.sha256(capped.tobytes()).hexdigest() == self.CAPPED_SHA256
+
+    def test_narrow_long_run_holds_one_short_block(self, cpus):
+        # 256 paths x 4096 steps: a block of 512 steps is 1 MiB of noise, where
+        # a block of all 4096 steps that 2**20 normals allow would be 8 MiB
+        cpus.use(1)
+        cfg = SimConfig(dt=0.1, num_steps=4096, num_paths=256, seed=11, scheme="em",
+                        initial_value=(1.0,))
+        tracemalloc.start()
+        try:
+            series = simulate_ensemble(linear_example(), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(series.surviving == cfg.num_paths)
+        assert peak < 2.0e6, peak
 
 
 def run_chunk(problem, cfg, path_lo, path_hi):
@@ -797,6 +832,38 @@ class TestSimulateEnsemble:
                         initial_value=(1.0, 2.0))
         with pytest.raises(ValueError, match="initial_value"):
             simulate_ensemble(linear_example(), cfg)
+
+    @pytest.mark.parametrize("scheme", ["em", "bem"])
+    def test_drift_of_the_wrong_shape_is_refused(self, scheme):
+        # summed over the state axis, the drift is (m,) for an (m, 1) block:
+        # EM broadcast it into an (m, m) state and reported every path blown
+        # up, and BEM failed inside the solve
+        p = dataclasses.replace(linear_example(), label="row-sum",
+                                drift=lambda x, t: np.sum(-x, axis=-1) / (1 + t))
+        cfg = SimConfig(dt=0.1, num_steps=50, num_paths=300, seed=1, scheme=scheme,
+                        initial_value=(1.0,))
+        with pytest.raises(ValueError, match=r"^drift of problem 'row-sum' returned shape "
+                                             r"\(2,\) for a \(2, 1\) block"):
+            simulate_ensemble(p, cfg)
+
+    @pytest.mark.parametrize("scheme", ["em", "bem"])
+    def test_diffusion_of_the_wrong_shape_is_refused(self, scheme):
+        p = dataclasses.replace(cubic_rotation_2d(), label="wide-noise",
+                                diffusion=lambda x, t: np.ones((len(x), 3)))
+        cfg = SimConfig(dt=0.1, num_steps=5, num_paths=4, seed=1, scheme=scheme,
+                        initial_value=(1.0, 2.0))
+        with pytest.raises(ValueError, match=r"^diffusion of problem 'wide-noise' returned "
+                                             r"shape \(3, 3\) for a \(3, 2\) block"):
+            simulate_ensemble(p, cfg)
+
+    @pytest.mark.parametrize("scheme", ["em", "bem"])
+    def test_constant_drift_returned_as_one_float_runs(self, scheme):
+        # one float broadcasts to every block, so the shape check lets it through
+        p = dataclasses.replace(constant_problem(0.0), drift=lambda x, t: -1.0)
+        cfg = SimConfig(dt=0.1, num_steps=5, num_paths=3, seed=1, scheme=scheme,
+                        initial_value=(2.0,), checkpoints=(0, 5))
+        series = simulate_ensemble(p, cfg)
+        np.testing.assert_allclose(series.mean_square, [4.0, 2.25], rtol=1e-12)
 
     def test_solver_failures_abort(self):
         # x - dt x^2 - b has no root for b large; every path fails immediately

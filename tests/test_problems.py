@@ -196,6 +196,19 @@ class TestAudit:
         with pytest.raises(ValueError, match="states must have 1 columns, got 2"):
             audit_conditions(linear_example(), states=[[1.0, 2.0]], times=(1.0,))
 
+    @pytest.mark.parametrize("value", [1e308, 9e307, -9e307])
+    def test_states_whose_pair_box_has_no_finite_width_rejected(self, value):
+        # the pairs are drawn in [-w, w] with w the largest |state|; above half
+        # the float maximum 2w overflows
+        with pytest.raises(ValueError, match="half the float maximum"):
+            audit_conditions(linear_example(), states=[[1.0], [value]], times=(0.0,))
+
+    def test_states_just_below_the_limit_are_audited(self):
+        with np.errstate(all="ignore"):
+            report = audit_conditions(linear_example(), states=[[8.9e307]], times=(0.0,))
+        assert np.isnan(report.one_sided_lipschitz.worst_margin)
+        assert not report.one_sided_lipschitz.passed
+
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             audit_conditions(linear_example(), times=())
