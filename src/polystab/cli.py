@@ -131,10 +131,15 @@ def _simulate(problem, config):
     """(simulate_ensemble's series, EXIT_OK), or (None, exit code) once its error is printed."""
     try:
         return ensemble.simulate_ensemble(problem, config), EXIT_OK
-    except (MemoryError, RuntimeError, ValueError) as exc:  # MemoryError: a run too large to hold
-        refused = isinstance(exc, ValueError)  # an input the run refuses, such as a BEM dt
-        print(f"{'error' if refused else 'numerical failure'}: {exc}", file=sys.stderr)
-        return None, EXIT_USAGE if refused else EXIT_NUMERICAL
+    except ValueError as exc:  # an input the run refuses, such as a BEM dt
+        print(f"error: {exc}", file=sys.stderr)
+        return None, EXIT_USAGE
+    except (MemoryError, RuntimeError) as exc:  # MemoryError: a run too large to hold
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return None, EXIT_NUMERICAL
+    except ArithmeticError as exc:  # such as a coefficient's Python-float power of t
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return None, EXIT_NUMERICAL
 
 
 def _cmd_simulate(args) -> int:

@@ -8,8 +8,9 @@ Lipschitz condition with dt < 1/|Kbar| the map F(x) = x - f(x,t) dt is
 strictly monotone, so the root exists and is unique; the solver is damped
 Newton with a finite-difference Jacobian. For n = 1 monotonicity makes
 bisection (the solver's private _bisect_root_scalar) a complete fallback for
-the lanes Newton leaves unsolved; for n > 1 such lanes are reported as
-failed. solve_implicit_batch solves a whole
+the lanes Newton leaves unsolved (it hands the drift one np.float64, so a
+drift that overflows gives inf and an unsolved lane, not OverflowError); for
+n > 1 such lanes are reported as failed. solve_implicit_batch solves a whole
 (m, n) block of lanes at once in every dimension: for n = 1 an elementwise Newton
 whose first drift call stacks the residual point b and both difference
 points into one (3m, 1) block, and for n > 1 a damped Newton that makes one
@@ -172,7 +173,7 @@ def _bisect_root_scalar(drift, t, b, dt):
     _BISECT_ITERATIONS halvings at most.
     """
     def resid(x):
-        return x - dt * float(drift(x, t)) - b
+        return x - dt * float(drift(np.float64(x), t)) - b
 
     rb = resid(b)
 

@@ -54,13 +54,15 @@ _MARGIN_RTOL = 1e-12
 class SdeProblem:
     """Immutable SDE problem dx = f(x,t) dt + g(x,t) dB.
 
-    drift and diffusion must be pure, accept (state, time) with state of shape
-    (dimension,), and broadcast elementwise over leading axes (the ensemble
-    engine feeds them (paths, dimension) blocks, and the implicit solver may
-    call drift on a stacked block of rows, such as a residual point and both
-    difference points of every path at once). diffusion returns the single
-    noise column. k1, c, kbar are the condition constants the problem claims;
-    claims are checked by :func:`audit_conditions`, not trusted.
+    drift and diffusion are pure functions of (state, time) that act on each
+    row alone. States arrive as float64 numpy values: (rows, dimension)
+    blocks, such as the ensemble's (paths, dimension) blocks or the implicit
+    solver's stacked residual and difference points, or one np.float64 in
+    the n = 1 bisection; time arrives as a float. Each may return anything
+    that broadcasts to its input's shape (the built-in noise is one float),
+    which simulate_ensemble checks once per run. k1, c, kbar are the
+    condition constants the problem claims; claims are checked by
+    :func:`audit_conditions`, not trusted.
     """
 
     dimension: int
@@ -89,14 +91,8 @@ def _linear_drift(x, t):
     return x / -(1.0 + t)
 
 
-def _noise_column(x, value):
-    """value at the shape of x, as a float array (a numpy float for a scalar x)."""
-    g = np.full_like(x, value, dtype=float)
-    return g if g.ndim else g[()]
-
-
 def _linear_diffusion(x, t):
-    return _noise_column(x, 1.0 / (1.0 + t))
+    return np.float64(1.0 / (1.0 + t))
 
 
 def linear_example() -> SdeProblem:
@@ -118,7 +114,7 @@ def _cubic_drift(x, t):
 
 
 def _cubic_diffusion(x, t):
-    return _noise_column(x, (1.0 + t) ** -3)
+    return np.float64((1.0 + t) ** -3)
 
 
 def cubic_counterexample() -> SdeProblem:
@@ -239,7 +235,12 @@ def _point(vec) -> tuple:
 
 
 def _eval_checked(fn, x, t, what, label):
-    out = np.asarray(fn(x, t), dtype=float)
+    try:
+        out = np.asarray(fn(x, t), dtype=float)
+    except ArithmeticError as exc:  # such as a Python-float power of t that overflows
+        raise ValueError(
+            f"{what} of '{label}' raised {type(exc).__name__} at t={t}: {exc}"
+        ) from exc
     if not np.all(np.isfinite(out)):
         bad = np.argwhere(~np.isfinite(out))
         idx = tuple(bad[0]) if bad.size else ()
@@ -307,20 +308,22 @@ def audit_conditions(
             _eval_checked(problem.diffusion, states, t, "diffusion", problem.label),
             states.shape,
         )
-        xn = np.linalg.norm(states, axis=1)
-        fn = np.linalg.norm(f, axis=1)
-        gn = np.linalg.norm(g, axis=1)
-        xf = np.einsum("ij,ij->i", states, f)
+        # norms that overflow give inf or NaN margins, which fail their checks
+        with np.errstate(over="ignore", invalid="ignore"):
+            xn = np.linalg.norm(states, axis=1)
+            fn = np.linalg.norm(f, axis=1)
+            gn = np.linalg.norm(g, axis=1)
+            xf = np.einsum("ij,ij->i", states, f)
 
-        rhs = k1 * xn / (1.0 + t)
-        lin_f[0].append(fn - rhs)
-        lin_f[1].append(_MARGIN_RTOL * np.maximum(np.maximum(fn, rhs), 1.0))
-        rhs = -k1 * xn**2 / (1.0 + t)
-        one_f[0].append(xf - rhs)
-        one_f[1].append(_MARGIN_RTOL * np.maximum(np.maximum(np.abs(xf), np.abs(rhs)), 1.0))
-        rhs_g = c * (1.0 + t) ** (-k1)
-        lin_g[0].append(gn - rhs_g)
-        lin_g[1].append(_MARGIN_RTOL * np.maximum(np.maximum(gn, rhs_g), 1.0))
+            rhs = k1 * xn / (1.0 + t)
+            lin_f[0].append(fn - rhs)
+            lin_f[1].append(_MARGIN_RTOL * np.maximum(np.maximum(fn, rhs), 1.0))
+            rhs = -k1 * xn**2 / (1.0 + t)
+            one_f[0].append(xf - rhs)
+            one_f[1].append(_MARGIN_RTOL * np.maximum(np.maximum(np.abs(xf), np.abs(rhs)), 1.0))
+            rhs_g = c * (1.0 + t) ** (-k1)
+            lin_g[0].append(gn - rhs_g)
+            lin_g[1].append(_MARGIN_RTOL * np.maximum(np.maximum(gn, rhs_g), 1.0))
 
     rng = np.random.default_rng(_PAIR_SEED)
     osl, pairs = ([], []), []
@@ -329,11 +332,12 @@ def audit_conditions(
         ys = rng.uniform(-half_width, half_width, size=(_PAIR_SAMPLES, problem.dimension))
         fx = _eval_checked(problem.drift, xs, t, "drift", problem.label)
         fy = _eval_checked(problem.drift, ys, t, "drift", problem.label)
-        d = xs - ys
-        lhs = np.einsum("ij,ij->i", d, fx - fy)
-        rhs = problem.kbar * np.einsum("ij,ij->i", d, d) / (1.0 + t)
-        osl[0].append(lhs - rhs)
-        osl[1].append(_MARGIN_RTOL * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = xs - ys
+            lhs = np.einsum("ij,ij->i", d, fx - fy)
+            rhs = problem.kbar * np.einsum("ij,ij->i", d, d) / (1.0 + t)
+            osl[0].append(lhs - rhs)
+            osl[1].append(_MARGIN_RTOL * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0))
         pairs.append((xs, ys))
 
     def state_point(i):

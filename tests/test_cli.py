@@ -272,6 +272,29 @@ class TestSimulate:
         )
         assert not any(tmp_path.iterdir())
 
+    def test_overflowing_drift_fails_the_implicit_solve(self, tmp_path, capsys):
+        # the cubic drift overflows at x0 = 1e110: every solve fails, none raises
+        code = run(["simulate", "--problem", "counterexample", "--scheme", "bem", "--dt", "0.1",
+                    "--steps", "50", "--paths", "100", "--seed", "1", "--x0", "1e110",
+                    "--blow-up-cap", "1e300", "--out-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "numerical failure: 100/100 paths failed the implicit solve (100.0% > 1%); aborting\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_arithmetic_error_from_a_coefficient_is_a_numerical_failure(self, tmp_path, capsys):
+        # bem-example's (1 + t)**4 overflows on the Python float t = 1e78
+        code = run(["simulate", "--problem", "bem-example", "--scheme", "em", "--dt", "1e78",
+                    "--steps", "3", "--paths", "4", "--seed", "1", "--x0", "0",
+                    "--out-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("numerical failure: OverflowError: ")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_counterexample_blow_up_fraction_reported(self, tmp_path, capsys):
         code = run([
             "simulate", "--problem", "counterexample", "--scheme", "em", "--dt", "0.1",

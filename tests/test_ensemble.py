@@ -39,6 +39,7 @@ from polystab.problems import (
     cubic_counterexample,
     exact_linear_mean_square,
     linear_example,
+    problem_from_label,
 )
 
 
@@ -353,6 +354,30 @@ class TestStepBlockBytes:
             tracemalloc.stop()
         assert np.all(series.surviving == cfg.num_paths)
         assert peak < 2.0e6, peak
+
+
+class TestBemNoiseBytes:
+    # SHA-256 of the CSV and of the capped_mean_abs bytes of BEM on the two
+    # built-in problems whose noise does not depend on the state, recorded
+    # while their diffusions still filled a column at the state's shape
+    PINS = {
+        "linear": (1.0, 23, "e4bc92b7dd3ea84d98399cb31ded18b4c64dc5a515b441043d27060e59a3181d",
+                   "42b77ae0f48124397e39809ab0d01a9fd8fe4f0e2e4347db12b5e672b338c452"),
+        "counterexample": (5.0, 24,
+                           "a789745b8b3aca79c9284b5cee0247e4b48d0dc575766d12062415e013ec7153",
+                           "b797b5bbb78a95b2d79c739dbf97de84549c7a95a8e9df8a2a5e958cadbe8477"),
+    }
+
+    @pytest.mark.parametrize("label", sorted(PINS))
+    def test_bytes_pinned(self, label):
+        x0, seed, csv_sha, capped_sha = self.PINS[label]
+        cfg = SimConfig(dt=0.1, num_steps=200, num_paths=300, seed=seed, scheme="bem",
+                        initial_value=(x0,), checkpoints=tuple(range(201)))
+        series = simulate_ensemble(problem_from_label(label), cfg)
+        assert series.failed_paths == 0 and series.blown_up[-1] == 0
+        capped = np.ascontiguousarray(series.capped_mean_abs, dtype=np.float64)
+        assert hashlib.sha256(series.to_csv_text().encode("utf-8")).hexdigest() == csv_sha
+        assert hashlib.sha256(capped.tobytes()).hexdigest() == capped_sha
 
 
 def run_chunk(problem, cfg, path_lo, path_hi):

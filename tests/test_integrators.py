@@ -225,6 +225,16 @@ class TestSolveImplicit:
             solve_implicit(p, 1.0, 10.0, 0.5)
         assert err.value.best_residual is not None
 
+    def test_overflowing_drift_leaves_the_lane_unsolved(self):
+        # x**3 overflows at b = 1e110: to inf on the float64 state the
+        # bisection hands the drift, where a Python float raises OverflowError
+        p = cubic_counterexample()
+        with np.errstate(all="ignore"):
+            _, ok = solve_implicit_batch(p, 0.1, np.array([[1e110]]), 0.1)
+            assert ok.tolist() == [False]
+            with pytest.raises(ImplicitSolveError):
+                solve_implicit(p, 0.1, 1e110, 0.1)
+
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["above", "below"])
     def test_bisection_without_a_bracket_returns_none(self, sign):
         # drift sign * x^2 at dt = 0.5: the residual x - 0.5 sign x^2 - b stays

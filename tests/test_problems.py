@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ def test_linear_example_values():
 
 
 def test_linear_terms_are_the_written_formulas_bit_for_bit():
-    # the drift divides by -(1+t) in one operation and the noise column is
-    # filled at once; both give exactly -x/(1+t) and zeros_like(x) + 1/(1+t)
+    # the drift divides by -(1+t) in one operation and the noise is one
+    # float64; both give exactly -x/(1+t) and zeros_like(x) + 1/(1+t)
     p = linear_example()
     rng = np.random.default_rng(3)
     x = rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 300, 2000)
@@ -40,7 +41,7 @@ def test_linear_terms_are_the_written_formulas_bit_for_bit():
     for t in (0.0, 1e-9, 0.3, 7.5, 1e300):
         assert p.drift(x, t).tobytes() == (-x / (1.0 + t)).tobytes()
         g = p.diffusion(x, t)
-        assert g.shape == x.shape and g.tobytes() == (np.zeros_like(x) + 1.0 / (1.0 + t)).tobytes()
+        assert np.broadcast_to(g, x.shape).tobytes() == (np.zeros_like(x) + 1.0 / (1.0 + t)).tobytes()
     assert type(p.diffusion(2.0, 1.0)) is np.float64 and p.diffusion(2.0, 1.0) == 0.5
 
 
@@ -208,6 +209,22 @@ class TestAudit:
             report = audit_conditions(linear_example(), states=[[8.9e307]], times=(0.0,))
         assert np.isnan(report.one_sided_lipschitz.worst_margin)
         assert not report.one_sided_lipschitz.passed
+
+    @pytest.mark.parametrize("state", [8.9e307, 1e200])
+    def test_states_whose_norms_overflow_fail_without_warnings(self, state):
+        # the squared norms overflow: NaN margins fail their checks, and the
+        # margin arithmetic lets no RuntimeWarning out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = audit_conditions(linear_example(), states=[[state]], times=(0.0,))
+        assert [c.passed for c in report.checks()] == [False, False, True, False]
+        assert np.isnan(report.linear_growth_f.worst_margin)
+
+    def test_coefficient_arithmetic_error_is_a_value_error(self):
+        # bem-example's (1 + t)**2 overflows on the Python float t = 1e200
+        with pytest.raises(ValueError,
+                           match=r"^drift of 'bem-example' raised OverflowError at t=1e\+200"):
+            audit_conditions(bem_example(), times=(1e200,))
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
