@@ -36,11 +36,18 @@ and capped norms from these, so no mask or capped array is stored.
 
 Paths whose state norm exceeds blow_up_cap are frozen and counted as blown up
 from that checkpoint on; capped means plus blow-up fractions are how divergence
-stays visible instead of being truncated away.
+stays visible instead of being truncated away. An ArithmeticError raised while
+a chunk steps keeps its class and is told the problem, scheme, step and time.
+
+The inverse normal CDF is scipy's ndtri ufunc, which _load_ndtri takes from
+the compiled scipy.special._ufuncs without running scipy.special's package
+init.
 """
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -52,7 +59,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 from .checks import integer, positive_real, reals
 from .integrators import (
@@ -82,6 +88,39 @@ _CHUNK_PATHS = 4096  # fixed: chunking must not depend on the thread count
 _BLOCK_NORMALS = 2**20  # most normals per step block of a chunk
 _BLOCK_STEPS = 512  # most steps per block: steps = min(this, _BLOCK_NORMALS // paths)
 _SCRATCH_WORDS = 2**14  # raw words per grouped normal transform: rows = this // steps
+
+
+def _load_ndtri():
+    """scipy's ndtri ufunc, loaded without running scipy.special's package init.
+
+    That init imports scipy's array-API layer, which clones numpy's
+    namespace (numpy.f2py, numpy.testing, numpy.ma, ...): about 0.3 s and
+    18 MB of every command's set-up, spent to reach this one ufunc. So the
+    compiled scipy.special._ufuncs is imported under an unexecuted module
+    object of the package, which is then dropped from sys.modules again. A
+    later import of scipy.special runs its init as usual and reuses the
+    loaded extension, so its ndtri is this very object. If scipy.special is
+    loaded already, or its _ufuncs is missing or has no ndtri, this is the
+    public import. One limit: a thread that imports scipy.special while this
+    runs (some 10-20 ms of the first import of polystab) could see the
+    unexecuted package module.
+    """
+    if "scipy.special" not in sys.modules:
+        try:
+            package = importlib.util.module_from_spec(importlib.util.find_spec("scipy.special"))
+            sys.modules["scipy.special"] = package
+            try:
+                return importlib.import_module("scipy.special._ufuncs").ndtri
+            finally:
+                del sys.modules["scipy.special"]
+        except (ImportError, AttributeError):
+            pass
+    from scipy.special import ndtri
+
+    return ndtri
+
+
+ndtri = _load_ndtri()
 
 
 def geometric_checkpoints(num_steps: int, count: int = 50) -> tuple[int, ...]:
@@ -400,35 +439,41 @@ def _simulate_chunk(kernel, problem, config, path_lo, path_hi, sq):
         normals = buffer[: b1 - b0]
         _fill_standard_normals(normals.T, config.seed, path_lo, b0)
         normals *= sqrt_dt  # now the increments dB = z sqrt(dt), one product each
-        for k, increments in enumerate(normals, b0):
-            db = increments[:, None]
-            # t_next is (k+1) dt, not t + dt: the two can differ in the last
-            # bit, and the solve time moves every BEM byte after it
-            t, t_next = k * dt, (k + 1) * dt
-            if live is None:
-                x, ok = kernel(problem, x, t, t_next, dt, db)
-            else:
-                x[live], ok = kernel(problem, x[live], t, t_next, dt, db[live])
-            froze = ok is not None and np.count_nonzero(ok) < ok.size
-            if froze:  # such a path kept its state
-                lost = np.flatnonzero(~ok) if live is None else live[~ok]
-                failed[lost] = True
-                gone_from[lost] = pos
-            norm2 = _squared_norms(x)
-            # one comparison while nothing is over (a NaN max fails it too); a
-            # frozen path is blown already or kept a state that passed
-            if not np.maximum.reduce(norm2) <= limit:
-                np.minimum(gone_from, pos, out=gone_from, where=~(norm2 <= limit))
-                froze = True
-            if froze:
-                live = np.flatnonzero(gone_from == n_ck)
-                if not live.size:
-                    # no path moves again: every later checkpoint holds this norm2
-                    sq[pos:] = norm2
-                    return gone_from, failed
-            if ckpts[pos] == k + 1:
-                sq[pos] = norm2
-                pos += 1
+        try:  # entered once per step block, so a step costs nothing more
+            for k, increments in enumerate(normals, b0):
+                db = increments[:, None]
+                # t_next is (k+1) dt, not t + dt: the two can differ in the last
+                # bit, and the solve time moves every BEM byte after it
+                t, t_next = k * dt, (k + 1) * dt
+                if live is None:
+                    x, ok = kernel(problem, x, t, t_next, dt, db)
+                else:
+                    x[live], ok = kernel(problem, x[live], t, t_next, dt, db[live])
+                froze = ok is not None and np.count_nonzero(ok) < ok.size
+                if froze:  # such a path kept its state
+                    lost = np.flatnonzero(~ok) if live is None else live[~ok]
+                    failed[lost] = True
+                    gone_from[lost] = pos
+                norm2 = _squared_norms(x)
+                # one comparison while nothing is over (a NaN max fails it too); a
+                # frozen path is blown already or kept a state that passed
+                if not np.maximum.reduce(norm2) <= limit:
+                    np.minimum(gone_from, pos, out=gone_from, where=~(norm2 <= limit))
+                    froze = True
+                if froze:
+                    live = np.flatnonzero(gone_from == n_ck)
+                    if not live.size:
+                        # no path moves again: every later checkpoint holds this norm2
+                        sq[pos:] = norm2
+                        return gone_from, failed
+                if ckpts[pos] == k + 1:
+                    sq[pos] = norm2
+                    pos += 1
+        except ArithmeticError as exc:  # such as a coefficient's Python-float power of t
+            # the same exception, so its class and traceback stay, told where it happened
+            scheme = next((name for name, f in _KERNELS.items() if f is kernel), kernel.__name__)
+            exc.args = (f"problem '{problem.label}', scheme {scheme}, step k={k}, t={t!r}: {exc}",)
+            raise
     return gone_from, failed
 
 

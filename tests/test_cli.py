@@ -295,6 +295,19 @@ class TestSimulate:
         assert captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("scheme", ["em", "bem"])
+    def test_arithmetic_error_names_the_problem_scheme_and_time(self, tmp_path, capsys, scheme):
+        # step k = 1 is the first at t = 1e78, where (1 + t)**4 overflows
+        code = run(["simulate", "--problem", "bem-example", "--scheme", scheme, "--dt", "1e78",
+                    "--steps", "3", "--paths", "4", "--seed", "1", "--x0", "0",
+                    "--out-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert [ln for ln in captured.err.splitlines() if ln.startswith("numerical failure:")] == [
+            f"numerical failure: OverflowError: problem 'bem-example', scheme {scheme}, "
+            "step k=1, t=1e+78: (34, 'Numerical result out of range')"
+        ]
+
     def test_counterexample_blow_up_fraction_reported(self, tmp_path, capsys):
         code = run([
             "simulate", "--problem", "counterexample", "--scheme", "em", "--dt", "0.1",

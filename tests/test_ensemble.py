@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import threading
@@ -287,6 +288,70 @@ class TestNoiseStreamPinned:
         for j in range(m):
             row = _standard_normal_block(seed, path_lo + j, step0, steps)
             assert buffer[:, j].tobytes() == row.tobytes(), j
+
+
+SRC = str(Path(ensemble.__file__).resolve().parents[1])
+ARRAY_API_MODULES = ("scipy.special", "scipy._lib._array_api")
+
+
+def run_python(script, *args):
+    """The parsed last stdout line of script, run by a fresh interpreter that imports polystab from SRC."""
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+FRESH_PROCESS = f"""
+import json, sys
+import polystab, polystab.cli
+from polystab import SimConfig, linear_example, simulate_ensemble
+loaded = lambda: [m for m in {ARRAY_API_MODULES!r} if m in sys.modules]
+at_import = loaded()
+config = SimConfig(dt=0.1, num_steps=3, num_paths=2, seed=1, scheme="em", initial_value=(1.0,))
+simulate_ensemble(linear_example(), config)
+print(json.dumps([at_import, loaded()]))
+"""
+
+LOAD_ORDER = """
+import hashlib, json, sys
+import numpy as np
+if sys.argv[1] == "before":
+    import scipy.special
+from polystab import ensemble
+private = "scipy.special" not in sys.modules
+import scipy.special, scipy.stats
+out = np.empty((16, 600))
+ensemble._fill_standard_normals(out, 2024, 1020, 4090)
+print(json.dumps({
+    "private": private,
+    "same": ensemble.ndtri is scipy.special.ndtri,
+    "ppf": float(scipy.stats.norm.ppf(0.975)),
+    "increment": ensemble.brownian_increment(7, 3, 11, 0.1).hex(),
+    "block": hashlib.sha256(out.tobytes()).hexdigest(),
+}))
+"""
+
+
+class TestNdtriLoad:
+    """ndtri is scipy's own ufunc, loaded without scipy.special's package init."""
+
+    def test_fresh_process_never_runs_the_package_init(self):
+        assert run_python(FRESH_PROCESS) == [[], []]
+
+    def test_load_order_changes_nothing(self):
+        before = run_python(LOAD_ORDER, "before")
+        after = run_python(LOAD_ORDER, "after")
+        assert (before["private"], after["private"]) == (False, True)
+        assert before["same"] and after["same"]
+        assert before["ppf"] == after["ppf"] == pytest.approx(1.959963984540054)
+        out = np.empty((16, 600))
+        _fill_standard_normals(out, 2024, 1020, 4090)
+        here = {"increment": brownian_increment(7, 3, 11, 0.1).hex(),
+                "block": hashlib.sha256(out.tobytes()).hexdigest()}
+        for result in (before, after):
+            assert {key: result[key] for key in here} == here
 
 
 class TestChunkBoundaries:

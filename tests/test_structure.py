@@ -2,10 +2,14 @@
 
 A module of polystab imports only public names from its sibling modules:
 a leading underscore marks a name as private to the module that defines it.
-Its one scipy import is ndtri, in the ensemble: importing scipy.special
-costs about twice numpy's own import time (~0.31 s against ~0.15 s on a
-2-core Xeon), so each further scipy module shows in every command's set-up
-time. The noise stream builds its generator with numpy's public
+Its one scipy name is ndtri, in the ensemble, which loads it from the
+compiled scipy.special._ufuncs and skips scipy.special's package init,
+whose array-API layer costs about 0.3 s and 18 MB of every command's
+set-up; the public import of ndtri is only its fallback, and each further
+scipy module would show in that set-up too. So the ensemble is the one
+module that uses importlib, and the only module names it hands it are
+scipy.special, to find the package's spec, and scipy.special._ufuncs. The
+noise stream builds its generator with numpy's public
 Philox(key=, counter=), so no module imports from numpy.random.bit_generator.
 The benchmark harness under perfbench/ reaches polystab only through
 names the package exports, so deleting one of them fails here first, and
@@ -129,6 +133,46 @@ def test_only_scipy_import_is_ndtri_in_ensemble():
 ])
 def test_scipy_guard_finds_every_form(source, expected):
     assert scipy_imports(source) == expected
+
+
+def importlib_uses(source: str) -> set[str]:
+    """How source uses importlib: each import of it, as written, and each call
+    through it, unparsed with its arguments."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(f"import {a.name}" for a in node.names
+                         if a.name.split(".")[0] == "importlib")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "importlib":
+            found.update(f"from {node.module} import {a.name}" for a in node.names)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).startswith("importlib."):
+            found.add(ast.unparse(node))
+    return found
+
+
+def test_only_the_ensemble_uses_importlib_and_only_on_scipy_special():
+    found = {path.name: importlib_uses(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name: uses for name, uses in found.items() if uses} == {"ensemble.py": {
+        "import importlib",
+        "import importlib.util",
+        "importlib.util.find_spec('scipy.special')",
+        "importlib.util.module_from_spec(importlib.util.find_spec('scipy.special'))",
+        "importlib.import_module('scipy.special._ufuncs')",
+    }}
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("import importlib\nimportlib.import_module('scipy.stats')",
+     {"import importlib", "importlib.import_module('scipy.stats')"}),
+    ("import importlib.util as u", {"import importlib.util"}),
+    ("from importlib import import_module\nimport_module(name)",
+     {"from importlib import import_module"}),
+    ("from importlib.util import find_spec", {"from importlib.util import find_spec"}),
+    ("def f(name):\n    return importlib.util.find_spec(name)", {"importlib.util.find_spec(name)"}),
+    ("import importlib_metadata\nimport numpy.lib", set()),
+])
+def test_importlib_guard_finds_every_form(source, expected):
+    assert importlib_uses(source) == expected
 
 
 BIT_GENERATOR = "numpy.random.bit_generator"
