@@ -142,6 +142,16 @@ def _simulate(problem, config):
         return None, EXIT_NUMERICAL
 
 
+def _missing_dirs(path: Path) -> list[Path]:
+    """path and those of its parents that do not exist, deepest first: what mkdir(parents=True) makes."""
+    missing = []
+    for directory in (path, *path.parents):
+        if directory.exists():
+            break
+        missing.append(directory)
+    return missing
+
+
 def _cmd_simulate(args) -> int:
     try:
         spec = ExperimentSpec.from_args(args)
@@ -167,6 +177,7 @@ def _cmd_simulate(args) -> int:
 
     out_dir = Path(spec.out_dir)
     try:
+        made = _missing_dirs(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         print(f"error: --out-dir: {exc}", file=sys.stderr)
@@ -174,6 +185,11 @@ def _cmd_simulate(args) -> int:
 
     series, code = _simulate(problem, config)
     if series is None:
+        for directory in made:  # deepest first; rmdir leaves one that is not empty
+            try:
+                directory.rmdir()
+            except OSError:
+                pass
         return code
 
     prefix = spec.prefix or f"{spec.problem}_{spec.scheme}_seed{spec.seed}"

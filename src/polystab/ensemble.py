@@ -39,9 +39,12 @@ from that checkpoint on; capped means plus blow-up fractions are how divergence
 stays visible instead of being truncated away. An ArithmeticError raised while
 a chunk steps keeps its class and is told the problem, scheme, step and time.
 
-The inverse normal CDF is scipy's ndtri ufunc, which _load_ndtri takes from
-the compiled scipy.special._ufuncs without running scipy.special's package
-init.
+The generator is numpy's Philox and the inverse normal CDF scipy's ndtri
+ufunc, which _load_compiled takes from the compiled numpy.random._philox and
+scipy.special._ufuncs without running either package's init; the public
+imports run only where that fails or the package is loaded already. The
+thread pool is imported only by a run that starts threads, so a one-CPU
+run loads neither numpy.random nor concurrent.futures.
 """
 
 from __future__ import annotations
@@ -53,12 +56,10 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from numpy.random import Philox
 
 from .checks import integer, positive_real, reals
 from .integrators import (
@@ -90,37 +91,40 @@ _BLOCK_STEPS = 512  # most steps per block: steps = min(this, _BLOCK_NORMALS // 
 _SCRATCH_WORDS = 2**14  # raw words per grouped normal transform: rows = this // steps
 
 
-def _load_ndtri():
-    """scipy's ndtri ufunc, loaded without running scipy.special's package init.
+def _load_compiled(package, submodule, name):
+    """name from the compiled package.submodule, loaded without running package's init.
 
-    That init imports scipy's array-API layer, which clones numpy's
-    namespace (numpy.f2py, numpy.testing, numpy.ma, ...): about 0.3 s and
-    18 MB of every command's set-up, spent to reach this one ufunc. So the
-    compiled scipy.special._ufuncs is imported under an unexecuted module
-    object of the package, which is then dropped from sys.modules again. A
-    later import of scipy.special runs its init as usual and reuses the
-    loaded extension, so its ndtri is this very object. If scipy.special is
-    loaded already, or its _ufuncs is missing or has no ndtri, this is the
-    public import. One limit: a thread that imports scipy.special while this
-    runs (some 10-20 ms of the first import of polystab) could see the
-    unexecuted package module.
+    Used for scipy.special._ufuncs.ndtri and numpy.random._philox.Philox.
+    scipy.special's init imports scipy's array-API layer, which clones
+    numpy's namespace (numpy.f2py, numpy.testing, numpy.ma, ...): about 0.3 s
+    and 18 MB of every command's set-up. numpy.random's init loads mtrand,
+    Generator and four more bit generators. So the submodule is imported
+    under an unexecuted module object of the package, which is then dropped
+    from sys.modules again. A later import of the package runs its init as
+    usual and reuses the loaded submodule, so its name is this very object.
+    None, for the caller's public import, if the package is loaded already
+    or the submodule or name is missing. One limit, for both packages: a
+    thread that imports the package while this runs (some milliseconds of
+    the first import of polystab) could see the unexecuted package module.
     """
-    if "scipy.special" not in sys.modules:
+    if package in sys.modules:
+        return None
+    try:
+        sys.modules[package] = importlib.util.module_from_spec(importlib.util.find_spec(package))
         try:
-            package = importlib.util.module_from_spec(importlib.util.find_spec("scipy.special"))
-            sys.modules["scipy.special"] = package
-            try:
-                return importlib.import_module("scipy.special._ufuncs").ndtri
-            finally:
-                del sys.modules["scipy.special"]
-        except (ImportError, AttributeError):
-            pass
+            return getattr(importlib.import_module(f"{package}.{submodule}"), name)
+        finally:
+            del sys.modules[package]
+    except (ImportError, AttributeError):
+        return None
+
+
+ndtri = _load_compiled("scipy.special", "_ufuncs", "ndtri")
+if ndtri is None:
     from scipy.special import ndtri
-
-    return ndtri
-
-
-ndtri = _load_ndtri()
+Philox = _load_compiled("numpy.random", "_philox", "Philox")
+if Philox is None:
+    from numpy.random import Philox
 
 
 def geometric_checkpoints(num_steps: int, count: int = 50) -> tuple[int, ...]:
@@ -557,6 +561,8 @@ def simulate_ensemble(problem: SdeProblem, config: SimConfig) -> MomentSeries:
         for lo in starts:
             run(lo)
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only a run on threads loads it
+
         with ThreadPoolExecutor(threads) as pool:
             list(pool.map(run, starts))  # reading each result raises its error
 

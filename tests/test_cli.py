@@ -308,6 +308,18 @@ class TestSimulate:
             "step k=1, t=1e+78: (34, 'Numerical result out of range')"
         ]
 
+    @pytest.mark.parametrize("argv,code", [
+        (["--problem", "bem-example", "--scheme", "em", "--dt", "1e78", "--x0", "0"], 2),
+        (["--problem", "counterexample", "--scheme", "bem", "--dt", "100"], 1),  # refused dt
+    ], ids=["numerical-failure", "refused-run"])
+    def test_failed_run_removes_the_out_dir_it_made(self, tmp_path, capsys, argv, code):
+        (tmp_path / "there").mkdir()
+        out_dir = tmp_path / "there" / "new" / "deeper"
+        assert run(["simulate", *argv, "--steps", "3", "--paths", "4", "--seed", "1",
+                    "--out-dir", str(out_dir)]) == code
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.rglob("*")) == [tmp_path / "there"]
+
     def test_counterexample_blow_up_fraction_reported(self, tmp_path, capsys):
         code = run([
             "simulate", "--problem", "counterexample", "--scheme", "em", "--dt", "0.1",

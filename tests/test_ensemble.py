@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import importlib.util
@@ -303,11 +304,20 @@ def run_python(script, *args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-FRESH_PROCESS = f"""
+def stream_bytes():
+    """This process's brownian_increment(7, 3, 11, 0.1) and 16 x 600 noise block, as the load-order scripts print them."""
+    out = np.empty((16, 600))
+    _fill_standard_normals(out, 2024, 1020, 4090)
+    return {"increment": brownian_increment(7, 3, 11, 0.1).hex(),
+            "block": hashlib.sha256(out.tobytes()).hexdigest()}
+
+
+# the modules named on its command line that are loaded after import, and after a run
+FRESH_PROCESS = """
 import json, sys
 import polystab, polystab.cli
 from polystab import SimConfig, linear_example, simulate_ensemble
-loaded = lambda: [m for m in {ARRAY_API_MODULES!r} if m in sys.modules]
+loaded = lambda: [m for m in sys.argv[1:] if m in sys.modules]
 at_import = loaded()
 config = SimConfig(dt=0.1, num_steps=3, num_paths=2, seed=1, scheme="em", initial_value=(1.0,))
 simulate_ensemble(linear_example(), config)
@@ -338,7 +348,7 @@ class TestNdtriLoad:
     """ndtri is scipy's own ufunc, loaded without scipy.special's package init."""
 
     def test_fresh_process_never_runs_the_package_init(self):
-        assert run_python(FRESH_PROCESS) == [[], []]
+        assert run_python(FRESH_PROCESS, *ARRAY_API_MODULES) == [[], []]
 
     def test_load_order_changes_nothing(self):
         before = run_python(LOAD_ORDER, "before")
@@ -346,10 +356,47 @@ class TestNdtriLoad:
         assert (before["private"], after["private"]) == (False, True)
         assert before["same"] and after["same"]
         assert before["ppf"] == after["ppf"] == pytest.approx(1.959963984540054)
-        out = np.empty((16, 600))
-        _fill_standard_normals(out, 2024, 1020, 4090)
-        here = {"increment": brownian_increment(7, 3, 11, 0.1).hex(),
-                "block": hashlib.sha256(out.tobytes()).hexdigest()}
+        here = stream_bytes()
+        for result in (before, after):
+            assert {key: result[key] for key in here} == here
+
+
+PHILOX_LOAD_ORDER = """
+import hashlib, json, sys
+import numpy as np
+if sys.argv[1] == "before":
+    import numpy.random
+from polystab import ensemble
+private = "numpy.random" not in sys.modules
+rng = np.random.default_rng(0).random()  # through numpy's lazy attribute
+import numpy.random
+out = np.empty((16, 600))
+ensemble._fill_standard_normals(out, 2024, 1020, 4090)
+print(json.dumps({
+    "private": private,
+    "same": ensemble.Philox is numpy.random.Philox,
+    "rng": rng,
+    "increment": ensemble.brownian_increment(7, 3, 11, 0.1).hex(),
+    "block": hashlib.sha256(out.tobytes()).hexdigest(),
+}))
+"""
+
+
+class TestOneCpuLoads:
+    """A one-CPU run loads neither numpy.random's package init nor a thread pool."""
+
+    def test_fresh_process_loads_only_what_it_runs(self):
+        unused = ("numpy.random", "numpy.random.mtrand", "numpy.random._generator",
+                  "concurrent.futures", "scipy.special")
+        assert run_python(FRESH_PROCESS, *unused) == [[], []]
+
+    def test_philox_load_order_changes_nothing(self):
+        before = run_python(PHILOX_LOAD_ORDER, "before")
+        after = run_python(PHILOX_LOAD_ORDER, "after")
+        assert (before["private"], after["private"]) == (False, True)
+        assert before["same"] and after["same"]
+        assert before["rng"] == after["rng"] == np.random.default_rng(0).random()
+        here = stream_bytes()
         for result in (before, after):
             assert {key: result[key] for key in here} == here
 
@@ -752,13 +799,13 @@ class TestSimulateEnsemble:
     @pytest.mark.parametrize("n,chunks,pool", [(1, 3, None), (2, 3, 2), (16, 3, 3), (4, 1, None)])
     def test_thread_count_is_cpus_up_to_chunks(self, monkeypatch, cpus, n, chunks, pool):
         pools = []
-        executor = ensemble.ThreadPoolExecutor
+        executor = concurrent.futures.ThreadPoolExecutor
 
         def spy(max_workers):
             pools.append(max_workers)
             return executor(max_workers=max_workers)
 
-        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", spy)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", spy)
         monkeypatch.setattr(ensemble, "_CHUNK_PATHS", 100)
         cfg = SimConfig(dt=0.1, num_steps=20, num_paths=100 * chunks - 50, seed=2, scheme="em",
                         initial_value=(1.0,))

@@ -2,14 +2,14 @@
 
 A module of polystab imports only public names from its sibling modules:
 a leading underscore marks a name as private to the module that defines it.
-Its one scipy name is ndtri, in the ensemble, which loads it from the
-compiled scipy.special._ufuncs and skips scipy.special's package init,
-whose array-API layer costs about 0.3 s and 18 MB of every command's
-set-up; the public import of ndtri is only its fallback, and each further
-scipy module would show in that set-up too. So the ensemble is the one
-module that uses importlib, and the only module names it hands it are
-scipy.special, to find the package's spec, and scipy.special._ufuncs. The
-noise stream builds its generator with numpy's public
+Its one scipy name is ndtri, in the ensemble. The ensemble loads ndtri and
+Philox from their compiled submodules, scipy.special._ufuncs and
+numpy.random._philox, without running either package's init, and the
+public imports of the two are only fallbacks: each further package init
+would show in every command's set-up. So the ensemble is the one module
+that uses importlib, it calls importlib only inside _load_compiled, and it
+calls _load_compiled with exactly those two literal (package, submodule,
+name) triples. The noise stream builds its generator with numpy's public
 Philox(key=, counter=), so no module imports from numpy.random.bit_generator.
 The benchmark harness under perfbench/ reaches polystab only through
 names the package exports, so deleting one of them fails here first, and
@@ -150,15 +150,67 @@ def importlib_uses(source: str) -> set[str]:
     return found
 
 
-def test_only_the_ensemble_uses_importlib_and_only_on_scipy_special():
-    found = {path.name: importlib_uses(path.read_text(encoding="utf-8")) for path in MODULES}
-    assert {name: uses for name, uses in found.items() if uses} == {"ensemble.py": {
-        "import importlib",
-        "import importlib.util",
-        "importlib.util.find_spec('scipy.special')",
-        "importlib.util.module_from_spec(importlib.util.find_spec('scipy.special'))",
-        "importlib.import_module('scipy.special._ufuncs')",
-    }}
+COMPILED_LOADS = [("numpy.random", "_philox", "Philox"), ("scipy.special", "_ufuncs", "ndtri")]
+
+
+def importlib_calls_outside_loader(source: str) -> list[str]:
+    """The calls through importlib in source outside a function named _load_compiled, unparsed."""
+    tree = ast.parse(source)
+    inside = {id(node) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "_load_compiled"
+              for node in ast.walk(f)}
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside
+            and ast.unparse(node.func).startswith("importlib.")]
+
+
+def compiled_loads(source: str) -> list:
+    """Each call of _load_compiled in source: its arguments as a tuple when all
+    are positional string literals, else the call unparsed."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_load_compiled":
+            literal = not node.keywords and all(
+                isinstance(a, ast.Constant) and isinstance(a.value, str) for a in node.args)
+            found.append(tuple(a.value for a in node.args) if literal else ast.unparse(node))
+    return found
+
+
+def test_only_the_ensemble_uses_importlib_and_only_on_its_two_compiled_loads():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert [name for name, text in sources.items() if importlib_uses(text)] == ["ensemble.py"]
+    ensemble_source = sources["ensemble.py"]
+    assert {use for use in importlib_uses(ensemble_source) if use.startswith(("import ", "from "))} \
+        == {"import importlib", "import importlib.util"}
+    assert importlib_calls_outside_loader(ensemble_source) == []
+    loads = {name: compiled_loads(text) for name, text in sources.items()}
+    assert {name: sorted(found, key=str) for name, found in loads.items() if found} == {
+        "ensemble.py": COMPILED_LOADS}
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("def _load_compiled(p, s, n):\n    return importlib.import_module(p + s)", []),
+    ("import importlib\nimportlib.import_module('scipy.stats')",
+     ["importlib.import_module('scipy.stats')"]),
+    ("def other(name):\n    return importlib.util.find_spec(name)",
+     ["importlib.util.find_spec(name)"]),
+])
+def test_loader_guard_finds_calls_outside_the_loader(source, expected):
+    assert importlib_calls_outside_loader(source) == expected
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("ndtri = _load_compiled('scipy.special', '_ufuncs', 'ndtri')",
+     [("scipy.special", "_ufuncs", "ndtri")]),
+    ("def f():\n    return ensemble._load_compiled('scipy.stats', '_stats', 'x')",
+     [("scipy.stats", "_stats", "x")]),
+    ("_load_compiled(package, '_philox', 'Philox')", ["_load_compiled(package, '_philox', 'Philox')"]),
+    ("_load_compiled('numpy.random', '_philox', name='Philox')",
+     ["_load_compiled('numpy.random', '_philox', name='Philox')"]),
+    ("load_compiled('numpy.random', '_philox', 'Philox')", []),
+])
+def test_compiled_load_guard_finds_every_form(source, expected):
+    assert compiled_loads(source) == expected
 
 
 @pytest.mark.parametrize("source,expected", [
