@@ -44,7 +44,9 @@ ufunc, which _load_compiled takes from the compiled numpy.random._philox and
 scipy.special._ufuncs without running either package's init; the public
 imports run only where that fails or the package is loaded already. The
 thread pool is imported only by a run that starts threads, so a one-CPU
-run loads neither numpy.random nor concurrent.futures.
+run loads neither numpy.random's init nor concurrent.futures. The
+geometric checkpoint rule drops duplicates itself rather than through
+np.unique, whose first call imports numpy.ma, so no run loads numpy.ma.
 """
 
 from __future__ import annotations
@@ -89,6 +91,7 @@ _CHUNK_PATHS = 4096  # fixed: chunking must not depend on the thread count
 _BLOCK_NORMALS = 2**20  # most normals per step block of a chunk
 _BLOCK_STEPS = 512  # most steps per block: steps = min(this, _BLOCK_NORMALS // paths)
 _SCRATCH_WORDS = 2**14  # raw words per grouped normal transform: rows = this // steps
+_MAX_STEPS = 2**63 - 1  # MomentSeries.step_index and the CSV's k are int64
 
 
 def _load_compiled(package, submodule, name):
@@ -128,10 +131,15 @@ if Philox is None:
 
 
 def geometric_checkpoints(num_steps: int, count: int = 50) -> tuple[int, ...]:
-    """~count checkpoint step indices, geometrically spaced, always 0 and num_steps.
+    """~count checkpoint step indices as exact ints, geometrically spaced, from 0 to num_steps.
 
     Every step is a checkpoint when num_steps <= count; count = 2 gives just
-    (0, num_steps).
+    (0, num_steps). Otherwise the indices are the distinct rounded values of
+    count - 1 geometric points from 1 to float(num_steps), the largest
+    replaced by num_steps itself, so the last index is num_steps exactly
+    even where the float is not. The values are sorted and each kept where
+    it differs from the next, which is what np.unique does, without the
+    numpy.ma import of its first call.
     """
     num_steps = integer("num_steps", num_steps, 1)
     count = integer("checkpoint count", count, 2)
@@ -139,8 +147,9 @@ def geometric_checkpoints(num_steps: int, count: int = 50) -> tuple[int, ...]:
         return (0, num_steps)
     if num_steps <= count:
         return tuple(range(num_steps + 1))
-    ks = np.unique(np.round(np.geomspace(1.0, num_steps, count - 1)).astype(int))
-    return (0, *(int(k) for k in ks))
+    ks = np.sort(np.round(np.geomspace(1.0, float(num_steps), count - 1)))
+    ks = ks[:-1][ks[:-1] != ks[1:]]  # distinct, all but the largest
+    return (0, *(int(k) for k in ks), num_steps)
 
 
 @dataclass(frozen=True)
@@ -158,8 +167,8 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "dt", positive_real("dt", self.dt))
-        for name in ("num_steps", "num_paths"):
-            object.__setattr__(self, name, integer(name, getattr(self, name), 1))
+        object.__setattr__(self, "num_steps", integer("num_steps", self.num_steps, 1, _MAX_STEPS))
+        object.__setattr__(self, "num_paths", integer("num_paths", self.num_paths, 1))
         if not math.isfinite(self.dt * self.num_steps):  # the time of the last step
             raise ValueError(f"dt * num_steps must be finite, got {self.dt!r} * {self.num_steps}")
         object.__setattr__(self, "seed", integer("seed", self.seed))  # used mod 2**64

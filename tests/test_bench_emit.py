@@ -1,13 +1,17 @@
 """tools/bench_emit.py on synthetic harness results; no benchmark is run."""
 
 import json
+import os
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_emit.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_emit.py"
 
 
 def result(correct=True):
@@ -26,9 +30,20 @@ def result(correct=True):
     }
 
 
-def emit(results_dir, out_dir, tag="t"):
-    return subprocess.run([sys.executable, str(TOOL), tag, "--results", str(results_dir),
+def emit(results_dir, out_dir, tag="t", tool=TOOL):
+    return subprocess.run([sys.executable, str(tool), tag, "--results", str(results_dir),
                            "--out-dir", str(out_dir)], capture_output=True, text=True, timeout=60)
+
+
+def copy_tree(dst):
+    """A copy of the tool and of the files it hashes under dst, mtimes kept; the copied tool."""
+    ignore = shutil.ignore_patterns("__pycache__")
+    for name in ("src/polystab", "perfbench"):
+        shutil.copytree(ROOT / name, dst / name, ignore=ignore)
+    for name in ("BENCHMARK.json", "tools/bench_emit.py"):
+        (dst / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(ROOT / name, dst / name)
+    return dst / "tools" / "bench_emit.py"
 
 
 def test_writes_metrics_sample_statistics_golden_and_provenance(tmp_path):
@@ -70,3 +85,41 @@ def test_malformed_result_is_a_usage_error(tmp_path, content):
 def test_no_results_is_a_usage_error(tmp_path):
     proc = emit(tmp_path, tmp_path)
     assert proc.returncode == 2 and "no *.result.json" in proc.stderr
+
+
+def tree_record(root):
+    """The tree record that the tool copied under root writes for one correct result."""
+    results = root / ".perfbench"
+    results.mkdir()
+    path = results / "em-long.result.json"
+    path.write_text(json.dumps(result()))
+    later = time.time_ns() + 10**9  # after every source file, as a run's results are
+    os.utime(path, ns=(later, later))
+    proc = emit(results, root, tool=root / "tools" / "bench_emit.py")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads((root / "BENCH_t.json").read_text())["tree"]
+
+
+def test_tree_digest_changes_with_one_byte(tmp_path):
+    for name in "abc":
+        copy_tree(tmp_path / name)
+    source = tmp_path / "c" / "src" / "polystab" / "checks.py"
+    data = bytearray(source.read_bytes())
+    data[-2] ^= 1
+    source.write_bytes(data)
+    a, b, c = (tree_record(tmp_path / name) for name in "abc")
+    assert a == b
+    assert c["files"] == a["files"] > 3 and c["sha256"] != a["sha256"]
+
+
+def test_refuses_results_older_than_a_source_file(tmp_path):
+    tool = copy_tree(tmp_path)
+    (tmp_path / "em-long.result.json").write_text(json.dumps(result()))
+    source = tmp_path / "perfbench" / "run.py"
+    before = source.stat().st_mtime_ns - 10**9
+    os.utime(tmp_path / "em-long.result.json", ns=(before, before))
+    proc = emit(tmp_path, tmp_path, tool=tool)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: newer than the oldest result")
+    assert "perfbench/run.py" in proc.stderr
+    assert not (tmp_path / "BENCH_t.json").exists()

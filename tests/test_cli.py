@@ -650,6 +650,23 @@ def test_run_too_large_to_allocate_is_one_line(tmp_path, command):
     assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS as Linux applies it")
+@pytest.mark.parametrize("steps", [10**19, 10**30])
+def test_steps_beyond_int64_are_a_usage_error(tmp_path, steps):
+    # step_index and the CSV's k are int64; a run of 1e19 steps that started would
+    # never end, and the timeout ends it
+    src = str(Path(polystab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, "simulate", "--problem", "linear", "--scheme", "em",
+         "--dt", "1e-300", "--steps", str(steps), "--paths", "1", "--seed", "1", "--out-dir", "o"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: num_steps must be an integer <= {2**63 - 1}, got {steps}\n"
+    assert proc.stdout == "" and not (tmp_path / "o").exists()
+
+
 # Strings hold no path separator or dot, so no drawn out_dir or prefix leaves
 # the test's directory; NUL is kept, since a path may not contain it.
 TEXT = st.text(st.characters(blacklist_characters="/\\.", blacklist_categories=("Cs",)),

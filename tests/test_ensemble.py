@@ -125,6 +125,17 @@ class TestSimConfig:
                             initial_value=(1e150,), blow_up_cap=1e300)
         assert cfg.initial_value == (1e150,)
 
+    def test_num_steps_beyond_int64_refused(self):
+        # step_index and the CSV's k are int64
+        with pytest.raises(ValueError, match=f"num_steps must be an integer <= {2**63 - 1}"):
+            SimConfig(dt=1e-300, num_steps=2**63, num_paths=1, seed=1, scheme="em",
+                      initial_value=(1.0,))
+
+    def test_num_steps_at_int64_max_ends_on_it(self):
+        cfg = SimConfig(dt=1e-300, num_steps=2**63 - 1, num_paths=1, seed=1, scheme="em",
+                        initial_value=(1.0,))
+        assert cfg.checkpoints[-1] == 2**63 - 1
+
     def test_numpy_integers_accepted(self):
         cfg = SimConfig(dt=np.float64(0.1), num_steps=np.int64(10), num_paths=np.int32(4),
                         seed=np.uint64(2**63), scheme="em", initial_value=(1.0,),
@@ -151,7 +162,9 @@ def test_geometric_checkpoints_large_run():
 
 
 def reference_geometric_checkpoints(num_steps, count):
-    """The checkpoint rule for count >= 3, as first written."""
+    """The checkpoint rule as first written, with np.unique."""
+    if count == 2:
+        return (0, num_steps)
     if num_steps <= count:
         return tuple(range(num_steps + 1))
     ks = np.unique(np.round(np.geomspace(1.0, num_steps, count - 1)).astype(int))
@@ -163,6 +176,25 @@ def test_geometric_checkpoints_unchanged_for_three_or_more(num_steps):
     for count in (3, 4, 7, 50, 60):
         assert geometric_checkpoints(num_steps, count) == \
             reference_geometric_checkpoints(num_steps, count)
+
+
+# every num_steps up to 2000, and 520 geometric ones up to 2**53, below which floats hold every int
+MATCH_STEPS = (*range(1, 2001), *sorted({round(v) for v in np.geomspace(2001, 2**53, 520)}))
+
+
+def test_geometric_checkpoints_match_the_np_unique_rule():
+    for count in (2, 3, 4, 5, 7, 10, 25, 50, 51, 60, 100, 200):
+        for num_steps in MATCH_STEPS:
+            assert geometric_checkpoints(num_steps, count) == \
+                reference_geometric_checkpoints(num_steps, count), (num_steps, count)
+
+
+@pytest.mark.parametrize("num_steps", [2**53 + 1, 2**53 + 3, 2**62 + 1, 2**63 - 1, 10**19, 10**30])
+def test_geometric_checkpoints_end_on_num_steps_beyond_the_floats(num_steps):
+    cps = geometric_checkpoints(num_steps)
+    assert cps[0] == 0 and cps[-1] == num_steps and 40 <= len(cps) <= 50
+    assert all(type(k) is int for k in cps)
+    assert all(b > a for a, b in zip(cps, cps[1:]))
 
 
 @pytest.mark.parametrize("num_steps", [1, 2, 7, 100_000])
@@ -399,6 +431,28 @@ class TestOneCpuLoads:
         here = stream_bytes()
         for result in (before, after):
             assert {key: result[key] for key in here} == here
+
+
+# default checkpoints over more than 50 steps, through the API and through the CLI
+CHECKPOINT_RULE_PROCESS = """
+import json, sys
+from polystab import SimConfig, cli, linear_example, simulate_ensemble
+config = SimConfig(dt=0.1, num_steps=200, num_paths=2, seed=1, scheme="em", initial_value=(1.0,))
+simulate_ensemble(linear_example(), config)
+after_api = "numpy.ma" in sys.modules
+code = cli.main(["simulate", "--problem", "linear", "--scheme", "em", "--dt", "0.1",
+                 "--steps", "200", "--paths", "2", "--seed", "1", "--out-dir", sys.argv[1]])
+print(json.dumps([len(config.checkpoints), after_api, code, "numpy.ma" in sys.modules]))
+"""
+
+
+class TestCheckpointRuleLoads:
+    """The default checkpoint rule loads no module: numpy.ma stays out of every run."""
+
+    def test_default_checkpoints_never_load_numpy_ma(self, tmp_path):
+        count, after_api, code, after_cli = run_python(CHECKPOINT_RULE_PROCESS, str(tmp_path))
+        assert count < 201  # the geometric rule, not every step
+        assert (after_api, code, after_cli) == (False, 0, False)
 
 
 class TestChunkBoundaries:

@@ -8,14 +8,20 @@ Reads every <name>.result.json in the results directory and writes
 BENCH_<TAG>.json to the output directory. For each result it gives the
 harness's metric values as written, the median, quartiles and count of each
 per-run sample list, the golden-hash status, the output hashes, the seed and
-the provenance. A result whose run was not correct is refused: the file is
-not written and the exit code is 1. Missing or malformed results exit 2.
-Nothing here starts a benchmark run or reads a harness file.
+the provenance. A top-level tree record names the tree the results are of:
+the file count and a SHA-256 over the relative path and bytes of every file
+in src/polystab/ and perfbench/ (no __pycache__) and of BENCHMARK.json, in
+the checkout this script lives in. A result whose run was not correct is
+refused: the file is not written and the exit code is 1. So are results
+when one of those files is newer than the oldest of them, since they may be
+of another tree. Missing or malformed results exit 2. Nothing here starts a
+benchmark run or imports a harness file.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import sys
@@ -23,6 +29,28 @@ from pathlib import Path
 
 KEYS = ("seed", "provenance", "correct", "metrics", "samples", "golden", "hashes")
 SUFFIX = ".result.json"
+ROOT = Path(__file__).resolve().parents[1]
+TREE = ("src/polystab", "perfbench", "BENCHMARK.json")  # what a benchmark run builds from
+
+
+def tree_files(root: Path) -> list[Path]:
+    """The files of TREE under root, no __pycache__, sorted by relative path."""
+    files = []
+    for name in TREE:
+        path = root / name
+        files += [path] if path.is_file() else [
+            f for f in path.rglob("*")
+            if f.is_file() and "__pycache__" not in f.relative_to(root).parts]
+    return sorted(files, key=lambda f: f.relative_to(root).as_posix())
+
+
+def tree(root: Path, files: list[Path]) -> dict:
+    """The file count and a SHA-256 over each file's relative path and bytes, both length-prefixed."""
+    digest = hashlib.sha256()
+    for f in files:
+        name, data = f.relative_to(root).as_posix().encode(), f.read_bytes()
+        digest.update(b"%d:%s%d:%s" % (len(name), name, len(data), data))
+    return {"files": len(files), "sha256": digest.hexdigest()}
 
 
 def summary(values: list[float]) -> dict:
@@ -75,9 +103,16 @@ def main(argv=None) -> int:
     if refused:
         print(f"error: not correct, nothing written: {', '.join(refused)}", file=sys.stderr)
         return 1
+    files = tree_files(ROOT)
+    oldest = min(path.stat().st_mtime_ns for path in paths)
+    newer = [f.relative_to(ROOT).as_posix() for f in files if f.stat().st_mtime_ns > oldest]
+    if newer:
+        print(f"error: newer than the oldest result, nothing written: {', '.join(newer)}",
+              file=sys.stderr)
+        return 1
     out = args.out_dir / f"BENCH_{args.tag}.json"
-    out.write_text(json.dumps({"tag": args.tag, "workloads": entries}, indent=2) + "\n",
-                   encoding="utf-8")
+    bench = {"tag": args.tag, "tree": tree(ROOT, files), "workloads": entries}
+    out.write_text(json.dumps(bench, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0
 
