@@ -25,12 +25,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .checks import ConditionCheck, integer, positive_real, real, reals
-from .ensemble import MomentSeries
 from .gamma import log_gamma_ratio
+
+if TYPE_CHECKING:  # annotations only: the ensemble imports this module's envelopes
+    from .ensemble import MomentSeries
 
 __all__ = [
     "DecayEstimate",

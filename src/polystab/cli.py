@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run an ensemble and write CSV + config JSON")
     sim.add_argument("--spec", type=str, default=None, help="JSON experiment spec; flags override it")
     sim.add_argument("--problem", type=str, choices=sorted(problems.PROBLEM_BUILDERS), default=None)
-    sim.add_argument("--scheme", type=str, choices=ensemble.SCHEMES, default=None)
+    sim.add_argument("--scheme", type=str, choices=tuple(ensemble.SCHEMES), default=None)
     sim.add_argument("--dt", type=float, default=None)
     sim.add_argument("--steps", type=int, default=None)
     sim.add_argument("--paths", type=int, default=None)
@@ -158,10 +158,6 @@ def _cmd_simulate(args) -> int:
         problem = problems.problem_from_label(spec.problem, k1=spec.k1, c=spec.c)
         x0 = problems.DEFAULT_INITIAL_VALUES[spec.problem] if spec.x0 is None else spec.x0
         x0 = np.atleast_1d(checks.reals("x0", x0))
-        if x0.shape != (problem.dimension,):
-            raise ValueError(
-                f"x0 has shape {x0.shape}, problem '{spec.problem}' needs ({problem.dimension},)"
-            )
         checkpoints = spec.checkpoints
         if isinstance(checkpoints, int):  # a count
             checkpoints = ensemble.geometric_checkpoints(spec.steps, checkpoints)
@@ -170,10 +166,16 @@ def _cmd_simulate(args) -> int:
             scheme=spec.scheme, initial_value=x0, checkpoints=checkpoints,
             blow_up_cap=spec.blow_up_cap,
         )
+        envelope = ensemble.SCHEMES[config.scheme].envelope
+        if spec.envelope and envelope is None:
+            raise ValueError(f"--envelope: scheme {config.scheme!r} has no decay envelope")
     except (OSError, OverflowError, TypeError, ValueError) as exc:
         # TypeError, OverflowError: a spec value of the wrong type or beyond the float range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # checkpoints too many to hold
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
     out_dir = Path(spec.out_dir)
     try:
@@ -205,7 +207,6 @@ def _cmd_simulate(args) -> int:
 
     if spec.envelope:
         try:
-            envelope = analysis.em_envelope if spec.scheme == "em" else analysis.bem_envelope
             env = envelope(series.step_index, config.dt, problem.k1, problem.c,
                            float(np.dot(x0, x0)))
             env_path = out_dir / f"{prefix}_envelope.csv"

@@ -13,20 +13,20 @@ at most 512 steps and 2**20 values into one step-major buffer (one contiguous
 row of path normals per step), from one Philox that is re-keyed for each path
 of the chunk. The raw words of a group of paths are gathered into a fixed-size
 scratch and mapped to normals by one transform per group, in a contiguous
-float scratch that is then copied into the buffer. Each filled step block
-is scaled by sqrt(dt) once, so a step's increments are a view of one row.
-Each step then makes one call of kernel(problem, x, k dt, (k+1) dt, dt, dB),
-the scheme's entry in _KERNELS, the one table of schemes: on the whole chunk
-while no path of it is frozen, and after that on the live paths only, so a
-frozen path is never stepped again. Once every path of a chunk is frozen,
-the chunk writes their squared norms into its remaining checkpoints and
-ends, drawing no more noise. Chunk, step-block and scratch sizes are module
-constants and never depend on the thread count; threads only decide where a
-chunk runs. A run uses min(usable CPUs, chunks) threads, the usable CPUs
-being those of the process's affinity mask, and runs its chunks in order on
-the calling thread when that is 1. A cgroup CPU quota is not read: taskset
-is how to cap the count. Each running chunk holds its own step block of
-noise, so peak memory grows by one block per thread.
+float scratch that is then copied into the buffer. Each filled step block is
+scaled by sqrt(dt) once, so a step's increments are a view of one row. Each
+step then makes one call of step(problem, x, k dt, (k+1) dt, dt, dB), the
+kernel of the scheme's record in SCHEMES, the one table of schemes: on the
+whole chunk while no path of it is frozen, and after that on the live paths
+only, so a frozen path is never stepped again. Once every path of a chunk is
+frozen, the chunk writes their squared norms into its remaining checkpoints
+and ends, drawing no more noise. Chunk, step-block and scratch sizes are
+module constants and never depend on the thread count; threads only decide
+where a chunk runs. A run uses min(usable CPUs, chunks) threads, the usable
+CPUs being those of the process's affinity mask, and runs its chunks in order
+on the calling thread when that is 1. A cgroup CPU quota is not read: taskset
+is how to cap the count. Each running chunk holds its own step block of noise,
+so peak memory grows by one block per thread.
 
 A run keeps one float array, the squared norm of every path at every
 checkpoint; a chunk writes only into its own columns of it. Per path it
@@ -60,9 +60,11 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
+from .analysis import bem_envelope, em_envelope
 from .checks import integer, positive_real, reals
 from .integrators import (
     bem_step_batch,
@@ -75,6 +77,7 @@ from .problems import SdeProblem
 __all__ = [
     "SimConfig",
     "MomentSeries",
+    "Scheme",
     "SCHEMES",
     "geometric_checkpoints",
     "brownian_increment",
@@ -82,8 +85,29 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-_KERNELS = {"em": em_step_batch, "bem": bem_step_batch}
-SCHEMES = tuple(_KERNELS)
+
+@dataclass(frozen=True)
+class Scheme:
+    """Everything the engine and the CLI know of one scheme.
+
+    step is its batch kernel, step(problem, x, t, t_next, dt, db) ->
+    (x_new, ok). An implicit scheme's dt must pass check_implicit_dt and
+    check_decay_dt before any path is stepped. envelope is the analysis
+    function of its decay envelope, envelope(k, dt, k1, c, m0), or None
+    where it has none.
+    """
+
+    name: str
+    step: Callable
+    implicit: bool
+    envelope: Callable | None
+
+
+# the one table of schemes, by name; SimConfig and the CLI list its keys in this order
+SCHEMES: dict[str, Scheme] = {
+    "em": Scheme("em", em_step_batch, implicit=False, envelope=em_envelope),
+    "bem": Scheme("bem", bem_step_batch, implicit=True, envelope=bem_envelope),
+}
 CSV_HEADER = "k,t,mean_square,std_error,surviving,blown_up"
 
 _MASK64 = (1 << 64) - 1
@@ -172,11 +196,12 @@ class SimConfig:
         if not math.isfinite(self.dt * self.num_steps):  # the time of the last step
             raise ValueError(f"dt * num_steps must be finite, got {self.dt!r} * {self.num_steps}")
         object.__setattr__(self, "seed", integer("seed", self.seed))  # used mod 2**64
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        names = tuple(SCHEMES)  # a tuple: an unhashable scheme is refused like any other
+        if self.scheme not in names:
+            raise ValueError(f"scheme must be one of {names}, got {self.scheme!r}")
         x0 = np.atleast_1d(reals("initial_value", self.initial_value))
         if x0.ndim != 1:
-            raise ValueError(f"initial_value must be a vector, got {self.initial_value!r}")
+            raise ValueError(f"initial_value must be a vector, got shape {x0.shape}")
         object.__setattr__(self, "initial_value", tuple(float(v) for v in x0))
         if self.checkpoints is None:
             object.__setattr__(self, "checkpoints", geometric_checkpoints(self.num_steps))
@@ -404,7 +429,7 @@ def _squared_norms(x):
 
 
 @np.errstate(all="ignore")  # overflow and NaN in a step are what the norm check is for
-def _simulate_chunk(kernel, problem, config, path_lo, path_hi, sq):
+def _simulate_chunk(scheme, problem, config, path_lo, path_hi, sq):
     """Evolve paths [path_lo, path_hi), writing their squared checkpoint norms into sq.
 
     sq, of shape (n_checkpoints, path_hi - path_lo), is the chunk's column
@@ -413,11 +438,12 @@ def _simulate_chunk(kernel, problem, config, path_lo, path_hi, sq):
     which a path is frozen (blown up or solver-failed), n_checkpoints if
     never, so it is frozen at checkpoint i exactly when gone_from <= i;
     failed flags the paths whose implicit solve failed. A frozen path keeps
-    the state it froze with: once one path is frozen, kernel, the scheme's
-    entry in _KERNELS, steps the live rows only, and once every path is, the
-    chunk returns. Everything in here is elementwise per path, so results
-    do not depend on chunk boundaries.
+    the state it froze with: once one path is frozen, scheme.step, the kernel
+    of the scheme's record, steps the live rows only, and once every path
+    is, the chunk returns. Everything in here is elementwise per path, so
+    results do not depend on chunk boundaries.
     """
+    step = scheme.step
     dt = config.dt
     try:
         limit = config.blow_up_cap**2
@@ -459,9 +485,9 @@ def _simulate_chunk(kernel, problem, config, path_lo, path_hi, sq):
                 # bit, and the solve time moves every BEM byte after it
                 t, t_next = k * dt, (k + 1) * dt
                 if live is None:
-                    x, ok = kernel(problem, x, t, t_next, dt, db)
+                    x, ok = step(problem, x, t, t_next, dt, db)
                 else:
-                    x[live], ok = kernel(problem, x[live], t, t_next, dt, db[live])
+                    x[live], ok = step(problem, x[live], t, t_next, dt, db[live])
                 froze = ok is not None and np.count_nonzero(ok) < ok.size
                 if froze:  # such a path kept its state
                     lost = np.flatnonzero(~ok) if live is None else live[~ok]
@@ -484,8 +510,8 @@ def _simulate_chunk(kernel, problem, config, path_lo, path_hi, sq):
                     pos += 1
         except ArithmeticError as exc:  # such as a coefficient's Python-float power of t
             # the same exception, so its class and traceback stay, told where it happened
-            scheme = next((name for name, f in _KERNELS.items() if f is kernel), kernel.__name__)
-            exc.args = (f"problem '{problem.label}', scheme {scheme}, step k={k}, t={t!r}: {exc}",)
+            where = f"problem '{problem.label}', scheme {scheme.name}, step k={k}, t={t!r}"
+            exc.args = (f"{where}: {exc}",)
             raise
     return gone_from, failed
 
@@ -548,10 +574,10 @@ def simulate_ensemble(problem: SdeProblem, config: SimConfig) -> MomentSeries:
             f"({problem.dimension},)"
         )
     _check_output_shapes(problem, x0)
-    if config.scheme == "bem":
+    scheme = SCHEMES[config.scheme]
+    if scheme.implicit:
         check_implicit_dt(problem, config.dt)
         check_decay_dt(problem, config.dt)
-    kernel = _KERNELS[config.scheme]
 
     n_paths = config.num_paths
     n_ck = len(config.checkpoints)
@@ -563,7 +589,7 @@ def simulate_ensemble(problem: SdeProblem, config: SimConfig) -> MomentSeries:
     def run(lo):
         hi = min(lo + _CHUNK_PATHS, n_paths)
         gone_from[lo:hi], failed[lo:hi] = _simulate_chunk(
-            kernel, problem, config, lo, hi, sq[:, lo:hi])
+            scheme, problem, config, lo, hi, sq[:, lo:hi])
 
     threads = min(_usable_cpus(), len(starts))
     if threads == 1:

@@ -13,14 +13,23 @@ from hypothesis import strategies as st
 
 import polystab
 import polystab.analysis
-from polystab import problems
+from polystab import ensemble, problems
 from polystab.checks import ConditionCheck
 from polystab.cli import ExperimentSpec, main
 from polystab.ensemble import CSV_HEADER, MomentSeries
+from polystab.integrators import em_step_batch
 
 
 def run(argv):
     return main(argv)
+
+
+@pytest.fixture
+def em_copy(monkeypatch):
+    """EM's kernel as a third scheme "em-copy", explicit and with no envelope."""
+    scheme = ensemble.Scheme("em-copy", em_step_batch, implicit=False, envelope=None)
+    monkeypatch.setitem(ensemble.SCHEMES, "em-copy", scheme)
+    return scheme
 
 
 def write_power_law_csv(path, exponent, n=60, t_max=1e4, n_paths=100):
@@ -197,8 +206,8 @@ class TestSimulate:
         assert "unknown spec keys" in capsys.readouterr().err
 
     @pytest.mark.parametrize("x0,message", [
-        ([1.0, 2.0], "error: x0 has shape (2,), problem 'linear' needs (1,)"),
-        ([[1.0]], "error: x0 has shape (1, 1), problem 'linear' needs (1,)"),
+        ([1.0, 2.0], "error: initial_value has shape (2,), problem 'linear' needs (1,)"),
+        ([[1.0]], "error: initial_value must be a vector, got shape (1, 1)"),
         ({"a": 1.0}, "error: "),
     ], ids=["two-values", "nested", "object"])
     def test_spec_x0_of_wrong_shape_is_usage_error(self, tmp_path, capsys, x0, message):
@@ -209,7 +218,8 @@ class TestSimulate:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         assert run(["simulate", "--spec", str(spec_path)]) == 1
-        assert capsys.readouterr().err.startswith(message)
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("entry", [
@@ -319,6 +329,32 @@ class TestSimulate:
                     "--out-dir", str(out_dir)]) == code
         assert capsys.readouterr().out == ""
         assert list(tmp_path.rglob("*")) == [tmp_path / "there"]
+
+    def test_a_new_scheme_is_one_table_entry(self, tmp_path, capsys, em_copy):
+        argv = ["simulate", "--problem", "linear", "--dt", "0.1", "--steps", "50",
+                "--paths", "8", "--seed", "3", "--out-dir", str(tmp_path)]
+        assert run([*argv, "--scheme", "em"]) == 0
+        assert run([*argv, "--scheme", "em-copy"]) == 0
+        assert capsys.readouterr().err == ""
+        copy = (tmp_path / "linear_em-copy_seed3.csv").read_bytes()
+        assert copy == (tmp_path / "linear_em_seed3.csv").read_bytes()
+        config = json.loads((tmp_path / "linear_em-copy_seed3_config.json").read_text())
+        assert config["scheme"] == "em-copy"
+
+    def test_envelope_of_a_scheme_without_one_is_refused_before_the_run(
+        self, tmp_path, capsys, monkeypatch, em_copy
+    ):
+        def no_simulation(problem, config):
+            raise AssertionError("simulated although --envelope is refused")
+
+        monkeypatch.setattr("polystab.ensemble.simulate_ensemble", no_simulation)
+        code = run(["simulate", "--problem", "linear", "--scheme", "em-copy", "--dt", "0.1",
+                    "--steps", "50", "--paths", "8", "--seed", "3", "--envelope",
+                    "--out-dir", str(tmp_path / "new")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: --envelope: scheme 'em-copy' has no decay envelope\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_counterexample_blow_up_fraction_reported(self, tmp_path, capsys):
         code = run([
@@ -648,6 +684,22 @@ def test_run_too_large_to_allocate_is_one_line(tmp_path, command):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS as Linux applies it")
+def test_checkpoints_too_many_to_hold_are_one_line(tmp_path):
+    # 1e12 geometric checkpoints need 7.28 TiB of floats, which numpy refuses at once
+    src = str(Path(polystab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, "simulate", "--problem", "linear", "--scheme", "em",
+         "--dt", "0.1", "--steps", "10000000000000", "--paths", "1", "--seed", "1",
+         "--checkpoints", "1000000000000"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == "" and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS as Linux applies it")

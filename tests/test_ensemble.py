@@ -24,6 +24,7 @@ from scipy import stats
 from polystab import ensemble
 from polystab.ensemble import (
     CSV_HEADER,
+    SCHEMES,
     MomentSeries,
     SimConfig,
     _fill_standard_normals,
@@ -34,7 +35,6 @@ from polystab.ensemble import (
     simulate_ensemble,
 )
 from polystab.gamma import GammaProductParams, product_direct, product_via_gamma
-from polystab.integrators import em_step_batch
 from polystab.problems import (
     SdeProblem,
     bem_example,
@@ -550,7 +550,7 @@ def run_chunk(problem, cfg, path_lo, path_hi):
     """An EM chunk of paths [path_lo, path_hi) written into an array of its own:
     (sq, gone_from, failed)."""
     sq = np.empty((len(cfg.checkpoints), path_hi - path_lo))
-    return (sq, *_simulate_chunk(em_step_batch, problem, cfg, path_lo, path_hi, sq))
+    return (sq, *_simulate_chunk(SCHEMES["em"], problem, cfg, path_lo, path_hi, sq))
 
 
 def test_chunk_writes_only_its_columns():
@@ -558,7 +558,7 @@ def test_chunk_writes_only_its_columns():
     cfg = SimConfig(dt=0.1, num_steps=30, num_paths=10, seed=8, scheme="em",
                     initial_value=(5.0,), checkpoints=(0, 3, 30))
     sq = np.full((3, 10), -1.0)
-    gone_from, failed = _simulate_chunk(em_step_batch, cubic_counterexample(), cfg, 3, 7,
+    gone_from, failed = _simulate_chunk(SCHEMES["em"], cubic_counterexample(), cfg, 3, 7,
                                         sq[:, 3:7])
     alone, alone_gone, alone_failed = run_chunk(cubic_counterexample(), cfg, 3, 7)
     assert (sq[:, :3] == -1.0).all() and (sq[:, 7:] == -1.0).all()
@@ -1017,6 +1017,21 @@ class TestSimulateEnsemble:
                         initial_value=(1.0,))
         with pytest.raises(ValueError, match="Kbar"):
             simulate_ensemble(cubic_counterexample(), cfg)
+
+    @pytest.mark.parametrize("implicit", [False, True])
+    def test_the_record_decides_whether_dt_is_checked(self, monkeypatch, implicit):
+        # EM's kernel as a new scheme: only an implicit record's dt is checked
+        scheme = ensemble.Scheme("em-copy", SCHEMES["em"].step, implicit=implicit, envelope=None)
+        monkeypatch.setitem(SCHEMES, "em-copy", scheme)
+        cfg = SimConfig(dt=0.5, num_steps=10, num_paths=4, seed=1, scheme="em-copy",
+                        initial_value=(1.0,))
+        if implicit:
+            with pytest.raises(ValueError, match="Kbar"):
+                simulate_ensemble(cubic_counterexample(), cfg)
+        else:
+            series = simulate_ensemble(cubic_counterexample(), cfg)
+            em = simulate_ensemble(cubic_counterexample(), dataclasses.replace(cfg, scheme="em"))
+            assert series.to_csv_text() == em.to_csv_text()
 
     def test_dimension_mismatch(self):
         cfg = SimConfig(dt=0.1, num_steps=10, num_paths=4, seed=1, scheme="em",

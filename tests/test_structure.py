@@ -16,10 +16,12 @@ names the package exports, so deleting one of them fails here first, and
 every name in a module's __all__ must exist, so a deletion that leaves a
 stale export fails too. The dimension picks the implicit solver in one
 place: only solve_implicit_batch refers to the two private solvers, and no
-integrator takes a solver config. Every scheme is one entry of the
-ensemble's kernel table, and every kernel in it keeps one step contract,
-kernel(problem, x, t, t_next, dt, db) -> (x_new, ok), so the chunk loop
-holds no code for any one scheme. No module reads the environment, and
+integrator takes a solver config. Every scheme is one record of the
+ensemble's table SCHEMES, and every kernel in it keeps one step contract,
+step(problem, x, t, t_next, dt, db) -> (x_new, ok), so the chunk loop
+holds no code for any one scheme. The scheme names appear in the package
+only in that table and in the counterexample's explicit companion run, so
+no code branches on a name. No module reads the environment, and
 simulate_ensemble takes the problem and its config and nothing else: the
 thread count comes from the CPUs the process may use, not from a setting.
 A sampled check reports the one record, checks.ConditionCheck, so no other
@@ -439,8 +441,9 @@ def kernel_signatures(source: str, names) -> dict[str, tuple[list[str], bool]]:
 
 
 def test_every_scheme_kernel_keeps_the_step_contract():
-    assert ensemble.SCHEMES == tuple(ensemble._KERNELS)
-    names = {k.__name__ for k in ensemble._KERNELS.values()}
+    assert tuple(ensemble.SCHEMES) == ("em", "bem")
+    assert all(name == scheme.name for name, scheme in ensemble.SCHEMES.items())
+    names = {scheme.step.__name__ for scheme in ensemble.SCHEMES.values()}
     assert names == {"em_step_batch", "bem_step_batch"}
     found = kernel_signatures((SRC / "integrators.py").read_text(encoding="utf-8"), names)
     assert found == {name: (KERNEL_PARAMETERS, True) for name in names}
@@ -492,6 +495,61 @@ def test_chunk_loop_has_no_per_scheme_code():
 ])
 def test_scheme_guard_flags_a_branch_or_a_lookup(source, expected):
     assert per_scheme_code(source, "_simulate_chunk") == expected
+
+
+SCHEME_NAMES = ("em", "bem")
+
+
+def scheme_name_sites(source: str) -> list[tuple[str, str]]:
+    """(where, name) for each string constant of source that is a scheme name.
+
+    where is the innermost def or class holding it, else the target of the
+    module-level assignment holding it, else "".
+    """
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(node, ast.Module) and isinstance(child, (ast.Assign, ast.AnnAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                visit(child, ",".join(getattr(t, "id", "") for t in targets))
+                continue
+            if isinstance(child, ast.Constant) and child.value in SCHEME_NAMES:
+                found.append((where, child.value))
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_scheme_names_appear_only_in_the_table_and_the_companion_run():
+    found = {(path.stem, where, name) for path in MODULES
+             for where, name in scheme_name_sites(path.read_text(encoding="utf-8"))}
+    assert found == {
+        ("ensemble", "SCHEMES", "em"), ("ensemble", "SCHEMES", "bem"),
+        ("cli", "_cmd_counterexample", "em"),
+    }
+
+
+@pytest.mark.parametrize("source,expected", [
+    ('def _cmd_simulate(spec):\n'
+     '    return analysis.em_envelope if spec.scheme == "em" else analysis.bem_envelope',
+     [("_cmd_simulate", "em")]),
+    ('envelope = em_envelope if spec.scheme == "em" else bem_envelope', [("envelope", "em")]),
+    ('SCHEMES = {"em": Scheme("em", f), "bem": Scheme("bem", g)}',
+     [("SCHEMES", "em"), ("SCHEMES", "em"), ("SCHEMES", "bem"), ("SCHEMES", "bem")]),
+    ('SCHEMES: dict = {"em": f}', [("SCHEMES", "em")]),
+    ('def simulate_ensemble(config):\n    if config.scheme == "bem":\n        check()',
+     [("simulate_ensemble", "bem")]),
+    ('if scheme == "em":\n    pass', [("", "em")]),
+    ('class Run:\n    scheme = "bem"', [("Run", "bem")]),
+    ('"""The em and bem schemes."""\nname = f"{scheme}-em"\nx = "emx"', []),
+])
+def test_scheme_name_guard_finds_every_site(source, expected):
+    assert sorted(scheme_name_sites(source)) == sorted(expected)
 
 
 ENVIRONMENT_NAMES = ("environ", "getenv")
