@@ -20,7 +20,9 @@ Every sampled check (the condition audit, the gamma product identity, the
 ratio/power signs and the four proof-bound families) returns ConditionCheck
 records, which summary renders as one table. A NaN statistic is its check's
 worst sample and fails it: argmax and argmin return the first NaN, and every
-rule's comparison is False on one.
+rule's comparison is False on one. The condition audit is the exception: a
+NaN margin there means its two sides overflowed, and it refuses the sample
+with a ValueError instead of reporting it.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ class ExperimentSpec:
     k1: float | None = None
     c: float | None = None
     checkpoints: int | list | None = None
-    blow_up_cap: float = 1e12
+    blow_up_cap: float = ensemble.SimConfig.blow_up_cap
     out_dir: str = "."
     prefix: str | None = None
     envelope: bool = False
@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ctr = sub.add_parser("counterexample", help="divergence lower-bound recursion + companion ensemble")
     ctr.add_argument("--dt", type=float, required=True)
-    ctr.add_argument("--cap", type=float, default=1e12)
+    ctr.add_argument("--cap", type=float, default=ensemble.SimConfig.blow_up_cap)
     ctr.add_argument("--k-max", dest="k_max", type=int, default=200)
     ctr.add_argument("--paths", type=int, default=1000)
     ctr.add_argument("--steps", type=int, default=200)
@@ -157,7 +157,6 @@ def _cmd_simulate(args) -> int:
         spec = ExperimentSpec.from_args(args)
         problem = problems.problem_from_label(spec.problem, k1=spec.k1, c=spec.c)
         x0 = problems.DEFAULT_INITIAL_VALUES[spec.problem] if spec.x0 is None else spec.x0
-        x0 = np.atleast_1d(checks.reals("x0", x0))
         checkpoints = spec.checkpoints
         if isinstance(checkpoints, int):  # a count
             checkpoints = ensemble.geometric_checkpoints(spec.steps, checkpoints)
@@ -208,7 +207,7 @@ def _cmd_simulate(args) -> int:
     if spec.envelope:
         try:
             env = envelope(series.step_index, config.dt, problem.k1, problem.c,
-                           float(np.dot(x0, x0)))
+                           float(np.dot(config.initial_value, config.initial_value)))
             env_path = out_dir / f"{prefix}_envelope.csv"
             lines = ["k,t,envelope"]
             for i, k in enumerate(series.step_index):

@@ -312,8 +312,9 @@ class MomentSeries:
     mean_square and std_error are computed over surviving (not blown-up)
     paths; they are NaN when nothing survives. capped_mean_abs is the mean
     over all paths of min(|state|, blow_up_cap), the finite-precision proxy
-    for a diverging first moment. Checkpoints with blown_up > 0 should be
-    read as lower bounds.
+    for a diverging first moment; a path whose state is NaN counts at the
+    cap, like any other blown-up path. Checkpoints with blown_up > 0 should
+    be read as lower bounds.
     """
 
     problem_label: str
@@ -626,7 +627,7 @@ def simulate_ensemble(problem: SdeProblem, config: SimConfig) -> MomentSeries:
         for i in range(n_ck):
             row = sq[i]
             capped = np.sqrt(row)
-            np.minimum(capped, cap, out=capped)
+            np.fmin(capped, cap, out=capped)  # a NaN state counts at the cap
             capped_mean[i] = _mean_of_sum(capped, n_paths)
             n_surv = int(surviving[i])
             if n_surv == 0:

@@ -10,8 +10,8 @@ K1 > 0 and C > 0,
 
 plus a one-sided Lipschitz bound with constant Kbar. User problems are black
 boxes, so the audit samples state/time grids and reports each condition's
-worst margin as a checks.ConditionCheck (a NaN one fails); a pass is
-sampling evidence, never a proof.
+worst margin as a checks.ConditionCheck (a NaN margin is refused); a pass
+is sampling evidence, never a proof.
 """
 
 from __future__ import annotations
@@ -278,7 +278,8 @@ def audit_conditions(
     a fixed 1000 uniform pairs per time in the states' box, drawn from
     default_rng(0): the same problem and grids give the same report. A
     |state| above half the float maximum is refused, since the box would
-    have no finite width.
+    have no finite width. An infinite margin is a verdict; a NaN one (its
+    sides overflow) is a ValueError that names the condition, t and sample.
     """
     if states is None:
         states = default_state_grid(problem.dimension)
@@ -297,48 +298,10 @@ def audit_conditions(
             f"got a largest |state| of {half_width!r}"
         )
 
-    k1, c = problem.k1, problem.c
-    # per time: margin (LHS - RHS) and slack of every sample, in sample order
-    lin_f, one_f, lin_g = ([], []), ([], []), ([], [])
-    for t in times:
-        f = np.broadcast_to(
-            _eval_checked(problem.drift, states, t, "drift", problem.label), states.shape
-        )
-        g = np.broadcast_to(
-            _eval_checked(problem.diffusion, states, t, "diffusion", problem.label),
-            states.shape,
-        )
-        # norms that overflow give inf or NaN margins, which fail their checks
-        with np.errstate(over="ignore", invalid="ignore"):
-            xn = np.linalg.norm(states, axis=1)
-            fn = np.linalg.norm(f, axis=1)
-            gn = np.linalg.norm(g, axis=1)
-            xf = np.einsum("ij,ij->i", states, f)
-
-            rhs = k1 * xn / (1.0 + t)
-            lin_f[0].append(fn - rhs)
-            lin_f[1].append(_MARGIN_RTOL * np.maximum(np.maximum(fn, rhs), 1.0))
-            rhs = -k1 * xn**2 / (1.0 + t)
-            one_f[0].append(xf - rhs)
-            one_f[1].append(_MARGIN_RTOL * np.maximum(np.maximum(np.abs(xf), np.abs(rhs)), 1.0))
-            rhs_g = c * (1.0 + t) ** (-k1)
-            lin_g[0].append(gn - rhs_g)
-            lin_g[1].append(_MARGIN_RTOL * np.maximum(np.maximum(gn, rhs_g), 1.0))
-
-    rng = np.random.default_rng(_PAIR_SEED)
-    osl, pairs = ([], []), []
-    for t in times:
-        xs = rng.uniform(-half_width, half_width, size=(_PAIR_SAMPLES, problem.dimension))
-        ys = rng.uniform(-half_width, half_width, size=(_PAIR_SAMPLES, problem.dimension))
-        fx = _eval_checked(problem.drift, xs, t, "drift", problem.label)
-        fy = _eval_checked(problem.drift, ys, t, "drift", problem.label)
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = xs - ys
-            lhs = np.einsum("ij,ij->i", d, fx - fy)
-            rhs = problem.kbar * np.einsum("ij,ij->i", d, d) / (1.0 + t)
-            osl[0].append(lhs - rhs)
-            osl[1].append(_MARGIN_RTOL * np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0))
-        pairs.append((xs, ys))
+    k1, c, kbar, label = problem.k1, problem.c, problem.kbar, problem.label
+    with np.errstate(over="ignore"):  # an inf norm is judged with the margins below
+        xn = np.linalg.norm(states, axis=1)
+        xn2 = xn**2
 
     def state_point(i):
         k, j = divmod(i, len(states))
@@ -349,13 +312,40 @@ def audit_conditions(
         xs, ys = pairs[k]
         return (times[k], _point(xs[j]), _point(ys[j]))
 
-    return ConditionAuditReport(
-        problem_label=problem.label,
-        linear_growth_f=_check("drift linear growth", *lin_f, state_point),
-        one_sided_f=_check("drift one-sided decay", *one_f, state_point),
-        linear_growth_g=_check("noise envelope", *lin_g, state_point),
-        one_sided_lipschitz=_check("one-sided Lipschitz", *osl, pair_point),
-    )
+    # _check's arguments per condition: name, per-time margins and slacks, sample points
+    conditions = [(name, [], [], point) for name, point in (
+        ("drift linear growth", state_point), ("drift one-sided decay", state_point),
+        ("noise envelope", state_point), ("one-sided Lipschitz", pair_point))]
+    rng = np.random.default_rng(_PAIR_SEED)
+    pairs = []
+    for t in times:
+        f = np.broadcast_to(_eval_checked(problem.drift, states, t, "drift", label), states.shape)
+        g = np.broadcast_to(_eval_checked(problem.diffusion, states, t, "diffusion", label), states.shape)
+        xs, ys = rng.uniform(-half_width, half_width, size=(2, _PAIR_SAMPLES, problem.dimension))
+        pairs.append((xs, ys))
+        fx = _eval_checked(problem.drift, xs, t, "drift", label)
+        fy = _eval_checked(problem.drift, ys, t, "drift", label)
+        # an overflowing side gives an infinite margin (a verdict: the slack is finite) or a NaN one
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = xs - ys
+            sides = (  # (lhs, rhs) of each condition, in the order of conditions
+                (np.linalg.norm(f, axis=1), k1 * xn / (1.0 + t)),
+                (np.einsum("ij,ij->i", states, f), -k1 * xn2 / (1.0 + t)),
+                (np.linalg.norm(g, axis=1), c * (1.0 + t) ** (-k1)),
+                (np.einsum("ij,ij->i", d, fx - fy), kbar * np.einsum("ij,ij->i", d, d) / (1.0 + t)),
+            )
+            for (_, margins, slacks, _), (lhs, rhs) in zip(conditions, sides):
+                margins.append(lhs - rhs)
+                bound = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)
+                slacks.append(_MARGIN_RTOL * np.minimum(bound, sys.float_info.max))
+
+    report = ConditionAuditReport(label, *(_check(*condition) for condition in conditions))
+    for check in report.checks():
+        if np.isnan(check.worst_margin):  # no verdict; the worst sample is the first NaN
+            t, *sample = check.worst_point
+            raise ValueError(f"{check.name} of '{label}' has a NaN margin (its sides overflow) "
+                             f"at t={t}, sample {', '.join(map(str, sample))}")
+    return report
 
 
 def one_sided_decay_max_k1(problem: SdeProblem) -> float:

@@ -222,6 +222,16 @@ class TestSimulate:
         assert err.startswith(message) and err.count("\n") == 1
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_x0_nan_is_usage_error(self, tmp_path, capsys):
+        # SimConfig checks x0, and names it by its field
+        code = run(["simulate", "--problem", "linear", "--scheme", "em", "--dt", "0.1",
+                    "--steps", "10", "--paths", "4", "--seed", "3", "--x0", "nan",
+                    "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: initial_value must be finite, got nan\n"
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("entry", [
         {"out_dir": 5},
         {"out_dir": None},

@@ -965,6 +965,25 @@ class TestSimulateEnsemble:
         assert 0 < expected[-1] < 30
         np.testing.assert_array_equal(series.blown_up, expected)
 
+    def test_nan_state_counts_at_the_cap_in_the_capped_mean(self):
+        # a path whose state turns NaN is blown up and must count at the cap,
+        # not make the capped mean NaN at every later checkpoint
+        p = SdeProblem(
+            dimension=1,
+            drift=lambda x, t: np.where(x > 1.5, np.nan, -x) / (1.0 + t),
+            diffusion=lambda x, t: np.float64(1.0),
+            k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=True, label="nan-drift",
+        )
+        cfg = SimConfig(dt=0.1, num_steps=50, num_paths=200, seed=1, scheme="em",
+                        initial_value=(1.0,))
+        series = simulate_ensemble(p, cfg)
+        sq, gone_from, _ = run_chunk(p, cfg, 0, 200)
+        assert 0 < series.blown_up[-1] < 200 and np.isnan(sq[-1]).any()
+        assert np.all(np.isfinite(series.capped_mean_abs))
+        for i in range(len(series)):
+            capped = np.where(np.isnan(sq[i]), cfg.blow_up_cap, np.sqrt(sq[i]))
+            assert series.capped_mean_abs[i] == np.minimum(capped, cfg.blow_up_cap).mean()
+
     def test_path_ranges_statistically_indistinguishable(self):
         cfg = SimConfig(dt=0.1, num_steps=400, num_paths=2000, seed=77, scheme="em",
                         initial_value=(1.0,), checkpoints=(0, 400))

@@ -205,20 +205,43 @@ class TestAudit:
             audit_conditions(linear_example(), states=[[1.0], [value]], times=(0.0,))
 
     def test_states_just_below_the_limit_are_audited(self):
-        with np.errstate(all="ignore"):
-            report = audit_conditions(linear_example(), states=[[8.9e307]], times=(0.0,))
-        assert np.isnan(report.one_sided_lipschitz.worst_margin)
-        assert not report.one_sided_lipschitz.passed
+        # the pair box has a finite width, so the audit runs; the squared norm
+        # overflows, and the first NaN margin is refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^drift linear growth of 'linear' has a NaN "
+                               r"margin \(its sides overflow\) at t=0\.0, sample \(8\.9e\+307,\)$"):
+                audit_conditions(linear_example(), states=[[8.9e307]], times=(0.0,))
 
     @pytest.mark.parametrize("state", [8.9e307, 1e200])
     def test_states_whose_norms_overflow_fail_without_warnings(self, state):
-        # the squared norms overflow: NaN margins fail their checks, and the
-        # margin arithmetic lets no RuntimeWarning out
+        # the squared norms overflow, so the drift's margins are inf - inf = NaN:
+        # the audit refuses the first, and lets no RuntimeWarning out
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = audit_conditions(linear_example(), states=[[state]], times=(0.0,))
-        assert [c.passed for c in report.checks()] == [False, False, True, False]
-        assert np.isnan(report.linear_growth_f.worst_margin)
+            with pytest.raises(ValueError, match="NaN margin") as info:
+                audit_conditions(linear_example(), states=[[state]], times=(0.0,))
+        assert str(info.value).startswith("drift linear growth of 'linear'")
+        assert str(info.value).endswith(f"at t=0.0, sample {(state,)}")
+
+    def test_nan_pair_margin_is_refused_and_names_the_pair(self):
+        # the bounded drift keeps every pointwise margin a number, but the pairs'
+        # |x - y|^2 overflows and Kbar = 0 times inf is NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^one-sided Lipschitz of 'tanh' has a NaN margin "
+                               r"\(its sides overflow\) at t=0\.0, sample \(\S+,\), \(\S+,\)$"):
+                audit_conditions(tanh_problem(kbar=0.0), states=[[1e200]], times=(0.0,))
+
+    def test_infinite_margins_are_verdicts(self):
+        # one side overflows and the other does not: -inf passes and +inf fails,
+        # as the true margins would (the slack stays finite)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = audit_conditions(tanh_problem(kbar=-1.0), states=[[1e200]], times=(0.0,))
+        assert [c.passed for c in report.checks()] == [True, False, True, False]
+        assert [c.worst_margin for c in report.checks()][:2] == [-math.inf, math.inf]
+        assert report.one_sided_lipschitz.worst_margin == math.inf
 
     def test_coefficient_arithmetic_error_is_a_value_error(self):
         # bem-example's (1 + t)**2 overflows on the Python float t = 1e200
@@ -312,6 +335,15 @@ def reference_audit(problem, states=None, times=None, pair_samples=1000, seed=0)
     )
 
 
+def tanh_problem(kbar):
+    # a bounded drift: |f| <= |x| / (1+t) holds, and <x, f> <= -|x|^2 / (1+t) does not
+    return SdeProblem(
+        dimension=1, drift=lambda x, t: -np.tanh(x) / (1.0 + t),
+        diffusion=lambda x, t: np.float64(0.0),
+        k1=1.0, c=1.0, kbar=kbar, satisfies_linear_growth=True, label="tanh",
+    )
+
+
 def rotation_2d():
     # minus a convex gradient plus a skew part, with a noise envelope that
     # fails at t = 0 (|g| = 2 > C = 1)
@@ -354,19 +386,16 @@ class TestAuditReference:
 
     def test_nan_margin_fails_and_is_worst(self):
         # at |x| = 1e200 the norms and products overflow, so the drift's two
-        # margins and the pairs' margin are inf - inf = NaN: each such check
-        # fails, at its first NaN sample, and the noise envelope still passes
+        # margins and the pairs' margin are inf - inf = NaN: the audit refuses
+        # the first condition's first NaN sample at the first time
         for states, first_nan in (([[1e200], [-1e200]], (1e200,)),
                                   ([[2.0], [-1e200], [1e200]], (-1e200,))):
-            with np.errstate(all="ignore"):
-                report = audit_conditions(linear_example(), states=states, times=(0.0, 1.0))
-            for check in (report.linear_growth_f, report.one_sided_f):
-                assert check.passed is False and np.isnan(check.worst_margin), check
-                assert check.worst_point == (0.0, first_nan)
-            osl = report.one_sided_lipschitz
-            assert osl.passed is False and np.isnan(osl.worst_margin) and osl.worst_point[0] == 0.0
-            assert report.linear_growth_g.passed
-            assert not all(c.passed for c in report.checks())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError) as info:
+                    audit_conditions(linear_example(), states=states, times=(0.0, 1.0))
+            assert str(info.value) == ("drift linear growth of 'linear' has a NaN margin "
+                                       f"(its sides overflow) at t=0.0, sample {first_nan}")
 
 
 def test_default_state_grid_shapes():
