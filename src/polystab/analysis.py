@@ -322,6 +322,8 @@ def counterexample_lower_bound(dt: float, k_max: int) -> LowerBoundSequence:
         raise ValueError(f"dt must lie in (0, 0.5), got {dt}")
     k_max = integer("k_max", k_max, 1)
     b = 3.0 * math.sqrt((1.0 + dt) / dt)
+    if not math.isfinite(b):  # dt below ~5.6e-309
+        raise ValueError(f"dt={dt!r} is too small: b_1 = 3 sqrt((1+dt)/dt) is not a finite float")
     values = [b]
     diverged_at = None
     for k in range(1, k_max):

@@ -206,7 +206,12 @@ class SimConfig:
         if self.checkpoints is None:
             object.__setattr__(self, "checkpoints", geometric_checkpoints(self.num_steps))
         else:
-            cps = tuple(integer("checkpoint", k) for k in self.checkpoints)
+            try:  # iter() of a non-iterable raises here, before the first element
+                cps = tuple(integer("checkpoint", k) for k in self.checkpoints)
+            except TypeError:
+                raise ValueError(
+                    f"checkpoints must be a sequence of step indices, got {self.checkpoints!r}"
+                ) from None
             if not cps:
                 raise ValueError("checkpoints must be non-empty")
             if any(k < 0 or k > self.num_steps for k in cps):
@@ -401,6 +406,9 @@ def _row_fault(row, prev):
         return f"t must be finite and >= 0, got {t!r}"
     if surviving < 0 or blown_up < 0:
         return f"surviving and blown_up must be >= 0, got {surviving} and {blown_up}"
+    for name, value in (("k", k), ("surviving", surviving), ("blown_up", blown_up)):
+        if value > _MAX_STEPS:  # the columns are int64
+            return f"{name} must be <= {_MAX_STEPS}, got {value}"
     if prev is None:
         return ""
     if k <= prev[0]:

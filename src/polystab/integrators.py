@@ -8,10 +8,11 @@ Lipschitz condition with dt < 1/|Kbar| the map F(x) = x - f(x,t) dt is
 strictly monotone, so the root exists and is unique; the solver is damped
 Newton with a finite-difference Jacobian. For n = 1 monotonicity makes
 bisection (the solver's private _bisect_root_scalar) a complete fallback for
-the lanes Newton leaves unsolved (it hands the drift one np.float64, so a
-drift that overflows gives inf and an unsolved lane, not OverflowError); for
-n > 1 such lanes are reported as failed. solve_implicit_batch solves a whole
-(m, n) block of lanes at once in every dimension: for n = 1 an elementwise Newton
+the lanes Newton leaves unsolved (it hands the drift a (1, 1) block per
+point, so a drift that overflows gives inf and an unsolved lane, not
+OverflowError); for n > 1 such lanes are reported as failed.
+solve_implicit_batch solves a whole (m, n) block of lanes at once in every
+dimension: for n = 1 an elementwise Newton
 whose first drift call stacks the residual point b and both difference
 points into one (3m, 1) block, and for n > 1 a damped Newton that makes one
 drift call per iteration on a ((2n+1)w, n) block: the trial point of each of
@@ -22,6 +23,11 @@ over the lanes. Converged lanes leave the working set, so a lane's iterates
 never depend on the other lanes in its block. The explicit step applies the
 formula verbatim with no safeguard: reproducing the blow-up of explicit
 stepping on superlinear drifts requires the unmodified map.
+
+Every drift and diffusion call hands the coefficient a float64 (rows, n)
+block. The solvers read the drift's values through
+problems.coefficient_values, at the block's shape; the two step kernels
+only combine the outputs arithmetically, so they broadcast as numpy does.
 
 Each scheme has one kernel for an (m, n) block of paths, with no per-step
 validation, and both share one contract, kernel(problem, x, t, t_next, dt,
@@ -44,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import integer, positive_real, real, reals
-from .problems import SdeProblem
+from .problems import SdeProblem, coefficient_values
 
 __all__ = [
     "StepContext",
@@ -115,11 +121,20 @@ def em_step_batch(problem: SdeProblem, x: np.ndarray, t: float, t_next: float, d
 def em_step(problem: SdeProblem, y, ctx: StepContext, validate: bool = True):
     """Explicit step y + f(y, k dt) dt + g(y, k dt) dB, exactly as written.
 
-    Validating adapter over em_step_batch for a state of any shape, whose
-    elements must be finite ints or floats (checks.reals).
+    Validating adapter over em_step_batch. y's elements must be finite ints
+    or floats (checks.reals); for n > 1 its last axis holds the n
+    components, and for n = 1 it may have any shape. The coefficients get y
+    as a (rows, n) block, db is broadcast to y's shape, and the result has
+    y's shape.
     """
     y_arr = reals("y", y)
-    out, _ = em_step_batch(problem, y_arr, ctx.t, (ctx.k + 1) * ctx.dt, ctx.dt, ctx.db)
+    n = problem.dimension
+    if n > 1 and y_arr.shape[-1:] != (n,):
+        raise ValueError(f"y must have a last axis of length {n}, got shape {y_arr.shape}")
+    rows = y_arr.reshape(-1, n)
+    db = np.broadcast_to(ctx.db, y_arr.shape).reshape(rows.shape)
+    out, _ = em_step_batch(problem, rows, ctx.t, (ctx.k + 1) * ctx.dt, ctx.dt, db)
+    out = out.reshape(y_arr.shape)
     if validate and not np.all(np.isfinite(out)):
         raise StepError(
             f"non-finite drift/diffusion output at k={ctx.k}, t={ctx.t}", state=y_arr
@@ -173,7 +188,7 @@ def _bisect_root_scalar(drift, t, b, dt):
     _BISECT_ITERATIONS halvings at most.
     """
     def resid(x):
-        return x - dt * float(drift(np.float64(x), t)) - b
+        return x - dt * float(coefficient_values(drift, np.full((1, 1), x), t)[0, 0]) - b
 
     rb = resid(b)
 
@@ -242,7 +257,7 @@ def _solve_scalar_batch(drift, t, b, dt):
     pts[:m] = b
     np.add(b, h, out=pts[m : 2 * m])
     np.subtract(b, h, out=pts[2 * m :])
-    f = _drift_on_rows(drift, pts, t)
+    f = coefficient_values(drift, pts, t)
     ri = np.multiply(f[:m], dt)
     np.subtract(b, ri, out=ri)
     ri -= b
@@ -277,7 +292,7 @@ def _solve_scalar_batch(drift, t, b, dt):
         if it:
             w = xi.shape[0]
             h = np.maximum(1e-7, 1e-7 * np.abs(xi))
-            f = _drift_on_rows(drift, np.concatenate((xi + h, xi - h)), t)
+            f = coefficient_values(drift, np.concatenate((xi + h, xi - h)), t)
             fp, fm = f[:w], f[w:]
         # deriv = 1 - dt (fp - fm) / (2h), then step = r / deriv, in one array
         step = np.subtract(fp, fm)
@@ -290,7 +305,7 @@ def _solve_scalar_batch(drift, t, b, dt):
             step[np.abs(step) < 1e-300] = 1.0
         np.divide(ri, step, out=step)
         xa = xi - step
-        ra = np.multiply(_drift_on_rows(drift, xa, t), dt)
+        ra = np.multiply(coefficient_values(drift, xa, t), dt)
         np.subtract(xa, ra, out=ra)
         ra -= bi
         aa = np.abs(ra[:, 0])
@@ -307,7 +322,7 @@ def _solve_scalar_batch(drift, t, b, dt):
             step[sel] = 0.5 * step[sel]
             xs = xi[sel] - step[sel]
             xa[sel] = xs
-            ra[sel] = xs - dt * np.asarray(drift(xs, t), dtype=float) - bi[sel]
+            ra[sel] = xs - dt * coefficient_values(drift, xs, t) - bi[sel]
             aa[sel] = np.abs(ra[sel, 0])
             worse[sel] = ~(aa[sel] <= ai[sel])
         xi, ri, ai = xa, ra, aa
@@ -319,19 +334,8 @@ def _solve_scalar_batch(drift, t, b, dt):
         root = _bisect_root_scalar(drift, t, float(b[i, 0]), dt)
         if root is not None:
             x[i, 0] = root
-    r = x - dt * np.asarray(drift(x, t), dtype=float) - b
+    r = x - dt * coefficient_values(drift, x, t) - b
     return x, np.abs(r[:, 0]) <= tol
-
-
-def _drift_on_rows(drift, rows, t):
-    """drift(rows, t) as a float array of the shape of rows.
-
-    A drift may return anything that broadcasts against its input, such as
-    one constant; stacked calls slice and reshape the result, so they take
-    it at the input's shape.
-    """
-    f = np.asarray(drift(rows, t), dtype=float)
-    return f if f.shape == rows.shape else np.broadcast_to(f, rows.shape)
 
 
 def _max_abs(r):
@@ -368,7 +372,7 @@ def _stacked_residuals(drift, t, x, b, dt, signs):
     """
     h = np.maximum(1e-7, 1e-7 * np.abs(x))
     pts = x + signs * h
-    f = _drift_on_rows(drift, pts.reshape(-1, x.shape[1]), t)
+    f = coefficient_values(drift, pts.reshape(-1, x.shape[1]), t)
     return pts - dt * f.reshape(pts.shape) - b, h
 
 
@@ -436,7 +440,7 @@ def _solve_vector_batch(drift, t, b, dt):
                 step[sel] = 0.5 * step[sel]
                 xs = xi[sel] - step[sel]
                 xa[sel] = xs
-                ra[sel] = xs - dt * np.asarray(drift(xs, t), dtype=float) - bi[sel]
+                ra[sel] = xs - dt * coefficient_values(drift, xs, t) - bi[sel]
                 an[sel] = _max_abs(ra[sel])
                 worse[sel] = ~(np.isfinite(an[sel]) & (an[sel] <= rn[sel]))
                 if not worse.any():
@@ -508,17 +512,18 @@ def solve_implicit(problem: SdeProblem, t: float, b, dt: float):
     n = problem.dimension
     if n > 1 and b_arr.shape != (n,):
         raise ValueError(f"b must have shape ({n},) for a {n}-dimensional problem")
-    x, ok = solve_implicit_batch(problem, t, b_arr.reshape(-1, n), dt)
-    x = x.reshape(b_arr.shape)
+    rows = b_arr.reshape(-1, n)
+    x, ok = solve_implicit_batch(problem, t, rows, dt)
     if not ok.all():
-        r = x - dt * np.asarray(problem.drift(x, t), dtype=float) - b_arr
+        r = x - dt * coefficient_values(problem.drift, x, t) - rows
         worst = float(np.max(np.abs(r)))
         raise ImplicitSolveError(
             f"implicit solve did not reach tolerance {_RESIDUAL_TOLERANCE} "
             f"(best residual {worst:.3e})",
             best_residual=worst,
-            state=x,
+            state=x.reshape(b_arr.shape),
         )
+    x = x.reshape(b_arr.shape)
     return float(x) if np.ndim(b) == 0 else x
 
 

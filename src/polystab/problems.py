@@ -12,6 +12,12 @@ plus a one-sided Lipschitz bound with constant Kbar. User problems are black
 boxes, so the audit samples state/time grids and reports each condition's
 worst margin as a checks.ConditionCheck (a NaN margin is refused); a pass
 is sampling evidence, never a proof.
+
+Every call of a drift or diffusion in the package hands it a float64
+(rows, n) block. coefficient_values reads its values at the block's shape,
+so the audit, the implicit solvers and any other code that slices, indexes
+or reduces them sees one shape, whatever broadcastable value the
+coefficient returned.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .checks import ConditionCheck, integer, positive_real, real, reals
 
 __all__ = [
     "SdeProblem",
+    "coefficient_values",
     "AUDIT_NOTE",
     "ConditionCheck",
     "ConditionAuditReport",
@@ -55,14 +62,15 @@ class SdeProblem:
     """Immutable SDE problem dx = f(x,t) dt + g(x,t) dB.
 
     drift and diffusion are pure functions of (state, time) that act on each
-    row alone. States arrive as float64 numpy values: (rows, dimension)
-    blocks, such as the ensemble's (paths, dimension) blocks or the implicit
-    solver's stacked residual and difference points, or one np.float64 in
-    the n = 1 bisection; time arrives as a float. Each may return anything
-    that broadcasts to its input's shape (the built-in noise is one float),
-    which simulate_ensemble checks once per run. k1, c, kbar are the
-    condition constants the problem claims; claims are checked by
-    :func:`audit_conditions`, not trusted.
+    row alone. Every call in the package hands them a float64 (rows,
+    dimension) block, such as the ensemble's (paths, dimension) block, the
+    implicit solver's stacked residual and difference points or the n = 1
+    bisection's (1, 1) point, and a float time. Each may return anything
+    that broadcasts to that block's shape (the built-in noise is one float),
+    which simulate_ensemble checks once per run; code that slices, indexes
+    or reduces the values reads them through :func:`coefficient_values`.
+    k1, c, kbar are the condition constants the problem claims; claims are
+    checked by :func:`audit_conditions`, not trusted.
     """
 
     dimension: int
@@ -79,6 +87,17 @@ class SdeProblem:
         for name in ("k1", "c"):
             object.__setattr__(self, name, positive_real(name, getattr(self, name)))
         object.__setattr__(self, "kbar", real("kbar", self.kbar))
+
+
+def coefficient_values(fn, states: np.ndarray, t: float) -> np.ndarray:
+    """fn(states, t) as a float array of the shape of the (rows, n) block states.
+
+    A coefficient may return anything that broadcasts to its block, such as
+    one constant; its values are broadcast to the block's shape, a read-only
+    view, so a caller may slice, index and reduce them by row.
+    """
+    out = np.asarray(fn(states, t), dtype=float)
+    return out if out.shape == states.shape else np.broadcast_to(out, states.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -236,18 +255,16 @@ def _point(vec) -> tuple:
 
 def _eval_checked(fn, x, t, what, label):
     try:
-        out = np.asarray(fn(x, t), dtype=float)
+        out = coefficient_values(fn, x, t)
     except ArithmeticError as exc:  # such as a Python-float power of t that overflows
         raise ValueError(
             f"{what} of '{label}' raised {type(exc).__name__} at t={t}: {exc}"
         ) from exc
     if not np.all(np.isfinite(out)):
-        bad = np.argwhere(~np.isfinite(out))
-        idx = tuple(bad[0]) if bad.size else ()
-        state = np.asarray(x)[idx[:-1] if len(idx) > 1 else idx]
+        row = np.argwhere(~np.isfinite(out))[0, 0]
         raise ValueError(
             f"{what} of '{label}' returned a non-finite value at t={t}, "
-            f"state={_point(state)}"
+            f"state={_point(x[row])}"
         )
     return out
 
@@ -319,8 +336,8 @@ def audit_conditions(
     rng = np.random.default_rng(_PAIR_SEED)
     pairs = []
     for t in times:
-        f = np.broadcast_to(_eval_checked(problem.drift, states, t, "drift", label), states.shape)
-        g = np.broadcast_to(_eval_checked(problem.diffusion, states, t, "diffusion", label), states.shape)
+        f = _eval_checked(problem.drift, states, t, "drift", label)
+        g = _eval_checked(problem.diffusion, states, t, "diffusion", label)
         xs, ys = rng.uniform(-half_width, half_width, size=(2, _PAIR_SAMPLES, problem.dimension))
         pairs.append((xs, ys))
         fx = _eval_checked(problem.drift, xs, t, "drift", label)
@@ -364,7 +381,7 @@ def one_sided_decay_max_k1(problem: SdeProblem) -> float:
         f = _eval_checked(problem.drift, states, t, "drift", problem.label)
         xf = np.einsum("ij,ij->i", states, f)
         best = min(best, float(np.min(-xf[nz] * (1.0 + t) / xn2[nz])))
-    return max(best, 0.0)
+    return max(0.0, best)  # 0.0, not -0.0, when best is -0.0
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,16 @@ class TestLowerBound:
         with pytest.raises(ValueError):
             counterexample_lower_bound(dt, 10)
 
+    @pytest.mark.parametrize("dt", [1e-320, 5e-324, 5e-309])
+    def test_dt_whose_first_bound_overflows_refused(self, dt):
+        # b_1 = 3 sqrt((1+dt)/dt) is inf once dt < ~5.6e-309
+        with pytest.raises(ValueError, match=f"^dt={dt!r} is too small"):
+            counterexample_lower_bound(dt, 3)
+
+    def test_smallest_dt_whose_first_bound_is_finite(self):
+        seq = counterexample_lower_bound(6e-309, 3)
+        assert seq.values.tolist() == [3.0 * math.sqrt(1.0 / 6e-309)] and seq.diverged_at == 2
+
     @settings(max_examples=40, deadline=None)
     @given(dt=st.floats(min_value=1e-3, max_value=0.499))
     def test_invariant_property(self, dt):

@@ -504,6 +504,19 @@ class TestAnalyze:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(message) and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("row,message", [
+        ("100000000000000000000,1.0,0.5,0.0,10,0", "k must be <= 9223372036854775807"),
+        (f"0,0.0,1.0,0.0,{2**63},0", "surviving must be <= 9223372036854775807"),
+    ])
+    def test_integer_beyond_int64_is_a_parse_error(self, tmp_path, monkeypatch, capsys, row, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.csv").write_text(f"{CSV_HEADER}\n{row}\n")
+        code = run(["analyze", "--csv", "m.csv", "--k1", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"parse error: m.csv: line 2: {message}, got ")
+        assert captured.err.count("\n") == 1
+
     def test_missing_file_usage_error(self, tmp_path):
         assert run(["analyze", "--csv", str(tmp_path / "nope.csv"), "--k1", "1.0"]) == 1
 
@@ -659,6 +672,15 @@ class TestCounterexample:
         assert run(["counterexample", "--dt", "0.1", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_dt_whose_first_bound_overflows_is_usage_error(self, capsys):
+        argv = ["counterexample", "--dt", "1e-320", "--k-max", "3", "--steps", "2", "--paths", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: dt=1e-320 is too small")
         assert captured.err.count("\n") == 1
 
     def test_help_exits_zero(self):

@@ -100,6 +100,8 @@ class TestSimConfig:
             dict(seed=True),
             dict(dt=1e308),  # dt * num_steps, the last step's time, beyond the floats
             dict(initial_value=((1.0, 2.0),)),  # not a vector
+            dict(checkpoints=5),
+            dict(checkpoints=2.5),
         ],
     )
     def test_validation(self, kwargs):
@@ -108,6 +110,12 @@ class TestSimConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             SimConfig(**base)
+
+    @pytest.mark.parametrize("checkpoints", [5, 2.5, np.array(7)])
+    def test_checkpoints_that_are_not_a_sequence_named(self, checkpoints):
+        with pytest.raises(ValueError, match="^checkpoints must be a sequence of step indices"):
+            SimConfig(dt=0.1, num_steps=10, num_paths=4, seed=1, scheme="em",
+                      initial_value=(1.0,), checkpoints=checkpoints)
 
     @pytest.mark.parametrize("x0", [(1e200,), (1e154, 1e154)])
     def test_initial_value_whose_square_overflows_refused(self, x0):
@@ -1103,6 +1111,18 @@ class TestSimulateEnsemble:
         with pytest.raises(RuntimeError, match="failed the implicit solve"):
             simulate_ensemble(p, cfg)
 
+    def test_block_written_drift_whose_solve_fails_aborts(self):
+        # from x0 = 1e30 Newton runs out of iterations, so the lanes go to the
+        # bisection, which hands the drift (1, 1) blocks its axis-1 sum can read
+        def drift(x, t):
+            return -(3.0 * x + np.sum(x**3, axis=1, keepdims=True)) / (1.0 + t)
+
+        p = dataclasses.replace(cubic_counterexample(), drift=drift, label="block-cubic")
+        cfg = SimConfig(dt=0.1, num_steps=3, num_paths=4, seed=1, scheme="bem",
+                        initial_value=(1e30,), blow_up_cap=1e300)
+        with pytest.raises(RuntimeError, match="4/4 paths failed the implicit solve"):
+            simulate_ensemble(p, cfg)
+
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_bem_nonfinite_noise_blows_up(self, dimension):
         # diffusion turns infinite once |x| > 1.5: the path blows up, in every
@@ -1193,12 +1213,26 @@ class TestSerialization:
         (["0,0.0,1.0,0.0,5,-1"], 2, "surviving and blown_up must be >= 0, got 5 and -1"),
         (["0,0.0,1.0,0.0,4,0", "1,0.1,1.0,0.0,3,0"], 3,
          "surviving \\+ blown_up must be the same on every row, got 3 after 4"),
+        (["100000000000000000000,1.0,0.5,0.0,10,0"], 2,
+         "k must be <= 9223372036854775807, got 100000000000000000000"),
+        (["0,0.0,1.0,0.0,9223372036854775808,0"], 2,
+         "surviving must be <= 9223372036854775807, got 9223372036854775808"),
+        (["0,0.0,1.0,0.0,0,9223372036854775808"], 2,
+         "blown_up must be <= 9223372036854775807, got 9223372036854775808"),
     ])
     def test_from_csv_column_rules(self, tmp_path, rows, line, message):
         path = tmp_path / "bad.csv"
         path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
         with pytest.raises(ValueError, match=f"bad.csv: line {line}: {message}$"):
             MomentSeries.from_csv(path)
+
+    def test_from_csv_accepts_the_int64_maximum(self, tmp_path):
+        path = tmp_path / "m.csv"
+        big = 2**63 - 1
+        path.write_text(CSV_HEADER + f"\n0,0.0,1.0,0.0,{big},0\n{big},1.0,0.5,0.0,0,{big}\n")
+        series = MomentSeries.from_csv(path)
+        assert series.step_index.tolist() == [0, big]
+        assert series.surviving.tolist() == [big, 0] and series.blown_up.tolist() == [0, big]
 
     def test_from_csv_accepts_repeated_times_and_any_moments(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -226,7 +226,7 @@ class TestSolveImplicit:
         assert err.value.best_residual is not None
 
     def test_overflowing_drift_leaves_the_lane_unsolved(self):
-        # x**3 overflows at b = 1e110: to inf on the float64 state the
+        # x**3 overflows at b = 1e110: to inf on the (1, 1) block the
         # bisection hands the drift, where a Python float raises OverflowError
         p = cubic_counterexample()
         with np.errstate(all="ignore"):
@@ -779,9 +779,7 @@ class TestHopelessLanes:
         # x_0 = 2 step towards 0 until every halving lands below it. The lane
         # from x_0 = -1 is NaN at b, and the lane from x_0 = 30 converges.
         def drift(x, t):
-            x = np.asarray(x, dtype=float)
-            lead = x if dimension == 1 else x[..., :1]  # bisection passes floats
-            return np.where(lead < 0.0, np.nan, np.full(x.shape, -20.0))
+            return np.where(x[..., :1] < 0.0, np.nan, np.full(x.shape, -20.0))
 
         p = self.problem(dimension, drift)
         b = np.array([[2.0, 1.0, 5.0], [-1.0, 3.0, -2.0], [30.0, 40.0, 0.5],

@@ -4,6 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from polystab import integrators
+from polystab.ensemble import SimConfig, simulate_ensemble
+from polystab.integrators import StepContext, em_step, solve_implicit
 from polystab.problems import (
     AUDIT_NOTE,
     DEFAULT_AUDIT_TIMES,
@@ -13,6 +16,7 @@ from polystab.problems import (
     SdeProblem,
     audit_conditions,
     bem_example,
+    coefficient_values,
     cubic_counterexample,
     default_state_grid,
     exact_linear_mean_square,
@@ -434,3 +438,105 @@ class TestRegistry:
         assert p.k1 == 2.5 and p.c == 0.7
         # dynamics untouched
         assert p.drift(np.array([2.0]), 0.0).item() == -2.0
+
+
+def block_only(n, fn, calls):
+    """fn behind asserts that each call gets a float64 (rows, n) ndarray and a float time;
+    calls collects the shapes."""
+    def checked(x, t):
+        assert type(x) is np.ndarray and x.dtype == np.float64, (type(x), getattr(x, "dtype", None))
+        assert x.ndim == 2 and x.shape[1] == n, x.shape
+        assert isinstance(t, float), type(t)
+        calls.append(x.shape)
+        return fn(x, t)
+    return checked
+
+
+def block_problem(n, calls):
+    """-(3x + |x|^2 x)/(1+t) dt + (1+t)^-3 dB in R^n, written for (rows, n) blocks: at
+    n = 1 it is the counterexample, with the cube as the benchmark's 2-D drift forms it."""
+    def drift(x, t):
+        return -(3.0 * x + np.sum(x * x, axis=1, keepdims=True) * x) / (1.0 + t)
+
+    return SdeProblem(
+        dimension=n, drift=block_only(n, drift, calls),
+        diffusion=block_only(n, lambda x, t: np.float64((1.0 + t) ** -3), calls),
+        k1=3.0, c=1.0, kbar=-3.0, satisfies_linear_growth=False, label=f"block-{n}d",
+    )
+
+
+class TestCoefficientContract:
+    """Every coefficient call in the package gets a float64 (rows, n) block."""
+
+    def test_values_take_the_block_shape(self):
+        states = np.arange(6.0).reshape(3, 2)
+        same = states * 2.0
+        assert coefficient_values(lambda x, t: same, states, 0.0) is same
+        for fn in (lambda x, t: -0.5, lambda x, t: np.float64(-0.5), lambda x, t: np.full((1, 2), -0.5)):
+            out = coefficient_values(fn, states, 0.0)
+            assert out.shape == (3, 2) and out.dtype == np.float64 and (out == -0.5).all()
+        assert coefficient_values(lambda x, t: np.ones(3, dtype=int)[:, None], states, 0.0).dtype == np.float64
+
+    @pytest.mark.parametrize("y,db", [(0.5, 0.2), (np.array([[0.5], [-1.0], [2.0]]), np.full((3, 1), 0.2))],
+                             ids=["scalar", "column"])
+    def test_em_step(self, y, db):
+        calls = []
+        out = em_step(block_problem(1, calls), y, StepContext(k=2, dt=0.1, db=db))
+        expected = em_step(cubic_counterexample(), y, StepContext(k=2, dt=0.1, db=db))
+        assert np.shape(out) == np.shape(y) and np.array_equal(out, expected)
+        assert calls == [(np.size(y), 1)] * 2
+
+    def test_em_step_vector(self):
+        calls = []
+        p = block_problem(2, calls)
+        out = em_step(p, np.array([1.0, -2.0]), StepContext(k=0, dt=0.1, db=0.5))
+        assert out.shape == (2,) and calls == [(1, 2)] * 2
+        with pytest.raises(ValueError, match="last axis of length 2, got shape \\(3,\\)"):
+            em_step(p, np.zeros(3), StepContext(k=0, dt=0.1, db=0.5))
+
+    def test_solve_implicit_with_the_bisection(self, monkeypatch):
+        # one Newton iteration from b = 40 leaves the lane to the bisection,
+        # whose every call is one (1, 1) block
+        monkeypatch.setattr(integrators, "_MAX_ITERATIONS", 1)
+        calls = []
+        x = solve_implicit(block_problem(1, calls), 0.0, 40.0, 0.3)
+        assert x == solve_implicit(cubic_counterexample(), 0.0, 40.0, 0.3) == 4.696466976414726
+        assert calls.count((1, 1)) > 1
+
+    def test_solve_implicit_vector(self):
+        calls = []
+        b = np.array([3.0, -2.0])
+        x = solve_implicit(block_problem(2, calls), 1.0, b, 0.1)
+        residual = x + 0.1 * (3.0 * x + np.sum(x * x) * x) / 2.0 - b
+        assert x.shape == (2,) and np.max(np.abs(residual)) <= 1e-12 and calls
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("scheme", ["em", "bem"])
+    def test_simulate_ensemble(self, scheme, n):
+        calls = []
+        cfg = SimConfig(dt=0.05, num_steps=20, num_paths=6, seed=3, scheme=scheme,
+                        initial_value=(0.5,) * n)
+        series = simulate_ensemble(block_problem(n, calls), cfg)
+        assert series.surviving[-1] == 6 and calls
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_audit_and_max_k1(self, n):
+        calls = []
+        p = block_problem(n, calls)
+        report = audit_conditions(p)
+        assert report.one_sided_f.passed and not report.linear_growth_f.passed
+        assert one_sided_decay_max_k1(p) == pytest.approx(3.0 + 6.25**2, rel=1e-12)
+        assert calls
+
+    def test_drift_of_one_float_is_audited(self):
+        # a constant drift broadcasts to every block: the pair check's
+        # fx - fy and max-K1's <x, f> read it at the block's shape
+        p = SdeProblem(
+            dimension=1, drift=lambda x, t: np.float64(-0.0), diffusion=lambda x, t: np.float64(0.0),
+            k1=1.0, c=1.0, kbar=0.0, satisfies_linear_growth=True, label="const",
+        )
+        report = audit_conditions(p)
+        assert report.linear_growth_f.passed and not report.one_sided_f.passed
+        assert report.one_sided_lipschitz.passed and report.one_sided_lipschitz.worst_margin == 0.0
+        k1 = one_sided_decay_max_k1(p)
+        assert k1 == 0.0 and math.copysign(1.0, k1) == 1.0

@@ -30,7 +30,10 @@ check's result, which lists every violation, is the one exception. Each
 solver error has one raiser, its validating adapter (StepError em_step,
 ImplicitSolveError solve_implicit), and no code in the package catches
 either by name: a solver that cannot finish a lane reports it in its
-result.
+result. A drift or diffusion is called in four places only: the two step
+kernels, which combine its values arithmetically, the ensemble's one-time
+shape check, and problems.coefficient_values, through which every other
+caller reads the values at the block's shape.
 """
 
 import ast
@@ -681,3 +684,56 @@ def test_each_solver_error_has_one_raiser_and_no_handler():
 ])
 def test_error_guard_finds_every_form(source, expected):
     assert error_sites(source) == expected
+
+
+def coefficient_calls(source: str) -> list[tuple[str, str]]:
+    """(function, callee) for each coefficient call in source: a call of
+    <expr>.drift or <expr>.diffusion, or of a name drift or fn. function is
+    the innermost def holding the call, or "" at module level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Attribute) and func.attr in ("drift", "diffusion"):
+                    found.append((where, func.attr))
+                elif isinstance(func, ast.Name) and func.id in ("drift", "fn"):
+                    found.append((where, func.id))
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_coefficients_are_called_only_by_the_kernels_the_shape_check_and_coefficient_values():
+    found = {(path.stem, where, callee) for path in MODULES
+             for where, callee in coefficient_calls(path.read_text(encoding="utf-8"))}
+    assert found == {
+        ("problems", "coefficient_values", "fn"),
+        ("integrators", "em_step_batch", "drift"), ("integrators", "em_step_batch", "diffusion"),
+        ("integrators", "bem_step_batch", "diffusion"),
+        ("ensemble", "_check_output_shapes", "fn"),
+    }
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("def em_step_batch(problem, x, t):\n    return x + problem.drift(x, t)",
+     [("em_step_batch", "drift")]),
+    ("def audit(report, x):\n    return report.problem.diffusion(x, 0.0)", [("audit", "diffusion")]),
+    ("def _bisect_root_scalar(drift, t, b):\n    return drift(np.float64(b), t)",
+     [("_bisect_root_scalar", "drift")]),
+    ("def _eval_checked(fn, x, t):\n    return np.asarray(fn(x, t), dtype=float)",
+     [("_eval_checked", "fn")]),
+    ("def solve(drift, b):\n    def resid(x):\n        return x - drift(x, 0.0) - b\n    return resid",
+     [("resid", "drift")]),
+    ("f = problem.drift(x, 0.0)", [("", "drift")]),
+    ("def solve(drift, x, t):\n    return coefficient_values(drift, x, t)", []),
+    ("def solve(problem, b):\n    return solve_implicit_batch(problem.drift, b)", []),
+    ("def f(p):\n    return p.drift_calls(), drift_fn(p), fn_(p)", []),
+])
+def test_coefficient_guard_finds_every_form(source, expected):
+    assert coefficient_calls(source) == expected
