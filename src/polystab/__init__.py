@@ -21,7 +21,6 @@ from .analysis import (
 from .ensemble import (
     MomentSeries,
     SimConfig,
-    brownian_increment,
     geometric_checkpoints,
     simulate_ensemble,
 )
@@ -44,6 +43,7 @@ from .integrators import (
     solve_implicit,
     solve_implicit_batch,
 )
+from .noise import brownian_increment
 from .problems import (
     ConditionAuditReport,
     SdeProblem,

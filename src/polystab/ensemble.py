@@ -1,28 +1,25 @@
 """Deterministic, parallelizable Monte Carlo moment estimation.
 
 Reproducibility contract: the Brownian increment consumed by path p at step k
-is a pure function of (seed, p, k), produced by a counter-based generator
-(Philox keyed on (seed, path), counter = step, one block per step, inverse-CDF
-normal). Path trajectories therefore never depend on evaluation order, thread
-count, or how paths are chunked, and the checkpoint reduction is a fixed-order
-pairwise sum over path-id-ordered arrays — two runs of the same SimConfig are
-byte-identical at any thread count.
+is a pure function of (seed, p, k), produced by polystab.noise's counter-based
+stream (Philox keyed on (seed, path), counter = step, one block per step,
+inverse-CDF normal). Path trajectories therefore never depend on evaluation
+order, thread count, or how paths are chunked, and the checkpoint reduction
+is a fixed-order pairwise sum over path-id-ordered arrays — two runs of the
+same SimConfig are byte-identical at any thread count.
 
 Paths run in fixed chunks of 4096. A chunk draws its normals in step blocks of
 at most 512 steps and 2**20 values into one step-major buffer (one contiguous
-row of path normals per step), from one Philox that is re-keyed for each path
-of the chunk. The raw words of a group of paths are gathered into a fixed-size
-scratch and mapped to normals by one transform per group, in a contiguous
-float scratch that is then copied into the buffer. Each filled step block is
-scaled by sqrt(dt) once, so a step's increments are a view of one row. Each
-step then makes one call of step(problem, x, k dt, (k+1) dt, dt, dB), the
+row of path normals per step), filled by noise.fill_standard_normals through
+the buffer's transpose. Each filled step block is scaled by sqrt(dt) once, so
+a step's increments are a view of one row. Each step then makes one call of step(problem, x, k dt, (k+1) dt, dt, dB), the
 kernel of the scheme's record in SCHEMES, the one table of schemes: on the
 whole chunk while no path of it is frozen, and after that on the live paths
 only, so a frozen path is never stepped again. Once every path of a chunk is
 frozen, the chunk writes their squared norms into its remaining checkpoints
-and ends, drawing no more noise. Chunk, step-block and scratch sizes are
-module constants and never depend on the thread count; threads only decide
-where a chunk runs. A run uses min(usable CPUs, chunks) threads, the usable
+and ends, drawing no more noise. Chunk and step-block sizes, like the noise
+module's scratch size, are module constants and never depend on the thread
+count; threads only decide where a chunk runs. A run uses min(usable CPUs, chunks) threads, the usable
 CPUs being those of the process's affinity mask, and runs its chunks in order
 on the calling thread when that is 1. A cgroup CPU quota is not read: taskset
 is how to cap the count. Each running chunk holds its own step block of noise,
@@ -39,20 +36,15 @@ from that checkpoint on; capped means plus blow-up fractions are how divergence
 stays visible instead of being truncated away. An ArithmeticError raised while
 a chunk steps keeps its class and is told the problem, scheme, step and time.
 
-The generator is numpy's Philox and the inverse normal CDF scipy's ndtri
-ufunc, which _load_compiled takes from the compiled numpy.random._philox and
-scipy.special._ufuncs without running either package's init; the public
-imports run only where that fails or the package is loaded already. The
-thread pool is imported only by a run that starts threads, so a one-CPU
-run loads neither numpy.random's init nor concurrent.futures. The
-geometric checkpoint rule drops duplicates itself rather than through
-np.unique, whose first call imports numpy.ma, so no run loads numpy.ma.
+The thread pool is imported only by a run that starts threads, so a
+one-CPU run loads neither numpy.random's init (see polystab.noise) nor
+concurrent.futures. The geometric checkpoint rule drops duplicates itself
+rather than through np.unique, whose first call imports numpy.ma, so no run
+loads numpy.ma.
 """
 
 from __future__ import annotations
 
-import importlib
-import importlib.util
 import json
 import math
 import os
@@ -72,6 +64,7 @@ from .integrators import (
     check_implicit_dt,
     em_step_batch,
 )
+from .noise import fill_standard_normals
 from .problems import SdeProblem
 
 __all__ = [
@@ -80,7 +73,6 @@ __all__ = [
     "Scheme",
     "SCHEMES",
     "geometric_checkpoints",
-    "brownian_increment",
     "simulate_ensemble",
     "CSV_HEADER",
 ]
@@ -110,48 +102,10 @@ SCHEMES: dict[str, Scheme] = {
 }
 CSV_HEADER = "k,t,mean_square,std_error,surviving,blown_up"
 
-_MASK64 = (1 << 64) - 1
 _CHUNK_PATHS = 4096  # fixed: chunking must not depend on the thread count
 _BLOCK_NORMALS = 2**20  # most normals per step block of a chunk
 _BLOCK_STEPS = 512  # most steps per block: steps = min(this, _BLOCK_NORMALS // paths)
-_SCRATCH_WORDS = 2**14  # raw words per grouped normal transform: rows = this // steps
 _MAX_STEPS = 2**63 - 1  # MomentSeries.step_index and the CSV's k are int64
-
-
-def _load_compiled(package, submodule, name):
-    """name from the compiled package.submodule, loaded without running package's init.
-
-    Used for scipy.special._ufuncs.ndtri and numpy.random._philox.Philox.
-    scipy.special's init imports scipy's array-API layer, which clones
-    numpy's namespace (numpy.f2py, numpy.testing, numpy.ma, ...): about 0.3 s
-    and 18 MB of every command's set-up. numpy.random's init loads mtrand,
-    Generator and four more bit generators. So the submodule is imported
-    under an unexecuted module object of the package, which is then dropped
-    from sys.modules again. A later import of the package runs its init as
-    usual and reuses the loaded submodule, so its name is this very object.
-    None, for the caller's public import, if the package is loaded already
-    or the submodule or name is missing. One limit, for both packages: a
-    thread that imports the package while this runs (some milliseconds of
-    the first import of polystab) could see the unexecuted package module.
-    """
-    if package in sys.modules:
-        return None
-    try:
-        sys.modules[package] = importlib.util.module_from_spec(importlib.util.find_spec(package))
-        try:
-            return getattr(importlib.import_module(f"{package}.{submodule}"), name)
-        finally:
-            del sys.modules[package]
-    except (ImportError, AttributeError):
-        return None
-
-
-ndtri = _load_compiled("scipy.special", "_ufuncs", "ndtri")
-if ndtri is None:
-    from scipy.special import ndtri
-Philox = _load_compiled("numpy.random", "_philox", "Philox")
-if Philox is None:
-    from numpy.random import Philox
 
 
 def geometric_checkpoints(num_steps: int, count: int = 50) -> tuple[int, ...]:
@@ -236,78 +190,6 @@ class SimConfig:
         """The config of a to_json_dict dict; other keys, such as "problem", are ignored."""
         names = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in d.items() if k in names and v is not None})
-
-
-def _fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int) -> None:
-    """Fill out[j, i] with the standard normal for (seed, path_lo + j, step0 + i).
-
-    One Philox block per step (counter = step index), word 0 of the block
-    mapped through the inverse normal CDF. One generator, built with
-    Philox(key=(seed, path_lo), counter=step0), serves every row: before
-    each row, the first one too, its key, counter and buffer position are
-    reset through its state, held as a dict of Python ints. Word 0 of each
-    row goes into a scratch of about _SCRATCH_WORDS words, and each group of
-    rows is transformed at once in a contiguous float scratch of the same
-    size that is then written to out with one copy. out may therefore be
-    any view, such as the transpose of a step-major buffer, whose elements
-    lie far apart. A value never depends on the rows or steps it was
-    generated with.
-
-    The map is u = (w >> 11) 2**-53 + 2**-54, then ndtri(u). The top 2**11
-    of the 2**64 words, those with w >> 11 == 2**53 - 1, round u to exactly
-    1.0 and give +inf: probability 2**-53 per normal, and a path that draws
-    one blows up. Every other normal lies in [-8.292, 8.126]. The stream's
-    bytes are pinned, so this map stays as it is.
-    """
-    m, count = out.shape
-    key = np.array([seed & _MASK64, path_lo & _MASK64], dtype=np.uint64)
-    bg = Philox(key=key, counter=int(step0))
-    state = bg.state  # counter = step0, buffer empty
-    # as Python ints, which the state setter reads ~2x faster than arrays
-    inner = state["state"]
-    inner["counter"], inner["key"] = inner["counter"].tolist(), inner["key"].tolist()
-    state["buffer"] = state["buffer"].tolist()
-    group = max(1, _SCRATCH_WORDS // count)
-    # its own scratch, not a uint64 view of out: numpy copies an aliased input
-    words = np.empty((min(group, m), count), dtype=np.uint64)
-    # the transform runs here, contiguous, rather than on a strided out such
-    # as the engine's
-    floats = np.empty(words.shape)
-    for g0 in range(0, m, group):
-        g1 = min(g0 + group, m)
-        raw = words[: g1 - g0]
-        block = floats[: g1 - g0]
-        for j in range(g0, g1):
-            inner["key"][1] = (path_lo + j) & _MASK64
-            bg.state = state
-            raw[j - g0] = bg.random_raw(4 * count)[0::4]
-        raw >>= np.uint64(11)
-        np.multiply(raw, 2.0**-53, out=block)
-        block += 2.0**-54
-        ndtri(block, out=block)
-        out[g0:g1] = block
-
-
-def _standard_normal_block(seed: int, path_id: int, step0: int, count: int) -> np.ndarray:
-    """count standard normals for (seed, path_id, steps step0..step0+count-1).
-
-    One row of _fill_standard_normals, re-keyed like every row of a chunk.
-    """
-    out = np.empty((1, count))
-    _fill_standard_normals(out, seed, path_id, step0)
-    return out[0]
-
-
-def brownian_increment(seed: int, path_id: int, step: int, dt: float) -> float:
-    """The Brownian increment dB for (seed mod 2**64, path_id, step): N(0, dt), reproducible.
-
-    path_id must fit the Philox key's 64 bits and step its 256-bit counter.
-    """
-    seed = integer("seed", seed)
-    path_id = integer("path_id", path_id, 0, 2**64 - 1)
-    step = integer("step", step, 0, 2**256 - 1)
-    dt = positive_real("dt", dt)
-    return float(_standard_normal_block(seed, path_id, step, 1)[0]) * math.sqrt(dt)
 
 
 @dataclass(frozen=True)
@@ -485,7 +367,7 @@ def _simulate_chunk(scheme, problem, config, path_lo, path_hi, sq):
     for b0 in range(0, num_steps, step_block):
         b1 = min(b0 + step_block, num_steps)
         normals = buffer[: b1 - b0]
-        _fill_standard_normals(normals.T, config.seed, path_lo, b0)
+        fill_standard_normals(normals.T, config.seed, path_lo, b0)
         normals *= sqrt_dt  # now the increments dB = z sqrt(dt), one product each
         try:  # entered once per step block, so a step costs nothing more
             for k, increments in enumerate(normals, b0):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import ConditionCheck, integer, positive_real, real, reals
+from .noise import uniforms
 
 __all__ = [
     "GammaProductParams",
@@ -197,32 +198,51 @@ def ratio_power_margin(x, eta):
 _IDENTITY_MAX_INDEX = 10_000
 _IDENTITY_ALPHA_MAX = 5.0
 _IDENTITY_BETA_MAX = 10.0
+_IDENTITY_DELTA_MIN = 1e-12
 _IDENTITY_TOLERANCE = 1e-10
+_IDENTITY_STREAM = 0  # the samples are noise.uniforms(seed, _IDENTITY_STREAM, 5 n)
+
+
+def _identity_samples(num_samples: int, seed: int) -> list[tuple[int, int, float, float, float]]:
+    """verify_product_identity's points (a, b, alpha, beta, delta), one per five uniforms.
+
+    From the uniforms (u0, ..., u4) of a sample: b = floor(u0 (max + 1)),
+    a = floor(u1 (b + 1)), alpha = alpha_max (1 - u2), beta = beta_max u3
+    and delta = delta_min + (0.99/alpha - delta_min) u4. A u < 1 gives
+    floor(u n) < n for every n the box uses.
+    """
+    u = uniforms(seed, _IDENTITY_STREAM, 5 * num_samples).reshape(num_samples, 5)
+    samples = []
+    for u_b, u_a, u_alpha, u_beta, u_delta in u.tolist():
+        b = int(u_b * (_IDENTITY_MAX_INDEX + 1))
+        a = int(u_a * (b + 1))
+        alpha = _IDENTITY_ALPHA_MAX * (1.0 - u_alpha)  # (0, max]
+        beta = _IDENTITY_BETA_MAX * u_beta
+        delta = _IDENTITY_DELTA_MIN + (0.99 / alpha - _IDENTITY_DELTA_MIN) * u_delta
+        samples.append((a, b, alpha, beta, delta))
+    return samples
 
 
 def verify_product_identity(num_samples: int = 1000, seed: int = 20240331) -> ConditionCheck:
     """Randomized cross-check of product_via_gamma against product_direct.
 
     The sampling box is fixed: integer 0 <= a <= b <= _IDENTITY_MAX_INDEX,
-    alpha in (0, _IDENTITY_ALPHA_MAX], beta in [0, _IDENTITY_BETA_MAX] and
-    delta in (0, 0.99/alpha). The record's statistic is the worst relative
+    alpha in (0, _IDENTITY_ALPHA_MAX], beta in [0, _IDENTITY_BETA_MAX) and
+    delta in [_IDENTITY_DELTA_MIN, 0.99/alpha). The samples come from
+    noise.uniforms at the seed (used mod 2**64), five uniforms each, so one
+    seed always gives the same points and a longer run starts with the
+    points of a shorter one. The record's statistic is the worst relative
     error, at the point (a, b, alpha, beta, delta); the check passes at
     <= _IDENTITY_TOLERANCE. num_samples must be an integer >= 1, so that
     the check is never vacuous, and seed >= 0.
     """
     num_samples = integer("num_samples", num_samples, 1)
-    rng = np.random.default_rng(integer("seed", seed, 0))
-    errors, points = [], []
-    for _ in range(num_samples):
-        b = int(rng.integers(0, _IDENTITY_MAX_INDEX + 1))
-        a = int(rng.integers(0, b + 1))
-        alpha = float(_IDENTITY_ALPHA_MAX * (1.0 - rng.random()))  # (0, max]
-        beta = float(rng.uniform(0.0, _IDENTITY_BETA_MAX))
-        delta = float(rng.uniform(1e-12, 0.99 / alpha))
+    points = _identity_samples(num_samples, integer("seed", seed, 0))
+    errors = []
+    for a, b, alpha, beta, delta in points:
         params = GammaProductParams(a=a, b=b, alpha=alpha, beta=beta, delta=delta)
         direct = product_direct(params)
         errors.append(abs(product_via_gamma(params) - direct) / direct)
-        points.append((a, b, alpha, beta, delta))
     i = int(np.argmax(errors))
     return ConditionCheck(
         name="product identity", rule=f"<= {_IDENTITY_TOLERANCE:g}",

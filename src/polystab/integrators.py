@@ -70,8 +70,8 @@ __all__ = [
 class StepContext:
     """Step index k, step size dt, and the Brownian increment dB_k.
 
-    db may be an array for batched stepping; it must broadcast against the
-    state.
+    db may be an array for batched stepping; it must broadcast to the
+    state's shape.
     """
 
     k: int
@@ -124,7 +124,8 @@ def em_step(problem: SdeProblem, y, ctx: StepContext, validate: bool = True):
     Validating adapter over em_step_batch. y's elements must be finite ints
     or floats (checks.reals); for n > 1 its last axis holds the n
     components, and for n = 1 it may have any shape. The coefficients get y
-    as a (rows, n) block, db is broadcast to y's shape, and the result has
+    as a (rows, n) block, db is broadcast to y's shape (a db that does not
+    broadcast to it is a ValueError naming both shapes), and the result has
     y's shape.
     """
     y_arr = reals("y", y)
@@ -132,7 +133,12 @@ def em_step(problem: SdeProblem, y, ctx: StepContext, validate: bool = True):
     if n > 1 and y_arr.shape[-1:] != (n,):
         raise ValueError(f"y must have a last axis of length {n}, got shape {y_arr.shape}")
     rows = y_arr.reshape(-1, n)
-    db = np.broadcast_to(ctx.db, y_arr.shape).reshape(rows.shape)
+    try:
+        db = np.broadcast_to(ctx.db, y_arr.shape).reshape(rows.shape)
+    except ValueError:
+        raise ValueError(
+            f"db of shape {np.shape(ctx.db)} does not broadcast to y's shape {y_arr.shape}"
+        ) from None
     out, _ = em_step_batch(problem, rows, ctx.t, (ctx.k + 1) * ctx.dt, ctx.dt, db)
     out = out.reshape(y_arr.shape)
     if validate and not np.all(np.isfinite(out)):

@@ -9,7 +9,8 @@ K1 > 0 and C > 0,
     |g(x,t)|   <= C (1+t)^-K1              (noise envelope)
 
 plus a one-sided Lipschitz bound with constant Kbar. User problems are black
-boxes, so the audit samples state/time grids and reports each condition's
+boxes, so the audit samples state/time grids, and for the Lipschitz bound
+state pairs from polystab.noise's uniform draw, and reports each condition's
 worst margin as a checks.ConditionCheck (a NaN margin is refused); a pass
 is sampling evidence, never a proof.
 
@@ -31,6 +32,7 @@ import numpy as np
 
 from . import checks
 from .checks import ConditionCheck, integer, positive_real, real, reals
+from .noise import uniforms
 
 __all__ = [
     "SdeProblem",
@@ -205,8 +207,19 @@ _GRID_POINTS_PER_AXIS = 33
 _GRID_MAX_AXES = 3
 _GRID_HALF_WIDTH = 100.0
 _PAIR_SAMPLES = 1000  # state pairs per time for the one-sided Lipschitz check
-_PAIR_SEED = 0
+_PAIR_SEED = 0  # the pairs at the i-th time are noise.uniforms(_PAIR_SEED, i, ...)
 _PAIR_BOX_MAX = sys.float_info.max / 2  # largest |state| whose pair box has a finite width
+
+
+def _audit_pairs(half_width: float, dimension: int, index: int) -> np.ndarray:
+    """The one-sided Lipschitz pairs at the audit's index-th time: xs and ys stacked, (2, _PAIR_SAMPLES, dimension).
+
+    Each component is -half_width + 2 half_width u, uniform in the states'
+    box, with the u of stream index of uniforms at _PAIR_SEED in row-major
+    order: xs takes the first half and ys the second.
+    """
+    u = uniforms(_PAIR_SEED, index, 2 * _PAIR_SAMPLES * dimension)
+    return -half_width + 2.0 * half_width * u.reshape(2, _PAIR_SAMPLES, dimension)
 
 
 def default_state_grid(dimension: int) -> np.ndarray:
@@ -292,8 +305,9 @@ def audit_conditions(
     states: (m, dimension) array, default :func:`default_state_grid`.
     times: array-like of t >= 0, default DEFAULT_AUDIT_TIMES. The one-sided
     Lipschitz condition quantifies over state pairs, so it is sampled with
-    a fixed 1000 uniform pairs per time in the states' box, drawn from
-    default_rng(0): the same problem and grids give the same report. A
+    a fixed 1000 uniform pairs per time in the states' box, the i-th time's
+    from stream i of noise.uniforms at seed 0: the same problem and grids
+    give the same report, and a time's pairs do not depend on the others. A
     |state| above half the float maximum is refused, since the box would
     have no finite width. An infinite margin is a verdict; a NaN one (its
     sides overflow) is a ValueError that names the condition, t and sample.
@@ -333,12 +347,11 @@ def audit_conditions(
     conditions = [(name, [], [], point) for name, point in (
         ("drift linear growth", state_point), ("drift one-sided decay", state_point),
         ("noise envelope", state_point), ("one-sided Lipschitz", pair_point))]
-    rng = np.random.default_rng(_PAIR_SEED)
     pairs = []
-    for t in times:
+    for i, t in enumerate(times):
         f = _eval_checked(problem.drift, states, t, "drift", label)
         g = _eval_checked(problem.diffusion, states, t, "diffusion", label)
-        xs, ys = rng.uniform(-half_width, half_width, size=(2, _PAIR_SAMPLES, problem.dimension))
+        xs, ys = _audit_pairs(half_width, problem.dimension, i)
         pairs.append((xs, ys))
         fx = _eval_checked(problem.drift, xs, t, "drift", label)
         fy = _eval_checked(problem.drift, ys, t, "drift", label)

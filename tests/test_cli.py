@@ -571,8 +571,8 @@ class TestRoundTrip:
 
 VERIFY_GAMMA_STDOUT_300_60 = (
     "gamma checks (worst relative error or log margin of each, against its rule):\n"
-    "  product identity     <= 1e-10   pass  worst +1.767e-14 at "
-    "(7124, 9407, 3.960187289067554, 9.44923096041372, 0.21256858976656534)  (300 samples)\n"
+    "  product identity     <= 1e-10   pass  worst +1.904e-14 at "
+    "(1221, 5912, 4.816135913578209, 3.4197151152860403, 0.15872744663164182)  (300 samples)\n"
     "  ratio/power eta < 1  < 0        pass  worst -4.500e-06 at (10000.0, 0.9)  (35 samples)\n"
     "  ratio/power eta > 1  > 0        pass  worst +5.500e-06 at (10000.0, 1.1)  (35 samples)\n"
     "  em-initial-term      >= -1e-12  pass  worst +1.026e-01 at (39, 0.05, 1.0)  (885 samples)\n"

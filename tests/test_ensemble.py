@@ -21,20 +21,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from polystab import ensemble
+from polystab import ensemble, noise
 from polystab.ensemble import (
     CSV_HEADER,
     SCHEMES,
     MomentSeries,
     SimConfig,
-    _fill_standard_normals,
     _simulate_chunk,
-    _standard_normal_block,
-    brownian_increment,
     geometric_checkpoints,
     simulate_ensemble,
 )
 from polystab.gamma import GammaProductParams, product_direct, product_via_gamma
+from polystab.noise import brownian_increment, fill_standard_normals
 from polystab.problems import (
     SdeProblem,
     bem_example,
@@ -222,6 +220,13 @@ def test_geometric_checkpoints_rejects_non_integers(num_steps, count):
         geometric_checkpoints(num_steps, count)
 
 
+def normal_row(seed, path_id, step0, count):
+    """count v1 normals of one path from step0: one row of fill_standard_normals."""
+    out = np.empty((1, count))
+    fill_standard_normals(out, seed, path_id, step0)
+    return out[0]
+
+
 class TestBrownianIncrement:
     def test_deterministic(self):
         a = brownian_increment(42, 7, 1000, 0.1)
@@ -252,26 +257,26 @@ class TestBrownianIncrement:
     def test_marginal_mean(self):
         dt = 0.1
         n = 1_000_000
-        draws = _standard_normal_block(7, 3, 0, n) * math.sqrt(dt)
+        draws = normal_row(7, 3, 0, n) * math.sqrt(dt)
         assert abs(float(np.mean(draws))) <= 4.0 * math.sqrt(dt / n)
 
     def test_marginal_variance(self):
         dt = 0.1
         n = 1_000_000
-        draws = _standard_normal_block(7, 3, 0, n) * math.sqrt(dt)
+        draws = normal_row(7, 3, 0, n) * math.sqrt(dt)
         assert abs(float(np.var(draws)) - dt) <= 0.01 * dt
 
     def test_block_boundary_invariance(self):
-        whole = _standard_normal_block(11, 2, 0, 100)
+        whole = normal_row(11, 2, 0, 100)
         split = np.concatenate([
-            _standard_normal_block(11, 2, 0, 37),
-            _standard_normal_block(11, 2, 37, 63),
+            normal_row(11, 2, 0, 37),
+            normal_row(11, 2, 37, 63),
         ])
         np.testing.assert_array_equal(whole, split)
 
     def test_block_matches_scalar_op(self):
         dt = 0.3
-        block = _standard_normal_block(5, 9, 40, 4) * math.sqrt(dt)
+        block = normal_row(5, 9, 40, 4) * math.sqrt(dt)
         singles = [brownian_increment(5, 9, 40 + j, dt) for j in range(4)]
         np.testing.assert_allclose(block, singles, rtol=0, atol=0)
 
@@ -296,11 +301,11 @@ class TestNoiseStreamPinned:
     @pytest.mark.parametrize("args,digest", CASES,
                              ids=["_".join(map(str, args)) for args, _ in CASES])
     def test_stream_bytes_pinned(self, args, digest):
-        assert self.sha256(_standard_normal_block(*args)) == digest
+        assert self.sha256(normal_row(*args)) == digest
 
     def test_block_bytes_pinned(self):
         out = np.empty((8, 20))
-        _fill_standard_normals(out, 2024, 1020, 4090)
+        fill_standard_normals(out, 2024, 1020, 4090)
         assert self.sha256(out) == self.BLOCK_SHA256
 
     def test_rows_match_per_path_calls_across_step_blocks(self):
@@ -308,13 +313,13 @@ class TestNoiseStreamPinned:
         steps = ensemble._BLOCK_NORMALS // ensemble._CHUNK_PATHS
         buffer = np.full((m, steps + 3), np.nan)
         first = buffer[:, :steps]
-        _fill_standard_normals(first, seed, path_lo, 0)
+        fill_standard_normals(first, seed, path_lo, 0)
         first = first.copy()
         second = buffer[:, :7]  # a short last block written into the same buffer
-        _fill_standard_normals(second, seed, path_lo, steps)
+        fill_standard_normals(second, seed, path_lo, steps)
         assert np.isnan(buffer[:, steps:]).all()
         for j in range(m):
-            whole = _standard_normal_block(seed, path_lo + j, 0, steps + 7)
+            whole = normal_row(seed, path_lo + j, 0, steps + 7)
             assert np.array_equal(first[j], whole[:steps])
             assert np.array_equal(second[j], whole[steps:])
 
@@ -322,12 +327,12 @@ class TestNoiseStreamPinned:
         # the engine's layout: a step-major buffer filled through its
         # transpose, whose path rows lie a whole step row apart
         seed, path_lo, step0, steps = 77, 300, 5000, 1000
-        group = ensemble._SCRATCH_WORDS // steps
+        group = noise._SCRATCH_WORDS // steps
         m = 2 * group + 5  # two full transform groups and a partial one
         buffer = np.full((steps, m), np.nan)
-        _fill_standard_normals(buffer.T, seed, path_lo, step0)
+        fill_standard_normals(buffer.T, seed, path_lo, step0)
         for j in range(m):
-            row = _standard_normal_block(seed, path_lo + j, step0, steps)
+            row = normal_row(seed, path_lo + j, step0, steps)
             assert buffer[:, j].tobytes() == row.tobytes(), j
 
 
@@ -347,7 +352,7 @@ def run_python(script, *args):
 def stream_bytes():
     """This process's brownian_increment(7, 3, 11, 0.1) and 16 x 600 noise block, as the load-order scripts print them."""
     out = np.empty((16, 600))
-    _fill_standard_normals(out, 2024, 1020, 4090)
+    fill_standard_normals(out, 2024, 1020, 4090)
     return {"increment": brownian_increment(7, 3, 11, 0.1).hex(),
             "block": hashlib.sha256(out.tobytes()).hexdigest()}
 
@@ -369,16 +374,16 @@ import hashlib, json, sys
 import numpy as np
 if sys.argv[1] == "before":
     import scipy.special
-from polystab import ensemble
+from polystab import noise
 private = "scipy.special" not in sys.modules
 import scipy.special, scipy.stats
 out = np.empty((16, 600))
-ensemble._fill_standard_normals(out, 2024, 1020, 4090)
+noise.fill_standard_normals(out, 2024, 1020, 4090)
 print(json.dumps({
     "private": private,
-    "same": ensemble.ndtri is scipy.special.ndtri,
+    "same": noise.ndtri is scipy.special.ndtri,
     "ppf": float(scipy.stats.norm.ppf(0.975)),
-    "increment": ensemble.brownian_increment(7, 3, 11, 0.1).hex(),
+    "increment": noise.brownian_increment(7, 3, 11, 0.1).hex(),
     "block": hashlib.sha256(out.tobytes()).hexdigest(),
 }))
 """
@@ -406,17 +411,17 @@ import hashlib, json, sys
 import numpy as np
 if sys.argv[1] == "before":
     import numpy.random
-from polystab import ensemble
+from polystab import noise
 private = "numpy.random" not in sys.modules
 rng = np.random.default_rng(0).random()  # through numpy's lazy attribute
 import numpy.random
 out = np.empty((16, 600))
-ensemble._fill_standard_normals(out, 2024, 1020, 4090)
+noise.fill_standard_normals(out, 2024, 1020, 4090)
 print(json.dumps({
     "private": private,
-    "same": ensemble.Philox is numpy.random.Philox,
+    "same": noise.Philox is numpy.random.Philox,
     "rng": rng,
-    "increment": ensemble.brownian_increment(7, 3, 11, 0.1).hex(),
+    "increment": noise.brownian_increment(7, 3, 11, 0.1).hex(),
     "block": hashlib.sha256(out.tobytes()).hexdigest(),
 }))
 """
@@ -673,13 +678,13 @@ class TestAllFrozenBytes:
         monkeypatch.setattr(ensemble, "_CHUNK_PATHS", 200)
         monkeypatch.setattr(ensemble, "_BLOCK_NORMALS", 200 * 7)
         fills = []
-        fill = ensemble._fill_standard_normals
+        fill = ensemble.fill_standard_normals
 
         def counted(out, seed, path_lo, step0):
             fills.append((path_lo, step0))
             fill(out, seed, path_lo, step0)
 
-        monkeypatch.setattr(ensemble, "_fill_standard_normals", counted)
+        monkeypatch.setattr(ensemble, "fill_standard_normals", counted)
         cpus.use(1)  # the fills come in chunk order only on one thread
         series = simulate_ensemble(cubic_counterexample(), self.CONFIG)
         assert fills == [(0, 0), (200, 0), (400, 0)]

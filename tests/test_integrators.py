@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polystab import integrators
-from polystab.ensemble import brownian_increment
+from polystab.noise import brownian_increment, fill_standard_normals
 from polystab.integrators import (
     ImplicitSolveError,
     StepContext,
@@ -97,6 +97,15 @@ class TestEmStep:
         out = em_step(cubic_counterexample(), y, StepContext(k=0, dt=0.1, db=db))
         assert out.shape == (2, 1)
         assert out[1, 0] == pytest.approx(-93.0)
+
+    @pytest.mark.parametrize("y,db,message", [
+        (1.0, np.zeros(3), r"db of shape \(3,\) does not broadcast to y's shape \(\)"),
+        (np.zeros((2, 1)), np.zeros(3), r"db of shape \(3,\) does not broadcast to y's shape \(2, 1\)"),
+        (np.zeros(4), np.zeros((2, 4)), r"db of shape \(2, 4\) does not broadcast to y's shape \(4,\)"),
+    ])
+    def test_db_that_does_not_broadcast_names_both_shapes(self, y, db, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            em_step(linear_example(), y, StepContext(k=0, dt=0.1, db=db))
 
     def test_nonfinite_raises(self):
         p = SdeProblem(
@@ -932,9 +941,9 @@ class TestSecondMomentPropagation:
         n = 1_000_000
         draws = np.array([brownian_increment(2024, 0, s, dt) for s in range(4)])
         assert draws.shape == (4,)  # smoke: increments are scalars
-        from polystab.ensemble import _standard_normal_block
-
-        db = _standard_normal_block(2024, 0, 0, n) * math.sqrt(dt)
+        db = np.empty((1, n))
+        fill_standard_normals(db, 2024, 0, 0)
+        db = db[0] * math.sqrt(dt)
         f = float(np.asarray(lin.drift(y, t)))
         g = float(np.asarray(lin.diffusion(np.asarray(y, dtype=float), t)))
         stepped = y + f * dt + g * db

@@ -310,12 +310,14 @@ def reference_audit(problem, states=None, times=None, pair_samples=1000, seed=0)
         for i in range(len(states)):
             slack = rtol * max(gn[i], rhs_g, 1.0)
             lin_g.append((gn[i] - rhs_g, slack, (t, point(states[i]))))
-    rng = np.random.default_rng(seed)
     half_width = float(np.max(np.abs(states))) or 1.0
     osl = []
-    for t in times:
-        xs = rng.uniform(-half_width, half_width, size=(pair_samples, problem.dimension))
-        ys = rng.uniform(-half_width, half_width, size=(pair_samples, problem.dimension))
+    for i, t in enumerate(times):
+        # the i-th time's pairs: numpy's Generator.random on the Philox at key
+        # (seed, i) and counter 2**192, the layout of noise.uniforms
+        bits = np.random.Philox(key=np.array([seed, i], dtype=np.uint64), counter=2**192)
+        u = np.random.Generator(bits).random((2, pair_samples, problem.dimension))
+        xs, ys = -half_width + 2.0 * half_width * u
         fx = np.asarray(problem.drift(xs, t), dtype=float)
         fy = np.asarray(problem.drift(ys, t), dtype=float)
         d = xs - ys

@@ -2,15 +2,17 @@
 
 A module of polystab imports only public names from its sibling modules:
 a leading underscore marks a name as private to the module that defines it.
-Its one scipy name is ndtri, in the ensemble. The ensemble loads ndtri and
-Philox from their compiled submodules, scipy.special._ufuncs and
+Its one scipy name is ndtri, in the noise module. The noise module loads
+ndtri and Philox from their compiled submodules, scipy.special._ufuncs and
 numpy.random._philox, without running either package's init, and the
 public imports of the two are only fallbacks: each further package init
-would show in every command's set-up. So the ensemble is the one module
-that uses importlib, it calls importlib only inside _load_compiled, and it
-calls _load_compiled with exactly those two literal (package, submodule,
-name) triples. The noise stream builds its generator with numpy's public
-Philox(key=, counter=), so no module imports from numpy.random.bit_generator.
+would show in every command's set-up. So noise is the one module that uses
+importlib, it calls importlib only inside _load_compiled, and it calls
+_load_compiled with exactly those two literal (package, submodule, name)
+triples. Every random draw of the package comes from that Philox, so no
+module names default_rng or np.random, whose first use runs numpy.random's
+init. The noise module builds its generators with numpy's public Philox,
+so no module imports from numpy.random.bit_generator.
 The benchmark harness under perfbench/ reaches polystab only through
 names the package exports, so deleting one of them fails here first, and
 every name in a module's __all__ must exist, so a deletion that leaves a
@@ -120,10 +122,10 @@ def scipy_imports(source: str) -> list[str]:
     return found
 
 
-def test_only_scipy_import_is_ndtri_in_ensemble():
+def test_only_scipy_import_is_ndtri_in_noise():
     found = {path.name: scipy_imports(path.read_text(encoding="utf-8")) for path in MODULES}
     assert {name: names for name, names in found.items() if names} == {
-        "ensemble.py": ["scipy.special:ndtri"]
+        "noise.py": ["scipy.special:ndtri"]
     }
 
 
@@ -181,16 +183,16 @@ def compiled_loads(source: str) -> list:
     return found
 
 
-def test_only_the_ensemble_uses_importlib_and_only_on_its_two_compiled_loads():
+def test_only_noise_uses_importlib_and_only_on_its_two_compiled_loads():
     sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
-    assert [name for name, text in sources.items() if importlib_uses(text)] == ["ensemble.py"]
-    ensemble_source = sources["ensemble.py"]
-    assert {use for use in importlib_uses(ensemble_source) if use.startswith(("import ", "from "))} \
+    assert [name for name, text in sources.items() if importlib_uses(text)] == ["noise.py"]
+    noise_source = sources["noise.py"]
+    assert {use for use in importlib_uses(noise_source) if use.startswith(("import ", "from "))} \
         == {"import importlib", "import importlib.util"}
-    assert importlib_calls_outside_loader(ensemble_source) == []
+    assert importlib_calls_outside_loader(noise_source) == []
     loads = {name: compiled_loads(text) for name, text in sources.items()}
     assert {name: sorted(found, key=str) for name, found in loads.items() if found} == {
-        "ensemble.py": COMPILED_LOADS}
+        "noise.py": COMPILED_LOADS}
 
 
 @pytest.mark.parametrize("source,expected", [
@@ -230,6 +232,40 @@ def test_compiled_load_guard_finds_every_form(source, expected):
 ])
 def test_importlib_guard_finds_every_form(source, expected):
     assert importlib_uses(source) == expected
+
+
+def numpy_random_names(source: str) -> list[str]:
+    """Each np.random or numpy.random attribute read in source, and each
+    default_rng it names (as a name, an attribute or an import), sorted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "random" \
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+            found.append(f"{node.value.id}.random")
+        elif (isinstance(node, ast.Attribute) and node.attr == "default_rng") \
+                or (isinstance(node, ast.Name) and node.id == "default_rng") \
+                or (isinstance(node, ast.alias) and node.name == "default_rng"):
+            found.append("default_rng")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_names_default_rng_or_np_random(path):
+    assert numpy_random_names(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("rng = np.random.default_rng(0)", ["default_rng", "np.random"]),
+    ("import numpy\nx = numpy.random.uniform(0.0, 1.0)", ["numpy.random"]),
+    ("from numpy.random import default_rng", ["default_rng"]),
+    ("def f(make):\n    return make.default_rng", ["default_rng"]),
+    ("rng = default_rng(7)", ["default_rng"]),
+    ("from numpy.random import Philox", []),
+    ("Philox = _load_compiled('numpy.random', '_philox', 'Philox')", []),
+    ("x = np.randomize(y) + rng.random()", []),
+])
+def test_numpy_random_guard_finds_every_form(source, expected):
+    assert numpy_random_names(source) == expected
 
 
 BIT_GENERATOR = "numpy.random.bit_generator"
