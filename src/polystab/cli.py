@@ -287,6 +287,9 @@ def _cmd_verify_gamma(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # samples too many to hold
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     title = "gamma checks (worst relative error or log margin of each, against its rule):"
     print(checks.summary(title, records))
     failed = [r for r in records if not r.passed]

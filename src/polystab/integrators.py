@@ -19,8 +19,11 @@ drift call per iteration on a ((2n+1)w, n) block: the trial point of each of
 the w active lanes and its 2n difference points, so the residual and the
 next Jacobian come together (the first call, at x0 = b, gives the residual
 at b and the first Jacobian). Linear solves and backtracking are batched
-over the lanes. Converged lanes leave the working set, so a lane's iterates
-never depend on the other lanes in its block. The explicit step applies the
+over the lanes; each linear solve is _lapack_solve, numpy's LAPACK solve
+gufunc (numpy.linalg._umath_linalg.solve) called directly under the errstate
+np.linalg.solve sets, so a singular Jacobian raises LinAlgError even inside
+the ensemble's np.errstate(all="ignore"). Converged lanes leave the working
+set, so a lane's iterates never depend on the other lanes in its block. The explicit step applies the
 formula verbatim with no safeguard: reproducing the blow-up of explicit
 stepping on superlinear drifts requires the unmodified map.
 
@@ -48,6 +51,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .checks import integer, positive_real, real, reals
 from .problems import SdeProblem, coefficient_values
@@ -382,16 +386,36 @@ def _stacked_residuals(drift, t, x, b, dt, signs):
     return pts - dt * f.reshape(pts.shape) - b, h
 
 
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _lapack_solve(jac, r):
+    """jac^-1 r for a (..., n, n) stack and an (..., n) right-hand side.
+
+    The LAPACK solve gufunc that np.linalg.solve wraps,
+    numpy.linalg._umath_linalg.solve with signature "dd->d", under the
+    errstate that np.linalg.solve sets: a singular matrix raises the invalid
+    flag, which raises np.linalg.LinAlgError whatever errstate the caller runs
+    under, and over, divide and under are ignored. Same gufunc, same operands,
+    so the same bits as np.linalg.solve, without its per-call type checks
+    (jac and r are float64 here). This is the only LAPACK call in the package.
+    """
+    return _umath_linalg.solve(jac, r[..., None], signature="dd->d")[..., 0]
+
+
 def _solve_vector_batch(drift, t, b, dt):
     """Damped Newton for x - drift(x,t)*dt - b = 0 on an (m, n) block of lanes.
 
     Per lane: x0 = b; central-difference Jacobian column j with step
-    h = max(1e-7, 1e-7|x_j|); Newton step from np.linalg.solve, or the
-    residual itself where the Jacobian is singular; up to 30 trials, halving
-    the step after each, until the residual is finite and its max-norm does
-    not grow (if none qualifies, the last trial is taken). A lane stops once
-    max|r| <= tolerance, the last iteration included, and fails at once
-    when its residual is NaN: every later trial then has a NaN component,
+    h = max(1e-7, 1e-7|x_j|); Newton step from _lapack_solve (the gufunc
+    under np.linalg.solve, in its errstate), or the residual itself where
+    the Jacobian is singular; up to 30 trials, halving the step after each,
+    until the residual is finite and its max-norm does not grow (if none
+    qualifies, the last trial is taken). A lane stops once max|r| <=
+    tolerance, the last iteration included, and fails at once when its
+    residual is NaN: every later trial then has a NaN component,
     so its best iterate can no longer change.
 
     Each iteration makes one drift call, on (2n+1) rows per lane: the trial
@@ -415,8 +439,9 @@ def _solve_vector_batch(drift, t, b, dt):
     # never written in place, so they may start as x and b themselves.
     lanes, xi, bi = np.arange(len(b)), x, b
     left = rn > tol  # False for a NaN residual too: such a lane keeps b
-    if not left.all():
-        if not left.any():
+    active = np.count_nonzero(left)
+    if active < left.size:
+        if not active:
             return x, ok
         lanes = np.flatnonzero(left)
         xi, bi, rn, R, h = x[lanes], b[lanes], rn[lanes], R[:, lanes], h[lanes]
@@ -425,12 +450,12 @@ def _solve_vector_batch(drift, t, b, dt):
         ri = R[0]
         jac = ((R[1 : n + 1] - R[n + 1 :]) / (2.0 * h.T[:, :, None])).transpose(1, 2, 0)
         try:
-            step = np.linalg.solve(jac, ri[:, :, None])[:, :, 0]
+            step = _lapack_solve(jac, ri)
         except np.linalg.LinAlgError:
             step = np.empty_like(ri)
             for i in range(lanes.size):  # rare: isolate the singular lanes
                 try:
-                    step[i] = np.linalg.solve(jac[i], ri[i])
+                    step[i] = _lapack_solve(jac[i], ri[i])
                 except np.linalg.LinAlgError:
                     step[i] = ri[i]
         xa = xi - step
@@ -439,7 +464,7 @@ def _solve_vector_batch(drift, t, b, dt):
         an = _max_abs(ra)
         worse = ~(np.isfinite(an) & (an <= rn))
         hopeless = None
-        if worse.any():
+        if np.count_nonzero(worse):
             moved = np.flatnonzero(worse)
             for _ in range(29):
                 sel = np.flatnonzero(worse)
@@ -449,7 +474,7 @@ def _solve_vector_batch(drift, t, b, dt):
                 ra[sel] = xs - dt * coefficient_values(drift, xs, t) - bi[sel]
                 an[sel] = _max_abs(ra[sel])
                 worse[sel] = ~(np.isfinite(an[sel]) & (an[sel] <= rn[sel]))
-                if not worse.any():
+                if not np.count_nonzero(worse):
                     break
             else:
                 # a NaN residual stays NaN: every later trial has a NaN
@@ -460,18 +485,20 @@ def _solve_vector_batch(drift, t, b, dt):
             R[1:, moved] = Rm[1:]
         xi, rn = xa, an
         better = rn < best_r
-        if better.all():
+        improved = np.count_nonzero(better)
+        if improved == better.size:
             best_x, best_r = xi, rn
-        elif better.any():
+        elif improved:
             best_x, best_r = np.where(better[:, None], xi, best_x), np.where(better, rn, best_r)
         done = rn <= tol
         leave = done if hopeless is None else done | hopeless
-        if leave.any():
+        leaving = np.count_nonzero(leave)
+        if leaving:
             x[lanes[done]] = xi[done]
             ok[lanes[done]] = True
             if hopeless is not None:
                 x[lanes[hopeless]] = best_x[hopeless]
-            if leave.all():
+            if leaving == leave.size:
                 return x, ok
             keep = ~leave
             lanes, xi, bi, rn, R, h = lanes[keep], xi[keep], bi[keep], rn[keep], R[:, keep], h[keep]

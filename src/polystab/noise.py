@@ -147,11 +147,12 @@ def fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int) 
 def brownian_increment(seed: int, path_id: int, step: int, dt: float) -> float:
     """The Brownian increment dB for (seed mod 2**64, path_id, step): N(0, dt), reproducible.
 
-    path_id must fit the Philox key's 64 bits and step its 256-bit counter.
+    path_id must fit the Philox key's 64 bits, and step must lie below
+    2**192, where the uniform draw's counters begin.
     """
     seed = integer("seed", seed)
     path_id = integer("path_id", path_id, 0, _MASK64)
-    step = integer("step", step, 0, 2**256 - 1)
+    step = integer("step", step, 0, _UNIFORM_COUNTER - 1)
     dt = positive_real("dt", dt)
     out = np.empty((1, 1))
     fill_standard_normals(out, seed, path_id, step)

@@ -703,15 +703,18 @@ sys.exit(main(sys.argv[1:]))
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS as Linux applies it")
 @pytest.mark.parametrize("command", [
-    ["simulate", "--problem", "linear", "--scheme", "em", "--dt", "0.1", "--steps", "10"],
-    ["counterexample", "--dt", "0.1"],
+    ["simulate", "--problem", "linear", "--scheme", "em", "--dt", "0.1", "--steps", "10",
+     "--paths", "100000000000000", "--seed", "1"],
+    ["counterexample", "--dt", "0.1", "--paths", "100000000000000", "--seed", "1"],
+    ["verify-gamma", "--samples", "1000000000000000", "--seed", "1"],
 ], ids=lambda command: command[0])
 def test_run_too_large_to_allocate_is_one_line(tmp_path, command):
-    # 1e14 paths need petabytes for their checkpoint norms alone
+    # 1e14 paths need petabytes for their checkpoint norms alone, 1e15 samples
+    # 8 PB for their uniforms
     src = str(Path(polystab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-c", LIMITED_MAIN, *command, "--paths", "100000000000000", "--seed", "1"],
+        [sys.executable, "-c", LIMITED_MAIN, *command],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2, proc.stderr

@@ -246,6 +246,7 @@ class TestBrownianIncrement:
         dict(seed=1.5), dict(seed=True), dict(step=True), dict(dt=True), dict(dt="0.1"),
         dict(path_id=2**64),  # beyond the key's 64 bits: it would alias path_id 0
         dict(step=2**256),  # beyond the 256-bit counter
+        dict(step=2**192),  # the uniform draw's counters: it would give its first word
     ])
     def test_validation(self, kwargs):
         base = dict(seed=1, path_id=0, step=0, dt=0.1)

@@ -409,6 +409,23 @@ class TestBatchedSolve:
         assert np.all(np.max(np.abs(resid[ok]), axis=1) <= 1e-12)
         assert np.sum(ok) == len(b) - 1
 
+    @pytest.mark.parametrize("errstate", [{}, {"all": "ignore"}], ids=["default", "ignore"])
+    def test_singular_lane_spends_its_budget_under_any_errstate(self, errstate):
+        # every ensemble step runs under np.errstate(all="ignore"); the
+        # singular Jacobian must still raise, so the lane steps by its residual
+        # every iteration: one call at b and one per iteration, no backtracking
+        p, calls = self.problem(), []
+
+        def drift(x, t):
+            calls.append(len(x))
+            return p.drift(x, t)
+
+        counted = dataclasses.replace(p, drift=drift)
+        with np.errstate(**errstate):
+            x, ok = solve_implicit_batch(counted, 1.0, self.lanes()[3:4], self.DT)
+        assert not ok[0] and np.all(np.isfinite(x))
+        assert len(calls) == 1 + integrators._MAX_ITERATIONS == 101
+
     def test_adapter_reports_best_residual(self):
         p = self.problem()
         with pytest.raises(ImplicitSolveError) as err:

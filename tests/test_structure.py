@@ -35,7 +35,9 @@ either by name: a solver that cannot finish a lane reports it in its
 result. A drift or diffusion is called in four places only: the two step
 kernels, which combine its values arithmetically, the ensemble's one-time
 shape check, and problems.coefficient_values, through which every other
-caller reads the values at the block's shape.
+caller reads the values at the block's shape. LAPACK is called in one
+place, integrators._lapack_solve, through numpy's solve gufunc: no other
+function names _umath_linalg, and no module calls linalg.solve.
 """
 
 import ast
@@ -441,6 +443,53 @@ def test_solve_implicit_batch_is_the_only_dimension_dispatch():
 ])
 def test_dispatch_guard_flags_a_second_call_site(source, expected):
     assert solver_references(source) == expected
+
+
+def lapack_sites(source: str) -> list[tuple[str, str]]:
+    """(function, name) for each reference to _umath_linalg or to a linalg.solve.
+
+    function is the name of the innermost def holding the reference, or ""
+    at module level; an import is not a reference.
+    """
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == "_umath_linalg":
+                found.append((where, child.id))
+            elif isinstance(child, ast.Attribute):
+                if child.attr == "_umath_linalg":
+                    found.append((where, child.attr))
+                elif child.attr == "solve" and ast.unparse(child.value).split(".")[-1] == "linalg":
+                    found.append((where, "linalg.solve"))
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_lapack_solve_is_the_only_lapack_call():
+    found = set()
+    for path in MODULES:
+        found.update(lapack_sites(path.read_text(encoding="utf-8")))
+    assert found == {("_lapack_solve", "_umath_linalg")}
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("def f(a, b):\n    return np.linalg.solve(a, b)", [("f", "linalg.solve")]),
+    ("from numpy import linalg\ndef f(a, b):\n    return linalg.solve(a, b)",
+     [("f", "linalg.solve")]),
+    ("solve = numpy.linalg._umath_linalg.solve", [("", "_umath_linalg")]),
+    ("from numpy.linalg import _umath_linalg\n"
+     "def _lapack_solve(a, b):\n    return _umath_linalg.solve(a, b)",
+     [("_lapack_solve", "_umath_linalg")]),
+    ("def f(x):\n    return np.linalg.norm(x)", []),
+])
+def test_lapack_guard_finds_every_form(source, expected):
+    assert lapack_sites(source) == expected
 
 
 def cfg_parameters(source: str) -> list[str]:
