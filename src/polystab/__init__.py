@@ -20,8 +20,10 @@ from .analysis import (
 )
 from .ensemble import (
     MomentSeries,
+    RunRecord,
     SimConfig,
     geometric_checkpoints,
+    run_ensemble,
     simulate_ensemble,
 )
 from .gamma import (
@@ -69,9 +71,11 @@ __all__ = [
     "estimate_decay_exponent",
     "verify_proof_bounds",
     "MomentSeries",
+    "RunRecord",
     "SimConfig",
     "brownian_increment",
     "geometric_checkpoints",
+    "run_ensemble",
     "simulate_ensemble",
     "GammaProductParams",
     "log_gamma_ratio",

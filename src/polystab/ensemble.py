@@ -25,11 +25,15 @@ on the calling thread when that is 1. A cgroup CPU quota is not read: taskset
 is how to cap the count. Each running chunk holds its own step block of noise,
 so peak memory grows by one block per thread.
 
-A run keeps one float array, the squared norm of every path at every
-checkpoint; a chunk writes only into its own columns of it. Per path it
-returns the first checkpoint at which the path is frozen and whether its
-implicit solve failed. The reduction derives each checkpoint's survivor mask
-and capped norms from these, so no mask or capped array is stored.
+A run and its statistics are two steps. run_ensemble returns a RunRecord of
+three arrays: sq, the squared norm of every path at every checkpoint, into
+whose columns each chunk writes its own paths; gone_from, each path's first
+checkpoint at which it is frozen; and failed, whether its implicit solve
+failed. MomentSeries.from_record reduces a record to the per-checkpoint
+statistics, deriving each checkpoint's survivor mask and capped norms from
+those arrays, so no mask or capped array is stored. It reads the record
+only: it steps nothing and draws no noise. simulate_ensemble is the two
+steps in one call.
 
 Paths whose state norm exceeds blow_up_cap are frozen and counted as blown up
 from that checkpoint on; capped means plus blow-up fractions are how divergence
@@ -72,7 +76,9 @@ __all__ = [
     "MomentSeries",
     "Scheme",
     "SCHEMES",
+    "RunRecord",
     "geometric_checkpoints",
+    "run_ensemble",
     "simulate_ensemble",
     "CSV_HEADER",
 ]
@@ -193,6 +199,26 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
+class RunRecord:
+    """The arrays of one ensemble run, as run_ensemble leaves them, before any statistic.
+
+    sq, of shape (len(config.checkpoints), config.num_paths), is the squared
+    norm of every path at every checkpoint; a frozen path keeps the norm it
+    froze with. gone_from is each path's first checkpoint index at which it
+    is frozen (blown up or solver-failed), len(config.checkpoints) if never,
+    so path p is frozen at checkpoint i exactly when gone_from[p] <= i.
+    failed flags the paths whose implicit solve failed. The arrays are the
+    run's own, not copies.
+    """
+
+    problem_label: str
+    config: SimConfig
+    sq: np.ndarray
+    gone_from: np.ndarray
+    failed: np.ndarray
+
+
+@dataclass(frozen=True)
 class MomentSeries:
     """Per-checkpoint mean-square estimates with blow-up accounting.
 
@@ -217,6 +243,72 @@ class MomentSeries:
 
     def __len__(self):
         return len(self.step_index)
+
+    @classmethod
+    def from_record(cls, record: RunRecord) -> "MomentSeries":
+        """The per-checkpoint statistics of a run's record.
+
+        A path counts as blown up from the checkpoint record.gone_from gives
+        it on, and mean_square and std_error are over the paths that survive.
+        A sum that overflows near the float maximum is taken again scaled,
+        and so is the sum of squared deviations of survivors near a large
+        cap. The record's arrays are read, never written.
+        """
+        config = record.config
+        sq, gone_from = record.sq, record.gone_from
+        n_paths = config.num_paths
+        n_ck = len(config.checkpoints)
+        n_failed = int(np.sum(record.failed))
+
+        mean_sq = np.empty(n_ck)
+        std_err = np.empty(n_ck)
+        capped_mean = np.empty(n_ck)
+        blown_up = np.cumsum(np.bincount(gone_from, minlength=n_ck + 1)[:n_ck])
+        surviving = n_paths - blown_up
+        cap = config.blow_up_cap
+        # a sum may overflow near the float maximum; each is then taken again scaled
+        with np.errstate(over="ignore"):
+            for i in range(n_ck):
+                row = sq[i]
+                capped = np.sqrt(row)
+                np.fmin(capped, cap, out=capped)  # a NaN state counts at the cap
+                capped_mean[i] = _mean_of_sum(capped, n_paths)
+                n_surv = int(surviving[i])
+                if n_surv == 0:
+                    mean_sq[i] = np.nan
+                    std_err[i] = np.nan
+                    continue
+                # with no path gone, the masked arrays equal the plain ones: same sums
+                mask = gone_from <= i if n_surv < n_paths else None
+                vals = row if mask is None else np.where(mask, 0.0, row)
+                mean_sq[i] = mean = _mean_of_sum(vals, n_surv)
+                if n_surv == 1:
+                    std_err[i] = 0.0
+                else:
+                    dev = row - mean
+                    if mask is not None:
+                        dev = np.where(mask, 0.0, dev)
+                    ss = float(np.sum(dev * dev))
+                    scale = 1.0
+                    if not math.isfinite(ss) and math.isfinite(mean):
+                        # survivors near a large cap: rescale so the squares stay finite
+                        scale = float(np.max(np.abs(dev)))
+                        ss = float(np.sum((dev / scale) ** 2))
+                    std_err[i] = scale * math.sqrt(ss / (n_surv - 1) / n_surv)
+
+        ks = np.asarray(config.checkpoints, dtype=int)
+        return cls(
+            problem_label=record.problem_label,
+            config=config,
+            step_index=ks,
+            time=ks * config.dt,
+            mean_square=mean_sq,
+            std_error=std_err,
+            surviving=surviving,
+            blown_up=blown_up,
+            capped_mean_abs=capped_mean,
+            failed_paths=n_failed,
+        )
 
     def to_csv_text(self) -> str:
         lines = [CSV_HEADER]
@@ -444,19 +536,11 @@ def _check_output_shapes(problem, x0):
                 )
 
 
-def simulate_ensemble(problem: SdeProblem, config: SimConfig) -> MomentSeries:
-    """Run the ensemble and reduce to a MomentSeries.
+def _run(problem: SdeProblem, config: SimConfig) -> RunRecord:
+    """The run of run_ensemble and simulate_ensemble, each of which calls it directly.
 
-    Blown-up (and the rare solver-failed) paths freeze and leave the surviving
-    set; statistics at each checkpoint are over survivors, with counts
-    reported alongside. Solver failures above 1% of paths abort the run.
-    A drift or diffusion whose output at x0 does not broadcast to the shape
-    of the state block it was given is refused before any path is stepped.
-    The 4096-path chunks run on min(usable CPUs, chunks) threads, the usable
-    CPUs being those of the process's affinity mask, not of a cgroup quota;
-    the thread count never affects the result, only peak memory (one noise
-    block per thread). A run whose arrays numpy cannot allocate raises
-    MemoryError before any path is stepped.
+    So a warning at stacklevel=3 here, or at 4 in a function called here,
+    points at the caller of either.
     """
     x0 = np.asarray(config.initial_value, dtype=float)
     if x0.shape != (problem.dimension,):
@@ -503,55 +587,33 @@ def simulate_ensemble(problem: SdeProblem, config: SimConfig) -> MomentSeries:
         warnings.warn(
             f"{n_failed}/{n_paths} paths failed the implicit solve and were "
             f"frozen (counted with blown-up paths)",
-            stacklevel=2,
+            stacklevel=3,
         )
+    return RunRecord(problem.label, config, sq, gone_from, failed)
 
-    mean_sq = np.empty(n_ck)
-    std_err = np.empty(n_ck)
-    capped_mean = np.empty(n_ck)
-    blown_up = np.cumsum(np.bincount(gone_from, minlength=n_ck + 1)[:n_ck])
-    surviving = n_paths - blown_up
-    cap = config.blow_up_cap
-    # a sum may overflow near the float maximum; each is then taken again scaled
-    with np.errstate(over="ignore"):
-        for i in range(n_ck):
-            row = sq[i]
-            capped = np.sqrt(row)
-            np.fmin(capped, cap, out=capped)  # a NaN state counts at the cap
-            capped_mean[i] = _mean_of_sum(capped, n_paths)
-            n_surv = int(surviving[i])
-            if n_surv == 0:
-                mean_sq[i] = np.nan
-                std_err[i] = np.nan
-                continue
-            # with no path gone, the masked arrays equal the plain ones: same sums
-            mask = gone_from <= i if n_surv < n_paths else None
-            vals = row if mask is None else np.where(mask, 0.0, row)
-            mean_sq[i] = mean = _mean_of_sum(vals, n_surv)
-            if n_surv == 1:
-                std_err[i] = 0.0
-            else:
-                dev = row - mean
-                if mask is not None:
-                    dev = np.where(mask, 0.0, dev)
-                ss = float(np.sum(dev * dev))
-                scale = 1.0
-                if not math.isfinite(ss) and math.isfinite(mean):
-                    # survivors near a large cap: rescale so the squares stay finite
-                    scale = float(np.max(np.abs(dev)))
-                    ss = float(np.sum((dev / scale) ** 2))
-                std_err[i] = scale * math.sqrt(ss / (n_surv - 1) / n_surv)
 
-    ks = np.asarray(config.checkpoints, dtype=int)
-    return MomentSeries(
-        problem_label=problem.label,
-        config=config,
-        step_index=ks,
-        time=ks * config.dt,
-        mean_square=mean_sq,
-        std_error=std_err,
-        surviving=surviving,
-        blown_up=blown_up,
-        capped_mean_abs=capped_mean,
-        failed_paths=n_failed,
-    )
+def run_ensemble(problem: SdeProblem, config: SimConfig) -> RunRecord:
+    """Run the ensemble and return its RunRecord, before any statistic is taken.
+
+    Blown-up (and the rare solver-failed) paths freeze at the checkpoint
+    the record's gone_from gives. Solver failures above 1% of paths abort
+    the run with a RuntimeError; fewer are a UserWarning. A drift or
+    diffusion whose output at x0 does not broadcast to the shape of the
+    state block it was given is refused before any path is stepped. The
+    4096-path chunks run on min(usable CPUs, chunks) threads, the usable
+    CPUs being those of the process's affinity mask, not of a cgroup quota;
+    the thread count never affects the result, only peak memory (one noise
+    block per thread). A run whose arrays numpy cannot allocate raises
+    MemoryError before any path is stepped.
+    """
+    return _run(problem, config)
+
+
+def simulate_ensemble(problem: SdeProblem, config: SimConfig) -> MomentSeries:
+    """Run the ensemble and reduce it: MomentSeries.from_record of run_ensemble.
+
+    Statistics at each checkpoint are over the paths that survive it, with
+    the counts reported alongside; the run's checks, threads, warnings and
+    errors are run_ensemble's.
+    """
+    return MomentSeries.from_record(_run(problem, config))

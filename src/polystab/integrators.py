@@ -169,14 +169,16 @@ def check_decay_dt(problem: SdeProblem, dt: float) -> None:
 
     Such a step keeps the implicit equation well posed but leaves the range
     the polynomial decay guarantee covers; a caller who wants an error sets a
-    warnings filter. The warning points at the caller of the function that
-    calls this one. Call once per run.
+    warnings filter. Call once per run. The warning points three frames up:
+    the ensemble's private run function calls this one, and the public
+    run_ensemble and simulate_ensemble each call that directly, so it points
+    at their caller.
     """
     if dt >= 1.0 / problem.k1:
         warnings.warn(
             f"dt={dt} is not below 1/K1 = {1.0 / problem.k1}; the polynomial "
             f"decay guarantee does not cover this step size",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 

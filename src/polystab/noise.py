@@ -119,8 +119,21 @@ def fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int) 
     1.0 and give +inf: probability 2**-53 per normal, and a path that draws
     one blows up. Every other normal lies in [-8.292, 8.126]. The stream's
     bytes are pinned, so this map stays as it is.
+
+    Every path id of the window must fit the Philox key's 64 bits, and every
+    step must lie below 2**192, where the uniform draw's counters begin: a
+    window that leaves [0, 2**64) or [0, 2**192) is a ValueError that names
+    path_lo or step0, checked once per call. An empty window draws nothing.
     """
     m, count = out.shape
+    if not 0 <= path_lo <= _MASK64 + 1 - m:
+        raise ValueError(
+            f"path_lo must lie in [0, 2**64 - {m}] for {m} rows, got {path_lo!r}")
+    if not 0 <= step0 <= _UNIFORM_COUNTER - count:
+        raise ValueError(
+            f"step0 must lie in [0, 2**192 - {count}] for {count} steps, got {step0!r}")
+    if not out.size:  # no value to draw; the scratch sizes below divide by count
+        return
     bg, state = _philox(seed, path_lo, int(step0))
     inner = state["state"]
     group = max(1, _SCRATCH_WORDS // count)

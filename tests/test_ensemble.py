@@ -26,9 +26,11 @@ from polystab.ensemble import (
     CSV_HEADER,
     SCHEMES,
     MomentSeries,
+    RunRecord,
     SimConfig,
     _simulate_chunk,
     geometric_checkpoints,
+    run_ensemble,
     simulate_ensemble,
 )
 from polystab.gamma import GammaProductParams, product_direct, product_via_gamma
@@ -560,21 +562,17 @@ class TestBemNoiseBytes:
         assert hashlib.sha256(capped.tobytes()).hexdigest() == capped_sha
 
 
-def run_chunk(problem, cfg, path_lo, path_hi):
-    """An EM chunk of paths [path_lo, path_hi) written into an array of its own:
-    (sq, gone_from, failed)."""
-    sq = np.empty((len(cfg.checkpoints), path_hi - path_lo))
-    return (sq, *_simulate_chunk(SCHEMES["em"], problem, cfg, path_lo, path_hi, sq))
-
-
 def test_chunk_writes_only_its_columns():
-    # a chunk given its column slice of a larger array writes nothing outside it
+    # a chunk given its column slice of a larger array writes nothing outside
+    # it, and writes what it writes into an array of its own
     cfg = SimConfig(dt=0.1, num_steps=30, num_paths=10, seed=8, scheme="em",
                     initial_value=(5.0,), checkpoints=(0, 3, 30))
     sq = np.full((3, 10), -1.0)
     gone_from, failed = _simulate_chunk(SCHEMES["em"], cubic_counterexample(), cfg, 3, 7,
                                         sq[:, 3:7])
-    alone, alone_gone, alone_failed = run_chunk(cubic_counterexample(), cfg, 3, 7)
+    alone = np.empty((3, 4))
+    alone_gone, alone_failed = _simulate_chunk(SCHEMES["em"], cubic_counterexample(), cfg, 3, 7,
+                                               alone)
     assert (sq[:, :3] == -1.0).all() and (sq[:, 7:] == -1.0).all()
     assert sq[:, 3:7].tobytes() == alone.tobytes()
     assert gone_from.tolist() == alone_gone.tolist() and not failed.any() and not alone_failed.any()
@@ -791,6 +789,75 @@ class TestChunkBlowUpBytes:
         assert self.digests(series) == (self.BEM_CSV_SHA256, self.BEM_CAPPED_SHA256)
 
 
+
+class TestRunRecord:
+    # BEM on bem_example_with_edges: 68 of 700 paths freeze, 2 of them through a failed solve
+    CONFIG = TestBemScalarBytes.CONFIG
+
+    def run(self, entry):
+        with pytest.warns(UserWarning, match="2/700 paths failed the implicit solve"):
+            return entry(bem_example_with_edges(), self.CONFIG)
+
+    def test_from_record_of_the_run_is_simulate_ensemble(self):
+        record = self.run(run_ensemble)
+        kept = (record.sq.tobytes(), record.gone_from.tobytes(), record.failed.tobytes())
+        series = MomentSeries.from_record(record)
+        direct = self.run(simulate_ensemble)
+        assert series.to_csv_text() == direct.to_csv_text()
+        assert series.capped_mean_abs.tobytes() == direct.capped_mean_abs.tobytes()
+        assert (series.problem_label, series.config, series.failed_paths) == (
+            direct.problem_label, direct.config, direct.failed_paths)
+        # the reduction reads the record and writes none of it
+        assert (record.sq.tobytes(), record.gone_from.tobytes(), record.failed.tobytes()) == kept
+
+    def test_record_holds_the_run_arrays(self):
+        record = self.run(run_ensemble)
+        n_ck = len(self.CONFIG.checkpoints)
+        assert isinstance(record, RunRecord)
+        assert (record.problem_label, record.config) == ("bem-example-edges", self.CONFIG)
+        assert record.sq.shape == (n_ck, 700) and record.sq.dtype == np.float64
+        assert record.gone_from.shape == record.failed.shape == (700,)
+        assert record.failed.dtype == bool and int(record.failed.sum()) == 2
+        gone = record.gone_from < n_ck
+        assert int(gone.sum()) == 68 and gone[record.failed].all()
+        # a frozen path keeps the norm it froze with at every later checkpoint
+        for p in np.flatnonzero(gone):
+            i = record.gone_from[p]
+            assert (record.sq[i:, p] == record.sq[i, p]).all() or np.isnan(record.sq[i:, p]).all()
+
+    def test_a_hand_made_record_reduces_to_its_own_statistics(self):
+        # from_record reads only the record: a hand-made one gives its own statistics
+        cfg = SimConfig(dt=0.5, num_steps=2, num_paths=3, seed=0, scheme="em",
+                        initial_value=(1.0,), checkpoints=(0, 1, 2))
+        sq = np.array([[1.0, 1.0, 1.0], [4.0, 9.0, 1e30], [16.0, 9.0, 1e30]])
+        record = RunRecord("hand-made", cfg, sq, np.array([3, 2, 1]), np.zeros(3, dtype=bool))
+        series = MomentSeries.from_record(record)
+        assert series.surviving.tolist() == [3, 2, 1]
+        assert series.blown_up.tolist() == [0, 1, 2]
+        assert series.mean_square.tolist() == [1.0, 6.5, 16.0]
+        assert series.std_error.tolist() == [0.0, 2.5, 0.0]
+        assert series.capped_mean_abs.tolist() == [1.0, (2.0 + 3.0 + 1e12) / 3, (4.0 + 3.0 + 1e12) / 3]
+        assert series.time.tolist() == [0.0, 0.5, 1.0] and series.problem_label == "hand-made"
+
+
+class TestWarningLocation:
+    # the 1/K1 warning of check_decay_dt and the failed-solve warning each
+    # point at the caller of whichever public function ran the ensemble
+    @pytest.mark.parametrize("entry", [run_ensemble, simulate_ensemble],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("case", ["decay-dt", "failed-solve"])
+    def test_points_at_the_caller(self, entry, case):
+        if case == "decay-dt":
+            problem, match = problem_from_label("linear", k1=20.0), "1/K1"
+            cfg = SimConfig(dt=0.1, num_steps=3, num_paths=4, seed=1, scheme="bem",
+                            initial_value=(1.0,))
+        else:
+            problem, match = bem_example_with_edges(), "2/700 paths failed the implicit solve"
+            cfg = TestBemScalarBytes.CONFIG
+        with pytest.warns(UserWarning, match=match) as caught:
+            entry(problem, cfg)
+        assert [w.filename for w in caught] == [__file__]
+
 EVERY_STEP_RUN = SimConfig(dt=0.01, num_steps=100, num_paths=16_000, seed=3, scheme="em",
                            initial_value=(1.0,), checkpoints=tuple(range(101)))
 
@@ -903,10 +970,11 @@ class TestSimulateEnsemble:
     def test_cap_whose_square_overflows_still_blows_up(self):
         cfg = SimConfig(dt=0.1, num_steps=200, num_paths=20, seed=1, scheme="em",
                         initial_value=(5.0,), blow_up_cap=1e300)
-        sq, gone_from, failed = run_chunk(cubic_counterexample(), cfg, 0, 20)
-        frozen = gone_from <= np.arange(len(sq))[:, None]
+        record = run_ensemble(cubic_counterexample(), cfg)
+        sq = record.sq
+        frozen = record.gone_from <= np.arange(len(sq))[:, None]
         capped = np.minimum(np.sqrt(sq), cfg.blow_up_cap)
-        assert frozen[-1].all() and not failed.any()
+        assert frozen[-1].all() and not record.failed.any()
         np.testing.assert_array_equal(capped[-1], 1e300)
 
     def test_std_error_near_a_large_cap(self):
@@ -916,9 +984,10 @@ class TestSimulateEnsemble:
                         initial_value=(5.0,), blow_up_cap=1e300)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            series = simulate_ensemble(cubic_counterexample(), cfg)
-        sq, gone_from, _ = run_chunk(cubic_counterexample(), cfg, 0, 100)
-        frozen = gone_from <= np.arange(len(sq))[:, None]
+            record = run_ensemble(cubic_counterexample(), cfg)
+            series = MomentSeries.from_record(record)
+        sq = record.sq
+        frozen = record.gone_from <= np.arange(len(sq))[:, None]
         checked = 0
         for i in range(len(series)):
             vals = sq[i][~frozen[i]]
@@ -990,8 +1059,9 @@ class TestSimulateEnsemble:
         )
         cfg = SimConfig(dt=0.1, num_steps=50, num_paths=200, seed=1, scheme="em",
                         initial_value=(1.0,))
-        series = simulate_ensemble(p, cfg)
-        sq, gone_from, _ = run_chunk(p, cfg, 0, 200)
+        record = run_ensemble(p, cfg)
+        series = MomentSeries.from_record(record)
+        sq = record.sq
         assert 0 < series.blown_up[-1] < 200 and np.isnan(sq[-1]).any()
         assert np.all(np.isfinite(series.capped_mean_abs))
         for i in range(len(series)):
@@ -1001,11 +1071,9 @@ class TestSimulateEnsemble:
     def test_path_ranges_statistically_indistinguishable(self):
         cfg = SimConfig(dt=0.1, num_steps=400, num_paths=2000, seed=77, scheme="em",
                         initial_value=(1.0,), checkpoints=(0, 400))
-        lin = linear_example()
-        sq_a, *_ = run_chunk(lin, cfg, 0, 1000)
-        sq_b, *_ = run_chunk(lin, cfg, 1000, 2000)
+        sq = run_ensemble(linear_example(), cfg).sq
         # pre-registered seed; Welch test on the final-checkpoint squares
-        result = stats.ttest_ind(sq_a[-1], sq_b[-1], equal_var=False)
+        result = stats.ttest_ind(sq[-1, :1000], sq[-1, 1000:], equal_var=False)
         assert result.pvalue > 0.05
 
     def test_blow_up_freeze_and_accounting(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -259,6 +260,45 @@ class TestSolveImplicit:
         # the residual at b, then each widening of the end that misses the root
         assert len(calls) == 1 + integrators._BRACKET_WIDENINGS
 
+
+
+def counterexample_root(b, t, dt):
+    """The one real root of x - dt (-3x - x^3)/(1+t) = b, the counterexample's
+    implicit equation: Newton in 60-digit decimals on a x^3 + (1+3a) x - b with
+    a = dt/(1+t), from min(b/(1+3a), (b/a)^(1/3)) > 0, which lies above the
+    root of this increasing convex cubic, so every iterate does too."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a = Decimal(dt) / (1 + Decimal(t))
+        b = Decimal(b)
+        x = min(b / (1 + 3 * a), (b / a) ** (Decimal(1) / 3))
+        for _ in range(500):
+            step = (a * x**3 + (1 + 3 * a) * x - b) / (3 * a * x**2 + 1 + 3 * a)
+            x -= step
+            if step <= x * Decimal(10) ** -40:
+                break
+        return float(x)
+
+
+ITEM_15 = ("the solver's absolute residual tolerance (ROADMAP item 15): a small b comes "
+           "back as b itself, a large b reports ok False on its root")
+
+
+class TestRootAtAnyScale:
+    @pytest.mark.parametrize("b", [
+        1e-6,
+        pytest.param(1e-9, marks=pytest.mark.xfail(strict=True, reason=ITEM_15)),
+        pytest.param(1e-12, marks=pytest.mark.xfail(strict=True, reason=ITEM_15)),
+        pytest.param(1e4, marks=pytest.mark.xfail(strict=True, reason=ITEM_15)),
+        pytest.param(1e50, marks=pytest.mark.xfail(strict=True, reason=ITEM_15)),
+    ])
+    def test_counterexample_root_at_t_2000(self, b):
+        # the states a BEM run on the counterexample reaches once it has decayed
+        # (small b) or from a large start (large b)
+        x, ok = solve_implicit_batch(cubic_counterexample(), 2000.0, np.array([[b]]), 0.1)
+        root = counterexample_root(b, 2000.0, 0.1)
+        assert ok.tolist() == [True]
+        assert abs(x[0, 0] - root) <= 1e-10 * root, (x[0, 0], root)
 
 class Test2D:
     @staticmethod

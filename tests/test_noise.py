@@ -72,6 +72,35 @@ class TestUniforms:
             uniforms(**args)
 
 
+
+class TestFillWindow:
+    # the Brownian stream's window: path ids in [0, 2**64), the Philox key's
+    # word, and steps in [0, 2**192), below the uniform draw's counters
+    @pytest.mark.parametrize("shape,path_lo,step0,name", [
+        ((1, 1), 0, 2**192, "step0"),  # the uniform draw's first counter
+        ((1, 2), 0, 2**192 - 1, "step0"),  # its second step would cross into them
+        ((1, 1), 0, -1, "step0"),
+        ((1, 1), 2**64, 0, "path_lo"),  # its key word would repeat path 0's
+        ((2, 1), 2**64 - 1, 0, "path_lo"),
+        ((1, 1), -1, 0, "path_lo"),
+        ((1, 1), np.int64(-3), 0, "path_lo"),
+    ])
+    def test_refuses_a_window_outside_the_stream(self, shape, path_lo, step0, name):
+        out = np.full(shape, 7.0)
+        with pytest.raises(ValueError, match=f"^{name} must lie in"):
+            noise.fill_standard_normals(out, 0, path_lo, step0)
+        assert (out == 7.0).all()
+
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 3)])
+    def test_an_empty_window_draws_nothing(self, shape):
+        noise.fill_standard_normals(np.empty(shape), 0, 2**64 - shape[0], 2**192 - shape[1])
+
+    def test_a_window_at_both_ends_is_the_per_value_draw(self):
+        out = np.empty((2, 3))
+        noise.fill_standard_normals(out, 5, 2**64 - 2, 2**192 - 3)
+        assert out.tolist() == [[brownian_increment(5, 2**64 - 2 + j, 2**192 - 3 + i, 1.0)
+                                 for i in range(3)] for j in range(2)]
+
 @pytest.mark.parametrize("key0,key1,counter", [
     (0, 0, 0), (5, 2**64 - 1, 2**64 + 3), (2**64 - 1, 7, 2**200 + 5), (3, 4, 2**256 - 1),
 ])

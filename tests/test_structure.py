@@ -24,8 +24,14 @@ step(problem, x, t, t_next, dt, db) -> (x_new, ok), so the chunk loop
 holds no code for any one scheme. The scheme names appear in the package
 only in that table and in the counterexample's explicit companion run, so
 no code branches on a name. No module reads the environment, and
-simulate_ensemble takes the problem and its config and nothing else: the
-thread count comes from the CPUs the process may use, not from a setting.
+run_ensemble and simulate_ensemble take the problem and its config and
+nothing else: the thread count comes from the CPUs the process may use, not
+from a setting. A run and its statistics are two steps: run_ensemble and
+simulate_ensemble each call the one private run function directly, so a
+warning's stack level fits both, and simulate_ensemble is that run and
+MomentSeries.from_record, the one reduction. The reduction reads a record
+and nothing of the run: neither it nor any helper it calls refers to the
+integrators, noise or problems modules, the thread pool, a chunk or a run.
 A sampled check reports the one record, checks.ConditionCheck, so no other
 module defines a class with a passed field or property; the recurrence
 check's result, which lists every violation, is the one exception. Each
@@ -568,7 +574,7 @@ def per_scheme_code(source: str, function: str) -> list[str]:
 
 def test_chunk_loop_has_no_per_scheme_code():
     source = (SRC / "ensemble.py").read_text(encoding="utf-8")
-    assert per_scheme_code(source, "simulate_ensemble") != []  # the guard reads this file
+    assert per_scheme_code(source, "_run") != []  # the guard reads this file
     assert per_scheme_code(source, "_simulate_chunk") == []
 
 
@@ -672,6 +678,102 @@ def test_environment_guard_finds_every_form(source, expected):
 
 def test_simulate_ensemble_takes_only_the_problem_and_its_config():
     assert list(inspect.signature(ensemble.simulate_ensemble).parameters) == ["problem", "config"]
+
+
+def test_run_ensemble_takes_only_the_problem_and_its_config():
+    assert list(inspect.signature(ensemble.run_ensemble).parameters) == ["problem", "config"]
+
+
+def function_body(source: str, name: str) -> list[str] | None:
+    """The statements of the module-level def named name, unparsed, its docstring
+    left out; None if source has no such def."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            return [ast.unparse(stmt) for stmt in body]
+    return None
+
+
+def test_both_entries_call_the_one_run_and_simulate_ensemble_reduces_it():
+    source = (SRC / "ensemble.py").read_text(encoding="utf-8")
+    assert function_body(source, "run_ensemble") == ["return _run(problem, config)"]
+    assert function_body(source, "simulate_ensemble") == [
+        "return MomentSeries.from_record(_run(problem, config))"]
+
+
+@pytest.mark.parametrize("source,expected", [
+    ('def f(p, c):\n    """Doc."""\n    return g(p, c)', ["return g(p, c)"]),
+    ("def f(p, c):\n    r = g(p, c)\n    return h(r)", ["r = g(p, c)", "return h(r)"]),
+    ("class A:\n    def f(p, c):\n        return g(p, c)", None),
+])
+def test_body_guard_reads_the_statements(source, expected):
+    assert function_body(source, "f") == expected
+
+
+RUN_MODULES = ("integrators", "noise", "problems")
+RUN_NAMES = {"concurrent", "ThreadPoolExecutor", "_simulate_chunk", "_usable_cpus", "_run",
+             "run_ensemble", "simulate_ensemble"}
+
+
+def reduction_reach(source: str) -> list[str] | None:
+    """What MomentSeries.from_record in source reaches of the run, sorted: each
+    name that it, or a module-level function it refers to (and so on), refers
+    to and that is a name source imports from the integrators, noise or
+    problems modules, one of those modules, or one of RUN_NAMES. None if
+    source has no MomentSeries.from_record."""
+    tree = ast.parse(source)
+    run_names = set(RUN_NAMES)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            for alias in node.names:
+                if module in RUN_MODULES or alias.name in RUN_MODULES:
+                    run_names.add(alias.asname or alias.name)
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    todo = [f for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "MomentSeries"
+            for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "from_record"]
+    if not todo:
+        return None
+    seen, found = set(), set()
+    while todo:
+        for node in ast.walk(todo.pop()):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in run_names:
+                found.add(name)
+            elif name in functions and name not in seen:
+                seen.add(name)
+                todo.append(functions[name])
+    return sorted(found)
+
+
+def test_the_reduction_reads_only_its_record():
+    assert reduction_reach((SRC / "ensemble.py").read_text(encoding="utf-8")) == []
+
+
+REDUCTION = "class MomentSeries:\n    @classmethod\n    def from_record(cls, record):\n"
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("from .noise import fill_standard_normals\n" + REDUCTION
+     + "        return fill_standard_normals(record.sq, 0, 0, 0)", ["fill_standard_normals"]),
+    ("from .integrators import em_step_batch as step\ndef _helper(r):\n    return step(r)\n"
+     "def _outer(r):\n    return _helper(r)\n" + REDUCTION + "        return _outer(record)",
+     ["step"]),
+    (REDUCTION + "        from concurrent.futures import ThreadPoolExecutor\n"
+     "        return ThreadPoolExecutor", ["ThreadPoolExecutor"]),
+    (REDUCTION + "        return ensemble._simulate_chunk(record)", ["_simulate_chunk"]),
+    ("from . import problems\n" + REDUCTION
+     + "        return problems.coefficient_values(record)", ["problems"]),
+    (REDUCTION + "        return run_ensemble(record.problem, record.config)", ["run_ensemble"]),
+    ("from .problems import SdeProblem\ndef _mean_of_sum(v, n):\n    return _mean_of_sum(v, n)\n"
+     "def _run(p: SdeProblem):\n    return p\n" + REDUCTION
+     + "        return _mean_of_sum(record.sq, 1)", []),
+    ("class MomentSeries:\n    def from_csv(cls, path):\n        return path", None),
+])
+def test_reduction_guard_finds_every_reach(source, expected):
+    assert reduction_reach(source) == expected
 
 
 def test_audit_takes_only_the_problem_and_its_grids():
