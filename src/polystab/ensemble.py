@@ -62,12 +62,7 @@ import numpy as np
 
 from .analysis import bem_envelope, em_envelope
 from .checks import integer, positive_real, reals
-from .integrators import (
-    bem_step_batch,
-    check_decay_dt,
-    check_implicit_dt,
-    em_step_batch,
-)
+from .integrators import bem_step_batch, check_implicit_dt, em_step_batch
 from .noise import fill_standard_normals
 from .problems import SdeProblem
 
@@ -89,8 +84,9 @@ class Scheme:
     """Everything the engine and the CLI know of one scheme.
 
     step is its batch kernel, step(problem, x, t, t_next, dt, db) ->
-    (x_new, ok). An implicit scheme's dt must pass check_implicit_dt and
-    check_decay_dt before any path is stepped. envelope is the analysis
+    (x_new, ok). An implicit scheme's dt must pass check_implicit_dt before
+    any path is stepped, and a run of one warns when dt >= 1/K1, where the
+    polynomial decay guarantee ends. envelope is the analysis
     function of its decay envelope, envelope(k, dt, k1, c, m0), or None
     where it has none.
     """
@@ -539,8 +535,12 @@ def _check_output_shapes(problem, x0):
 def _run(problem: SdeProblem, config: SimConfig) -> RunRecord:
     """The run of run_ensemble and simulate_ensemble, each of which calls it directly.
 
-    So a warning at stacklevel=3 here, or at 4 in a function called here,
-    points at the caller of either.
+    An implicit run warns (UserWarning) when dt >= 1/K1: the implicit
+    equation is still well posed, but the polynomial decay guarantee does
+    not cover the step; a caller who wants an error sets a warnings filter.
+    Failed solves below the 1% abort are a warning too. A warning at
+    stacklevel=3 here points at the caller of run_ensemble or
+    simulate_ensemble.
     """
     x0 = np.asarray(config.initial_value, dtype=float)
     if x0.shape != (problem.dimension,):
@@ -552,7 +552,12 @@ def _run(problem: SdeProblem, config: SimConfig) -> RunRecord:
     scheme = SCHEMES[config.scheme]
     if scheme.implicit:
         check_implicit_dt(problem, config.dt)
-        check_decay_dt(problem, config.dt)
+        if config.dt >= 1.0 / problem.k1:
+            warnings.warn(
+                f"dt={config.dt} is not below 1/K1 = {1.0 / problem.k1}; the polynomial "
+                f"decay guarantee does not cover this step size",
+                stacklevel=3,
+            )
 
     n_paths = config.num_paths
     n_ck = len(config.checkpoints)
@@ -597,7 +602,8 @@ def run_ensemble(problem: SdeProblem, config: SimConfig) -> RunRecord:
 
     Blown-up (and the rare solver-failed) paths freeze at the checkpoint
     the record's gone_from gives. Solver failures above 1% of paths abort
-    the run with a RuntimeError; fewer are a UserWarning. A drift or
+    the run with a RuntimeError; fewer are a UserWarning, and so is an
+    implicit scheme's dt >= 1/K1. A drift or
     diffusion whose output at x0 does not broadcast to the shape of the
     state block it was given is refused before any path is stepped. The
     4096-path chunks run on min(usable CPUs, chunks) threads, the usable

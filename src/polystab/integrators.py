@@ -47,7 +47,6 @@ sets either, so neither is a parameter.
 from __future__ import annotations
 
 import functools
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +65,6 @@ __all__ = [
     "solve_implicit",
     "solve_implicit_batch",
     "check_implicit_dt",
-    "check_decay_dt",
 ]
 
 
@@ -161,24 +159,6 @@ def check_implicit_dt(problem: SdeProblem, dt: float) -> None:
         raise ValueError(
             f"dt={dt} violates the implicit-solve precondition dt < 1/|Kbar| = "
             f"{1.0 / abs(problem.kbar)} for problem '{problem.label}'"
-        )
-
-
-def check_decay_dt(problem: SdeProblem, dt: float) -> None:
-    """Warn (UserWarning) when dt >= 1/K1.
-
-    Such a step keeps the implicit equation well posed but leaves the range
-    the polynomial decay guarantee covers; a caller who wants an error sets a
-    warnings filter. Call once per run. The warning points three frames up:
-    the ensemble's private run function calls this one, and the public
-    run_ensemble and simulate_ensemble each call that directly, so it points
-    at their caller.
-    """
-    if dt >= 1.0 / problem.k1:
-        warnings.warn(
-            f"dt={dt} is not below 1/K1 = {1.0 / problem.k1}; the polynomial "
-            f"decay guarantee does not cover this step size",
-            stacklevel=4,
         )
 
 

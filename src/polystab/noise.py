@@ -120,11 +120,16 @@ def fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int) 
     one blows up. Every other normal lies in [-8.292, 8.126]. The stream's
     bytes are pinned, so this map stays as it is.
 
-    Every path id of the window must fit the Philox key's 64 bits, and every
-    step must lie below 2**192, where the uniform draw's counters begin: a
-    window that leaves [0, 2**64) or [0, 2**192) is a ValueError that names
-    path_lo or step0, checked once per call. An empty window draws nothing.
+    seed, path_lo and step0 are integers (checks.integer: a numpy integer
+    is one, a bool or a float is not). Every path id of the window must fit
+    the Philox key's 64 bits, and every step must lie below 2**192, where
+    the uniform draw's counters begin: a window that leaves [0, 2**64) or
+    [0, 2**192) is a ValueError that names path_lo or step0, checked once
+    per call. An empty window draws nothing.
     """
+    seed = integer("seed", seed)
+    path_lo = integer("path_lo", path_lo)
+    step0 = integer("step0", step0)
     m, count = out.shape
     if not 0 <= path_lo <= _MASK64 + 1 - m:
         raise ValueError(
@@ -134,7 +139,7 @@ def fill_standard_normals(out: np.ndarray, seed: int, path_lo: int, step0: int) 
             f"step0 must lie in [0, 2**192 - {count}] for {count} steps, got {step0!r}")
     if not out.size:  # no value to draw; the scratch sizes below divide by count
         return
-    bg, state = _philox(seed, path_lo, int(step0))
+    bg, state = _philox(seed, path_lo, step0)
     inner = state["state"]
     group = max(1, _SCRATCH_WORDS // count)
     # its own scratch, not a uint64 view of out: numpy copies an aliased input

@@ -6,14 +6,14 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from polystab import integrators
+from polystab import ensemble, integrators
+from polystab.ensemble import SimConfig, run_ensemble
 from polystab.noise import brownian_increment, fill_standard_normals
 from polystab.integrators import (
     ImplicitSolveError,
     StepContext,
     StepError,
     bem_step_batch,
-    check_decay_dt,
     em_step,
     em_step_batch,
     solve_implicit,
@@ -24,9 +24,13 @@ from polystab.problems import (
     bem_example,
     cubic_counterexample,
     linear_example,
+    problem_from_label,
 )
 
 BUILTINS = (linear_example(), cubic_counterexample(), bem_example())
+# dt = 0.1: below 1/K1 = 1 for linear_example, not below 1/K1 = 0.05 at a claimed K1 = 20
+SMALL_BEM_RUN = SimConfig(dt=0.1, num_steps=3, num_paths=4, seed=1, scheme="bem",
+                          initial_value=(1.0,))
 
 
 def oracle_bisect(drift, t, b, dt, lo=-1e6, hi=1e6, iters=200):
@@ -262,22 +266,26 @@ class TestSolveImplicit:
 
 
 
+def cubic_root(a, b):
+    """The one real root of a x^3 + (1+3a) x = b for Decimals a, b > 0, as a
+    Decimal: Newton from min(b/(1+3a), (b/a)^(1/3)), which lies above the root
+    of this increasing convex cubic, so every iterate does too. Run it in a
+    60-digit context."""
+    x = min(b / (1 + 3 * a), (b / a) ** (Decimal(1) / 3))
+    for _ in range(500):
+        step = (a * x**3 + (1 + 3 * a) * x - b) / (3 * a * x**2 + 1 + 3 * a)
+        x -= step
+        if step <= x * Decimal(10) ** -40:
+            break
+    return x
+
+
 def counterexample_root(b, t, dt):
     """The one real root of x - dt (-3x - x^3)/(1+t) = b, the counterexample's
-    implicit equation: Newton in 60-digit decimals on a x^3 + (1+3a) x - b with
-    a = dt/(1+t), from min(b/(1+3a), (b/a)^(1/3)) > 0, which lies above the
-    root of this increasing convex cubic, so every iterate does too."""
+    implicit equation, in 60-digit decimals: the cubic with a = dt/(1+t)."""
     with localcontext() as ctx:
         ctx.prec = 60
-        a = Decimal(dt) / (1 + Decimal(t))
-        b = Decimal(b)
-        x = min(b / (1 + 3 * a), (b / a) ** (Decimal(1) / 3))
-        for _ in range(500):
-            step = (a * x**3 + (1 + 3 * a) * x - b) / (3 * a * x**2 + 1 + 3 * a)
-            x -= step
-            if step <= x * Decimal(10) ** -40:
-                break
-        return float(x)
+        return float(cubic_root(Decimal(dt) / (1 + Decimal(t)), Decimal(b)))
 
 
 ITEM_15 = ("the solver's absolute residual tolerance (ROADMAP item 15): a small b comes "
@@ -299,6 +307,43 @@ class TestRootAtAnyScale:
         root = counterexample_root(b, 2000.0, 0.1)
         assert ok.tolist() == [True]
         assert abs(x[0, 0] - root) <= 1e-10 * root, (x[0, 0], root)
+
+    @staticmethod
+    def gradient_flow_2d():
+        # bem-2d's drift: the scaled gradient of a convex function, so Kbar = 0
+        def drift(x, t):
+            return -(3.0 + np.sum(x * x, axis=-1, keepdims=True)) * x / (1.0 + t) ** 2
+
+        def diffusion(x, t):
+            return np.zeros_like(x)
+
+        return SdeProblem(
+            dimension=2, drift=drift, diffusion=diffusion, k1=3.0, c=1.0, kbar=0.0,
+            satisfies_linear_growth=False, label="gradient-flow-2d",
+        )
+
+    @pytest.mark.parametrize("s", [
+        1e-6,
+        1e4,
+        pytest.param(1e-9, marks=pytest.mark.xfail(strict=True, reason=ITEM_15)),
+        pytest.param(1e-12, marks=pytest.mark.xfail(strict=True, reason=ITEM_15)),
+        pytest.param(1e6, marks=pytest.mark.xfail(strict=True, reason=ITEM_15)),
+    ])
+    def test_gradient_flow_root_at_t_100(self, s):
+        # the drift is radial, so the root lies along b = (s, -s): r e with
+        # r (1 + dt (3 + r^2)/(1+t)^2) = |b|, the cubic with a = dt/(1+t)^2
+        t, dt = 100.0, 0.3
+        x, ok = solve_implicit_batch(self.gradient_flow_2d(), t, np.array([[s, -s]]), dt)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            norm_b = Decimal(s) * Decimal(2).sqrt()
+            r = cubic_root(Decimal(dt) / (1 + Decimal(t)) ** 2, norm_b)
+            component = float(r * Decimal(s) / norm_b)
+        root = np.array([component, -component])
+        assert ok.tolist() == [True]
+        error = np.linalg.norm(x[0] - root)
+        assert error <= 1e-10 * np.linalg.norm(root), (x[0].tolist(), root.tolist())
+
 
 class Test2D:
     @staticmethod
@@ -923,19 +968,21 @@ class TestBemStep:
         oracle = oracle_bisect(p.drift, dt, b, dt, lo=-100.0, hi=100.0)
         assert out[0, 0] == pytest.approx(oracle, abs=1e-10) and ok.tolist() == [True]
 
-    def test_decay_guarantee_dt_warning_and_strict(self):
-        from polystab.problems import problem_from_label
-
+    def test_decay_guarantee_dt_warning_and_strict(self, monkeypatch):
         # claimed K1 = 20 puts 1/K1 = 0.05 below dt while the solver
         # precondition dt < 1/|Kbar| = 1 still holds
         steep = problem_from_label("linear", k1=20.0)
         with pytest.warns(UserWarning, match="1/K1"):
-            check_decay_dt(steep, 0.5)
-        # strict: a warnings filter turns it into an error
+            run_ensemble(steep, SMALL_BEM_RUN)
+        # strict: a warnings filter turns it into an error, raised before any chunk runs
+        def chunk(*args):
+            raise AssertionError("a chunk ran before the 1/K1 warning")
+
+        monkeypatch.setattr(ensemble, "_simulate_chunk", chunk)
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)
             with pytest.raises(UserWarning, match="1/K1"):
-                check_decay_dt(steep, 0.5)
+                run_ensemble(steep, SMALL_BEM_RUN)
 
     def test_batch_kernel_matches_solve_per_path(self):
         # (k+1) dt, not k dt + dt, is the solve time: here the drift differs
@@ -969,7 +1016,7 @@ class TestBemStep:
     def test_no_warning_inside_guaranteed_range(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            check_decay_dt(linear_example(), 0.1)
+            run_ensemble(linear_example(), SMALL_BEM_RUN)
             bem_step_batch(linear_example(), np.array([[1.0]]), 0.0, 0.1, 0.1, np.zeros((1, 1)))
 
 

@@ -101,6 +101,26 @@ class TestFillWindow:
         assert out.tolist() == [[brownian_increment(5, 2**64 - 2 + j, 2**192 - 3 + i, 1.0)
                                  for i in range(3)] for j in range(2)]
 
+    def test_numpy_integers_are_integers(self):
+        out, expected = np.empty((2, 3)), np.empty((2, 3))
+        noise.fill_standard_normals(out, np.int64(3), np.int64(4), np.uint64(5))
+        noise.fill_standard_normals(expected, 3, 4, 5)
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed,path_lo,step0,name", [
+        (0, 0, 1.5, "step0"),  # would be read as step 1
+        (0, 0, np.float64(2.0), "step0"),
+        (0, True, 0, "path_lo"),  # would be read as path 1
+        (0, 0.0, 0, "path_lo"),
+        (3.0, 0, 0, "seed"),
+        (False, 0, 0, "seed"),
+    ])
+    def test_refuses_a_non_integer(self, seed, path_lo, step0, name):
+        out = np.full((2, 3), 7.0)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            noise.fill_standard_normals(out, seed, path_lo, step0)
+        assert (out == 7.0).all()
+
 @pytest.mark.parametrize("key0,key1,counter", [
     (0, 0, 0), (5, 2**64 - 1, 2**64 + 3), (2**64 - 1, 7, 2**200 + 5), (3, 4, 2**256 - 1),
 ])

@@ -43,7 +43,10 @@ kernels, which combine its values arithmetically, the ensemble's one-time
 shape check, and problems.coefficient_values, through which every other
 caller reads the values at the block's shape. LAPACK is called in one
 place, integrators._lapack_solve, through numpy's solve gufunc: no other
-function names _umath_linalg, and no module calls linalg.solve.
+function names _umath_linalg, and no module calls linalg.solve. Every
+warning a run raises comes from the run: only the ensemble's private run
+function calls warnings.warn with a stack level above 2, which counts the
+frames of run_ensemble or simulate_ensemble, and integrators warns nothing.
 """
 
 import ast
@@ -333,7 +336,7 @@ def imported_names(source: str, module: str) -> set[str]:
 def test_ensemble_uses_only_the_batch_kernels_and_dt_checks():
     source = (SRC / "ensemble.py").read_text(encoding="utf-8")
     assert imported_names(source, "integrators") == {
-        "em_step_batch", "bem_step_batch", "check_implicit_dt", "check_decay_dt"
+        "em_step_batch", "bem_step_batch", "check_implicit_dt"
     }
 
 
@@ -871,6 +874,70 @@ def test_each_solver_error_has_one_raiser_and_no_handler():
 ])
 def test_error_guard_finds_every_form(source, expected):
     assert error_sites(source) == expected
+
+
+def warning_calls(source: str) -> list[tuple[str, int | None]]:
+    """(function, stacklevel) for each call of warnings.warn in source, under
+    any alias of the module or of warn itself. function is the innermost def
+    holding the call, or "" at module level; stacklevel is the keyword's or
+    the third positional argument's literal int, 1 if neither is given, and
+    None if it is not a literal int."""
+    modules, functions = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "warnings")
+        elif isinstance(node, ast.ImportFrom) and node.module == "warnings":
+            functions.update(a.asname or a.name for a in node.names if a.name == "warn")
+    found = []
+
+    def level(call):
+        given = [k.value for k in call.keywords if k.arg == "stacklevel"] + call.args[2:3]
+        if not given:
+            return 1
+        value = getattr(given[0], "value", None)
+        return value if type(value) is int else None
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Attribute) and func.attr == "warn"
+                        and isinstance(func.value, ast.Name) and func.value.id in modules) or (
+                        isinstance(func, ast.Name) and func.id in functions):
+                    found.append((where, level(child)))
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_the_run_warns_past_its_caller():
+    # a warning at stacklevel 3 or more counts another function's frames; the
+    # run's two warnings, at 3, point past run_ensemble or simulate_ensemble
+    calls = {path.stem: warning_calls(path.read_text(encoding="utf-8")) for path in MODULES}
+    deep = [(module, where, level) for module, found in calls.items()
+            for where, level in found if level is None or level > 2]
+    assert deep == [("ensemble", "_run", 3), ("ensemble", "_run", 3)]
+    assert calls["integrators"] == []
+
+
+@pytest.mark.parametrize("source,expected", [
+    ("import warnings\ndef _run():\n    warnings.warn('x', stacklevel=3)", [("_run", 3)]),
+    ("import warnings\nwarnings.warn('x')", [("", 1)]),
+    ("import warnings\ndef f():\n    warnings.warn('x', UserWarning, 4)", [("f", 4)]),
+    ("import warnings as w\ndef f(n):\n    w.warn('x', stacklevel=n + 1)", [("f", None)]),
+    ("from warnings import warn\ndef f():\n    def g():\n        warn('x', stacklevel=2)\n"
+     "    return g", [("g", 2)]),
+    ("from warnings import warn as say\ndef f():\n    say('x', stacklevel=5)", [("f", 5)]),
+    ("import warnings\nwarnings.warn('x', stacklevel=True)", [("", None)]),
+    ("import logging\ndef f():\n    logging.warn('x', stacklevel=3)\n    warn('y', stacklevel=3)",
+     []),
+])
+def test_warning_guard_finds_every_form(source, expected):
+    assert warning_calls(source) == expected
 
 
 def coefficient_calls(source: str) -> list[tuple[str, str]]:
