@@ -12,20 +12,23 @@ the lanes Newton leaves unsolved (it hands the drift a (1, 1) block per
 point, so a drift that overflows gives inf and an unsolved lane, not
 OverflowError); for n > 1 such lanes are reported as failed.
 solve_implicit_batch solves a whole (m, n) block of lanes at once in every
-dimension: for n = 1 an elementwise Newton
-whose first drift call stacks the residual point b and both difference
-points into one (3m, 1) block, and for n > 1 a damped Newton that makes one
-drift call per iteration on a ((2n+1)w, n) block: the trial point of each of
-the w active lanes and its 2n difference points, so the residual and the
-next Jacobian come together (the first call, at x0 = b, gives the residual
-at b and the first Jacobian). Linear solves and backtracking are batched
-over the lanes; each linear solve is _lapack_solve, numpy's LAPACK solve
-gufunc (numpy.linalg._umath_linalg.solve) called directly under the errstate
+dimension: for n = 1 an elementwise Newton whose first drift call stacks the
+residual point b and both difference points into one (3m, 1) block, and for
+n > 1 a damped Newton that makes one drift call per iteration on a
+((2n+1)w, n) block: the trial point of each of the w active lanes and its 2n
+difference points, so the residual and the next Jacobian come together (the
+first call, at x0 = b, gives the residual at b and the first Jacobian).
+Linear solves and backtracking are batched over the lanes; each linear solve
+is _lapack_solve, numpy's LAPACK solve gufunc
+(numpy.linalg._umath_linalg.solve) called directly under the errstate
 np.linalg.solve sets, so a singular Jacobian raises LinAlgError even inside
-the ensemble's np.errstate(all="ignore"). Converged lanes leave the working
-set, so a lane's iterates never depend on the other lanes in its block. The explicit step applies the
-formula verbatim with no safeguard: reproducing the blow-up of explicit
-stepping on superlinear drifts requires the unmodified map.
+the ensemble's np.errstate(all="ignore"). Both Newtons decide in one test, at
+the top of their loop, which lanes leave the working set (the converged ones
+and those whose residual is NaN), so a lane's iterates never depend on the
+other lanes in its block; a trial that converges every lane is the result.
+The explicit step applies the formula verbatim with no safeguard:
+reproducing the blow-up of explicit stepping on superlinear drifts requires
+the unmodified map.
 
 Every drift and diffusion call hands the coefficient a float64 (rows, n)
 block. The solvers read the drift's values through
@@ -395,10 +398,10 @@ def _solve_vector_batch(drift, t, b, dt):
     under np.linalg.solve, in its errstate), or the residual itself where
     the Jacobian is singular; up to 30 trials, halving the step after each,
     until the residual is finite and its max-norm does not grow (if none
-    qualifies, the last trial is taken). A lane stops once max|r| <=
-    tolerance, the last iteration included, and fails at once when its
-    residual is NaN: every later trial then has a NaN component,
-    so its best iterate can no longer change.
+    qualifies, the last trial is taken). Before each iteration a lane leaves
+    unless max|r| > tolerance: a converged lane with its iterate, a lane
+    whose residual is NaN (at b, or once its halvings are spent) with its
+    best iterate, which no later trial, all having a NaN component, beats.
 
     Each iteration makes one drift call, on (2n+1) rows per lane: the trial
     point and its 2n difference points, so the next Jacobian is ready when
@@ -407,28 +410,36 @@ def _solve_vector_batch(drift, t, b, dt):
     for their halved steps and one more stacked call after the last halving.
     Only unconverged lanes are carried, so each lane's iterates depend only
     on its own values. Returns (x, ok): the root for converged lanes and the
-    best iterate for the others, plus the (m,) convergence mask.
+    best iterate for the others, plus the (m,) convergence mask; when one
+    trial converges every lane (as on an empty block), x is that trial.
     """
-    n = b.shape[1]
+    m, n = b.shape
     tol = _RESIDUAL_TOLERANCE
-    x = b.copy()
     signs = _difference_signs(n)
     R, h = _stacked_residuals(drift, t, b, b, dt, signs)
     rn = _max_abs(R[0])
-    ok = rn <= tol
-    # the working set: active lanes only, compacted whenever some leave.
-    # Nothing is gathered while every lane is active: xi, bi and best_x are
-    # never written in place, so they may start as x and b themselves.
-    lanes, xi, bi = np.arange(len(b)), x, b
-    left = rn > tol  # False for a NaN residual too: such a lane keeps b
-    active = np.count_nonzero(left)
-    if active < left.size:
-        if not active:
+    # the working set, as lane indices, and the result; the iterates are
+    # never written in place, so the first one may be b itself
+    lanes, xi, bi = np.arange(m), b, b
+    best_x, best_r = b, rn
+    x = np.empty_like(b)
+    ok = np.zeros(m, dtype=bool)
+    for it in range(_MAX_ITERATIONS + 1):
+        left = rn > tol  # False once converged, and for a NaN residual
+        if np.count_nonzero(left) < left.size:
+            # converged lanes leave with their iterate, NaN ones with their
+            # best; the lanes that stay are written again when they leave
+            done = rn <= tol
+            x[lanes] = np.where(done[:, None], xi, best_x)
+            ok[lanes] = done
+            lanes = lanes[left]
+            if not lanes.size:
+                return x, ok
+            xi, bi, rn, R, h = xi[left], bi[left], rn[left], R[:, left], h[left]
+            best_x, best_r = best_x[left], best_r[left]
+        if it == _MAX_ITERATIONS:
+            x[lanes] = best_x
             return x, ok
-        lanes = np.flatnonzero(left)
-        xi, bi, rn, R, h = x[lanes], b[lanes], rn[lanes], R[:, lanes], h[lanes]
-    best_x, best_r = xi, rn
-    for _ in range(_MAX_ITERATIONS):
         ri = R[0]
         jac = ((R[1 : n + 1] - R[n + 1 :]) / (2.0 * h.T[:, :, None])).transpose(1, 2, 0)
         try:
@@ -444,8 +455,12 @@ def _solve_vector_batch(drift, t, b, dt):
         R, h = _stacked_residuals(drift, t, xa, bi, dt, signs)
         ra = R[0]
         an = _max_abs(ra)
+        if lanes.size == m:  # no lane has left
+            done = an <= tol
+            if np.count_nonzero(done) == done.size:
+                # every lane converged on this trial
+                return xa, done
         worse = ~(np.isfinite(an) & (an <= rn))
-        hopeless = None
         if np.count_nonzero(worse):
             moved = np.flatnonzero(worse)
             for _ in range(29):
@@ -458,10 +473,6 @@ def _solve_vector_batch(drift, t, b, dt):
                 worse[sel] = ~(np.isfinite(an[sel]) & (an[sel] <= rn[sel]))
                 if not np.count_nonzero(worse):
                     break
-            else:
-                # a NaN residual stays NaN: every later trial has a NaN
-                # component, so the best iterate of such a lane is final
-                hopeless = np.isnan(an)
             # difference points at the trials taken; their residuals are kept
             Rm, h[moved] = _stacked_residuals(drift, t, xa[moved], bi[moved], dt, signs)
             R[1:, moved] = Rm[1:]
@@ -472,21 +483,6 @@ def _solve_vector_batch(drift, t, b, dt):
             best_x, best_r = xi, rn
         elif improved:
             best_x, best_r = np.where(better[:, None], xi, best_x), np.where(better, rn, best_r)
-        done = rn <= tol
-        leave = done if hopeless is None else done | hopeless
-        leaving = np.count_nonzero(leave)
-        if leaving:
-            x[lanes[done]] = xi[done]
-            ok[lanes[done]] = True
-            if hopeless is not None:
-                x[lanes[hopeless]] = best_x[hopeless]
-            if leaving == leave.size:
-                return x, ok
-            keep = ~leave
-            lanes, xi, bi, rn, R, h = lanes[keep], xi[keep], bi[keep], rn[keep], R[:, keep], h[keep]
-            best_x, best_r = best_x[keep], best_r[keep]
-    x[lanes] = best_x
-    return x, ok
 
 
 def solve_implicit_batch(problem: SdeProblem, t: float, b, dt: float):

@@ -1362,6 +1362,17 @@ def cubic_rotation_2d():
     )
 
 
+def counted_drift(problem):
+    """problem with a drift that appends to the returned list on every call."""
+    calls = []
+
+    def drift(x, t):
+        calls.append(1)
+        return problem.drift(x, t)
+
+    return dataclasses.replace(problem, drift=drift), calls
+
+
 class TestBem2DBytes:
     # SHA-256 of the CSV below, recorded with the per-path n-d solver before
     # the solve was batched over paths; the batched solver must reproduce it.
@@ -1370,10 +1381,12 @@ class TestBem2DBytes:
     def test_csv_bytes_pinned(self):
         cfg = SimConfig(dt=0.25, num_steps=30, num_paths=300, seed=17, scheme="bem",
                         initial_value=(1.5, -1.0), checkpoints=tuple(range(31)))
-        series = simulate_ensemble(cubic_rotation_2d(), cfg)
+        problem, calls = counted_drift(cubic_rotation_2d())
+        series = simulate_ensemble(problem, cfg)
         assert series.failed_paths == 0
         text = series.to_csv_text()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.CSV_SHA256
+        assert len(calls) == 145  # the solver's work, _check_output_shapes's one call included
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -1393,9 +1406,11 @@ def test_bem_2d_workload_matches_its_golden_hashes(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
     spec.loader.exec_module(workloads)
     problem, config = workloads.WORKLOADS["bem-2d"].build(golden["seed"])
+    problem, calls = counted_drift(problem)
     series = simulate_ensemble(problem, config)
     series.write_csv(tmp_path / "bem-2d.csv")
     series.write_config_json(tmp_path / "bem-2d_config.json")
     digests = {"csv": workloads.sha256(tmp_path / "bem-2d.csv"),
                "config": workloads.sha256(tmp_path / "bem-2d_config.json")}
     assert digests == golden["hashes"]["bem-2d"]
+    assert len(calls) == 1218  # the solver's work, _check_output_shapes's one call included

@@ -837,6 +837,24 @@ class TestAllConvergedExit:
                 backtracked = reference_vector_newton(p.drift, 1.0, b[5], self.DT, 100)[2] > 0
             assert backtracked and len(calls) > 2
 
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_empty_block_ends_after_its_first_trial(self, dimension):
+        # no lane, so the first trial converges every lane: one call at b and
+        # one for the trial, not the whole Newton budget
+        rows = []
+
+        def drift(x, t):
+            rows.append(len(x))
+            return -x / (1.0 + t)
+
+        p = SdeProblem(
+            dimension=dimension, drift=drift, diffusion=lambda x, t: np.zeros_like(x),
+            k1=1.0, c=1.0, kbar=-1.0, satisfies_linear_growth=True, label="linear-nd",
+        )
+        x, ok = solve_implicit_batch(p, 1.0, np.empty((0, dimension)), 0.1)
+        assert x.shape == (0, dimension) and ok.shape == (0,) and ok.dtype == bool
+        assert len(rows) <= 2
+
     def test_lane_that_never_improves_returns_a_copy_of_b(self):
         # no lane leaves and no trial beats b, so the best iterate is b itself
         p, b = TestBatchedSolve.problem(), np.array([[100.0, 100.0]])
